@@ -868,6 +868,10 @@ pub struct BenchReport {
     /// steady-state allocations while counting). CI greps for the
     /// `REGRESSION` marker this sets in the rendered report.
     pub regression: bool,
+    /// The `--baseline` file's headline numbers, carried into the written
+    /// JSON (as a pre-rendered `"before"` object) so a committed record
+    /// of a speed-up shows before and after side by side.
+    pub before: Option<String>,
 }
 
 impl BenchReport {
@@ -896,6 +900,9 @@ impl BenchReport {
             self.decode.sessions
         ));
         s.push_str(&format!("  \"regression\": {},\n", self.regression));
+        if let Some(before) = &self.before {
+            s.push_str(&format!("  \"before\": {before},\n"));
+        }
         s.push_str("  \"workloads\": [\n");
         for (i, w) in self.workloads.iter().enumerate() {
             s.push_str("    {");
@@ -1102,9 +1109,12 @@ fn measure_load_path(
     quick: bool,
 ) -> Result<(f64, f64, bool, Option<u64>), CliError> {
     let artifact = ModelArtifact::from_model(&load_scale_model(name, seed, quick)?)?;
-    let dir = std::env::temp_dir();
-    let v1_path = dir.join(format!("antc-bench-{}-{name}-v1.antm", std::process::id()));
-    let v2_path = dir.join(format!("antc-bench-{}-{name}-v2.antm", std::process::id()));
+    // A directory of this run's own: concurrent bench runs (two tests in
+    // one process, two CI steps on one box) never see each other's
+    // artifacts, and it is removed however this function returns.
+    let dir = ScratchDir::create().map_err(|e| CliError::Artifact(ArtifactError::Io(e)))?;
+    let v1_path = dir.0.join(format!("{name}-v1.antm"));
+    let v2_path = dir.0.join(format!("{name}-v2.antm"));
     artifact.save_v1_path(&v1_path)?;
     artifact.save_path(&v2_path)?;
     // Force writeback: a freshly-written file's page-cache pages are
@@ -1135,9 +1145,36 @@ fn measure_load_path(
         let plan = mapped.compile_strict().expect("v2 compile");
         std::hint::black_box(&plan);
     });
-    std::fs::remove_file(&v1_path).ok();
-    std::fs::remove_file(&v2_path).ok();
     Ok((t_v1 * 1e6, t_v2 * 1e6, zero_copy, private_dirty_kb))
+}
+
+/// A uniquely named directory under the system temp dir, removed with
+/// its contents on drop.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn create() -> std::io::Result<ScratchDir> {
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        loop {
+            // Relaxed: only uniqueness within the process matters; the
+            // pid separates processes, and a leftover from a dead process
+            // that had the same pid is skipped, never adopted.
+            let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = std::env::temp_dir().join(format!("antc-bench-{}-{seq}", std::process::id()));
+            match std::fs::create_dir(&dir) {
+                Ok(()) => return Ok(ScratchDir(dir)),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        // Best effort: a leftover temp dir must not turn into a panic.
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Measures the autoregressive decode workload: a 2-layer causal
@@ -1218,6 +1255,18 @@ fn time_per_iter<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     start.elapsed().as_secs_f64() / iters.max(1) as f64
 }
 
+/// [`time_per_iter`] repeated over `ROUNDS` windows, keeping the fastest.
+/// Interference from outside the process only ever slows a window down,
+/// so the fastest one is the least contaminated — what the perf guard
+/// needs now that a quick window of the dense workload is ~100 µs long
+/// and a single descheduling would otherwise read as a regression.
+fn best_time_per_iter<F: FnMut()>(iters: usize, mut f: F) -> f64 {
+    const ROUNDS: usize = 5;
+    (0..ROUNDS)
+        .map(|_| time_per_iter(iters, &mut f))
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Runs the fixed MLP/CNN/attention serving workloads and measures
 /// throughput, latency percentiles, steady-state allocations per request
 /// and the raw microkernel speedup. Pure measurement — rendering and the
@@ -1257,12 +1306,13 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
             plan.forward_rows(x.as_slice(), BATCH, &mut out)?;
             plan.forward_rows(rows[0], 1, &mut out)?;
         }
-        // Steady-state allocation count over single-row requests.
-        let before = crate::alloc::alloc_count();
+        // Steady-state allocation count over single-row requests, on
+        // this thread and the pool workers the plan dispatches to.
+        let scope = crate::alloc::AllocScope::with_pool(ant_runtime::WorkerPool::global());
         for i in 0..requests {
             plan.forward_rows(rows[i % BATCH], 1, &mut out)?;
         }
-        let allocs = crate::alloc::alloc_count() - before;
+        let allocs = scope.allocs();
         let allocs_per_request = counting.then(|| allocs as f64 / requests as f64);
         // Batch-1 latency distribution, recorded into a log2-bucketed
         // histogram (the same primitive the runtime's telemetry uses),
@@ -1279,7 +1329,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
         let lat = lat.snapshot();
         let pct = |p: f64| lat.quantile(p) / 1e3;
         // Batched throughput.
-        let per_batch = time_per_iter(batch_iters, || {
+        let per_batch = best_time_per_iter(batch_iters, || {
             plan.forward_rows(x.as_slice(), BATCH, &mut out)
                 .expect("benched forward");
         });
@@ -1343,9 +1393,9 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
         let mut acc = vec![0i64; m * n];
         let iters = if cfg.quick { 20 } else { 200 };
         int_gemm(&a32, &b32, m, k, n, &mut acc); // warm
-        let t_i32 = time_per_iter(iters, || int_gemm(&a32, &b32, m, k, n, &mut acc));
+        let t_i32 = best_time_per_iter(iters, || int_gemm(&a32, &b32, m, k, n, &mut acc));
         packed.matmul(&a8, m, &mut acc, pool, 1); // warm
-        let t_i8 = time_per_iter(iters, || packed.matmul(&a8, m, &mut acc, pool, 1));
+        let t_i8 = best_time_per_iter(iters, || packed.matmul(&a8, m, &mut acc, pool, 1));
         t_i32 / t_i8
     };
     let decode = measure_decode(cfg)?;
@@ -1369,6 +1419,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
         decode,
         gemm_speedup_i8_vs_i32,
         regression,
+        before: None,
     })
 }
 
@@ -1391,6 +1442,28 @@ fn compare_baseline(
             baseline.display()
         ))
     })?;
+    // Keep the baseline's headline numbers for the written record.
+    let num = |v: Option<&Json>| match v.and_then(Json::as_f64) {
+        Some(x) => format!("{x}"),
+        None => "null".to_string(),
+    };
+    let before_rows: Vec<String> = base_workloads
+        .iter()
+        .filter_map(|b| {
+            let name = b.get("name").and_then(Json::as_str)?;
+            Some(format!(
+                "{{\"name\": \"{name}\", \"batched_ops_per_sec\": {}, \"p50_us\": {}}}",
+                num(b.get("batched_ops_per_sec")),
+                num(b.get("p50_us"))
+            ))
+        })
+        .collect();
+    report.before = Some(format!(
+        "{{\"gemm_speedup_i8_vs_i32\": {}, \"decode_tokens_per_sec\": {}, \"workloads\": [{}]}}",
+        num(doc.get("gemm_speedup_i8_vs_i32")),
+        num(doc.get("decode").and_then(|d| d.get("tokens_per_sec"))),
+        before_rows.join(", ")
+    ));
     let mut out = format!(
         "\nperf guard vs {} (allowed drop {:.0}%):\n",
         baseline.display(),

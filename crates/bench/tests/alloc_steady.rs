@@ -8,6 +8,10 @@
 //! **zero** heap allocations — for dense, conv, and attention plans
 //! alike, at both batch-1 and batched shapes.
 //!
+//! Counts are scoped to the measuring thread (and, through
+//! [`ant_bench::alloc::AllocScope`], the pool workers a call drives), so
+//! the proofs hold however libtest schedules the sibling tests.
+//!
 //! With the (default) `obs` feature the same windows also prove the
 //! telemetry tentpole: per-layer metrics and span records are being
 //! written *during* the zero-allocation window — recording really is
@@ -16,7 +20,7 @@
 #[global_allocator]
 static ALLOC: ant_bench::alloc::CountingAlloc = ant_bench::alloc::CountingAlloc;
 
-use ant_bench::alloc::{alloc_count, is_counting};
+use ant_bench::alloc::{alloc_count, is_counting, AllocScope};
 use ant_nn::model::{deep_mlp, small_cnn, transformer_block, Sequential};
 use ant_nn::qat::{quantize_model, QuantSpec};
 use ant_runtime::CompiledPlan;
@@ -116,9 +120,10 @@ fn steady_state_forward_rows_allocates_nothing() {
                     None => panic!("{name}: no {family} series recorded in the window"),
                 }
             };
-            assert_eq!(
-                hist_count("ant_forward_time_ns"),
-                100,
+            // At least: the registry is process-wide, so sibling tests
+            // running forwards of their own inside this window add to it.
+            assert!(
+                hist_count("ant_forward_time_ns") >= 100,
                 "{name}: every forward call in the zero-alloc window must be timed"
             );
             let layer_calls: u64 = ant_runtime::obs::LAYER_KINDS
@@ -237,8 +242,9 @@ fn steady_state_decode_steps_allocate_nothing() {
             ant_obs::Value::Histogram(h) => h.count(),
             _ => panic!("ant_forward_time_ns is not a histogram"),
         };
-        assert_eq!(
-            forwards as usize, STEPS,
+        // At least: the registry is process-wide (see above).
+        assert!(
+            forwards as usize >= STEPS,
             "every decode step in the zero-alloc window must be timed"
         );
         let attn_layers = delta
@@ -330,4 +336,120 @@ fn warmup_allocations_are_one_time() {
     // The second identical call re-touches every buffer the first one
     // grew; any allocation here would grow without bound under traffic.
     assert_eq!(alloc_count(), after_first, "second call allocated");
+}
+
+#[test]
+fn sibling_thread_allocations_are_not_counted() {
+    // The scoping contract itself: what another thread allocates while
+    // this one measures — libtest's sibling tests, in practice — never
+    // shows up in this thread's tally, and does show up in its own.
+    assert!(is_counting());
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Barrier;
+    // A barrier, not a channel: waiting on it never allocates, so the
+    // hand-offs themselves stay out of both tallies.
+    let gate = Barrier::new(2);
+    let sibling_allocs = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            gate.wait();
+            let before = alloc_count();
+            for i in 0..100usize {
+                std::hint::black_box(vec![0u8; 64 + i]);
+            }
+            sibling_allocs.store(alloc_count() - before, Ordering::SeqCst);
+            gate.wait();
+        });
+        let scope = AllocScope::thread();
+        let before = alloc_count();
+        // The two rendezvous force the sibling's burst to fall entirely
+        // inside this thread's window.
+        gate.wait();
+        gate.wait();
+        assert_eq!(alloc_count() - before, 0, "a sibling's burst was counted");
+        assert_eq!(scope.allocs(), 0, "a thread scope counted a sibling");
+    });
+    let sibling_allocs = sibling_allocs.load(Ordering::SeqCst);
+    assert!(
+        sibling_allocs >= 100,
+        "sibling saw {sibling_allocs} of its own"
+    );
+}
+
+#[test]
+fn pool_scope_counts_its_workers_and_only_them() {
+    assert!(is_counting());
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let pool = ant_runtime::WorkerPool::new(3);
+    let scope = AllocScope::with_pool(&pool);
+    let before = alloc_count();
+    // Three tasks that each wait for the other two to have started, so
+    // each of the pool's three threads runs exactly one — and allocates
+    // exactly once.
+    let started = AtomicUsize::new(0);
+    pool.run(3, &|_| {
+        started.fetch_add(1, Ordering::SeqCst);
+        while started.load(Ordering::SeqCst) < 3 {
+            std::thread::yield_now();
+        }
+        std::hint::black_box(vec![0u8; 4096]);
+    });
+    assert_eq!(alloc_count() - before, 1, "the caller ran one task");
+    assert_eq!(scope.allocs(), 3, "the scope covers the two workers too");
+    assert!(scope.bytes() >= 3 * 4096);
+}
+
+#[test]
+fn steady_state_pooled_forward_rows_allocates_nothing() {
+    // The zero-allocation contract on the *pooled* path: a batch large
+    // enough that every GEMM fans out over a dedicated two-thread pool,
+    // so the pair kernel's staging buffer, the fused writeback and the
+    // dispatch itself run on a worker as well as on this thread — and
+    // the scope counts both.
+    assert!(is_counting());
+    const BATCH: usize = 64;
+    let features = 64usize;
+    let mut model = deep_mlp(features, 10, 256, 3, 5);
+    let calib = sample_tensor(
+        Distribution::Gaussian {
+            mean: 0.0,
+            std: 1.0,
+        },
+        &[32, features],
+        7,
+    );
+    quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
+    let pool = std::sync::Arc::new(ant_runtime::WorkerPool::new(2));
+    let mut plan = CompiledPlan::from_quantized_strict(&model)
+        .unwrap()
+        .with_pool(std::sync::Arc::clone(&pool))
+        .with_threads(2);
+    assert!(
+        ant_runtime::gemm::partition(BATCH, 256, 256, 2) != (1, 1),
+        "the hidden layers must actually dispatch"
+    );
+    let x = sample_tensor(
+        Distribution::Gaussian {
+            mean: 0.0,
+            std: 1.0,
+        },
+        &[BATCH, features],
+        11,
+    );
+    let mut out = Vec::new();
+    for _ in 0..3 {
+        plan.forward_rows(x.as_slice(), BATCH, &mut out).unwrap();
+    }
+    let warm = out.clone();
+    let scope = AllocScope::with_pool(&pool);
+    for _ in 0..50 {
+        plan.forward_rows(x.as_slice(), BATCH, &mut out).unwrap();
+    }
+    assert_eq!(
+        scope.allocs(),
+        0,
+        "pooled steady state allocated ({} bytes)",
+        scope.bytes()
+    );
+    assert_eq!(out, warm, "pooled steady-state output drifted");
 }

@@ -334,6 +334,16 @@ fn bench_baseline_guard_flags_regressions_and_skips_missing() {
     assert!(report.contains("REGRESSION"), "{report}");
     let doc = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
     assert_eq!(doc.get("regression").and_then(Json::as_bool), Some(true));
+    // The record carries the baseline it was judged against: before and
+    // after sit in one file.
+    let before = doc.get("before").expect("baseline kept as \"before\"");
+    let rows = before.get("workloads").and_then(Json::as_arr).unwrap();
+    assert_eq!(rows.len(), 2, "{before:?}");
+    assert_eq!(
+        rows[0].get("batched_ops_per_sec").and_then(Json::as_f64),
+        Some(1e15)
+    );
+    assert!(before.get("gemm_speedup_i8_vs_i32").is_some());
     std::fs::remove_file(&base).ok();
     std::fs::remove_file(&out).ok();
 }

@@ -86,7 +86,11 @@ pub fn record_span(id: SpanId, start_ns: u64, dur_ns: u64) {
         return;
     }
     let ring = &RINGS[slot];
-    let i = ring.head.fetch_add(1, Relaxed) % SPAN_RING_CAP;
+    // The slot — and so the ring — belongs to this thread alone: a plain
+    // load + store advances the head without a locked read-modify-write.
+    let head = ring.head.load(Relaxed);
+    ring.head.store(head.wrapping_add(1), Relaxed);
+    let i = head % SPAN_RING_CAP;
     ring.start[i].store(start_ns, Relaxed);
     ring.dur[i].store(dur_ns, Relaxed);
     ring.id[i].store(id.0 + 1, Relaxed);

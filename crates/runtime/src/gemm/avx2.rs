@@ -1,64 +1,144 @@
-//! AVX2 byte-operand tile kernel, selected by runtime feature detection.
+//! The AVX2 `vpmaddwd` pair tile, selected by runtime feature detection.
 //!
-//! Mirrors the scalar [`super::kernel`] tile exactly — same `MR×NR`
-//! blocking, same widening cadence — so results are bit-identical (all
-//! arithmetic is exact integer math; only the instruction selection
-//! differs). One panel step is a single 8-byte load sign-extended to
-//! `i32×8` (`vpmovsxbd`), then one broadcast + multiply-add per row.
+//! Same skeleton, same `[k][NR]` panels and same cadence as the scalar
+//! tile ([`super::kernel`]); only the multiply differs. Two `k`-steps of
+//! a panel are one 16-element load, widened to `i16` (bytes) or taken as
+//! is (`i16` images) and interleaved into `NR` column pairs
+//! `(b[p][c], b[p+1][c])` — once, shared by every row of the tile. A row
+//! then costs one `vpbroadcastd` of its own `(a[p], a[p+1])` pair, one
+//! `vpmaddwd` and one `vpaddd` per 16 MACs. Byte activations are widened
+//! to `i16` once per row tile and cadence block (not per panel) into the
+//! region's stack [`Stage`]; `i16` activations are already pairs in
+//! place. All arithmetic is exact, so the block sums equal the scalar
+//! tile's bit for bit (see the pair-sum argument in [`super::kernel`]).
 
 #![cfg(target_arch = "x86_64")]
 
-use super::kernel::MR;
+use super::kernel::{self, KernelOperand, Region, Sink, Stage, TileKernel};
 use super::NR;
 use std::arch::x86_64::*;
 
-/// Whether the byte kernel may use AVX2 on this machine (detected once).
+/// Whether the AVX2 paths may run on this machine (detected once).
 pub(crate) fn available() -> bool {
     use std::sync::OnceLock;
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
-/// The `MR×NR` byte tile (see [`super::kernel`] for the layout and the
-/// overflow argument; the cadence bound is identical).
+/// [`kernel::region`] on the pair tile, compiled with AVX2 enabled so the
+/// whole walk — staging, tile, fused epilogue — inlines into one
+/// vectorised body.
 ///
 /// # Safety
 ///
-/// Callers must have verified AVX2 support ([`available`]). Slice bounds
-/// are checked as in the scalar path.
+/// As [`kernel::region`]; additionally the caller must have verified
+/// AVX2 support ([`available`]) and [`kernel::pair_safe`] for `k_block`.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn tile_i8(
-    a_rows: [&[i8]; MR],
-    panel: &[i8],
-    k: usize,
-    k_block: usize,
-) -> [[i64; NR]; MR] {
-    debug_assert!(panel.len() >= k * NR);
-    for r in a_rows {
-        debug_assert!(r.len() >= k);
-    }
-    let mut wide = [[0i64; NR]; MR];
-    let mut k0 = 0usize;
-    while k0 < k {
-        let kb = k_block.min(k - k0);
-        let mut acc = [_mm256_setzero_si256(); MR];
-        for p in k0..k0 + kb {
-            // 8 consecutive packed-panel bytes -> i32x8.
-            let bv =
-                _mm256_cvtepi8_epi32(_mm_loadl_epi64(panel.as_ptr().add(p * NR) as *const __m128i));
-            for r in 0..MR {
-                let av = _mm256_set1_epi32(*a_rows[r].get_unchecked(p) as i32);
-                acc[r] = _mm256_add_epi32(acc[r], _mm256_mullo_epi32(av, bv));
+pub(crate) unsafe fn region<T: KernelOperand, S: Sink>(r: &Region<'_, T>, sink: &S) {
+    debug_assert!(kernel::pair_safe(r.k_block));
+    kernel::region::<T, Pair, S>(r, sink)
+}
+
+/// The `vpmaddwd` tile. `T` is `i8` or `i16` (the sealed
+/// [`KernelOperand`] set), told apart by size at monomorphisation.
+struct Pair;
+
+impl<T: KernelOperand> TileKernel<T> for Pair {
+    type A = i16;
+
+    #[inline(always)]
+    unsafe fn stage(
+        stage: &mut Stage,
+        a0: *const T,
+        mr: usize,
+        lda: usize,
+        kb: usize,
+    ) -> (*const i16, usize) {
+        if size_of::<T>() == size_of::<i16>() {
+            // Halfword rows already are `(a[p], a[p+1])` pairs in place.
+            return (a0 as *const i16, lda);
+        }
+        // Bytes: sign-extend each row once; every panel of the row tile
+        // then reads it. Rows sit `kb` (rounded even) apart, so the
+        // staged tile stays compact in L1 whatever `k_block` allows.
+        let stride = kb.next_multiple_of(2);
+        for r in 0..mr {
+            // SAFETY (caller): row `r` holds `kb` readable bytes, and
+            // `mr · stride ≤ MR · K_BLOCK_MAX` fits the stage.
+            let src = std::slice::from_raw_parts(a0.add(r * lda) as *const i8, kb);
+            let dst = &mut stage[r * stride..r * stride + kb];
+            for (d, &s) in dst.iter_mut().zip(src) {
+                d.write(s as i16);
             }
         }
-        for r in 0..MR {
-            let mut lanes = [0i32; NR];
-            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc[r]);
-            for c in 0..NR {
-                wide[r][c] += lanes[c] as i64;
+        (stage.as_ptr() as *const i16, stride)
+    }
+
+    #[inline(always)]
+    unsafe fn tile<const M: usize>(
+        a: *const i16,
+        lda: usize,
+        panel: *const T,
+        kb: usize,
+    ) -> [[i32; NR]; M] {
+        let mut acc = [_mm256_setzero_si256(); M];
+        let mut p = 0usize;
+        while p + 2 <= kb {
+            let bv = load_pair(panel.add(p * NR));
+            for (r, lane) in acc.iter_mut().enumerate() {
+                // One 32-bit load is the row's `(a[p], a[p+1])` pair.
+                let pair = (a.add(r * lda + p) as *const i32).read_unaligned();
+                *lane = _mm256_add_epi32(*lane, _mm256_madd_epi16(_mm256_set1_epi32(pair), bv));
+            }
+            p += 2;
+        }
+        if p < kb {
+            // Odd block tail: the partner is zero on both operands, so
+            // nothing past row `kb − 1` of either is read.
+            let bv = load_tail(panel.add(p * NR));
+            for (r, lane) in acc.iter_mut().enumerate() {
+                let pair = *a.add(r * lda + p) as u16 as i32;
+                *lane = _mm256_add_epi32(*lane, _mm256_madd_epi16(_mm256_set1_epi32(pair), bv));
             }
         }
-        k0 += kb;
+        let mut out = [[0i32; NR]; M];
+        for (dst, &lane) in out.iter_mut().zip(&acc) {
+            _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, lane);
+        }
+        out
     }
-    wide
+}
+
+/// Two consecutive panel rows (`2·NR` elements at `p`) as `NR` column
+/// pairs: 32-bit lane `c` is `(row₀[c], row₁[c])` in `i16`.
+#[inline(always)]
+unsafe fn load_pair<T: KernelOperand>(p: *const T) -> __m256i {
+    if size_of::<T>() == size_of::<i8>() {
+        // 16 bytes: interleave the two rows bytewise, then sign-extend.
+        let rows = _mm_loadu_si128(p as *const __m128i);
+        let zip = _mm_setr_epi8(0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15);
+        _mm256_cvtepi8_epi16(_mm_shuffle_epi8(rows, zip))
+    } else {
+        // 16 halfwords, one row per 128-bit half: bring columns 0..3 of
+        // both rows into the low half (4..7 into the high), then zip
+        // within each half.
+        let rows = _mm256_permute4x64_epi64(_mm256_loadu_si256(p as *const __m256i), 0b11_01_10_00);
+        let zip = _mm256_setr_epi8(
+            0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15, //
+            0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15,
+        );
+        _mm256_shuffle_epi8(rows, zip)
+    }
+}
+
+/// One last panel row (`NR` elements at `p`) paired with zeros: lane `c`
+/// is `(row[c], 0)`.
+#[inline(always)]
+unsafe fn load_tail<T: KernelOperand>(p: *const T) -> __m256i {
+    let row = if size_of::<T>() == size_of::<i8>() {
+        _mm_cvtepi8_epi16(_mm_loadl_epi64(p as *const __m128i))
+    } else {
+        _mm_loadu_si128(p as *const __m128i)
+    };
+    _mm256_cvtepu16_epi32(row)
 }

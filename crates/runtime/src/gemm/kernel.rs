@@ -1,6 +1,8 @@
-//! The narrow-operand microkernel: register-blocked `MR×NR` tiles over
-//! panel-packed weights, with a provably safe `i32 → i64` widening
-//! cadence.
+//! The narrow-operand microkernel: register-blocked `mr×NR` tiles
+//! (`mr ∈ 1..=MR`, monomorphised — a row tail computes exactly the rows
+//! it has) over panel-packed weights, with a provably safe `i32 → i64`
+//! widening cadence and the dequantizing epilogue fused into the tile
+//! writeback.
 //!
 //! # Why narrow operands
 //!
@@ -11,6 +13,19 @@
 //! lanes. The microkernel instead streams `i8` (or `i16`) operands and
 //! accumulates 32-bit, which is exactly the economics of the paper's
 //! low-bit MAC array (Sec. VI-A).
+//!
+//! # One skeleton, two tiles
+//!
+//! [`region`] walks a [`Region`] row tile → cadence block → panel and is generic over
+//! a [`TileKernel`] (what multiplies) and a [`Sink`] (where block sums
+//! go). The portable [`Scalar`] tile multiplies one `k`-step at a time;
+//! the AVX2 tile ([`super::avx2`]) multiplies *pairs* of `k`-steps with
+//! `vpmaddwd`. Both read the same `[k][NR]` panels, both serve `i8` and
+//! `i16` images, and — all arithmetic being exact integer math — both
+//! produce the same block sums. A sink either folds them into the exact
+//! `i64` accumulator ([`Wide`]) or, when the whole reduction is a single
+//! cadence block, dequantizes them straight into the layer's `f32` output
+//! ([`Dequant`]), skipping the `m×n` `i64` round trip.
 //!
 //! # The widening cadence and its safety argument
 //!
@@ -31,8 +46,23 @@
 //! `±(128, 127)` worst case is safe at the maximum cadence. The `i64`
 //! outer accumulator is exact for any realistic `k` (it would take
 //! `k > 2^33` maximal byte products to wrap it).
+//!
+//! **Pair sums.** A `vpmaddwd` lane is `a₀·b₀ + a₁·b₁` computed in `i32`
+//! and then added to the running lane, so every intermediate of a block
+//! is still a sum of at most `kb` of the block's products — bounded by
+//! `kb · a_max · b_max` exactly as above, and `k_block` is unchanged. The
+//! one new intermediate is the pair itself, `≤ 2 · a_max · b_max`, which
+//! fits precisely when `k_block ≥ 2`; the pair tile is therefore only
+//! selected under that condition ([`pair_safe`]). That also excludes the
+//! single `i16` corner `2 · (−32768)² = 2³¹` where `vpmaddwd` itself
+//! wraps: it needs `a_max · b_max = 2³⁰`, i.e. `k_block = 1`, which runs
+//! on the scalar tile. Pairs are formed from the start of each cadence
+//! block; an odd block (odd `k` or odd `k_block`) ends in one step whose
+//! partner is zero on both operands, contributing exactly `a·b + 0`.
 
 use super::NR;
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 /// Row-tile height of the microkernel (output rows per register tile).
 pub(crate) const MR: usize = 4;
@@ -45,6 +75,12 @@ pub(crate) const K_BLOCK_MAX: usize = 8192;
 // The static worst case for byte operands: the `int8` hw range is
 // [−128, 127], so |product| ≤ 128·128 and a full block stays in `i32`.
 const _: () = assert!((K_BLOCK_MAX as i64) * 128 * 128 <= i32::MAX as i64);
+
+/// Staging space for one row tile's activations widened to `i16`: `MR`
+/// rows of at most one cadence block. Lives uninitialised on
+/// [`region`]'s stack — only the `mr × kb` prefix a block actually uses
+/// is ever written or read, so its size costs nothing per tile.
+pub(crate) type Stage = [MaybeUninit<i16>; MR * K_BLOCK_MAX];
 
 mod private {
     /// Seals [`super::KernelOperand`]: the microkernel is written (and
@@ -66,13 +102,6 @@ pub trait KernelOperand:
     fn widen(self) -> i32;
     #[doc(hidden)]
     fn from_i32(v: i32) -> Self;
-    /// Reinterpret a slice as bytes when this operand *is* the byte
-    /// width (the AVX2 fast path is byte-only).
-    #[doc(hidden)]
-    fn as_i8_slice(slice: &[Self]) -> Option<&[i8]> {
-        let _ = slice;
-        None
-    }
 }
 
 impl KernelOperand for i8 {
@@ -87,10 +116,6 @@ impl KernelOperand for i8 {
             "value {v} exceeds i8"
         );
         v as i8
-    }
-    #[inline(always)]
-    fn as_i8_slice(slice: &[i8]) -> Option<&[i8]> {
-        Some(slice)
     }
 }
 
@@ -117,138 +142,320 @@ pub(crate) fn k_block_for(a_max: i64, b_max: i64) -> usize {
     ((i32::MAX as i64 / prod).max(1) as usize).min(K_BLOCK_MAX)
 }
 
-/// One `M×NR` register tile: `M` dot-product rows against one packed
-/// panel (`[k][NR]` interleaved), blocked by the widening cadence.
-/// Integer arithmetic is exact, so tiling/cadence never changes results.
-#[inline]
-fn tile<T: KernelOperand, const M: usize>(
-    a_rows: [&[T]; M],
-    panel: &[T],
-    k: usize,
-    k_block: usize,
-) -> [[i64; NR]; M] {
-    let mut wide = [[0i64; NR]; M];
-    let mut k0 = 0usize;
-    while k0 < k {
-        let kb = k_block.min(k - k0);
+/// Whether a cadence admits the pair tile: a `vpmaddwd` lane holds two
+/// products before the running add, so two terms must fit `i32` (see the
+/// module docs' pair-sum argument).
+pub(crate) fn pair_safe(k_block: usize) -> bool {
+    k_block >= 2
+}
+
+/// What multiplies a row tile against a panel.
+pub(crate) trait TileKernel<T: KernelOperand> {
+    /// Element type the tile reads activations as.
+    type A: Copy;
+
+    /// Presents `mr` activation rows of `kb` elements (starting at `a0`,
+    /// row stride `lda`) in the form [`Self::tile`] reads, returning the
+    /// base pointer and row stride to hand it. May copy into `stage`.
+    ///
+    /// # Safety
+    ///
+    /// `a0` must be valid for reads of `mr` rows of `kb` elements at
+    /// stride `lda`, with `mr ≤ MR` and `kb ≤ K_BLOCK_MAX`.
+    unsafe fn stage(
+        stage: &mut Stage,
+        a0: *const T,
+        mr: usize,
+        lda: usize,
+        kb: usize,
+    ) -> (*const Self::A, usize);
+
+    /// The `i32` block sums of `M` rows against one `[kb][NR]` panel
+    /// slice.
+    ///
+    /// # Safety
+    ///
+    /// `a` must be valid for reads of `M` rows of `kb` elements at stride
+    /// `lda`, `panel` for `kb · NR` elements, and `kb` terms of the
+    /// operands' magnitudes must fit `i32` (the cadence bound).
+    unsafe fn tile<const M: usize>(
+        a: *const Self::A,
+        lda: usize,
+        panel: *const T,
+        kb: usize,
+    ) -> [[i32; NR]; M];
+}
+
+/// The portable tile: one `k`-step at a time, activations read in place.
+/// Serves non-AVX2 machines and cadences too short for pairs.
+pub(crate) struct Scalar;
+
+impl<T: KernelOperand> TileKernel<T> for Scalar {
+    type A = T;
+
+    #[inline(always)]
+    unsafe fn stage(
+        _: &mut Stage,
+        a0: *const T,
+        _: usize,
+        lda: usize,
+        _: usize,
+    ) -> (*const T, usize) {
+        (a0, lda)
+    }
+
+    #[inline(always)]
+    unsafe fn tile<const M: usize>(
+        a: *const T,
+        lda: usize,
+        panel: *const T,
+        kb: usize,
+    ) -> [[i32; NR]; M] {
         let mut acc = [[0i32; NR]; M];
-        for p in k0..k0 + kb {
-            let b = &panel[p * NR..p * NR + NR];
-            let mut bv = [0i32; NR];
-            for (dst, &src) in bv.iter_mut().zip(b) {
-                *dst = src.widen();
-            }
-            for r in 0..M {
-                let av = a_rows[r][p].widen();
-                for c in 0..NR {
-                    acc[r][c] += av * bv[c];
+        for p in 0..kb {
+            // SAFETY: `p < kb`, inside both the panel slice and each row.
+            let b = &*(panel.add(p * NR) as *const [T; NR]);
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let av = (*a.add(r * lda + p)).widen();
+                for (dst, &bv) in acc_row.iter_mut().zip(b) {
+                    *dst += av * bv.widen();
                 }
             }
         }
-        for r in 0..M {
-            for c in 0..NR {
-                wide[r][c] += acc[r][c] as i64;
-            }
-        }
-        k0 += kb;
+        acc
     }
-    wide
 }
 
-/// Computes output rows `rows` × panels `panels` of `a · bᵀ` against
-/// panel-packed weights, writing into `out` with row stride `ldc`.
+/// Where a tile's block sums go. Implementations hold a raw pointer to
+/// the *full* output; a region writes only the cells of its own rows ×
+/// panels, which is the disjointness the threaded driver's partitioning
+/// guarantees.
+pub(crate) trait Sink: Sync {
+    /// Output offsets of rows `i0..i0 + M` (hoisted out of the panel
+    /// loop).
+    fn rows<const M: usize>(&self, i0: usize) -> [usize; M];
+
+    /// Consumes the block sums of an `M × nc` tile at columns `c0..`;
+    /// `first` marks the reduction's first cadence block.
+    ///
+    /// # Safety
+    ///
+    /// The output must be valid for writes at those cells, with no
+    /// concurrent access to them.
+    unsafe fn put<const M: usize>(
+        &self,
+        rows: &[usize; M],
+        c0: usize,
+        nc: usize,
+        acc: &[[i32; NR]; M],
+        first: bool,
+    );
+}
+
+/// Folds block sums into the exact row-major `i64` accumulator.
+pub(crate) struct Wide {
+    pub(crate) out: *mut i64,
+    pub(crate) ldc: usize,
+}
+
+// SAFETY: the pointer targets an exclusively borrowed output that pool
+// tasks write in disjoint regions; `ldc` is plain data.
+unsafe impl Sync for Wide {}
+
+impl Sink for Wide {
+    #[inline(always)]
+    fn rows<const M: usize>(&self, i0: usize) -> [usize; M] {
+        std::array::from_fn(|r| (i0 + r) * self.ldc)
+    }
+
+    #[inline(always)]
+    unsafe fn put<const M: usize>(
+        &self,
+        rows: &[usize; M],
+        c0: usize,
+        nc: usize,
+        acc: &[[i32; NR]; M],
+        first: bool,
+    ) {
+        for (&row, acc_row) in rows.iter().zip(acc) {
+            let dst = self.out.add(row + c0);
+            for (c, &v) in acc_row.iter().take(nc).enumerate() {
+                let prev = if first { 0 } else { dst.add(c).read() };
+                dst.add(c).write(prev + v as i64);
+            }
+        }
+    }
+}
+
+/// The dequantizing epilogue of a packed layer: `acc · deq[o] + bias[o]`
+/// per output channel `o`, and where each GEMM row lands in the layer's
+/// `f32` output.
 ///
-/// `out` points at the *full* output matrix; this region writes only
-/// `out[i·ldc + j]` for `i ∈ rows`, `j` in the panel range's columns —
-/// the disjointness the threaded driver's partitioning guarantees.
+/// GEMM rows come in groups of `rows_per_sample` (a convolution's output
+/// pixels; `1` for dense layers) and each group is written
+/// channel-major: row `i`, channel `o` goes to
+/// `(i / rps) · rps · n + o · rps + i % rps`. With `rows_per_sample = 1`
+/// that is plain row-major `i · n + o`; with a conv's pixel count it is
+/// the `[batch, co, oh·ow]` activation layout, so no separate scatter
+/// pass is needed.
+#[derive(Debug, Clone, Copy)]
+pub struct Epilogue<'a> {
+    /// Per-output-channel dequantization scales (`a_scale · w_scale[o]`).
+    pub deq: &'a [f32],
+    /// Optional per-output-channel bias, added after scaling.
+    pub bias: Option<&'a [f32]>,
+    /// GEMM rows per sample (`≥ 1`; see the type docs).
+    pub rows_per_sample: usize,
+}
+
+impl Epilogue<'_> {
+    /// Asserts the epilogue fits an `m × n` GEMM writing `out_len` values.
+    pub(crate) fn check(&self, m: usize, n: usize, out_len: usize) {
+        assert_eq!(self.deq.len(), n, "dequant scale count");
+        assert!(self.bias.is_none_or(|b| b.len() == n), "bias length");
+        assert!(
+            self.rows_per_sample >= 1 && m.is_multiple_of(self.rows_per_sample),
+            "rows per sample"
+        );
+        assert_eq!(out_len, m * n, "output length");
+    }
+
+    /// Output offset of GEMM row `i`, channel 0.
+    #[inline(always)]
+    pub(crate) fn row_offset(&self, i: usize) -> usize {
+        let rps = self.rows_per_sample;
+        (i / rps) * rps * self.deq.len() + i % rps
+    }
+}
+
+/// Dequantizes single-block tile sums straight into the `f32` output
+/// (the fused epilogue). Only valid when the reduction is one cadence
+/// block, i.e. every `put` is `first`.
+pub(crate) struct Dequant<'a> {
+    pub(crate) out: *mut f32,
+    pub(crate) epi: Epilogue<'a>,
+}
+
+// SAFETY: as for `Wide` — disjoint region writes through the pointer;
+// the epilogue is shared read-only slices.
+unsafe impl Sync for Dequant<'_> {}
+
+impl Sink for Dequant<'_> {
+    #[inline(always)]
+    fn rows<const M: usize>(&self, i0: usize) -> [usize; M] {
+        std::array::from_fn(|r| self.epi.row_offset(i0 + r))
+    }
+
+    #[inline(always)]
+    unsafe fn put<const M: usize>(
+        &self,
+        rows: &[usize; M],
+        c0: usize,
+        nc: usize,
+        acc: &[[i32; NR]; M],
+        first: bool,
+    ) {
+        debug_assert!(first, "fused writeback needs a single cadence block");
+        // Channel parameters padded to the panel width once per tile, so
+        // the per-row arithmetic is fixed-width: under AVX2 it compiles to
+        // `vcvtdq2ps` + `vmulps` + `vaddps`. Multiply and add stay two
+        // roundings (Rust never contracts them into an FMA), and
+        // `i32 as f32 == i64 as f32` for every value in `i32` range — so
+        // this is bit-identical to `dequant_into` after an `i64` fold.
+        let mut deq = [0f32; NR];
+        deq[..nc].copy_from_slice(&self.epi.deq[c0..c0 + nc]);
+        let mut bias = [0f32; NR];
+        if let Some(b) = self.epi.bias {
+            bias[..nc].copy_from_slice(&b[c0..c0 + nc]);
+        }
+        let rps = self.epi.rows_per_sample;
+        for (&row, acc_row) in rows.iter().zip(acc) {
+            let mut vals = [0f32; NR];
+            for ((v, &x), &d) in vals.iter_mut().zip(acc_row).zip(&deq) {
+                *v = x as f32 * d;
+            }
+            if self.epi.bias.is_some() {
+                for (v, &b) in vals.iter_mut().zip(&bias) {
+                    *v += b;
+                }
+            }
+            let dst = self.out.add(row + c0 * rps);
+            if nc == NR && rps == 1 {
+                (dst as *mut [f32; NR]).write_unaligned(vals);
+            } else {
+                for (c, &v) in vals.iter().take(nc).enumerate() {
+                    dst.add(c * rps).write(v);
+                }
+            }
+        }
+    }
+}
+
+/// One task's share of a GEMM: output rows `rows` × panels `cols` of
+/// `a · bᵀ` against panel-packed weights, blocked by cadence `k_block`.
+pub(crate) struct Region<'a, T> {
+    pub(crate) a: &'a [T],
+    pub(crate) panels: &'a [T],
+    pub(crate) k: usize,
+    pub(crate) n: usize,
+    pub(crate) k_block: usize,
+    pub(crate) rows: Range<usize>,
+    pub(crate) cols: Range<usize>,
+}
+
+/// Computes a [`Region`]: per row tile the activations are staged once
+/// per cadence block and shared by every panel, each tile's block sums
+/// going to `sink`.
 ///
 /// # Safety
 ///
-/// `out` must be valid for writes over the region's cells, and no other
-/// thread may concurrently touch those cells.
-#[allow(clippy::too_many_arguments)] // a GEMM region's shape is its signature
-pub(crate) unsafe fn run_region<T: KernelOperand>(
-    a: &[T],
-    panels: &[T],
-    k: usize,
-    n: usize,
-    k_block: usize,
-    rows: std::ops::Range<usize>,
-    panel_range: std::ops::Range<usize>,
-    out: *mut i64,
-    ldc: usize,
-    use_avx2: bool,
+/// `sink`'s output must be valid for writes over the region's cells with
+/// no concurrent access to them; `a` must hold every row in `rows` at
+/// stride `k` and `panels` every panel in `cols` (`k · NR` elements
+/// each); `k_block` must be a safe cadence for the operands.
+#[inline(always)]
+pub(crate) unsafe fn region<T: KernelOperand, K: TileKernel<T>, S: Sink>(
+    r: &Region<'_, T>,
+    sink: &S,
 ) {
-    let mut i0 = rows.start;
-    while i0 < rows.end {
-        let mr = MR.min(rows.end - i0);
-        for pi in panel_range.clone() {
-            let panel = &panels[pi * k * NR..(pi + 1) * k * NR];
-            let nc = NR.min(n - pi * NR);
-            let wide = tile_dispatch(a, panel, i0, mr, k, k_block, use_avx2);
-            for (r, wide_row) in wide.iter().enumerate().take(mr) {
-                let row_out = out.add((i0 + r) * ldc + pi * NR);
-                for (c, &v) in wide_row.iter().take(nc).enumerate() {
-                    row_out.add(c).write(v);
-                }
-            }
+    debug_assert!(r.a.len() >= r.rows.end * r.k && r.panels.len() >= r.cols.end * r.k * NR);
+    let mut stage: Stage = [MaybeUninit::uninit(); MR * K_BLOCK_MAX];
+    let mut i0 = r.rows.start;
+    while i0 < r.rows.end {
+        let mr = MR.min(r.rows.end - i0);
+        match mr {
+            1 => row_tile::<T, K, S, 1>(r, i0, &mut stage, sink),
+            2 => row_tile::<T, K, S, 2>(r, i0, &mut stage, sink),
+            3 => row_tile::<T, K, S, 3>(r, i0, &mut stage, sink),
+            _ => row_tile::<T, K, S, MR>(r, i0, &mut stage, sink),
         }
         i0 += mr;
     }
 }
 
-/// Tail-aware tile dispatch: monomorphizes the row count and routes byte
-/// operands to the AVX2 kernel when the CPU supports it.
-#[inline]
-fn tile_dispatch<T: KernelOperand>(
-    a: &[T],
-    panel: &[T],
+/// The `M`-row tile of [`region`] starting at row `i0` (same contract),
+/// monomorphised on the exact row count.
+#[inline(always)]
+unsafe fn row_tile<T: KernelOperand, K: TileKernel<T>, S: Sink, const M: usize>(
+    r: &Region<'_, T>,
     i0: usize,
-    mr: usize,
-    k: usize,
-    k_block: usize,
-    use_avx2: bool,
-) -> [[i64; NR]; MR] {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        if let Some(a8) = T::as_i8_slice(a) {
-            let p8 = T::as_i8_slice(panel).expect("panel width matches operand width");
-            // Tail rows point at row i0 (valid memory); their results are
-            // discarded by the `mr`-bounded writeback.
-            let a_rows: [&[i8]; MR] =
-                std::array::from_fn(|r| row(a8, i0 + if r < mr { r } else { 0 }, k));
-            // SAFETY: gated on runtime AVX2 detection by the caller.
-            return unsafe { super::avx2::tile_i8(a_rows, p8, k, k_block) };
+    stage: &mut Stage,
+    sink: &S,
+) {
+    let (k, a0) = (r.k, r.a.as_ptr().add(i0 * r.k));
+    let out_rows = sink.rows::<M>(i0);
+    let mut k0 = 0usize;
+    // At least one pass, so an empty reduction still writes its zeros.
+    loop {
+        let kb = r.k_block.min(k - k0);
+        let (ap, lda) = K::stage(stage, a0.add(k0), M, k, kb);
+        for pi in r.cols.clone() {
+            let acc = K::tile::<M>(ap, lda, r.panels.as_ptr().add((pi * k + k0) * NR), kb);
+            sink.put(&out_rows, pi * NR, NR.min(r.n - pi * NR), &acc, k0 == 0);
+        }
+        k0 += kb;
+        if k0 >= k {
+            break;
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_avx2;
-    let mut wide = [[0i64; NR]; MR];
-    match mr {
-        1 => wide[..1].copy_from_slice(&tile::<T, 1>([row(a, i0, k)], panel, k, k_block)),
-        2 => wide[..2].copy_from_slice(&tile::<T, 2>(
-            std::array::from_fn(|r| row(a, i0 + r, k)),
-            panel,
-            k,
-            k_block,
-        )),
-        3 => wide[..3].copy_from_slice(&tile::<T, 3>(
-            std::array::from_fn(|r| row(a, i0 + r, k)),
-            panel,
-            k,
-            k_block,
-        )),
-        _ => wide.copy_from_slice(&tile::<T, MR>(
-            std::array::from_fn(|r| row(a, i0 + r, k)),
-            panel,
-            k,
-            k_block,
-        )),
-    }
-    wide
-}
-
-#[inline(always)]
-fn row<T>(a: &[T], i: usize, k: usize) -> &[T] {
-    &a[i * k..(i + 1) * k]
 }

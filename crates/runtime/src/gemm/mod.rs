@@ -14,11 +14,17 @@
 //!   obviously correct, and the oracle every other path is tested against.
 //! * [`PanelGemm`] — the narrow microkernel: weights pre-packed once into
 //!   `NR`-interleaved `i8`/`i16` panels (decode-once, serve-many), a
-//!   register-blocked `4×8` tile, `i32` accumulation with a provably safe
-//!   widening cadence (see the `kernel` submodule docs for the bound),
-//!   and an AVX2 byte path behind runtime feature detection. This is the
+//!   register-blocked `mr×8` tile computed for exactly the `mr ∈ 1..=4`
+//!   rows a tile has, `i32` accumulation with a provably safe widening
+//!   cadence (see the `kernel` submodule docs for the bound), and — behind
+//!   runtime feature detection — one AVX2 `vpmaddwd` tile for both operand
+//!   widths that retires two `k`-steps per multiply. Packed layers call
+//!   [`PanelGemm::matmul_dequant`], which fuses the dequantizing
+//!   [`Epilogue`] into the tile writeback whenever the reduction is one
+//!   cadence block (always, for byte operands up to `k = 8192`) and
+//!   otherwise folds through the exact `i64` accumulator. This is the
 //!   serving hot path: ≤8-bit types stream at a quarter of the `i32`
-//!   memory traffic and twice the SIMD lanes.
+//!   memory traffic and run at narrow-integer MAC rate.
 //! * [`int_gemm_threaded`] — the threaded `i32` driver, now scheduled on
 //!   the persistent [`WorkerPool`] instead of spawning scoped threads per
 //!   call, and partitioned over output *columns* as well as rows — a
@@ -36,10 +42,11 @@ pub(crate) mod kernel;
 use crate::pool::WorkerPool;
 use ant_core::store::{PackedStore, StorePod};
 pub(crate) use kernel::k_block_for;
-pub use kernel::KernelOperand;
+use kernel::Sink;
+pub use kernel::{Epilogue, KernelOperand};
 
 /// Panel width of the microkernel: output channels are packed and
-/// computed in groups of `NR` (one `i32×8` SIMD register per row tile).
+/// computed in groups of `NR` (one `i32×8` SIMD register per tile row).
 pub const NR: usize = 8;
 
 /// Row-block tile height of the scalar `i32` path: weight rows stay
@@ -364,37 +371,122 @@ impl<T: KernelOperand> PanelGemm<T> {
     /// in debug builds when an activation magnitude exceeds the `a_max`
     /// bound given to [`PanelGemm::pack`].
     pub fn matmul(&self, a: &[T], m: usize, out: &mut [i64], pool: &WorkerPool, threads: usize) {
-        assert_eq!(a.len(), m * self.k, "lhs length");
         assert_eq!(out.len(), m * self.n, "output length");
+        let sink = kernel::Wide {
+            out: out.as_mut_ptr(),
+            ldc: self.n,
+        };
+        self.run(a, m, &sink, pool, threads);
+    }
+
+    /// [`PanelGemm::matmul`] with the layer epilogue applied:
+    /// `out = acc · deq[o] + bias[o]`, laid out as [`Epilogue`] describes.
+    /// Bit-identical to `matmul` followed by [`dequant_into`].
+    ///
+    /// When the reduction fits one cadence block (`k ≤ k_block`) the
+    /// `i32` tile sums are dequantized straight into `out` and `acc` is
+    /// left untouched; longer reductions fold through `acc` (grown to
+    /// `m·n` once, then reused) and dequantize from there.
+    ///
+    /// # Panics
+    ///
+    /// As [`PanelGemm::matmul`], and when the epilogue's slices are not
+    /// `n` long, or `m` is not a whole number of samples.
+    #[allow(clippy::too_many_arguments)] // a GEMM's shape is its signature
+    pub fn matmul_dequant(
+        &self,
+        a: &[T],
+        m: usize,
+        epi: &Epilogue<'_>,
+        out: &mut [f32],
+        acc: &mut Vec<i64>,
+        pool: &WorkerPool,
+        threads: usize,
+    ) {
+        if self.k > self.k_block {
+            let acc = crate::scratch::grab(acc, m * self.n, 0);
+            self.matmul(a, m, acc, pool, threads);
+            return dequant_into(acc, m, epi, out);
+        }
+        epi.check(m, self.n, out.len());
+        let sink = kernel::Dequant {
+            out: out.as_mut_ptr(),
+            epi: *epi,
+        };
+        self.run(a, m, &sink, pool, threads);
+    }
+
+    /// Drives the microkernel over the partition grid into `sink`,
+    /// choosing the pair tile when the machine and the cadence allow it.
+    fn run<S: Sink>(&self, a: &[T], m: usize, sink: &S, pool: &WorkerPool, threads: usize) {
+        assert_eq!(a.len(), m * self.k, "lhs length");
         debug_assert!(
             a.iter().all(|&v| (v.widen() as i64).abs() <= self.a_max),
             "activation magnitude exceeds the a_max cadence bound"
         );
-        let use_avx2 = cfg!(target_arch = "x86_64") && avx2_available();
         let (k, n, k_block) = (self.k, self.n, self.k_block);
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        run_partitioned(pool, threads, m, k, n, n.div_ceil(NR), &|rows, panels| {
-            let dst = out_ptr; // capture the Send+Sync wrapper, not the field
-                               // SAFETY: partition cells are disjoint output regions.
+        #[cfg(target_arch = "x86_64")]
+        let pairs = avx2_available() && kernel::pair_safe(k_block);
+        run_partitioned(pool, threads, m, k, n, n.div_ceil(NR), &|rows, cols| {
+            let region = kernel::Region {
+                a,
+                panels: &self.panels,
+                k,
+                n,
+                k_block,
+                rows,
+                cols,
+            };
+            // SAFETY: the sink's output spans the full `m × n` result
+            // (checked by the callers) and partition cells are disjoint
+            // regions of it; `a` and the panel store were length-checked
+            // against `m`, `k`, `n`; `k_block` is the cadence derived for
+            // these operands, and the pair tile runs only behind AVX2
+            // detection and `pair_safe`.
             unsafe {
-                kernel::run_region(
-                    a,
-                    &self.panels,
-                    k,
-                    n,
-                    k_block,
-                    rows,
-                    panels,
-                    dst.0,
-                    n,
-                    use_avx2,
-                )
+                #[cfg(target_arch = "x86_64")]
+                if pairs {
+                    return avx2::region(&region, sink);
+                }
+                kernel::region::<T, kernel::Scalar, S>(&region, sink)
             }
         });
     }
 }
 
-/// Whether the AVX2 fast paths (byte microkernel, quantize loops) are
+/// Dequantizes an exact `i64` accumulator (`[m, n]` row-major) into the
+/// layer output `epi` describes: the reference form of the fused
+/// writeback, and the path multi-block reductions and `i32`-row images
+/// take. Element for element `acc as f32 · deq[o] (+ bias[o])`, multiply
+/// and add rounded separately.
+///
+/// # Panics
+///
+/// Panics when slice lengths disagree with `m` and the epilogue.
+pub fn dequant_into(acc: &[i64], m: usize, epi: &Epilogue<'_>, out: &mut [f32]) {
+    let n = epi.deq.len();
+    assert_eq!(acc.len(), m * n, "accumulator length");
+    epi.check(m, n, out.len());
+    let rps = epi.rows_per_sample;
+    for (i, acc_row) in acc.chunks_exact(n.max(1)).enumerate().take(m) {
+        let base = epi.row_offset(i);
+        // The bias dispatch is hoisted out of the channel loop.
+        match epi.bias {
+            Some(bias) => {
+                for (o, ((&v, &d), &b)) in acc_row.iter().zip(epi.deq).zip(bias).enumerate() {
+                    out[base + o * rps] = v as f32 * d + b;
+                }
+            }
+            None => {
+                for (o, (&v, &d)) in acc_row.iter().zip(epi.deq).enumerate() {
+                    out[base + o * rps] = v as f32 * d;
+                }
+            }
+        }
+    }
+}
+
+/// Whether the AVX2 fast paths (pair microkernel, quantize loops) are
 /// usable on this machine (runtime-detected, cached).
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx2_available() -> bool {
@@ -529,6 +621,114 @@ mod tests {
             packed.matmul(&a8, m, &mut out, WorkerPool::global(), 1);
             assert_eq!(out, reference(&a32, &b32, m, k, n), "m={m} k={k} n={n}");
         }
+    }
+
+    /// One kernel run straight through [`kernel::region`], bypassing the
+    /// dispatch in [`PanelGemm::run`]: the scalar tile, or (`pairs`) the
+    /// AVX2 pair tile.
+    fn run_tile<T: KernelOperand>(pg: &PanelGemm<T>, a: &[T], m: usize, pairs: bool) -> Vec<i64> {
+        let n = pg.n;
+        // Dirty output: every cell must be assigned, not accumulated into.
+        let mut out = vec![i64::MIN; m * n];
+        let sink = kernel::Wide {
+            out: out.as_mut_ptr(),
+            ldc: n,
+        };
+        let region = kernel::Region {
+            a,
+            panels: &pg.panels,
+            k: pg.k,
+            n,
+            k_block: pg.k_block,
+            rows: 0..m,
+            cols: 0..n.div_ceil(NR),
+        };
+        // SAFETY: full-range region over an exclusively borrowed output;
+        // operands sized by `pack`/the caller; the pair tile only behind
+        // the same two guards `run` applies.
+        unsafe {
+            #[cfg(target_arch = "x86_64")]
+            if pairs {
+                assert!(avx2_available() && kernel::pair_safe(pg.k_block));
+                avx2::region(&region, &sink);
+                return out;
+            }
+            assert!(!pairs, "no pair tile on this architecture");
+            kernel::region::<T, kernel::Scalar, _>(&region, &sink);
+        }
+        out
+    }
+
+    /// The satellite grid for one operand width and magnitude bound:
+    /// every row-tile height and tail (`m ∈ 1..=9`), `k` around the pair
+    /// boundary, the 16-element load boundary and the cadence boundary,
+    /// every `n mod NR` — pair tile vs scalar tile vs `int_gemm`.
+    fn tile_grid<T: KernelOperand>(a_max: i32, b_max: i32) {
+        let kb = k_block_for(a_max as i64, b_max as i64);
+        assert!(kb >= 2, "grid magnitudes must admit the pair tile");
+        let mut ks = vec![1, 2, 3, 15, 16, 17, kb - 1, kb, kb + 1];
+        ks.sort_unstable();
+        ks.dedup();
+        for k in ks {
+            for n in (1..=NR).chain([NR + 5]) {
+                for m in 1..=9usize {
+                    let seed = (m * 31 + n * 7 + k) as u32;
+                    let mut a32 = lcg_ints(m * k, seed, 2 * a_max + 1);
+                    let mut b32 = lcg_ints(n * k, seed + 1, 2 * b_max + 1);
+                    // Pin the extremes so the bound is actually reached.
+                    a32[0] = -a_max;
+                    b32[0] = -b_max;
+                    let a: Vec<T> = a32.iter().map(|&v| T::from_i32(v)).collect();
+                    let b: Vec<T> = b32.iter().map(|&v| T::from_i32(v)).collect();
+                    let pg = PanelGemm::pack(&b, n, k, a_max as i64);
+                    assert_eq!(pg.k_block(), kb);
+                    let expect = reference(&a32, &b32, m, k, n);
+                    let scalar = run_tile(&pg, &a, m, false);
+                    assert_eq!(scalar, expect, "scalar tile m={m} k={k} n={n}");
+                    if avx2_available() {
+                        let pair = run_tile(&pg, &a, m, true);
+                        assert_eq!(pair, expect, "pair tile m={m} k={k} n={n}");
+                    }
+                    let mut dispatched = vec![i64::MIN; m * n];
+                    pg.matmul(&a, m, &mut dispatched, WorkerPool::global(), 1);
+                    assert_eq!(dispatched, expect, "matmul m={m} k={k} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_tile_scalar_tile_and_reference_agree_on_the_byte_grid() {
+        // Full byte magnitudes: cadence 8192, so the grid crosses the
+        // 8191/8192/8193 block boundary.
+        tile_grid::<i8>(127, 127);
+    }
+
+    #[test]
+    fn pair_tile_scalar_tile_and_reference_agree_on_the_halfword_grid() {
+        // An odd cadence (7) — every block but the last ends on a
+        // zero-partner tail — and an even one (14).
+        assert_eq!(k_block_for(16384, 16384), 7);
+        tile_grid::<i16>(16384, 16384);
+        assert_eq!(k_block_for(12000, 12000), 14);
+        tile_grid::<i16>(12000, 12000);
+    }
+
+    #[test]
+    fn a_cadence_of_one_takes_the_scalar_tile() {
+        // a_max · b_max = 2³⁰: two products no longer fit `i32`, and
+        // (−32768)² + (−32768)² = 2³¹ is exactly where `vpmaddwd` wraps.
+        // The dispatch must refuse the pair tile, and the answer proves
+        // it did: a wrapped pair would come out negative.
+        let (m, k, n) = (3usize, 6usize, 5usize);
+        let a = vec![i16::MIN; m * k];
+        let b = vec![i16::MIN; n * k];
+        let pg = PanelGemm::pack(&b, n, k, 32768);
+        assert_eq!(pg.k_block(), 1);
+        assert!(!kernel::pair_safe(pg.k_block()));
+        let mut out = vec![0i64; m * n];
+        pg.matmul(&a, m, &mut out, WorkerPool::global(), 1);
+        assert!(out.iter().all(|&v| v == k as i64 * (1i64 << 30)), "{out:?}");
     }
 
     #[test]

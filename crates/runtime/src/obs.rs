@@ -252,27 +252,13 @@ mod imp {
             }
         }
 
-        /// Records one executed plan layer: timing histogram + span, and
-        /// the MAC/byte/row work counters that GOPS and bandwidth are
-        /// derived from at export time.
+        /// Opens the per-layer record of one plan walk.
         #[inline]
-        pub fn record_layer(
-            &self,
-            kind: LayerKind,
-            start_ns: u64,
-            dur_ns: u64,
-            rows: u64,
-            macs: u64,
-            bytes: u64,
-        ) {
-            let i = kind.index();
-            self.layer_time[i].record(dur_ns);
-            self.layer_rows[i].add(rows);
-            if macs > 0 {
-                self.layer_macs[i].add(macs);
+        pub fn layers(&self) -> LayerTally<'_> {
+            LayerTally {
+                metrics: self,
+                work: [[0; 3]; N_LAYER_KINDS],
             }
-            self.layer_bytes[i].add(bytes);
-            ant_obs::record_span(self.layer_spans[i], start_ns, dur_ns);
         }
 
         /// Records one end-to-end `forward_rows` call.
@@ -385,6 +371,56 @@ mod imp {
             LayerKind::Pool => "layer.pool",
             LayerKind::Norm => "layer.norm",
             LayerKind::Fallback => "layer.fallback",
+        }
+    }
+
+    /// The per-layer record of one plan walk (`forward_rows`, prefill or
+    /// a decode step). Each layer's duration goes to its histogram and
+    /// span ring at once; the row/MAC/byte work counters — what GOPS and
+    /// bandwidth are derived from at export time — are summed here and
+    /// added to the registry once per kind when the walk ends (on drop,
+    /// so a failed or panicking walk still accounts for the layers it
+    /// ran). A deep model of small layers pays two atomic adds per layer
+    /// instead of five.
+    pub struct LayerTally<'m> {
+        metrics: &'m RuntimeMetrics,
+        /// `[rows, macs, bytes]` per layer kind.
+        work: [[u64; 3]; N_LAYER_KINDS],
+    }
+
+    impl LayerTally<'_> {
+        /// Records one executed plan layer.
+        #[inline]
+        pub fn record(
+            &mut self,
+            kind: LayerKind,
+            start_ns: u64,
+            dur_ns: u64,
+            rows: u64,
+            macs: u64,
+            bytes: u64,
+        ) {
+            let i = kind.index();
+            self.metrics.layer_time[i].record(dur_ns);
+            ant_obs::record_span(self.metrics.layer_spans[i], start_ns, dur_ns);
+            let work = &mut self.work[i];
+            work[0] += rows;
+            work[1] += macs;
+            work[2] += bytes;
+        }
+    }
+
+    impl Drop for LayerTally<'_> {
+        fn drop(&mut self) {
+            for (i, &[rows, macs, bytes]) in self.work.iter().enumerate() {
+                if rows > 0 {
+                    self.metrics.layer_rows[i].add(rows);
+                    self.metrics.layer_bytes[i].add(bytes);
+                }
+                if macs > 0 {
+                    self.metrics.layer_macs[i].add(macs);
+                }
+            }
         }
     }
 
@@ -507,7 +543,9 @@ mod imp {
     #[allow(clippy::too_many_arguments, missing_docs)]
     impl RuntimeMetrics {
         #[inline(always)]
-        pub fn record_layer(&self, _: LayerKind, _: u64, _: u64, _: u64, _: u64, _: u64) {}
+        pub fn layers(&self) -> LayerTally {
+            LayerTally
+        }
         #[inline(always)]
         pub fn record_forward(&self, _: u64, _: u64, _: u64) {}
         #[inline(always)]
@@ -538,6 +576,15 @@ mod imp {
         pub fn cache_miss(&self) {}
     }
 
+    /// No-op per-layer record (`--no-default-features` build).
+    pub struct LayerTally;
+
+    #[allow(clippy::too_many_arguments, missing_docs)]
+    impl LayerTally {
+        #[inline(always)]
+        pub fn record(&mut self, _: LayerKind, _: u64, _: u64, _: u64, _: u64, _: u64) {}
+    }
+
     /// No-op pool telemetry (`--no-default-features` build).
     pub struct PoolObs;
 
@@ -558,4 +605,4 @@ mod imp {
     }
 }
 
-pub use imp::{metrics, now, PoolObs, RuntimeMetrics};
+pub use imp::{metrics, now, LayerTally, PoolObs, RuntimeMetrics};

@@ -49,7 +49,7 @@
 //! or fail compilation under [`CompiledPlan::from_quantized_strict`].
 
 use crate::error::RuntimeError;
-use crate::gemm::{im2row, int_gemm_pooled, PanelGemm};
+use crate::gemm::{dequant_into, im2row, int_gemm_pooled, Epilogue, PanelGemm};
 use crate::kv::{DecodeSession, KvCache, KvHalf, KvQuant, KvQuantSpec};
 use crate::obs::{self, LayerKind};
 use crate::pool::WorkerPool;
@@ -453,69 +453,52 @@ impl PackedMatrix {
         decode_rows_f32(&self.weights)
     }
 
-    /// Integer GEMM `[m, inp] · selfᵀ` into the exact `i64` accumulator in
-    /// `ws.acc`, quantizing the f32 input into the image's operand width
-    /// first. All buffers come from the scratch arena.
-    fn quantize_accumulate<'w>(
+    /// Quantizes the f32 input onto the activation lattice at this
+    /// image's operand width, into the matching arena buffer.
+    fn quantize_acts(
         &self,
         x: &[f32],
-        m: usize,
         act: &Quantizer,
         act_quant: &ActQuant,
-        ws: &'w mut LayerScratch<'_>,
-    ) -> &'w mut [i64] {
-        let s_a = act.scale();
-        let codec = act.codec();
+        ws: &mut LayerScratch<'_>,
+    ) {
+        let (s_a, codec) = (act.scale(), act.codec());
         match &self.image {
-            WeightImage::I8(pg) => {
-                act_quant.apply_all_into(x, s_a, codec, ws.act_i8);
-                let acc = grab(ws.acc, m * self.out, 0);
-                pg.matmul(ws.act_i8, m, acc, ws.pool, ws.threads);
-                acc
-            }
-            WeightImage::I16(pg) => {
-                act_quant.apply_all_into(x, s_a, codec, ws.act_i16);
-                let acc = grab(ws.acc, m * self.out, 0);
-                pg.matmul(ws.act_i16, m, acc, ws.pool, ws.threads);
-                acc
-            }
-            WeightImage::I32(rows) => {
-                act_quant.apply_all_into(x, s_a, codec, ws.act_i32);
-                let acc = grab(ws.acc, m * self.out, 0);
-                int_gemm_pooled(
-                    ws.act_i32, rows, m, self.inp, self.out, acc, ws.pool, ws.threads,
-                );
-                acc
-            }
+            WeightImage::I8(_) => act_quant.apply_all_into(x, s_a, codec, ws.act_i8),
+            WeightImage::I16(_) => act_quant.apply_all_into(x, s_a, codec, ws.act_i16),
+            WeightImage::I32(_) => act_quant.apply_all_into(x, s_a, codec, ws.act_i32),
         }
     }
 
-    /// Integer GEMM over an already-quantized activation master buffer
-    /// (attention's shared Q/K/V input). The caller pre-narrows the
-    /// `i32` master into whichever widths its projections need — once
-    /// per width, not once per projection — and this picks the matching
-    /// view. Scratch buffers arrive as explicit arguments so the caller
-    /// can keep the rest of the arena borrowed.
+    /// Integer GEMM `[m, inp] · selfᵀ` over already-quantized activations,
+    /// dequantized through `epi` into `out`. The caller supplies the
+    /// activations at every width it has (only this image's width is
+    /// read). Panel images fuse the epilogue into the microkernel's
+    /// writeback; `acc` is only grown for reductions longer than one
+    /// cadence block and for `i32`-row images. Buffers arrive as explicit
+    /// arguments so the caller can keep the rest of the arena borrowed.
     #[allow(clippy::too_many_arguments)]
-    fn accumulate_master<'w>(
+    fn project(
         &self,
+        a8: &[i8],
+        a16: &[i16],
         a32: &[i32],
         m: usize,
+        epi: &Epilogue<'_>,
+        out: &mut [f32],
+        acc: &mut Vec<i64>,
         pool: &WorkerPool,
         threads: usize,
-        act_i8: &[i8],
-        act_i16: &[i16],
-        acc: &'w mut Vec<i64>,
-    ) -> &'w mut [i64] {
-        let acc = grab(acc, m * self.out, 0);
+    ) {
         match &self.image {
-            WeightImage::I8(pg) => pg.matmul(act_i8, m, acc, pool, threads),
-            WeightImage::I16(pg) => pg.matmul(act_i16, m, acc, pool, threads),
+            WeightImage::I8(pg) => pg.matmul_dequant(a8, m, epi, out, acc, pool, threads),
+            WeightImage::I16(pg) => pg.matmul_dequant(a16, m, epi, out, acc, pool, threads),
             WeightImage::I32(rows) => {
-                int_gemm_pooled(a32, rows, m, self.inp, self.out, acc, pool, threads)
+                let acc = grab(acc, m * self.out, 0);
+                int_gemm_pooled(a32, rows, m, self.inp, self.out, acc, pool, threads);
+                dequant_into(acc, m, epi, out);
             }
         }
-        acc
     }
 
     /// The combined per-output dequantization scales for a fixed
@@ -612,38 +595,6 @@ pub(crate) fn transpose(m: &[f32], n: usize) -> Vec<f32> {
         }
     }
     t
-}
-
-/// Dequantizes an accumulator (and optional bias) into `out`:
-/// `out[i, o] = acc[i, o] · deq[o] + bias[o]`, with the bias dispatch
-/// hoisted out of the element loops. Element-for-element the same float
-/// operations as computing `acc · (a_scale · w_scales[o])` inline — the
-/// scale product is just evaluated once per output channel instead of
-/// once per element.
-fn dequant_into(acc: &[i64], m: usize, deq: &[f32], bias: Option<&[f32]>, out: &mut [f32]) {
-    let n = deq.len();
-    debug_assert_eq!(out.len(), m * n, "output length");
-    debug_assert_eq!(acc.len(), m * n, "accumulator length");
-    match bias {
-        Some(b) => {
-            for i in 0..m {
-                let ar = &acc[i * n..(i + 1) * n];
-                let or = &mut out[i * n..(i + 1) * n];
-                for o in 0..n {
-                    or[o] = ar[o] as f32 * deq[o] + b[o];
-                }
-            }
-        }
-        None => {
-            for i in 0..m {
-                let ar = &acc[i * n..(i + 1) * n];
-                let or = &mut out[i * n..(i + 1) * n];
-                for o in 0..n {
-                    or[o] = ar[o] as f32 * deq[o];
-                }
-            }
-        }
-    }
 }
 
 /// The slice of the scratch arena (plus scheduling context) a packed
@@ -811,12 +762,16 @@ impl PackedLinear {
         out: &mut Vec<f32>,
     ) -> Result<(), RuntimeError> {
         check_features(x, batch, self.mat.inp)?;
-        let acc = self
-            .mat
-            .quantize_accumulate(x, batch, &self.act, &self.act_quant, ws);
-        let acc = &*acc;
+        self.mat.quantize_acts(x, &self.act, &self.act_quant, ws);
         let out = grab(out, batch * self.mat.out, 0.0);
-        dequant_into(acc, batch, &self.deq, Some(&self.bias), out);
+        let epi = Epilogue {
+            deq: &self.deq,
+            bias: Some(&self.bias),
+            rows_per_sample: 1,
+        };
+        self.mat.project(
+            ws.act_i8, ws.act_i16, ws.act_i32, batch, &epi, out, ws.acc, ws.pool, ws.threads,
+        );
         Ok(())
     }
 }
@@ -995,86 +950,53 @@ impl PackedConv {
     ) -> Result<(), RuntimeError> {
         let feat = self.in_features();
         check_features(x, batch, feat)?;
-        let (ci, h, w) = self.in_shape;
         let (co, oh, ow) = self.out_shape;
-        let (k, pixels) = (self.mat.inp, oh * ow);
-        let s_a = self.act.scale();
-        let codec = self.act.codec();
+        let pixels = oh * ow;
         // One big GEMM over every output pixel of every sample: rows are
         // receptive fields, so weight panels stream once per row tile.
         // Quantization and the im2row lowering happen directly at the
         // layer's operand width.
-        let m = batch * pixels;
-        let acc = match &self.mat.image {
-            WeightImage::I8(pg) => {
-                self.act_quant.apply_all_into(x, s_a, codec, ws.act_i8);
-                let rows = grab(ws.rows_i8, m * k, 0);
-                for s in 0..batch {
-                    im2row(
-                        &ws.act_i8[s * feat..(s + 1) * feat],
-                        ci,
-                        h,
-                        w,
-                        self.geo,
-                        &mut rows[s * pixels * k..(s + 1) * pixels * k],
-                    );
-                }
-                let acc = grab(ws.acc, m * co, 0);
-                pg.matmul(rows, m, acc, ws.pool, ws.threads);
-                acc
-            }
-            WeightImage::I16(pg) => {
-                self.act_quant.apply_all_into(x, s_a, codec, ws.act_i16);
-                let rows = grab(ws.rows_i16, m * k, 0);
-                for s in 0..batch {
-                    im2row(
-                        &ws.act_i16[s * feat..(s + 1) * feat],
-                        ci,
-                        h,
-                        w,
-                        self.geo,
-                        &mut rows[s * pixels * k..(s + 1) * pixels * k],
-                    );
-                }
-                let acc = grab(ws.acc, m * co, 0);
-                pg.matmul(rows, m, acc, ws.pool, ws.threads);
-                acc
-            }
-            WeightImage::I32(w_rows) => {
-                self.act_quant.apply_all_into(x, s_a, codec, ws.act_i32);
-                let rows = grab(ws.rows_i32, m * k, 0);
-                for s in 0..batch {
-                    im2row(
-                        &ws.act_i32[s * feat..(s + 1) * feat],
-                        ci,
-                        h,
-                        w,
-                        self.geo,
-                        &mut rows[s * pixels * k..(s + 1) * pixels * k],
-                    );
-                }
-                let acc = grab(ws.acc, m * co, 0);
-                int_gemm_pooled(rows, w_rows, m, k, co, acc, ws.pool, ws.threads);
-                acc
-            }
-        };
-        let acc = &*acc;
-        // Dequantize + bias, scattering [batch·pixels, co] straight into
-        // the [batch, co·oh·ow] layout: channel-outer so writes are
-        // contiguous and the scale/bias pair is hoisted per channel.
-        let ov = grab(out, batch * co * pixels, 0.0);
-        for s in 0..batch {
-            let acc_s = &acc[s * pixels * co..(s + 1) * pixels * co];
-            let out_s = &mut ov[s * co * pixels..(s + 1) * co * pixels];
-            for c in 0..co {
-                let (sc, bc) = (self.deq[c], self.bias[c]);
-                let dst = &mut out_s[c * pixels..(c + 1) * pixels];
-                for (p, d) in dst.iter_mut().enumerate() {
-                    *d = acc_s[p * co + c] as f32 * sc + bc;
-                }
-            }
+        self.mat.quantize_acts(x, &self.act, &self.act_quant, ws);
+        match &self.mat.image {
+            WeightImage::I8(_) => self.lower(ws.act_i8, batch, ws.rows_i8),
+            WeightImage::I16(_) => self.lower(ws.act_i16, batch, ws.rows_i16),
+            WeightImage::I32(_) => self.lower(ws.act_i32, batch, ws.rows_i32),
         }
+        // Dequantize + bias land straight in the [batch, co·oh·ow]
+        // activation layout: each sample's `pixels` GEMM rows are written
+        // channel-major by the epilogue, no separate scatter pass.
+        let ov = grab(out, batch * co * pixels, 0.0);
+        let epi = Epilogue {
+            deq: &self.deq,
+            bias: Some(&self.bias),
+            rows_per_sample: pixels,
+        };
+        self.mat.project(
+            ws.rows_i8,
+            ws.rows_i16,
+            ws.rows_i32,
+            batch * pixels,
+            &epi,
+            ov,
+            ws.acc,
+            ws.pool,
+            ws.threads,
+        );
         Ok(())
+    }
+
+    /// im2row-lowers a batch of quantized samples (at any operand width)
+    /// into `rows`: `[batch · oh·ow, ci·kh·kw]`.
+    fn lower<T: Copy + Default>(&self, acts: &[T], batch: usize, rows: &mut Vec<T>) {
+        let (ci, h, w) = self.in_shape;
+        let per_sample = self.out_shape.1 * self.out_shape.2 * self.mat.inp;
+        let rows = grab(rows, batch * per_sample, T::default());
+        for (sample, lowered) in acts
+            .chunks_exact(self.in_features())
+            .zip(rows.chunks_exact_mut(per_sample))
+        {
+            im2row(sample, ci, h, w, self.geo, lowered);
+        }
     }
 }
 
@@ -1275,6 +1197,47 @@ impl PackedAttn {
         self.seq * self.dim
     }
 
+    /// Quantizes `x` (`[rows, dim]`) once and projects it to Q, K and V —
+    /// three batch-wide integer GEMMs, each dequantized straight into
+    /// `ws.q`/`ws.k`/`ws.v`. Returns the `i32` master quantization, taken
+    /// out of the arena so the remaining scratch stays independently
+    /// borrowable (a pointer-sized swap, not a copy); callers hand it
+    /// back to `ws.act_i32` when done with the residual.
+    fn project_qkv(&self, x: &[f32], s_a: f32, rows: usize, ws: &mut LayerScratch<'_>) -> Vec<i32> {
+        // One master serves all projections, which may sit at different
+        // operand widths: narrow it once per width any of them needs (in
+        // the common case all three share one width: one pass).
+        self.act_quant
+            .apply_all_into(x, s_a, self.act.codec(), ws.act_i32);
+        let master = std::mem::take(ws.act_i32);
+        let qkv = &self.projs[..3];
+        if qkv.iter().any(|p| matches!(p.image, WeightImage::I8(_))) {
+            narrow_acts(&master, ws.act_i8);
+        }
+        if qkv.iter().any(|p| matches!(p.image, WeightImage::I16(_))) {
+            narrow_acts(&master, ws.act_i16);
+        }
+        for (which, dst) in [&mut *ws.q, &mut *ws.k, &mut *ws.v].into_iter().enumerate() {
+            let epi = Epilogue {
+                deq: &self.deq_qkv[which],
+                bias: None,
+                rows_per_sample: 1,
+            };
+            self.projs[which].project(
+                ws.act_i8,
+                ws.act_i16,
+                &master,
+                rows,
+                &epi,
+                grab(dst, rows * self.dim, 0.0),
+                ws.acc,
+                ws.pool,
+                ws.threads,
+            );
+        }
+        master
+    }
+
     /// Executes `Y = X̂ + softmax(QKᵀ/√d) V Woᵀ` on a `[batch, seq·dim]`
     /// slice, where `X̂` is the quantized input and Q/K/V come from integer
     /// GEMMs over its lattice codes.
@@ -1294,9 +1257,6 @@ impl PackedAttn {
         // taken out of the arena for the duration of the call so the
         // remaining scratch stays independently borrowable; the swap is
         // pointer-sized, not a copy.
-        self.act_quant
-            .apply_all_into(x, s_a, self.act.codec(), ws.act_i32);
-        let master = std::mem::take(ws.act_i32);
         let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
         // Q/K/V are purely row-wise, so the whole batch projects through
         // three batch-wide integer GEMMs ([batch·seq, dim] each) — the
@@ -1305,32 +1265,7 @@ impl PackedAttn {
         let rows = batch * seq;
         // Narrow the master once per operand width any projection needs
         // (in the common case all three share one width: one pass).
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I8(_)))
-        {
-            narrow_acts(&master, ws.act_i8);
-        }
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I16(_)))
-        {
-            narrow_acts(&master, ws.act_i16);
-        }
-        for which in 0..3 {
-            let proj = &self.projs[which];
-            let acc = proj.accumulate_master(
-                &master, rows, ws.pool, ws.threads, ws.act_i8, ws.act_i16, ws.acc,
-            );
-            let acc = &*acc;
-            let dst = match which {
-                0 => &mut *ws.q,
-                1 => &mut *ws.k,
-                _ => &mut *ws.v,
-            };
-            let dst = grab(dst, rows * dim, 0.0);
-            dequant_into(acc, rows, &self.deq_qkv[which], None, dst);
-        }
+        let master = self.project_qkv(x, s_a, rows, ws);
         // Scores, softmax and context in f32 — the decode boundary.
         // Attention mixes tokens only within a sample, so this
         // parallelizes over samples: each chunk of samples owns one
@@ -1459,37 +1394,9 @@ impl PackedAttn {
         );
         let kvq = self.kv_codec()?;
         let s_a = self.act.scale();
-        self.act_quant
-            .apply_all_into(x, s_a, self.act.codec(), ws.act_i32);
-        let master = std::mem::take(ws.act_i32);
         let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
         let rows = batch * seq;
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I8(_)))
-        {
-            narrow_acts(&master, ws.act_i8);
-        }
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I16(_)))
-        {
-            narrow_acts(&master, ws.act_i16);
-        }
-        for which in 0..3 {
-            let proj = &self.projs[which];
-            let acc = proj.accumulate_master(
-                &master, rows, ws.pool, ws.threads, ws.act_i8, ws.act_i16, ws.acc,
-            );
-            let acc = &*acc;
-            let dst = match which {
-                0 => &mut *ws.q,
-                1 => &mut *ws.k,
-                _ => &mut *ws.v,
-            };
-            let dst = grab(dst, rows * dim, 0.0);
-            dequant_into(acc, rows, &self.deq_qkv[which], None, dst);
-        }
+        let master = self.project_qkv(x, s_a, rows, ws);
         // Move K and V into the quantized KV domain row by row — in
         // place when free-running, through the cache when prefilling
         // (bitwise identical: one shared group-encode path).
@@ -1623,36 +1530,8 @@ impl PackedAttn {
         check_features(x, rows, dim)?;
         let kvq = self.kv_codec()?;
         let s_a = self.act.scale();
-        self.act_quant
-            .apply_all_into(x, s_a, self.act.codec(), ws.act_i32);
-        let master = std::mem::take(ws.act_i32);
         let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I8(_)))
-        {
-            narrow_acts(&master, ws.act_i8);
-        }
-        if self.projs[..3]
-            .iter()
-            .any(|p| matches!(p.image, WeightImage::I16(_)))
-        {
-            narrow_acts(&master, ws.act_i16);
-        }
-        for which in 0..3 {
-            let proj = &self.projs[which];
-            let acc = proj.accumulate_master(
-                &master, rows, ws.pool, ws.threads, ws.act_i8, ws.act_i16, ws.acc,
-            );
-            let acc = &*acc;
-            let dst = match which {
-                0 => &mut *ws.q,
-                1 => &mut *ws.k,
-                _ => &mut *ws.v,
-            };
-            let dst = grab(dst, rows * dim, 0.0);
-            dequant_into(acc, rows, &self.deq_qkv[which], None, dst);
-        }
+        let master = self.project_qkv(x, s_a, rows, ws);
         // Fixed-stride score scratch — the largest capacity any session
         // in the batch can reach — so steady-state grabs never resize.
         let stride = sessions
@@ -2173,6 +2052,7 @@ impl CompiledPlan {
         // Timing is chained — one clock read per layer boundary (layer
         // i's end stamp is layer i+1's start), never inside GEMM tiles.
         let fwd = obs::metrics();
+        let mut per_layer = fwd.layers();
         let t0 = obs::now();
         let mut t_prev = t0;
         for layer in self.layers.iter_mut() {
@@ -2263,7 +2143,7 @@ impl CompiledPlan {
                 in_len
             };
             let (kind, macs, bytes) = layer_obs_info(layer, batch, in_len, out_len);
-            fwd.record_layer(kind, t_prev, t_now - t_prev, batch as u64, macs, bytes);
+            per_layer.record(kind, t_prev, t_now - t_prev, batch as u64, macs, bytes);
             t_prev = t_now;
         }
         fwd.record_forward(t0, t_prev.saturating_sub(t0), batch as u64);
@@ -2480,6 +2360,7 @@ impl CompiledPlan {
         let mut cur_is_ping = true;
         let mut causal_ix = 0usize;
         let fwd = obs::metrics();
+        let mut per_layer = fwd.layers();
         let t0 = obs::now();
         let mut t_prev = t0;
         for layer in self.layers.iter_mut() {
@@ -2551,7 +2432,7 @@ impl CompiledPlan {
                 in_len
             };
             let (kind, macs, bytes) = layer_obs_info(layer, n, in_len, out_len);
-            fwd.record_layer(kind, t_prev, t_now - t_prev, n as u64, macs, bytes);
+            per_layer.record(kind, t_prev, t_now - t_prev, n as u64, macs, bytes);
             t_prev = t_now;
         }
         fwd.record_forward(t0, t_prev.saturating_sub(t0), n as u64);

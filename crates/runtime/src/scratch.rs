@@ -43,7 +43,10 @@ pub struct Scratch {
     pub(crate) rows_i16: Vec<i16>,
     /// im2row lowering, general width.
     pub(crate) rows_i32: Vec<i32>,
-    /// The exact `i64` GEMM accumulator.
+    /// The exact `i64` GEMM accumulator. Stays empty for panel images
+    /// whose reduction fits one cadence block (the fused-writeback path
+    /// never touches it); grown only by longer reductions and `i32`-row
+    /// images.
     pub(crate) acc: Vec<i64>,
     /// Attention query projections (f32, post-dequant).
     pub(crate) q: Vec<f32>,

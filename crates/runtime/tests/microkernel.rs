@@ -232,3 +232,211 @@ fn narrow_im2row_matches_i32_lowering() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Pair-kernel cases (`vpmaddwd` tile, exact row tails, fused writeback).
+// The three-way pair-tile / scalar-tile / reference grid lives next to
+// the kernel (`gemm::tests`, which can call each tile directly); the
+// cases here go through the public API only.
+// ---------------------------------------------------------------------
+
+use ant_runtime::gemm::{dequant_into, Epilogue};
+
+/// Every row-tile height and tail × `k` around the pair, load and
+/// cadence boundaries × every `n mod NR`, through the dispatching
+/// `matmul`, for both operand widths.
+#[test]
+fn pair_grid_matches_reference_through_matmul() {
+    let pool = WorkerPool::global();
+    let kb8 = PanelGemm::pack(&[127i8], 1, 1, 127).k_block();
+    for k in [1, 2, 3, 15, 16, 17, kb8 - 1, kb8, kb8 + 1] {
+        for n in (1..=NR).chain([NR + 3]) {
+            for m in 1..=9usize {
+                let a32 = lcg(m * k, (m + n + k) as u32, 255);
+                let b32 = lcg(n * k, (m * n + k) as u32, 255);
+                let a8: Vec<i8> = a32.iter().map(|&v| v as i8).collect();
+                let b8: Vec<i8> = b32.iter().map(|&v| v as i8).collect();
+                let packed = PanelGemm::pack(&b8, n, k, 127);
+                let mut out = vec![i64::MIN; m * n];
+                packed.matmul(&a8, m, &mut out, pool, 1);
+                assert_eq!(out, reference(&a32, &b32, m, k, n), "i8 m={m} k={k} n={n}");
+            }
+        }
+    }
+    // i16 at ±16384: cadence 7, so k = 6, 7, 8 straddle a block boundary
+    // and every full block ends on a zero-partner tail.
+    let kb16 = PanelGemm::pack(&[16384i16], 1, 1, 16384).k_block();
+    assert_eq!(kb16, 7);
+    for k in [1, 2, 3, 15, 16, 17, kb16 - 1, kb16, kb16 + 1] {
+        for n in (1..=NR).chain([NR + 3]) {
+            for m in 1..=9usize {
+                let mut a32 = lcg(m * k, (m + n + k) as u32, 32767);
+                let mut b32 = lcg(n * k, (m * n + k) as u32, 32767);
+                a32[0] = -16384;
+                b32[0] = 16384;
+                let a16: Vec<i16> = a32.iter().map(|&v| v as i16).collect();
+                let b16: Vec<i16> = b32.iter().map(|&v| v as i16).collect();
+                let packed = PanelGemm::pack(&b16, n, k, 16384);
+                let mut out = vec![i64::MIN; m * n];
+                packed.matmul(&a16, m, &mut out, pool, 1);
+                assert_eq!(out, reference(&a32, &b32, m, k, n), "i16 m={m} k={k} n={n}");
+            }
+        }
+    }
+}
+
+/// All-(−128) bytes on both sides: every product is +2¹⁴, every pair
+/// +2¹⁵, and a full 8192-term block sums to exactly 2²⁷ — nothing cancels,
+/// so any lost or doubled term shows.
+#[test]
+fn all_minus_128_bytes_are_exact_across_the_cadence() {
+    let pool = WorkerPool::global();
+    let kb = PanelGemm::pack(&[-128i8], 1, 1, 128).k_block();
+    for k in [1, 2, 3, kb - 1, kb, kb + 1, 2 * kb + 1] {
+        for m in [1usize, 3, 4, 5] {
+            let n = NR + 1;
+            let packed = PanelGemm::pack(&vec![-128i8; n * k], n, k, 128);
+            let mut out = vec![0i64; m * n];
+            packed.matmul(&vec![-128i8; m * k], m, &mut out, pool, 1);
+            let expect = 128i64 * 128 * k as i64;
+            assert!(out.iter().all(|&v| v == expect), "m={m} k={k}: {out:?}");
+        }
+    }
+}
+
+/// Max-magnitude `i16` operands at the pair boundary. With
+/// `a_max = 32767` against all-(−32768) weights the cadence is exactly 2:
+/// one `vpmaddwd` lane per block, holding `2 · 32767 · 32768 = 2³¹ − 2¹⁶`,
+/// the largest pair sum the pair tile is ever allowed to form. One step
+/// further — `a_max = 32768` — two products no longer fit, the cadence
+/// drops to 1 and the scalar tile must take over: (−32768)² + (−32768)²
+/// is 2³¹, where `vpmaddwd` wraps.
+#[test]
+fn max_magnitude_i16_at_the_pair_boundary() {
+    let pool = WorkerPool::global();
+    for k in [1usize, 2, 3, 4, 5, 17] {
+        let (m, n) = (5usize, NR + 2);
+        let b = vec![i16::MIN; n * k];
+        // Largest admissible pair: cadence 2.
+        let packed = PanelGemm::pack(&b, n, k, 32767);
+        assert_eq!(packed.k_block(), 2);
+        let mut out = vec![0i64; m * n];
+        packed.matmul(&vec![i16::MAX; m * k], m, &mut out, pool, 1);
+        let expect = 32767i64 * -32768 * k as i64;
+        assert!(out.iter().all(|&v| v == expect), "k={k}: {out:?}");
+        // The wrapping corner: cadence 1, scalar tile.
+        let packed = PanelGemm::pack(&b, n, k, 32768);
+        assert_eq!(packed.k_block(), 1);
+        packed.matmul(&vec![i16::MIN; m * k], m, &mut out, pool, 1);
+        let expect = (1i64 << 30) * k as i64;
+        assert!(out.iter().all(|&v| v == expect), "k={k} corner: {out:?}");
+    }
+}
+
+/// `matmul_dequant` against `matmul` + `dequant_into`, compared as bits.
+/// Returns whether the call went through the `i64` fold (it grew `acc`).
+fn fused_equals_unfused<T: ant_runtime::gemm::KernelOperand>(
+    packed: &PanelGemm<T>,
+    a: &[T],
+    m: usize,
+    epi: &Epilogue<'_>,
+    threads: usize,
+) -> bool {
+    let pool = WorkerPool::global();
+    let n = packed.n();
+    let mut wide = vec![0i64; m * n];
+    packed.matmul(a, m, &mut wide, pool, threads);
+    let mut expect = vec![f32::NAN; m * n];
+    dequant_into(&wide, m, epi, &mut expect);
+    let mut got = vec![f32::NAN; m * n];
+    let mut acc = Vec::new();
+    packed.matmul_dequant(a, m, epi, &mut got, &mut acc, pool, threads);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got), bits(&expect), "m={m} k={} n={n}", packed.k());
+    !acc.is_empty()
+}
+
+/// Non-trivial per-channel scales and biases (mixed signs, so a fused
+/// multiply-add would round differently somewhere).
+fn channel_params(n: usize, seed: u32) -> (Vec<f32>, Vec<f32>) {
+    let raw = lcg(2 * n, seed, 2001);
+    let deq = raw[..n].iter().map(|&v| v as f32 * 3.1e-4 + 1e-5).collect();
+    let bias = raw[n..].iter().map(|&v| v as f32 * 0.37).collect();
+    (deq, bias)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fused writeback is bit-identical to the `i64` fold followed by
+    /// `dequant_into` — with and without bias, row-major (dense) and
+    /// channel-major per sample (conv), on random shapes with every tail,
+    /// single- and multi-threaded.
+    #[test]
+    fn fused_writeback_bit_identical_i8(
+        samples in 1usize..5, rps_i in 0usize..4, ki in 0usize..19, ni in 0usize..19,
+        seed in 0u32..10_000, with_bias in 0usize..2, threads in 1usize..5,
+    ) {
+        let rps = [1usize, 1, 3, 7][rps_i];
+        let (m, k, n) = (samples * rps, DIMS[ki], DIMS[ni]);
+        let a8: Vec<i8> = lcg(m * k, seed, 255).iter().map(|&v| v as i8).collect();
+        let b8: Vec<i8> = lcg(n * k, seed.wrapping_add(1), 255).iter().map(|&v| v as i8).collect();
+        let packed = PanelGemm::pack(&b8, n, k, 127);
+        let (deq, bias) = channel_params(n, seed.wrapping_add(2));
+        let epi = Epilogue {
+            deq: &deq,
+            bias: (with_bias == 1).then_some(&bias[..]),
+            rows_per_sample: rps,
+        };
+        let folded = fused_equals_unfused(&packed, &a8, m, &epi, threads);
+        prop_assert!(!folded, "a single-block reduction must not touch the i64 accumulator");
+    }
+
+    /// Same, at halfword width. At ±16384 the cadence is 7, so any
+    /// `k > 7` is a multi-block reduction and must fall back to the fold.
+    #[test]
+    fn fused_writeback_bit_identical_i16(
+        m in 1usize..10, ki in 0usize..17, ni in 0usize..17,
+        seed in 0u32..10_000, with_bias in 0usize..2,
+    ) {
+        let (k, n) = (DIMS[ki], DIMS[ni]);
+        let a16: Vec<i16> = lcg(m * k, seed, 32767).iter().map(|&v| v as i16).collect();
+        let b16: Vec<i16> = lcg(n * k, seed.wrapping_add(1), 32767).iter().map(|&v| v as i16).collect();
+        let packed = PanelGemm::pack(&b16, n, k, 16384);
+        let (deq, bias) = channel_params(n, seed.wrapping_add(2));
+        let epi = Epilogue {
+            deq: &deq,
+            bias: (with_bias == 1).then_some(&bias[..]),
+            rows_per_sample: 1,
+        };
+        let folded = fused_equals_unfused(&packed, &a16, m, &epi, 1);
+        prop_assert_eq!(folded, k > packed.k_block());
+    }
+}
+
+/// A byte reduction longer than the maximum cadence (`k > 8192`) cannot
+/// be a single `i32` block: `matmul_dequant` must fold through the `i64`
+/// accumulator — and still agree bit for bit. Full-magnitude operands
+/// make the block sums as large as the cadence allows.
+#[test]
+fn fused_writeback_falls_back_to_the_fold_past_the_cadence() {
+    let (m, n) = (5usize, NR + 3);
+    let (deq, bias) = channel_params(n, 77);
+    for (k, must_fold) in [(8192usize, false), (8193, true), (2 * 8192 + 5, true)] {
+        let a8: Vec<i8> = (0..m * k)
+            .map(|i| if i % 3 == 0 { -128 } else { 127 })
+            .collect();
+        let b8 = vec![-128i8; n * k];
+        let packed = PanelGemm::pack(&b8, n, k, 128);
+        assert_eq!(packed.k_block(), 8192);
+        for bias in [None, Some(&bias[..])] {
+            let epi = Epilogue {
+                deq: &deq,
+                bias,
+                rows_per_sample: 1,
+            };
+            let folded = fused_equals_unfused(&packed, &a8, m, &epi, 1);
+            assert_eq!(folded, must_fold, "k={k}");
+        }
+    }
+}

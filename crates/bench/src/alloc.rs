@@ -18,9 +18,9 @@
 //! thread's* tally. A call that fans out over a [`WorkerPool`] allocates
 //! on the pool's threads too; [`AllocScope::with_pool`] enrolls them, and
 //! the scope then reports the caller plus those workers and nobody else.
-//! (Give the
-//! plan under test a dedicated pool: workers of a pool shared with other
-//! callers also run — and are charged for — the other callers' tasks.)
+//! Give the plan under test a dedicated pool, as `antc bench` does:
+//! workers of a pool shared with other callers also run — and are charged
+//! for — the other callers' tasks, and enrolment waits for them.
 //!
 //! When the counting allocator is *not* installed (library consumers,
 //! other binaries), the counters simply stay at zero; [`is_counting`]

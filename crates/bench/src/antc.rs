@@ -1255,18 +1255,6 @@ fn time_per_iter<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     start.elapsed().as_secs_f64() / iters.max(1) as f64
 }
 
-/// [`time_per_iter`] repeated over `ROUNDS` windows, keeping the fastest.
-/// Interference from outside the process only ever slows a window down,
-/// so the fastest one is the least contaminated — what the perf guard
-/// needs now that a quick window of the dense workload is ~100 µs long
-/// and a single descheduling would otherwise read as a regression.
-fn best_time_per_iter<F: FnMut()>(iters: usize, mut f: F) -> f64 {
-    const ROUNDS: usize = 5;
-    (0..ROUNDS)
-        .map(|_| time_per_iter(iters, &mut f))
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Runs the fixed MLP/CNN/attention serving workloads and measures
 /// throughput, latency percentiles, steady-state allocations per request
 /// and the raw microkernel speedup. Pure measurement — rendering and the
@@ -1285,7 +1273,15 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
     let counting = crate::alloc::is_counting();
     let load_iters = if cfg.quick { 5 } else { 25 };
     let mut workloads = Vec::new();
-    for (name, mut plan, features) in bench_plans(cfg.seed)? {
+    // A pool of this run's own, as wide as the default one: the
+    // allocation scope below enrols its workers, and workers shared with
+    // other callers (the global pool, when bench runs share a process)
+    // would wait on — and be charged for — those callers' tasks.
+    let pool = std::sync::Arc::new(ant_runtime::WorkerPool::new(
+        ant_runtime::WorkerPool::global().width(),
+    ));
+    for (name, plan, features) in bench_plans(cfg.seed)? {
+        let mut plan = plan.with_pool(std::sync::Arc::clone(&pool));
         let (load_us_v1, load_us_v2, mapped_zero_copy, mapped_private_dirty_kb) =
             measure_load_path(name, cfg.seed, load_iters, cfg.quick)?;
         let x = sample_tensor(
@@ -1308,7 +1304,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
         }
         // Steady-state allocation count over single-row requests, on
         // this thread and the pool workers the plan dispatches to.
-        let scope = crate::alloc::AllocScope::with_pool(ant_runtime::WorkerPool::global());
+        let scope = crate::alloc::AllocScope::with_pool(&pool);
         for i in 0..requests {
             plan.forward_rows(rows[i % BATCH], 1, &mut out)?;
         }
@@ -1329,7 +1325,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
         let lat = lat.snapshot();
         let pct = |p: f64| lat.quantile(p) / 1e3;
         // Batched throughput.
-        let per_batch = best_time_per_iter(batch_iters, || {
+        let per_batch = time_per_iter(batch_iters, || {
             plan.forward_rows(x.as_slice(), BATCH, &mut out)
                 .expect("benched forward");
         });
@@ -1393,9 +1389,9 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
         let mut acc = vec![0i64; m * n];
         let iters = if cfg.quick { 20 } else { 200 };
         int_gemm(&a32, &b32, m, k, n, &mut acc); // warm
-        let t_i32 = best_time_per_iter(iters, || int_gemm(&a32, &b32, m, k, n, &mut acc));
+        let t_i32 = time_per_iter(iters, || int_gemm(&a32, &b32, m, k, n, &mut acc));
         packed.matmul(&a8, m, &mut acc, pool, 1); // warm
-        let t_i8 = best_time_per_iter(iters, || packed.matmul(&a8, m, &mut acc, pool, 1));
+        let t_i8 = time_per_iter(iters, || packed.matmul(&a8, m, &mut acc, pool, 1));
         t_i32 / t_i8
     };
     let decode = measure_decode(cfg)?;

@@ -10,7 +10,10 @@
 //!
 //! Counts are scoped to the measuring thread (and, through
 //! [`ant_bench::alloc::AllocScope`], the pool workers a call drives), so
-//! the proofs hold however libtest schedules the sibling tests.
+//! the proofs hold however libtest schedules the sibling tests. The
+//! telemetry registry, by contrast, is process-wide, and two windows
+//! below count its forward records exactly — so every test that runs
+//! forwards does so holding [`forwards`].
 //!
 //! With the (default) `obs` feature the same windows also prove the
 //! telemetry tentpole: per-layer metrics and span records are being
@@ -25,6 +28,16 @@ use ant_nn::model::{deep_mlp, small_cnn, transformer_block, Sequential};
 use ant_nn::qat::{quantize_model, QuantSpec};
 use ant_runtime::CompiledPlan;
 use ant_tensor::dist::{sample_tensor, Distribution};
+
+/// Serialises the tests' forward passes: whoever holds it is the only
+/// thread of this process recording into the global telemetry registry,
+/// which is what lets a window assert *exactly* its own forward count.
+/// (Model building and quantization record nothing and stay parallel.)
+fn forwards() -> std::sync::MutexGuard<'static, ()> {
+    static FORWARDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A sibling that failed while holding it has already reported.
+    FORWARDS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn models() -> Vec<(&'static str, Sequential, usize)> {
     let mut out = Vec::new();
@@ -66,7 +79,9 @@ fn workloads() -> Vec<(&'static str, CompiledPlan, usize)> {
 fn steady_state_forward_rows_allocates_nothing() {
     assert!(is_counting(), "counting allocator must be installed");
     const BATCH: usize = 8;
-    for (name, mut plan, features) in workloads() {
+    let workloads = workloads();
+    let _forwards = forwards();
+    for (name, mut plan, features) in workloads {
         let x = sample_tensor(
             Distribution::Gaussian {
                 mean: 0.0,
@@ -120,10 +135,9 @@ fn steady_state_forward_rows_allocates_nothing() {
                     None => panic!("{name}: no {family} series recorded in the window"),
                 }
             };
-            // At least: the registry is process-wide, so sibling tests
-            // running forwards of their own inside this window add to it.
-            assert!(
-                hist_count("ant_forward_time_ns") >= 100,
+            assert_eq!(
+                hist_count("ant_forward_time_ns"),
+                100,
                 "{name}: every forward call in the zero-alloc window must be timed"
             );
             let layer_calls: u64 = ant_runtime::obs::LAYER_KINDS
@@ -190,6 +204,7 @@ fn steady_state_decode_steps_allocate_nothing() {
     );
     let tokens = tokens.as_slice();
     let mut out = Vec::new();
+    let _forwards = forwards();
     // Warmup: prefill both sessions, then a few steps at both batch
     // shapes (coalesced pair and single session) to reach every scratch
     // high-water mark.
@@ -242,9 +257,8 @@ fn steady_state_decode_steps_allocate_nothing() {
             ant_obs::Value::Histogram(h) => h.count(),
             _ => panic!("ant_forward_time_ns is not a histogram"),
         };
-        // At least: the registry is process-wide (see above).
-        assert!(
-            forwards as usize >= STEPS,
+        assert_eq!(
+            forwards as usize, STEPS,
             "every decode step in the zero-alloc window must be timed"
         );
         let attn_layers = delta
@@ -270,7 +284,9 @@ fn steady_state_holds_with_mmap_borrowed_panels() {
     assert!(is_counting(), "counting allocator must be installed");
     use ant_runtime::{MappedArtifact, ModelArtifact};
     const BATCH: usize = 8;
-    for (name, model, features) in models() {
+    let models = models();
+    let _forwards = forwards();
+    for (name, model, features) in models {
         let path = std::env::temp_dir().join(format!(
             "ant-alloc-steady-{}-{name}.antm",
             std::process::id()
@@ -330,6 +346,7 @@ fn warmup_allocations_are_one_time() {
         13,
     );
     let mut out = Vec::new();
+    let _forwards = forwards();
     plan.forward_rows(x.as_slice(), 4, &mut out).unwrap();
     let after_first = alloc_count();
     plan.forward_rows(x.as_slice(), 4, &mut out).unwrap();
@@ -437,6 +454,7 @@ fn steady_state_pooled_forward_rows_allocates_nothing() {
         11,
     );
     let mut out = Vec::new();
+    let _forwards = forwards();
     for _ in 0..3 {
         plan.forward_rows(x.as_slice(), BATCH, &mut out).unwrap();
     }

@@ -8,22 +8,16 @@
 //! then costs one `vpbroadcastd` of its own `(a[p], a[p+1])` pair, one
 //! `vpmaddwd` and one `vpaddd` per 16 MACs. Byte activations are widened
 //! to `i16` once per row tile and cadence block (not per panel) into the
-//! region's stack [`Stage`]; `i16` activations are already pairs in
-//! place. All arithmetic is exact, so the block sums equal the scalar
+//! region's stack [`kernel::Stage`]; `i16` activations are already pairs
+//! in place. All arithmetic is exact, so the block sums equal the scalar
 //! tile's bit for bit (see the pair-sum argument in [`super::kernel`]).
 
 #![cfg(target_arch = "x86_64")]
 
-use super::kernel::{self, KernelOperand, Region, Sink, Stage, TileKernel};
-use super::NR;
+use super::kernel::{self, KernelOperand, Sink};
+use super::{PanelGemm, NR};
 use std::arch::x86_64::*;
-
-/// Whether the AVX2 paths may run on this machine (detected once).
-pub(crate) fn available() -> bool {
-    use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
+use std::ops::Range;
 
 /// [`kernel::region`] on the pair tile, compiled with AVX2 enabled so the
 /// whole walk — staging, tile, fused epilogue — inlines into one
@@ -32,81 +26,61 @@ pub(crate) fn available() -> bool {
 /// # Safety
 ///
 /// As [`kernel::region`]; additionally the caller must have verified
-/// AVX2 support ([`available`]) and [`kernel::pair_safe`] for `k_block`.
+/// AVX2 support ([`super::avx2_available`]) and [`kernel::pair_safe`] for
+/// the cadence.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn region<T: KernelOperand, S: Sink>(r: &Region<'_, T>, sink: &S) {
-    debug_assert!(kernel::pair_safe(r.k_block));
-    kernel::region::<T, Pair, S>(r, sink)
+pub(crate) unsafe fn region<T: KernelOperand, S: Sink>(
+    pg: &PanelGemm<T>,
+    a: &[T],
+    rows: Range<usize>,
+    cols: Range<usize>,
+    sink: &S,
+) {
+    debug_assert!(kernel::pair_safe(pg.k_block));
+    kernel::region::<T, S, true>(pg, a, rows, cols, sink)
 }
 
-/// The `vpmaddwd` tile. `T` is `i8` or `i16` (the sealed
-/// [`KernelOperand`] set), told apart by size at monomorphisation.
-struct Pair;
-
-impl<T: KernelOperand> TileKernel<T> for Pair {
-    type A = i16;
-
-    #[inline(always)]
-    unsafe fn stage(
-        stage: &mut Stage,
-        a0: *const T,
-        mr: usize,
-        lda: usize,
-        kb: usize,
-    ) -> (*const i16, usize) {
-        if size_of::<T>() == size_of::<i16>() {
-            // Halfword rows already are `(a[p], a[p+1])` pairs in place.
-            return (a0 as *const i16, lda);
+/// The `vpmaddwd` tile (contract as the portable tile in
+/// [`super::kernel`]). `T` is `i8` or `i16` (the sealed [`KernelOperand`]
+/// set), told apart by size at monomorphisation.
+///
+/// # Safety
+///
+/// `a` must be valid for reads of `M` rows of `kb` elements at stride
+/// `lda`, `panel` for `kb · NR` elements; the cadence must be
+/// [`kernel::pair_safe`] and the caller compiled with AVX2 enabled.
+#[inline(always)]
+pub(crate) unsafe fn tile<T: KernelOperand, const M: usize>(
+    a: *const i16,
+    lda: usize,
+    panel: *const T,
+    kb: usize,
+) -> [[i32; NR]; M] {
+    let mut acc = [_mm256_setzero_si256(); M];
+    let mut p = 0usize;
+    while p + 2 <= kb {
+        let bv = load_pair(panel.add(p * NR));
+        for (r, lane) in acc.iter_mut().enumerate() {
+            // One 32-bit load is the row's `(a[p], a[p+1])` pair.
+            let pair = (a.add(r * lda + p) as *const i32).read_unaligned();
+            *lane = _mm256_add_epi32(*lane, _mm256_madd_epi16(_mm256_set1_epi32(pair), bv));
         }
-        // Bytes: sign-extend each row once; every panel of the row tile
-        // then reads it. Rows sit `kb` (rounded even) apart, so the
-        // staged tile stays compact in L1 whatever `k_block` allows.
-        let stride = kb.next_multiple_of(2);
-        for r in 0..mr {
-            // SAFETY (caller): row `r` holds `kb` readable bytes, and
-            // `mr · stride ≤ MR · K_BLOCK_MAX` fits the stage.
-            let src = std::slice::from_raw_parts(a0.add(r * lda) as *const i8, kb);
-            let dst = &mut stage[r * stride..r * stride + kb];
-            for (d, &s) in dst.iter_mut().zip(src) {
-                d.write(s as i16);
-            }
-        }
-        (stage.as_ptr() as *const i16, stride)
+        p += 2;
     }
-
-    #[inline(always)]
-    unsafe fn tile<const M: usize>(
-        a: *const i16,
-        lda: usize,
-        panel: *const T,
-        kb: usize,
-    ) -> [[i32; NR]; M] {
-        let mut acc = [_mm256_setzero_si256(); M];
-        let mut p = 0usize;
-        while p + 2 <= kb {
-            let bv = load_pair(panel.add(p * NR));
-            for (r, lane) in acc.iter_mut().enumerate() {
-                // One 32-bit load is the row's `(a[p], a[p+1])` pair.
-                let pair = (a.add(r * lda + p) as *const i32).read_unaligned();
-                *lane = _mm256_add_epi32(*lane, _mm256_madd_epi16(_mm256_set1_epi32(pair), bv));
-            }
-            p += 2;
+    if p < kb {
+        // Odd block tail: the partner is zero on both operands, so
+        // nothing past row `kb − 1` of either is read.
+        let bv = load_tail(panel.add(p * NR));
+        for (r, lane) in acc.iter_mut().enumerate() {
+            let pair = *a.add(r * lda + p) as u16 as i32;
+            *lane = _mm256_add_epi32(*lane, _mm256_madd_epi16(_mm256_set1_epi32(pair), bv));
         }
-        if p < kb {
-            // Odd block tail: the partner is zero on both operands, so
-            // nothing past row `kb − 1` of either is read.
-            let bv = load_tail(panel.add(p * NR));
-            for (r, lane) in acc.iter_mut().enumerate() {
-                let pair = *a.add(r * lda + p) as u16 as i32;
-                *lane = _mm256_add_epi32(*lane, _mm256_madd_epi16(_mm256_set1_epi32(pair), bv));
-            }
-        }
-        let mut out = [[0i32; NR]; M];
-        for (dst, &lane) in out.iter_mut().zip(&acc) {
-            _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, lane);
-        }
-        out
     }
+    let mut out = [[0i32; NR]; M];
+    for (dst, &lane) in out.iter_mut().zip(&acc) {
+        _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, lane);
+    }
+    out
 }
 
 /// Two consecutive panel rows (`2·NR` elements at `p`) as `NR` column

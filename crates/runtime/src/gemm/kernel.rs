@@ -16,10 +16,13 @@
 //!
 //! # One skeleton, two tiles
 //!
-//! [`region`] walks a [`Region`] row tile → cadence block → panel and is generic over
-//! a [`TileKernel`] (what multiplies) and a [`Sink`] (where block sums
-//! go). The portable [`Scalar`] tile multiplies one `k`-step at a time;
-//! the AVX2 tile ([`super::avx2`]) multiplies *pairs* of `k`-steps with
+//! [`region`] walks one task's rows × panels of a [`PanelGemm`] row tile →
+//! cadence block → panel. Per row tile and block the activations are
+//! presented once as `i16` rows (bytes sign-extended into a stack
+//! [`Stage`], halfwords in place) and shared by every panel; the `PAIRS`
+//! parameter picks what multiplies them, and a [`Sink`] says where block
+//! sums go. The portable tile multiplies one `k`-step at a time; the AVX2
+//! tile ([`super::avx2`]) multiplies *pairs* of `k`-steps with
 //! `vpmaddwd`. Both read the same `[k][NR]` panels, both serve `i8` and
 //! `i16` images, and — all arithmetic being exact integer math — both
 //! produce the same block sums. A sink either folds them into the exact
@@ -60,7 +63,7 @@
 //! block; an odd block (odd `k` or odd `k_block`) ends in one step whose
 //! partner is zero on both operands, contributing exactly `a·b + 0`.
 
-use super::NR;
+use super::{PanelGemm, NR};
 use std::mem::MaybeUninit;
 use std::ops::Range;
 
@@ -149,81 +152,74 @@ pub(crate) fn pair_safe(k_block: usize) -> bool {
     k_block >= 2
 }
 
-/// What multiplies a row tile against a panel.
-pub(crate) trait TileKernel<T: KernelOperand> {
-    /// Element type the tile reads activations as.
-    type A: Copy;
-
-    /// Presents `mr` activation rows of `kb` elements (starting at `a0`,
-    /// row stride `lda`) in the form [`Self::tile`] reads, returning the
-    /// base pointer and row stride to hand it. May copy into `stage`.
-    ///
-    /// # Safety
-    ///
-    /// `a0` must be valid for reads of `mr` rows of `kb` elements at
-    /// stride `lda`, with `mr ≤ MR` and `kb ≤ K_BLOCK_MAX`.
-    unsafe fn stage(
-        stage: &mut Stage,
-        a0: *const T,
-        mr: usize,
-        lda: usize,
-        kb: usize,
-    ) -> (*const Self::A, usize);
-
-    /// The `i32` block sums of `M` rows against one `[kb][NR]` panel
-    /// slice.
-    ///
-    /// # Safety
-    ///
-    /// `a` must be valid for reads of `M` rows of `kb` elements at stride
-    /// `lda`, `panel` for `kb · NR` elements, and `kb` terms of the
-    /// operands' magnitudes must fit `i32` (the cadence bound).
-    unsafe fn tile<const M: usize>(
-        a: *const Self::A,
-        lda: usize,
-        panel: *const T,
-        kb: usize,
-    ) -> [[i32; NR]; M];
+/// Presents `mr` activation rows of `kb` elements (starting at `a0`, row
+/// stride `lda`) as the `i16` rows both tiles read, returning their base
+/// pointer and row stride. Halfword rows are used in place; byte rows are
+/// sign-extended into `stage` — once per row tile and cadence block,
+/// shared by every panel. Staged rows sit `kb` (rounded even) apart, so
+/// the tile stays compact in L1 whatever `k_block` allows.
+///
+/// # Safety
+///
+/// `a0` must be valid for reads of `mr` rows of `kb` elements at stride
+/// `lda`, with `mr ≤ MR` and `kb ≤ K_BLOCK_MAX`.
+#[inline(always)]
+unsafe fn stage_rows<T: KernelOperand>(
+    stage: &mut Stage,
+    a0: *const T,
+    mr: usize,
+    lda: usize,
+    kb: usize,
+) -> (*const i16, usize) {
+    if size_of::<T>() == size_of::<i16>() {
+        return (a0 as *const i16, lda);
+    }
+    let stride = kb.next_multiple_of(2);
+    for r in 0..mr {
+        // SAFETY (caller): row `r` holds `kb` readable bytes, and
+        // `mr · stride ≤ MR · K_BLOCK_MAX` fits the stage.
+        let src = std::slice::from_raw_parts(a0.add(r * lda) as *const i8, kb);
+        for (d, &s) in stage[r * stride..r * stride + kb].iter_mut().zip(src) {
+            d.write(s as i16);
+        }
+    }
+    (stage.as_ptr() as *const i16, stride)
 }
 
-/// The portable tile: one `k`-step at a time, activations read in place.
-/// Serves non-AVX2 machines and cadences too short for pairs.
-pub(crate) struct Scalar;
-
-impl<T: KernelOperand> TileKernel<T> for Scalar {
-    type A = T;
-
-    #[inline(always)]
-    unsafe fn stage(
-        _: &mut Stage,
-        a0: *const T,
-        _: usize,
-        lda: usize,
-        _: usize,
-    ) -> (*const T, usize) {
-        (a0, lda)
+/// The `i32` block sums of `M` staged rows against one `[kb][NR]` panel
+/// slice: the AVX2 pair tile when `PAIRS`, else the portable tile (one
+/// `k`-step at a time), which serves non-AVX2 machines and cadences too
+/// short for pairs.
+///
+/// # Safety
+///
+/// `a` must be valid for reads of `M` rows of `kb` elements at stride
+/// `lda`, `panel` for `kb · NR` elements, and `kb` terms of the operands'
+/// magnitudes must fit `i32` (the cadence bound). `PAIRS` additionally
+/// needs AVX2 and [`pair_safe`].
+#[inline(always)]
+unsafe fn tile<T: KernelOperand, const PAIRS: bool, const M: usize>(
+    a: *const i16,
+    lda: usize,
+    panel: *const T,
+    kb: usize,
+) -> [[i32; NR]; M] {
+    #[cfg(target_arch = "x86_64")]
+    if PAIRS {
+        return super::avx2::tile::<T, M>(a, lda, panel, kb);
     }
-
-    #[inline(always)]
-    unsafe fn tile<const M: usize>(
-        a: *const T,
-        lda: usize,
-        panel: *const T,
-        kb: usize,
-    ) -> [[i32; NR]; M] {
-        let mut acc = [[0i32; NR]; M];
-        for p in 0..kb {
-            // SAFETY: `p < kb`, inside both the panel slice and each row.
-            let b = &*(panel.add(p * NR) as *const [T; NR]);
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                let av = (*a.add(r * lda + p)).widen();
-                for (dst, &bv) in acc_row.iter_mut().zip(b) {
-                    *dst += av * bv.widen();
-                }
+    let mut acc = [[0i32; NR]; M];
+    for p in 0..kb {
+        // SAFETY: `p < kb`, inside both the panel slice and each row.
+        let b = &*(panel.add(p * NR) as *const [T; NR]);
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let av = *a.add(r * lda + p) as i32;
+            for (dst, &bv) in acc_row.iter_mut().zip(b) {
+                *dst += av * bv.widen();
             }
         }
-        acc
     }
+    acc
 }
 
 /// Where a tile's block sums go. Implementations hold a raw pointer to
@@ -231,9 +227,8 @@ impl<T: KernelOperand> TileKernel<T> for Scalar {
 /// panels, which is the disjointness the threaded driver's partitioning
 /// guarantees.
 pub(crate) trait Sink: Sync {
-    /// Output offsets of rows `i0..i0 + M` (hoisted out of the panel
-    /// loop).
-    fn rows<const M: usize>(&self, i0: usize) -> [usize; M];
+    /// Output offset of GEMM row `i`, column 0.
+    fn row(&self, i: usize) -> usize;
 
     /// Consumes the block sums of an `M × nc` tile at columns `c0..`;
     /// `first` marks the reduction's first cadence block.
@@ -264,8 +259,8 @@ unsafe impl Sync for Wide {}
 
 impl Sink for Wide {
     #[inline(always)]
-    fn rows<const M: usize>(&self, i0: usize) -> [usize; M] {
-        std::array::from_fn(|r| (i0 + r) * self.ldc)
+    fn row(&self, i: usize) -> usize {
+        i * self.ldc
     }
 
     #[inline(always)]
@@ -342,8 +337,8 @@ unsafe impl Sync for Dequant<'_> {}
 
 impl Sink for Dequant<'_> {
     #[inline(always)]
-    fn rows<const M: usize>(&self, i0: usize) -> [usize; M] {
-        std::array::from_fn(|r| self.epi.row_offset(i0 + r))
+    fn row(&self, i: usize) -> usize {
+        self.epi.row_offset(i)
     }
 
     #[inline(always)]
@@ -391,43 +386,34 @@ impl Sink for Dequant<'_> {
     }
 }
 
-/// One task's share of a GEMM: output rows `rows` × panels `cols` of
-/// `a · bᵀ` against panel-packed weights, blocked by cadence `k_block`.
-pub(crate) struct Region<'a, T> {
-    pub(crate) a: &'a [T],
-    pub(crate) panels: &'a [T],
-    pub(crate) k: usize,
-    pub(crate) n: usize,
-    pub(crate) k_block: usize,
-    pub(crate) rows: Range<usize>,
-    pub(crate) cols: Range<usize>,
-}
-
-/// Computes a [`Region`]: per row tile the activations are staged once
-/// per cadence block and shared by every panel, each tile's block sums
-/// going to `sink`.
+/// Computes one task's share of a GEMM: output rows `rows` × panels
+/// `cols` of `a · bᵀ` against `pg`'s panels, blocked by its cadence. Per
+/// row tile the activations are staged once per cadence block and shared
+/// by every panel, each tile's block sums going to `sink`.
 ///
 /// # Safety
 ///
 /// `sink`'s output must be valid for writes over the region's cells with
 /// no concurrent access to them; `a` must hold every row in `rows` at
-/// stride `k` and `panels` every panel in `cols` (`k · NR` elements
-/// each); `k_block` must be a safe cadence for the operands.
+/// stride `pg.k`; `PAIRS` needs AVX2 and [`pair_safe`] for the cadence.
 #[inline(always)]
-pub(crate) unsafe fn region<T: KernelOperand, K: TileKernel<T>, S: Sink>(
-    r: &Region<'_, T>,
+pub(crate) unsafe fn region<T: KernelOperand, S: Sink, const PAIRS: bool>(
+    pg: &PanelGemm<T>,
+    a: &[T],
+    rows: Range<usize>,
+    cols: Range<usize>,
     sink: &S,
 ) {
-    debug_assert!(r.a.len() >= r.rows.end * r.k && r.panels.len() >= r.cols.end * r.k * NR);
+    debug_assert!(a.len() >= rows.end * pg.k && pg.panels.len() >= cols.end * pg.k * NR);
     let mut stage: Stage = [MaybeUninit::uninit(); MR * K_BLOCK_MAX];
-    let mut i0 = r.rows.start;
-    while i0 < r.rows.end {
-        let mr = MR.min(r.rows.end - i0);
+    let mut i0 = rows.start;
+    while i0 < rows.end {
+        let mr = MR.min(rows.end - i0);
         match mr {
-            1 => row_tile::<T, K, S, 1>(r, i0, &mut stage, sink),
-            2 => row_tile::<T, K, S, 2>(r, i0, &mut stage, sink),
-            3 => row_tile::<T, K, S, 3>(r, i0, &mut stage, sink),
-            _ => row_tile::<T, K, S, MR>(r, i0, &mut stage, sink),
+            1 => row_tile::<T, S, PAIRS, 1>(pg, a, i0, &cols, &mut stage, sink),
+            2 => row_tile::<T, S, PAIRS, 2>(pg, a, i0, &cols, &mut stage, sink),
+            3 => row_tile::<T, S, PAIRS, 3>(pg, a, i0, &cols, &mut stage, sink),
+            _ => row_tile::<T, S, PAIRS, MR>(pg, a, i0, &cols, &mut stage, sink),
         }
         i0 += mr;
     }
@@ -436,22 +422,27 @@ pub(crate) unsafe fn region<T: KernelOperand, K: TileKernel<T>, S: Sink>(
 /// The `M`-row tile of [`region`] starting at row `i0` (same contract),
 /// monomorphised on the exact row count.
 #[inline(always)]
-unsafe fn row_tile<T: KernelOperand, K: TileKernel<T>, S: Sink, const M: usize>(
-    r: &Region<'_, T>,
+unsafe fn row_tile<T: KernelOperand, S: Sink, const PAIRS: bool, const M: usize>(
+    pg: &PanelGemm<T>,
+    a: &[T],
     i0: usize,
+    cols: &Range<usize>,
     stage: &mut Stage,
     sink: &S,
 ) {
-    let (k, a0) = (r.k, r.a.as_ptr().add(i0 * r.k));
-    let out_rows = sink.rows::<M>(i0);
+    let (k, n, a0) = (pg.k, pg.n, a.as_ptr().add(i0 * pg.k));
+    let panels: &[T] = &pg.panels;
+    // Output row offsets, hoisted out of the panel loop.
+    let out_rows: [usize; M] = std::array::from_fn(|r| sink.row(i0 + r));
     let mut k0 = 0usize;
     // At least one pass, so an empty reduction still writes its zeros.
     loop {
-        let kb = r.k_block.min(k - k0);
-        let (ap, lda) = K::stage(stage, a0.add(k0), M, k, kb);
-        for pi in r.cols.clone() {
-            let acc = K::tile::<M>(ap, lda, r.panels.as_ptr().add((pi * k + k0) * NR), kb);
-            sink.put(&out_rows, pi * NR, NR.min(r.n - pi * NR), &acc, k0 == 0);
+        let kb = pg.k_block.min(k - k0);
+        let (ap, lda) = stage_rows(stage, a0.add(k0), M, k, kb);
+        for pi in cols.clone() {
+            let panel = panels.as_ptr().add((pi * k + k0) * NR);
+            let acc = tile::<T, PAIRS, M>(ap, lda, panel, kb);
+            sink.put(&out_rows, pi * NR, NR.min(n - pi * NR), &acc, k0 == 0);
         }
         k0 += kb;
         if k0 >= k {

@@ -424,31 +424,20 @@ impl<T: KernelOperand> PanelGemm<T> {
             a.iter().all(|&v| (v.widen() as i64).abs() <= self.a_max),
             "activation magnitude exceeds the a_max cadence bound"
         );
-        let (k, n, k_block) = (self.k, self.n, self.k_block);
-        #[cfg(target_arch = "x86_64")]
-        let pairs = avx2_available() && kernel::pair_safe(k_block);
-        run_partitioned(pool, threads, m, k, n, n.div_ceil(NR), &|rows, cols| {
-            let region = kernel::Region {
-                a,
-                panels: &self.panels,
-                k,
-                n,
-                k_block,
-                rows,
-                cols,
-            };
+        let pairs = avx2_available() && kernel::pair_safe(self.k_block);
+        let panels = self.n.div_ceil(NR);
+        run_partitioned(pool, threads, m, self.k, self.n, panels, &|rows, cols| {
             // SAFETY: the sink's output spans the full `m × n` result
             // (checked by the callers) and partition cells are disjoint
-            // regions of it; `a` and the panel store were length-checked
-            // against `m`, `k`, `n`; `k_block` is the cadence derived for
-            // these operands, and the pair tile runs only behind AVX2
-            // detection and `pair_safe`.
+            // regions of it; `a` was length-checked against `m · k` and
+            // the panel store at construction; the pair tile runs only
+            // behind AVX2 detection and `pair_safe`.
             unsafe {
-                #[cfg(target_arch = "x86_64")]
                 if pairs {
-                    return avx2::region(&region, sink);
+                    #[cfg(target_arch = "x86_64")]
+                    return avx2::region(self, a, rows, cols, sink);
                 }
-                kernel::region::<T, kernel::Scalar, S>(&region, sink)
+                kernel::region::<T, S, false>(self, a, rows, cols, sink)
             }
         });
     }
@@ -487,15 +476,11 @@ pub fn dequant_into(acc: &[i64], m: usize, epi: &Epilogue<'_>, out: &mut [f32]) 
 }
 
 /// Whether the AVX2 fast paths (pair microkernel, quantize loops) are
-/// usable on this machine (runtime-detected, cached).
-#[cfg(target_arch = "x86_64")]
+/// usable on this machine (runtime-detected; std caches the probe).
 pub(crate) fn avx2_available() -> bool {
-    avx2::available()
-}
-
-/// Non-x86: the AVX2 fast paths never apply.
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn avx2_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
     false
 }
 
@@ -634,15 +619,7 @@ mod tests {
             out: out.as_mut_ptr(),
             ldc: n,
         };
-        let region = kernel::Region {
-            a,
-            panels: &pg.panels,
-            k: pg.k,
-            n,
-            k_block: pg.k_block,
-            rows: 0..m,
-            cols: 0..n.div_ceil(NR),
-        };
+        let cols = 0..n.div_ceil(NR);
         // SAFETY: full-range region over an exclusively borrowed output;
         // operands sized by `pack`/the caller; the pair tile only behind
         // the same two guards `run` applies.
@@ -650,11 +627,11 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             if pairs {
                 assert!(avx2_available() && kernel::pair_safe(pg.k_block));
-                avx2::region(&region, &sink);
+                avx2::region(pg, a, 0..m, cols, &sink);
                 return out;
             }
             assert!(!pairs, "no pair tile on this architecture");
-            kernel::region::<T, kernel::Scalar, _>(&region, &sink);
+            kernel::region::<T, _, false>(pg, a, 0..m, cols, &sink);
         }
         out
     }

@@ -235,55 +235,13 @@ fn narrow_im2row_matches_i32_lowering() {
 
 // ---------------------------------------------------------------------
 // Pair-kernel cases (`vpmaddwd` tile, exact row tails, fused writeback).
-// The three-way pair-tile / scalar-tile / reference grid lives next to
-// the kernel (`gemm::tests`, which can call each tile directly); the
-// cases here go through the public API only.
+// The three-way pair-tile / scalar-tile / reference grid (which also runs
+// the dispatching `matmul`) lives next to the kernel in `gemm::tests`,
+// where each tile can be called directly; the cases here cover behaviour
+// only visible through the public API.
 // ---------------------------------------------------------------------
 
 use ant_runtime::gemm::{dequant_into, Epilogue};
-
-/// Every row-tile height and tail × `k` around the pair, load and
-/// cadence boundaries × every `n mod NR`, through the dispatching
-/// `matmul`, for both operand widths.
-#[test]
-fn pair_grid_matches_reference_through_matmul() {
-    let pool = WorkerPool::global();
-    let kb8 = PanelGemm::pack(&[127i8], 1, 1, 127).k_block();
-    for k in [1, 2, 3, 15, 16, 17, kb8 - 1, kb8, kb8 + 1] {
-        for n in (1..=NR).chain([NR + 3]) {
-            for m in 1..=9usize {
-                let a32 = lcg(m * k, (m + n + k) as u32, 255);
-                let b32 = lcg(n * k, (m * n + k) as u32, 255);
-                let a8: Vec<i8> = a32.iter().map(|&v| v as i8).collect();
-                let b8: Vec<i8> = b32.iter().map(|&v| v as i8).collect();
-                let packed = PanelGemm::pack(&b8, n, k, 127);
-                let mut out = vec![i64::MIN; m * n];
-                packed.matmul(&a8, m, &mut out, pool, 1);
-                assert_eq!(out, reference(&a32, &b32, m, k, n), "i8 m={m} k={k} n={n}");
-            }
-        }
-    }
-    // i16 at ±16384: cadence 7, so k = 6, 7, 8 straddle a block boundary
-    // and every full block ends on a zero-partner tail.
-    let kb16 = PanelGemm::pack(&[16384i16], 1, 1, 16384).k_block();
-    assert_eq!(kb16, 7);
-    for k in [1, 2, 3, 15, 16, 17, kb16 - 1, kb16, kb16 + 1] {
-        for n in (1..=NR).chain([NR + 3]) {
-            for m in 1..=9usize {
-                let mut a32 = lcg(m * k, (m + n + k) as u32, 32767);
-                let mut b32 = lcg(n * k, (m * n + k) as u32, 32767);
-                a32[0] = -16384;
-                b32[0] = 16384;
-                let a16: Vec<i16> = a32.iter().map(|&v| v as i16).collect();
-                let b16: Vec<i16> = b32.iter().map(|&v| v as i16).collect();
-                let packed = PanelGemm::pack(&b16, n, k, 16384);
-                let mut out = vec![i64::MIN; m * n];
-                packed.matmul(&a16, m, &mut out, pool, 1);
-                assert_eq!(out, reference(&a32, &b32, m, k, n), "i16 m={m} k={k} n={n}");
-            }
-        }
-    }
-}
 
 /// All-(−128) bytes on both sides: every product is +2¹⁴, every pair
 /// +2¹⁵, and a full 8192-term block sums to exactly 2²⁷ — nothing cancels,

@@ -316,7 +316,8 @@ fn quantize_decoder<P: AsRef<Path>>(cfg: QuantizeConfig, out: P) -> Result<Strin
 }
 
 /// Renders the `antc inspect` report: header metadata, the per-layer
-/// dtype/bit-width table, and the coverage line.
+/// dtype/bit-width table (with the execution image width the compiled
+/// plan reports for each packed layer), and the coverage line.
 ///
 /// Coverage is computed by lenient-compiling the artifact and reading
 /// [`ant_runtime::CompiledPlan::coverage`] — the same quantity with the
@@ -410,6 +411,17 @@ pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
             Some((dt, scale)) => format!("{dt} @{scale:.3e}"),
             None => "-".to_string(),
         };
+        // The width each weight image executes at: plan steps are
+        // one-to-one with artifact layers.
+        let widths = plan
+            .as_ref()
+            .and_then(|p| p.layers().get(i))
+            .map_or(Vec::new(), |step| step.describe().image_widths());
+        let image = if widths.is_empty() {
+            "-".to_string()
+        } else {
+            widths.join(",")
+        };
         rows.push(vec![
             i.to_string(),
             l.name.clone(),
@@ -421,6 +433,7 @@ pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
             bytes.to_string(),
             act,
             if l.packed { "yes" } else { "no" }.to_string(),
+            image,
         ]);
     }
     out.push_str(&render_table(
@@ -435,6 +448,7 @@ pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
             "bytes",
             "activation",
             "packed",
+            "image",
         ],
         &rows,
     ));
@@ -2265,7 +2279,8 @@ selection through a memoizing Planner, and saves the packed result (wire
 codes + pre-packed panel images + selection-cache fingerprints) as a
 versioned .antm artifact (format v2: mmap-ready, 64-byte-aligned).
 inspect dumps the header, section table, storage mode, per-layer
-selections and the selection-cache fingerprint/hit/miss stats. verify
+selections with each packed layer's execution image width (i8/i16/i32)
+and the selection-cache fingerprint/hit/miss stats. verify
 runs the full integrity gate the lazy v2 load defers: section CRCs plus
 a bit-for-bit recompute of the PANL execution images. migrate rewrites
 an artifact (v1 or v2) in the current format version, atomically in

@@ -78,7 +78,6 @@
 use crate::cache::{Planner, SelectionCache, TypeDecision};
 use crate::error::RuntimeError;
 use crate::gemm::{KernelOperand, PanelGemm, NR};
-use crate::kv::KvQuantSpec;
 use crate::mmap::Mmap;
 use crate::plan::{
     act_bound, decode_image, decode_rows_f32, pack_weight_tensor, transpose, CompiledPlan,
@@ -630,6 +629,10 @@ impl ModelArtifact {
         let mut layers = Vec::with_capacity(self.layers.len());
         for (i, record) in self.layers.iter().enumerate() {
             let entries: &[PanelEntry] = images.map(|im| im[i].as_slice()).unwrap_or(&[]);
+            let image = match entries.first() {
+                Some(PanelEntry::Image(img)) => Some(img.clone()),
+                _ => None,
+            };
             let lowered: Result<PlanLayer, RuntimeError> = match record {
                 LayerRecord::Dense {
                     name,
@@ -637,22 +640,9 @@ impl ModelArtifact {
                     bias,
                     act,
                 } => act.quantizer().map(|aq| {
-                    match entries.first() {
-                        Some(PanelEntry::Image(img)) => PackedLinear::from_parts_with_image(
-                            name.clone(),
-                            weight.codes.clone(),
-                            bias.clone(),
-                            aq,
-                            img.clone(),
-                        ),
-                        _ => PackedLinear::from_parts(
-                            name.clone(),
-                            weight.codes.clone(),
-                            bias.clone(),
-                            aq,
-                        ),
-                    }
-                    .map(|p| PlanLayer::Packed(Box::new(p)))
+                    let codes = weight.codes.clone();
+                    PackedLinear::from_parts(name.clone(), codes, bias.clone(), aq, image)
+                        .map(|p| PlanLayer::Packed(Box::new(p)))
                 })?,
                 LayerRecord::Conv {
                     name,
@@ -662,25 +652,15 @@ impl ModelArtifact {
                     bias,
                     act,
                 } => act.quantizer().map(|aq| {
-                    match entries.first() {
-                        Some(PanelEntry::Image(img)) => PackedConv::from_parts_with_image(
-                            name.clone(),
-                            weight.codes.clone(),
-                            bias.clone(),
-                            aq,
-                            *in_shape,
-                            *geo,
-                            img.clone(),
-                        ),
-                        _ => PackedConv::from_parts(
-                            name.clone(),
-                            weight.codes.clone(),
-                            bias.clone(),
-                            aq,
-                            *in_shape,
-                            *geo,
-                        ),
-                    }
+                    PackedConv::from_parts(
+                        name.clone(),
+                        weight.codes.clone(),
+                        bias.clone(),
+                        aq,
+                        *in_shape,
+                        *geo,
+                        image,
+                    )
                     .map(|p| PlanLayer::PackedConv(Box::new(p)))
                 })?,
                 LayerRecord::Attn {
@@ -691,34 +671,15 @@ impl ModelArtifact {
                     act,
                     causal,
                 } => act.quantizer().map(|aq| {
-                    let projections = [
-                        weights[0].codes.clone(),
-                        weights[1].codes.clone(),
-                        weights[2].codes.clone(),
-                        weights[3].codes.clone(),
-                    ];
-                    match entries {
+                    let projections = std::array::from_fn(|i| weights[i].codes.clone());
+                    let prebuilt = match entries {
                         [PanelEntry::Image(q), PanelEntry::Image(k), PanelEntry::Image(v), PanelEntry::Image(o), PanelEntry::WoT(wo_t)] => {
-                            PackedAttn::from_parts_with_images(
-                                name.clone(),
-                                *seq,
-                                *dim,
-                                projections,
-                                aq,
-                                [q.clone(), k.clone(), v.clone(), o.clone()],
-                                wo_t.clone(),
-                            )
+                            Some(([q.clone(), k.clone(), v.clone(), o.clone()], wo_t.clone()))
                         }
-                        _ => PackedAttn::from_parts(name.clone(), *seq, *dim, projections, aq),
-                    }
-                    .and_then(|p| {
-                        if *causal {
-                            p.into_causal(KvQuantSpec::default())
-                                .map(|p| PlanLayer::PackedCausalAttn(Box::new(p)))
-                        } else {
-                            Ok(PlanLayer::PackedAttn(Box::new(p)))
-                        }
-                    })
+                        _ => None,
+                    };
+                    PackedAttn::from_parts(name.clone(), *seq, *dim, projections, aq, prebuilt)
+                        .and_then(|p| PlanLayer::attn(p, *causal))
                 })?,
                 LayerRecord::Relu { .. } => Ok(PlanLayer::Relu),
                 LayerRecord::Gelu { .. } => Ok(PlanLayer::Gelu),
@@ -737,19 +698,9 @@ impl ModelArtifact {
                     *eps,
                 )))),
             };
-            match lowered {
-                Ok(l) => layers.push(l),
-                Err(RuntimeError::UnsupportedType { layer, dtype }) => {
-                    if strict {
-                        return Err(ArtifactError::Runtime(RuntimeError::UnsupportedLayer {
-                            layer,
-                            reason: format!("selected type {dtype} has no integer-domain decoder"),
-                        }));
-                    }
-                    layers.push(PlanLayer::Fallback(Box::new(record_to_netlayer(record)?)));
-                }
-                Err(e) => return Err(ArtifactError::Runtime(e)),
-            }
+            layers.push(PlanLayer::or_fallback(lowered, strict, || {
+                record_to_netlayer(record)
+            })?);
         }
         Ok(CompiledPlan::from_plan_layers(layers))
     }

@@ -35,7 +35,7 @@
 use crate::error::RuntimeError;
 use crate::kv::DecodeSession;
 use crate::obs;
-use crate::plan::{CompiledPlan, SessionFactory};
+use crate::plan::{no_causal_err, CompiledPlan, SessionFactory};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -475,13 +475,7 @@ impl Engine {
     /// [`RuntimeError::UnsupportedLayer`] when the plan is not causal or
     /// `max_tokens` is zero, [`RuntimeError::Engine`] after shutdown.
     pub fn open_session(&self, max_tokens: usize) -> Result<SessionId, RuntimeError> {
-        let factory =
-            self.session_factory
-                .as_ref()
-                .ok_or_else(|| RuntimeError::UnsupportedLayer {
-                    layer: "decode".to_string(),
-                    reason: "plan has no causal attention layer".to_string(),
-                })?;
+        let factory = self.session_factory.as_ref().ok_or_else(no_causal_err)?;
         let session = factory.open(max_tokens)?;
         let bytes = session.kv_bytes();
         let mut state = self.shared.lock();
@@ -573,12 +567,7 @@ impl Engine {
         sid: SessionId,
         prompt: &[f32],
     ) -> Result<RequestId, RuntimeError> {
-        let dim = self
-            .token_dim
-            .ok_or_else(|| RuntimeError::UnsupportedLayer {
-                layer: "decode".to_string(),
-                reason: "plan has no causal attention layer".to_string(),
-            })?;
+        let dim = self.token_dim.ok_or_else(no_causal_err)?;
         if prompt.is_empty() || !prompt.len().is_multiple_of(dim) {
             return Err(RuntimeError::ShapeMismatch {
                 expected: dim,
@@ -598,12 +587,7 @@ impl Engine {
     ///
     /// The same classes as [`Self::submit_prefill`].
     pub fn submit_decode(&self, sid: SessionId, token: &[f32]) -> Result<RequestId, RuntimeError> {
-        let dim = self
-            .token_dim
-            .ok_or_else(|| RuntimeError::UnsupportedLayer {
-                layer: "decode".to_string(),
-                reason: "plan has no causal attention layer".to_string(),
-            })?;
+        let dim = self.token_dim.ok_or_else(no_causal_err)?;
         if token.len() != dim {
             return Err(RuntimeError::ShapeMismatch {
                 expected: dim,

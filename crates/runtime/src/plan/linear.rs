@@ -1,0 +1,131 @@
+//! [`PackedLinear`]: a dense layer as one integer GEMM.
+
+use super::matrix::{
+    act_bound, check_features, check_int_domain, pack_weight_tensor, require_quantizers, ActQuant,
+    LayerCtx, PackedMatrix, WeightImage,
+};
+use crate::error::RuntimeError;
+use crate::gemm::Epilogue;
+use crate::scratch::grab;
+use ant_core::pack::PackedTensor;
+use ant_core::{DataType, Quantizer};
+use ant_nn::layer::{Dense, Layer as _};
+
+/// A dense layer compiled to the packed integer domain.
+#[derive(Debug, Clone)]
+pub struct PackedLinear {
+    name: String,
+    pub(super) mat: PackedMatrix,
+    bias: Vec<f32>,
+    /// Precomputed `act.scale() · w_scales[o]` dequant scales.
+    deq: Vec<f32>,
+    /// Input-activation quantizer (per-tensor).
+    act: Quantizer,
+    /// Specialized integer activation-quantization path.
+    act_quant: ActQuant,
+}
+
+impl PackedLinear {
+    /// Builds the layer from wire codes: `weights` must be a
+    /// `[out, in]`-shaped pack and `bias` a length-`out` vector. `image`
+    /// is a pre-built weight image (borrowed from a mapped v2 artifact);
+    /// `None` decodes one.
+    pub(crate) fn from_parts(
+        name: String,
+        weights: PackedTensor,
+        bias: Vec<f32>,
+        act: Quantizer,
+        image: Option<WeightImage>,
+    ) -> Result<Self, RuntimeError> {
+        check_int_domain(&name, &[weights.dtype(), act.dtype()])?;
+        let mat = PackedMatrix::from_packed(weights, act_bound(&act), image)?;
+        if bias.len() != mat.out {
+            return Err(RuntimeError::ShapeMismatch {
+                expected: mat.out,
+                actual: bias.len(),
+            });
+        }
+        let deq = mat.deq_scales(act.scale());
+        Ok(PackedLinear {
+            name,
+            mat,
+            bias,
+            deq,
+            act_quant: ActQuant::for_quantizer(&act),
+            act,
+        })
+    }
+
+    /// Layer name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The packed weight tensor (`[out, in]`).
+    pub fn weights(&self) -> &PackedTensor {
+        &self.mat.weights
+    }
+
+    /// Whether the wire codes and the integer image are both borrowed
+    /// from a mapped artifact (the v2 zero-copy load path).
+    pub fn weights_borrowed(&self) -> bool {
+        self.mat.is_borrowed()
+    }
+
+    /// The weight data type.
+    pub fn dtype(&self) -> DataType {
+        self.mat.weights.dtype()
+    }
+
+    /// The activation quantizer.
+    pub fn activation(&self) -> &Quantizer {
+        &self.act
+    }
+
+    /// Input feature count.
+    pub fn in_features(&self) -> usize {
+        self.mat.inp
+    }
+
+    /// Output feature count.
+    pub fn out_features(&self) -> usize {
+        self.mat.out
+    }
+
+    /// Executes `y = dequant(int_gemm(quant(x), W_codes)) + b` on a
+    /// `[batch, in]` slice, writing a `[batch, out]` slice.
+    pub(super) fn forward_rows(
+        &self,
+        x: &[f32],
+        batch: usize,
+        ws: &mut LayerCtx<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(), RuntimeError> {
+        check_features(x, batch, self.mat.inp)?;
+        let b = &mut *ws.bufs;
+        self.mat.quantize_acts(x, &self.act, &self.act_quant, b);
+        let out = grab(out, batch * self.mat.out, 0.0);
+        let epi = Epilogue {
+            deq: &self.deq,
+            bias: Some(&self.bias),
+            rows_per_sample: 1,
+        };
+        self.mat.project(
+            &b.act_i8, &b.act_i16, &b.act_i32, batch, &epi, out, &mut b.acc, ws.pool, ws.threads,
+        );
+        Ok(())
+    }
+}
+
+/// Packs one quantized dense layer: encodes the fake-quantized weight onto
+/// wire codes, then builds the layer from them exactly as an artifact
+/// reload would.
+pub(super) fn pack_dense(d: &Dense) -> Result<PackedLinear, RuntimeError> {
+    let name = d.name().to_string();
+    let (wq, aq) = require_quantizers(&name, &d.quant.weight, &d.quant.activation)?;
+    check_int_domain(&name, &[wq.dtype(), aq.dtype()])?;
+    let (out, inp) = (d.out_features(), d.in_features());
+    let weights = pack_weight_tensor(d.weight().as_slice(), out, inp, wq, &[out, inp])?;
+    let bias = d.bias().as_slice().to_vec();
+    PackedLinear::from_parts(name, weights, bias, aq.clone(), None)
+}

@@ -1,0 +1,553 @@
+//! Operand preparation shared by every packed layer: activation
+//! quantization at the microkernel's operand widths, the decode-once
+//! weight image, and the [`PackedMatrix`] that pairs wire codes with it.
+
+use crate::error::RuntimeError;
+use crate::gemm::{dequant_into, int_gemm_pooled, Epilogue, PanelGemm};
+use crate::pool::WorkerPool;
+use crate::scratch::{grab, LayerBufs};
+use ant_core::pack::PackedTensor;
+use ant_core::store::PackedStore;
+use ant_core::{DataType, PrimitiveType, Quantizer, TensorQuantizer};
+
+/// Specialized integer quantization of input activations. Every variant
+/// computes exactly `codec.snap(x / s)` — the fake-quantization semantics —
+/// but the common primitives avoid the generic snap dispatch per element:
+/// `int` is a round-and-clamp, and `flint` (whose snap rounds to an integer
+/// magnitude first, Algorithm 1) becomes a table lookup over the pre-imaged
+/// magnitudes.
+#[derive(Debug, Clone)]
+pub(super) enum ActQuant {
+    /// `int`: round then clamp.
+    IntRound {
+        /// Lattice bounds in normalized units.
+        lo: f32,
+        /// Upper lattice bound.
+        hi: f32,
+    },
+    /// `flint`: LUT over rounded magnitudes, sign reapplied.
+    FlintLut {
+        /// `lut[m] = decode(encode_int(m))` for every integer magnitude.
+        lut: Vec<i32>,
+        /// Largest magnitude (`flint.max_value()`).
+        max: f32,
+        /// Whether negative inputs carry a sign (vs clamping to zero).
+        signed: bool,
+    },
+    /// Fallback: the codec's generic snap (e.g. `PoT`, whose snap is
+    /// nearest-value on the continuous input and cannot be pre-rounded).
+    Snap,
+}
+
+impl ActQuant {
+    pub(super) fn for_quantizer(q: &Quantizer) -> ActQuant {
+        let codec = q.codec();
+        let dt = codec.dtype();
+        match dt.primitive() {
+            PrimitiveType::Int => {
+                let hi = codec.max_value();
+                let lo = if dt.is_signed() { -hi } else { 0.0 };
+                ActQuant::IntRound { lo, hi }
+            }
+            PrimitiveType::Flint => {
+                let max = codec.max_value();
+                let lut: Vec<i32> = (0..=max as usize)
+                    .map(|m| codec.snap(m as f32) as i32)
+                    .collect();
+                ActQuant::FlintLut {
+                    lut,
+                    max,
+                    signed: dt.is_signed(),
+                }
+            }
+            _ => ActQuant::Snap,
+        }
+    }
+
+    /// Quantizes one normalized value to its integer lattice point.
+    #[inline]
+    pub(super) fn apply(&self, v: f32, codec: &ant_core::Codec) -> i32 {
+        match self {
+            ActQuant::IntRound { lo, hi } => v.round().clamp(*lo, *hi) as i32,
+            ActQuant::FlintLut { lut, max, signed } => {
+                if *signed {
+                    let q = lut[v.abs().round().min(*max) as usize];
+                    if v < 0.0 {
+                        -q
+                    } else {
+                        q
+                    }
+                } else {
+                    lut[v.round().max(0.0).min(*max) as usize]
+                }
+            }
+            ActQuant::Snap => codec.snap(v) as i32,
+        }
+    }
+
+    /// Quantizes a whole slice of real activations onto the integer
+    /// lattice at operand width `T`, reusing `out`'s capacity (the
+    /// zero-allocation steady state). The variant dispatch is hoisted out
+    /// of the element loop so the common `int` path is a straight
+    /// divide/round/clamp stream the autovectorizer handles; every
+    /// element computes exactly what [`ActQuant::apply`] computes.
+    pub(super) fn apply_all_into<T: ActInt>(
+        &self,
+        x: &[f32],
+        scale: f32,
+        codec: &ant_core::Codec,
+        out: &mut Vec<T>,
+    ) {
+        if out.len() != x.len() {
+            out.clear();
+            out.resize(x.len(), T::from_act(0));
+        }
+        match self {
+            ActQuant::IntRound { lo, hi } => {
+                let (lo, hi) = (*lo, *hi);
+                #[cfg(target_arch = "x86_64")]
+                if crate::gemm::avx2_available() {
+                    // SAFETY: gated on runtime AVX2 detection. Same Rust
+                    // code as below — IEEE divide/round/clamp semantics
+                    // are ISA-independent, so results are bit-identical;
+                    // compiling with AVX2 enabled just lets the
+                    // autovectorizer use 8-wide divides.
+                    unsafe { int_round_all_avx2(x, scale, lo, hi, out) };
+                    return;
+                }
+                for (dst, &v) in out.iter_mut().zip(x) {
+                    *dst = T::from_act((v / scale).round().clamp(lo, hi) as i32);
+                }
+            }
+            _ => {
+                for (dst, &v) in out.iter_mut().zip(x) {
+                    *dst = T::from_act(self.apply(v / scale, codec));
+                }
+            }
+        }
+    }
+}
+
+/// The `int` activation-quantization loop compiled with AVX2 enabled
+/// (runtime-dispatched): element-for-element the same arithmetic as the
+/// scalar path in [`ActQuant::apply_all_into`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn int_round_all_avx2<T: ActInt>(x: &[f32], scale: f32, lo: f32, hi: f32, out: &mut [T]) {
+    for (dst, &v) in out.iter_mut().zip(x) {
+        *dst = T::from_act((v / scale).round().clamp(lo, hi) as i32);
+    }
+}
+
+/// Integer widths activation buffers come in (the microkernel operand
+/// widths plus the general `i32`).
+pub(super) trait ActInt: Copy {
+    fn from_act(v: i32) -> Self;
+}
+
+impl ActInt for i8 {
+    #[inline(always)]
+    fn from_act(v: i32) -> i8 {
+        debug_assert!((i8::MIN as i32..=i8::MAX as i32).contains(&v));
+        v as i8
+    }
+}
+
+impl ActInt for i16 {
+    #[inline(always)]
+    fn from_act(v: i32) -> i16 {
+        debug_assert!((i16::MIN as i32..=i16::MAX as i32).contains(&v));
+        v as i16
+    }
+}
+
+impl ActInt for i32 {
+    #[inline(always)]
+    fn from_act(v: i32) -> i32 {
+        v
+    }
+}
+
+/// Narrow-copies an `i32` activation master buffer into operand width
+/// `T`, reusing capacity.
+pub(super) fn narrow_acts<T: ActInt>(src: &[i32], out: &mut Vec<T>) {
+    out.clear();
+    out.extend(src.iter().map(|&v| T::from_act(v)));
+}
+
+/// The decode-once integer image of a weight matrix, at the narrowest
+/// width its lattice (and the layer's activation lattice) permits.
+///
+/// `i8` covers every ≤8-bit paper type (Table I magnitudes top out at 64,
+/// `int8` at ±128); wide flint magnitudes (`flint8u` reaches 16384) take
+/// the `i16` panels; anything wider — or a non-integral lattice that
+/// slipped past strict mode — executes on plain `i32` rows. Panel images
+/// are pre-packed for the microkernel at compile time (or borrowed
+/// verbatim from a mapped v2 artifact's panel section), so serving never
+/// re-lays weights out.
+#[derive(Debug, Clone)]
+pub(crate) enum WeightImage {
+    /// Byte panels for the microkernel (quarter traffic, double lanes).
+    I8(PanelGemm<i8>),
+    /// Halfword panels (wide flint magnitudes).
+    I16(PanelGemm<i16>),
+    /// Plain `[out, in]` rows for the general kernel.
+    I32(PackedStore<i32>),
+}
+
+impl WeightImage {
+    /// Whether the image data is borrowed from a mapped artifact rather
+    /// than owned by this plan.
+    pub(crate) fn is_borrowed(&self) -> bool {
+        match self {
+            WeightImage::I8(pg) => pg.is_borrowed(),
+            WeightImage::I16(pg) => pg.is_borrowed(),
+            WeightImage::I32(rows) => rows.is_borrowed(),
+        }
+    }
+
+    /// Bytes per decoded weight element at this image's execution width
+    /// (telemetry: sizes the streamed-weight traffic of a GEMM pass).
+    pub(crate) fn elem_bytes(&self) -> usize {
+        match self {
+            WeightImage::I8(_) => 1,
+            WeightImage::I16(_) => 2,
+            WeightImage::I32(_) => 4,
+        }
+    }
+}
+
+/// One weight matrix compiled to the packed integer domain: wire codes,
+/// the LUT-decoded integer image in microkernel layout (decode once,
+/// execute many) and one scale per output row.
+#[derive(Debug, Clone)]
+pub(super) struct PackedMatrix {
+    /// Packed wire codes, shaped (`[out, in]` for dense/attention
+    /// projections, `[co, ci, kh, kw]` for conv kernels).
+    pub(super) weights: PackedTensor,
+    /// LUT-decoded integer weights at the execution width.
+    pub(super) image: WeightImage,
+    /// Per-output-row scales (broadcast when the quantizer was
+    /// per-tensor).
+    pub(super) w_scales: Vec<f32>,
+    pub(super) out: usize,
+    pub(super) inp: usize,
+}
+
+/// Broadcasts a per-tensor scale across `out` output rows (per-channel
+/// scales pass through) and checks there is one per row.
+fn row_scales(scales: &[f32], out: usize) -> Result<Vec<f32>, RuntimeError> {
+    let w_scales = if scales.len() == 1 {
+        vec![scales[0]; out]
+    } else {
+        scales.to_vec()
+    };
+    if w_scales.len() != out {
+        return Err(RuntimeError::Quant(ant_core::QuantError::ChannelMismatch {
+            expected: out,
+            actual: w_scales.len(),
+        }));
+    }
+    Ok(w_scales)
+}
+
+/// Encodes a `[out, inp]`-flattened f32 weight onto packed wire codes
+/// under `wq`, attaching `dims` as the logical shape. Shared by plan
+/// compilation and artifact export so both produce bit-identical code
+/// streams for the same `(weight, quantizer)` pair.
+pub(crate) fn pack_weight_tensor(
+    w: &[f32],
+    out: usize,
+    inp: usize,
+    wq: &TensorQuantizer,
+    dims: &[usize],
+) -> Result<PackedTensor, RuntimeError> {
+    let codec = wq.codec();
+    let w_scales = row_scales(wq.scales(), out)?;
+    let mut codes = Vec::with_capacity(out * inp);
+    for o in 0..out {
+        let s = w_scales[o];
+        for i in 0..inp {
+            codes.push(codec.encode(w[o * inp + i] / s));
+        }
+    }
+    Ok(PackedTensor::pack_with_dims(
+        wq.dtype(),
+        &codes,
+        wq.scales().to_vec(),
+        dims,
+    )?)
+}
+
+/// The layer's bound on quantized-activation magnitudes, when the
+/// activation lattice is integral (it is for every int/PoT/flint type
+/// whose values fit `i32`): what fixes the microkernel's widening
+/// cadence and qualifies the narrow operand widths.
+pub(crate) fn act_bound(act: &Quantizer) -> Option<i64> {
+    let codec = act.codec();
+    codec.decode_lut_int()?;
+    Some(codec.max_value() as i64)
+}
+
+impl PackedMatrix {
+    /// Builds the executable matrix straight from packed wire codes —
+    /// both plan compilation (which encodes the weight first) and the
+    /// artifact reload path land here, so a reloaded plan is
+    /// bit-identical to the plan that was saved: no floats are
+    /// re-encoded, the wire codes *are* the weights. `act_max` is the
+    /// activation-lattice magnitude bound (see [`act_bound`]); `None`
+    /// keeps the general `i32` image.
+    ///
+    /// With `image: None` the integer image is decoded here. `Some` is
+    /// the zero-copy path used by [`crate::artifact::MappedArtifact`],
+    /// where the image bytes are borrowed straight from a mapped v2 panel
+    /// section: its shape is validated against the wire codes' dims; its
+    /// *contents* are trusted (lying panel bytes produce wrong results,
+    /// not UB) and cross-checked against a fresh decode by `antc verify`.
+    pub(super) fn from_packed(
+        weights: PackedTensor,
+        act_max: Option<i64>,
+        image: Option<WeightImage>,
+    ) -> Result<Self, RuntimeError> {
+        let dims = weights.dims();
+        if dims.len() < 2 {
+            return Err(RuntimeError::Quant(ant_core::QuantError::ChannelMismatch {
+                expected: 2,
+                actual: dims.len(),
+            }));
+        }
+        let (out, inp) = (dims[0], dims[1..].iter().product::<usize>());
+        let w_scales = row_scales(weights.scales(), out)?;
+        let image = match image {
+            None => decode_image(&weights, act_max)?,
+            Some(image) => {
+                let (shape_ok, actual) = match &image {
+                    WeightImage::I8(pg) => (
+                        (pg.n(), pg.k()) == (out, inp)
+                            && Some(pg.a_max()) == act_max.filter(|&am| am <= i8::MAX as i64),
+                        pg.n() * pg.k(),
+                    ),
+                    WeightImage::I16(pg) => (
+                        (pg.n(), pg.k()) == (out, inp) && Some(pg.a_max()) == act_max,
+                        pg.n() * pg.k(),
+                    ),
+                    WeightImage::I32(rows) => (rows.len() == out * inp, rows.len()),
+                };
+                if !shape_ok {
+                    return Err(RuntimeError::Quant(ant_core::QuantError::ChannelMismatch {
+                        expected: out * inp,
+                        actual,
+                    }));
+                }
+                image
+            }
+        };
+        Ok(PackedMatrix {
+            weights,
+            image,
+            w_scales,
+            out,
+            inp,
+        })
+    }
+
+    /// Whether the wire codes and the integer image are both borrowed
+    /// from a mapped artifact.
+    pub(super) fn is_borrowed(&self) -> bool {
+        self.weights.is_borrowed() && self.image.is_borrowed()
+    }
+
+    /// Quantizes the f32 input onto the activation lattice at this
+    /// image's operand width, into the matching arena buffer.
+    pub(super) fn quantize_acts(
+        &self,
+        x: &[f32],
+        act: &Quantizer,
+        act_quant: &ActQuant,
+        bufs: &mut LayerBufs,
+    ) {
+        let (s_a, codec) = (act.scale(), act.codec());
+        match &self.image {
+            WeightImage::I8(_) => act_quant.apply_all_into(x, s_a, codec, &mut bufs.act_i8),
+            WeightImage::I16(_) => act_quant.apply_all_into(x, s_a, codec, &mut bufs.act_i16),
+            WeightImage::I32(_) => act_quant.apply_all_into(x, s_a, codec, &mut bufs.act_i32),
+        }
+    }
+
+    /// Integer GEMM `[m, inp] · selfᵀ` over already-quantized activations,
+    /// dequantized through `epi` into `out`. The caller supplies the
+    /// activations at every width it has (only this image's width is
+    /// read). Panel images fuse the epilogue into the microkernel's
+    /// writeback; `acc` is only grown for reductions longer than one
+    /// cadence block and for `i32`-row images. Buffers arrive as explicit
+    /// arguments so the caller can keep the rest of the arena borrowed.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn project(
+        &self,
+        a8: &[i8],
+        a16: &[i16],
+        a32: &[i32],
+        m: usize,
+        epi: &Epilogue<'_>,
+        out: &mut [f32],
+        acc: &mut Vec<i64>,
+        pool: &WorkerPool,
+        threads: usize,
+    ) {
+        match &self.image {
+            WeightImage::I8(pg) => pg.matmul_dequant(a8, m, epi, out, acc, pool, threads),
+            WeightImage::I16(pg) => pg.matmul_dequant(a16, m, epi, out, acc, pool, threads),
+            WeightImage::I32(rows) => {
+                let acc = grab(acc, m * self.out, 0);
+                int_gemm_pooled(a32, rows, m, self.inp, self.out, acc, pool, threads);
+                dequant_into(acc, m, epi, out);
+            }
+        }
+    }
+
+    /// The combined per-output dequantization scales for a fixed
+    /// activation scale: `deq[o] = a_scale · w_scales[o]`, precomputed
+    /// once at plan compile time so the per-request dequant loop is a
+    /// straight multiply-add stream.
+    pub(super) fn deq_scales(&self, a_scale: f32) -> Vec<f32> {
+        self.w_scales.iter().map(|&w| a_scale * w).collect()
+    }
+}
+
+/// Decodes a packed tensor's wire codes into the plan-domain integer
+/// image at the narrowest operand width the weight *and* activation
+/// lattices allow, pre-packing microkernel panels for it. Shared by
+/// plan compilation and the v2 artifact writer so the panel bytes the
+/// writer serializes are bit-identical to the ones a fresh compile
+/// would build.
+pub(crate) fn decode_image(
+    weights: &PackedTensor,
+    act_max: Option<i64>,
+) -> Result<WeightImage, RuntimeError> {
+    let dims = weights.dims();
+    let out = dims[0];
+    let inp: usize = dims[1..].iter().product();
+    let codec = ant_core::Codec::new(weights.dtype())?;
+    // Decode once through the integer LUT when the lattice is
+    // integral (every packed-domain type); fall back to the f32 LUT
+    // cast otherwise — that path only executes behind a Fallback
+    // anyway.
+    let (w_int, integral): (Vec<i32>, bool) = match codec.decode_lut_int() {
+        Some(lut) => (
+            weights.codes().iter().map(|&c| lut[c as usize]).collect(),
+            true,
+        ),
+        None => {
+            let lut = codec.decode_lut();
+            (
+                weights
+                    .codes()
+                    .iter()
+                    .map(|&c| lut[c as usize] as i32)
+                    .collect(),
+                false,
+            )
+        }
+    };
+    if integral {
+        if let Some(am) = act_max {
+            if am <= i8::MAX as i64 {
+                if let Some(w8) = w_int
+                    .iter()
+                    .map(|&v| i8::try_from(v).ok())
+                    .collect::<Option<Vec<i8>>>()
+                {
+                    return Ok(WeightImage::I8(PanelGemm::pack(&w8, out, inp, am)));
+                }
+            }
+            if am <= i16::MAX as i64 {
+                if let Some(w16) = w_int
+                    .iter()
+                    .map(|&v| i16::try_from(v).ok())
+                    .collect::<Option<Vec<i16>>>()
+                {
+                    let b_max = w16.iter().map(|&v| (v as i64).abs()).max().unwrap_or(0);
+                    // A cadence too short to amortize the widening
+                    // fold means the magnitudes are effectively wide:
+                    // take the general path instead.
+                    if crate::gemm::k_block_for(am, b_max) >= 16 {
+                        return Ok(WeightImage::I16(PanelGemm::pack(&w16, out, inp, am)));
+                    }
+                }
+            }
+        }
+    }
+    Ok(WeightImage::I32(PackedStore::from_vec(w_int)))
+}
+
+/// Decodes a packed tensor's wire codes to f32 lattice values (exact,
+/// independent of the execution image width). Shared by attention's
+/// output projection and the v2 artifact writer.
+pub(crate) fn decode_rows_f32(weights: &PackedTensor) -> Vec<f32> {
+    let lut = ant_core::Codec::new(weights.dtype())
+        .expect("codec validated at construction")
+        .decode_lut();
+    weights.codes().iter().map(|&c| lut[c as usize]).collect()
+}
+
+/// Transposes a square `[n, n]` row-major matrix.
+pub(crate) fn transpose(m: &[f32], n: usize) -> Vec<f32> {
+    let mut t = vec![0f32; n * n];
+    for r in 0..n {
+        for c in 0..n {
+            t[c * n + r] = m[r * n + c];
+        }
+    }
+    t
+}
+
+/// What a layer executes with for one step: the scheduling context plus
+/// the arena's per-layer buffers, lent whole by the plan's layer walk
+/// (which keeps the ping/pong pipeline buffers to itself).
+pub(super) struct LayerCtx<'a> {
+    pub(super) pool: &'a WorkerPool,
+    pub(super) threads: usize,
+    pub(super) bufs: &'a mut LayerBufs,
+}
+
+/// Rejects types the integer-domain engine cannot execute (the `float`
+/// primitive has no int-based wire decoder — paper Sec. V-B ships the
+/// int-based PE precisely to avoid it).
+pub(super) fn check_int_domain(layer: &str, dtypes: &[DataType]) -> Result<(), RuntimeError> {
+    for &dt in dtypes {
+        if dt.primitive() == PrimitiveType::Float {
+            return Err(RuntimeError::UnsupportedType {
+                layer: layer.to_string(),
+                dtype: dt,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Validates a `[batch, features]` slice against an expected feature
+/// count.
+pub(super) fn check_features(x: &[f32], batch: usize, expected: usize) -> Result<(), RuntimeError> {
+    if batch == 0 || x.len() != batch * expected {
+        return Err(RuntimeError::ShapeMismatch {
+            expected,
+            actual: x.len().checked_div(batch).unwrap_or(0),
+        });
+    }
+    Ok(())
+}
+
+/// Unwraps a layer's weight/activation quantizer pair or reports it as
+/// unquantized.
+pub(super) fn require_quantizers<'a>(
+    name: &str,
+    weight: &'a Option<TensorQuantizer>,
+    activation: &'a Option<Quantizer>,
+) -> Result<(&'a TensorQuantizer, &'a Quantizer), RuntimeError> {
+    match (weight, activation) {
+        (Some(w), Some(a)) => Ok((w, a)),
+        _ => Err(RuntimeError::NotQuantized {
+            layer: name.to_string(),
+        }),
+    }
+}

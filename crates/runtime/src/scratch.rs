@@ -13,10 +13,10 @@
 //! `crates/bench/tests/alloc_steady.rs` with a counting global
 //! allocator, and reported per-request by `antc bench`).
 //!
-//! Buffers are plain public-in-crate fields rather than accessor
-//! methods so layer implementations can split-borrow several at once
-//! (e.g. attention holds activations, q/k/v, scores and context
-//! simultaneously).
+//! The arena is nested: [`Scratch`] owns the pipeline's ping/pong
+//! activation buffers, which only the plan's layer walk touches, and one
+//! `LayerBufs` holding everything a single layer works in, which the
+//! walk lends to each layer whole — no per-layer re-assembly of borrows.
 //!
 //! The arena is also the *mutable* half of the plan's storage split:
 //! weight images may be borrowed read-only straight out of a mapped
@@ -25,12 +25,28 @@
 //! owned heap memory — execution never writes anywhere near the
 //! mapping, so borrowed weights cannot alias a store.
 
-/// Reusable execution buffers for one [`crate::CompiledPlan`].
+/// Reusable execution buffers for one [`crate::CompiledPlan`]: the
+/// layer pipeline's ping/pong activations, which stay with the plan's
+/// layer walk, and the `LayerBufs` every layer borrows as one unit.
 ///
 /// Cloning a plan starts the clone with an *empty* arena (capacity is a
 /// cache, not state): the clone re-warms on its first request.
 #[derive(Debug, Default)]
 pub struct Scratch {
+    /// Per-layer working buffers.
+    pub(crate) layer: LayerBufs,
+    /// Layer-pipeline ping buffer (current activations).
+    pub(crate) ping: Vec<f32>,
+    /// Layer-pipeline pong buffer (next activations).
+    pub(crate) pong: Vec<f32>,
+}
+
+/// The buffers a layer works in for one step. Plain fields rather than
+/// accessor methods so a layer can split-borrow several at once (e.g.
+/// attention holds activations, q/k/v, scores and context
+/// simultaneously).
+#[derive(Debug, Default)]
+pub(crate) struct LayerBufs {
     /// Quantized activations, byte width (microkernel `i8` path).
     pub(crate) act_i8: Vec<i8>,
     /// Quantized activations, `i16` width.
@@ -63,10 +79,6 @@ pub struct Scratch {
     pub(crate) kv_row: Vec<f32>,
     /// Unpacked per-element KV wire codes (staging for nibble packing).
     pub(crate) kv_codes: Vec<u8>,
-    /// Layer-pipeline ping buffer (current activations).
-    pub(crate) ping: Vec<f32>,
-    /// Layer-pipeline pong buffer (next activations).
-    pub(crate) pong: Vec<f32>,
 }
 
 impl Clone for Scratch {
@@ -114,8 +126,8 @@ mod tests {
     #[test]
     fn cloned_scratch_is_empty() {
         let mut s = Scratch::default();
-        grab(&mut s.acc, 1024, 0);
+        grab(&mut s.layer.acc, 1024, 0);
         let c = s.clone();
-        assert_eq!(c.acc.capacity(), 0);
+        assert_eq!(c.layer.acc.capacity(), 0);
     }
 }

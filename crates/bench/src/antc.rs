@@ -16,8 +16,8 @@ use ant_nn::NnError;
 use ant_obs::export::{chrome_trace, prometheus_text};
 use ant_obs::{Snapshot, Value};
 use ant_runtime::{
-    load_copies, probe, ArtifactError, BatchPolicy, CompiledPlan, Engine, MappedArtifact,
-    ModelArtifact, Planner, RuntimeError, FORMAT_VERSION,
+    probe, ArtifactError, BatchPolicy, CompiledPlan, Engine, MappedArtifact, ModelArtifact,
+    Planner, RuntimeError,
 };
 use ant_tensor::dist::{sample_tensor, Distribution};
 use ant_tensor::Tensor;
@@ -330,9 +330,8 @@ fn quantize_decoder<P: AsRef<Path>>(cfg: QuantizeConfig, out: P) -> Result<Strin
 pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
     let bytes = std::fs::read(&path).map_err(|e| CliError::Artifact(ArtifactError::Io(e)))?;
     let info = probe(&bytes[..])?;
-    let copies_before = load_copies();
     let mapped = MappedArtifact::open(&path)?;
-    let copies = load_copies() - copies_before;
+    let copies = mapped.load_copies();
     let artifact = mapped.artifact();
     let mut plan = None;
     let coverage_line = match mapped.compile() {
@@ -376,10 +375,8 @@ pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
     }
     let storage = if mapped.is_zero_copy() {
         "mmap zero-copy (wire codes and panel images borrowed from the file mapping)"
-    } else if info.version >= 2 {
-        "mmap with owned fallback (some ranges copied)"
     } else {
-        "owned (v1: eager CRC, decode-and-copy load)"
+        "mmap with owned fallback (some ranges copied)"
     };
     out.push_str(&format!("storage: {storage}\n"));
     out.push_str(&format!("on-load weight-byte copies: {copies}\n"));
@@ -578,7 +575,7 @@ pub fn run_serve<P: AsRef<Path>>(
     Ok(report)
 }
 
-/// `antc verify`: the integrity gate the lazy v2 load path defers to.
+/// `antc verify`: the integrity gate the lazy load path defers to.
 /// Checks every section CRC, re-parses the records, and recomputes the
 /// `PANL` execution images from the wire codes, comparing bit-for-bit.
 ///
@@ -599,44 +596,8 @@ pub fn run_verify<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
             s.id, s.len, s.crc32
         ));
     }
-    if info.version >= 2 {
-        out.push_str("  PANL images match a wire-code recompute bit-for-bit\n");
-    }
+    out.push_str("  PANL images match a wire-code recompute bit-for-bit\n");
     Ok(out)
-}
-
-/// `antc migrate`: rewrites the artifact at `path` in the current format
-/// version, in place. The stream is fully verified first (corruption
-/// must not be laundered under a fresh CRC), rewritten to a tempfile in
-/// the same directory, then atomically renamed over the original.
-///
-/// # Errors
-///
-/// Verification, serialization and I/O failures; on failure the original
-/// file is left untouched.
-pub fn run_migrate<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
-    let path = path.as_ref();
-    let io = |e: std::io::Error| CliError::Artifact(ArtifactError::Io(e));
-    let bytes = std::fs::read(path).map_err(io)?;
-    let from_version = ModelArtifact::verify_bytes(&bytes)?.version;
-    let artifact = ModelArtifact::load(&bytes[..])?;
-    let mut out = Vec::new();
-    artifact.save(&mut out)?;
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".migrate-{}.tmp", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, &out).map_err(io)?;
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        std::fs::remove_file(&tmp).ok();
-        return Err(io(e));
-    }
-    Ok(format!(
-        "migrated {}: v{from_version} -> v{} ({} -> {} bytes)\n",
-        path.display(),
-        FORMAT_VERSION,
-        bytes.len(),
-        out.len()
-    ))
 }
 
 /// `antc bench` configuration.
@@ -697,16 +658,13 @@ pub struct BenchWorkload {
     /// scratch-arena path; `None` when the counting allocator is not
     /// installed (e.g. library callers).
     pub allocs_per_request: Option<f64>,
-    /// Time-to-serving-ready (load + strict compile) from a v1 artifact,
-    /// microseconds: eager CRC, owned copy, LUT decode, panel re-pack.
-    pub load_us_v1: f64,
-    /// Time-to-serving-ready from a mapped v2 artifact, microseconds:
-    /// parse in place, borrow wire codes and pre-packed panel images.
+    /// Time-to-serving-ready (open + strict compile) from a mapped
+    /// artifact, microseconds: parse in place, borrow wire codes and
+    /// pre-packed panel images.
     pub load_us_v2: f64,
-    /// Whether the v2 handle achieved the full zero-copy contract
-    /// (per-handle check, immune to cross-thread counter noise).
+    /// Whether the mapped handle achieved the full zero-copy contract.
     pub mapped_zero_copy: bool,
-    /// `Private_Dirty` kB of the v2 mapping after a full strict compile
+    /// `Private_Dirty` kB of the mapping after a full strict compile
     /// (`/proc/self/smaps`): this process's private-RSS share of the
     /// weight pages — 0 means every page stays shared across processes
     /// serving the same artifact. `None` when the measurement is
@@ -938,12 +896,7 @@ impl BenchReport {
                 Some(a) => s.push_str(&format!("\"allocs_per_request\": {:.4}, ", a)),
                 None => s.push_str("\"allocs_per_request\": null, "),
             }
-            s.push_str(&format!("\"load_us_v1\": {:.1}, ", w.load_us_v1));
             s.push_str(&format!("\"load_us_v2\": {:.1}, ", w.load_us_v2));
-            s.push_str(&format!(
-                "\"load_speedup_v2\": {:.2}, ",
-                w.load_us_v1 / w.load_us_v2.max(1e-9)
-            ));
             s.push_str(&format!("\"mapped_zero_copy\": {}, ", w.mapped_zero_copy));
             match w.mapped_private_dirty_kb {
                 Some(kb) => s.push_str(&format!("\"mapped_private_dirty_kb\": {kb}, ")),
@@ -1033,9 +986,9 @@ fn bench_plans(seed: u64) -> Result<Vec<(&'static str, CompiledPlan, usize)>, Cl
 /// These are scaled-up variants of the serving archetypes, not the
 /// serving workloads themselves: the fixed serving models are
 /// deliberately tiny (they exist to pin latency percentiles), so
-/// constant per-file overhead would mask the per-weight-byte work —
-/// eager CRC, wire-code decode, panel re-pack — that the mapped v2 path
-/// eliminates. Load times are only meaningful at a realistic weight
+/// constant per-file overhead would mask any per-weight-byte work a
+/// mapped load is meant not to do (copy, LUT decode, panel re-pack).
+/// Load times are only meaningful at a realistic weight
 /// volume, so each archetype here carries 0.4–1.6M wire codes (scaled
 /// down about 10x under `--quick`, which exists for CI smoke and debug
 /// test runs).
@@ -1112,34 +1065,30 @@ fn mapping_private_dirty_kb(addr: usize) -> Option<u64> {
 }
 
 /// Measures time-to-serving-ready for one workload archetype (at
-/// [`load_scale_model`] size): the legacy owned v1 path (eager CRC +
-/// copy + decode + re-pack) against the mapped v2 path (parse in place,
-/// adopt pre-packed images). Returns
-/// `(v1_us, v2_us, zero_copy, private_dirty_kb)`.
+/// [`load_scale_model`] size): map, parse in place, adopt the pre-packed
+/// images, strict-compile. Returns
+/// `(load_us, zero_copy, private_dirty_kb)`.
 fn measure_load_path(
     name: &str,
     seed: u64,
     iters: usize,
     quick: bool,
-) -> Result<(f64, f64, bool, Option<u64>), CliError> {
+) -> Result<(f64, bool, Option<u64>), CliError> {
     let artifact = ModelArtifact::from_model(&load_scale_model(name, seed, quick)?)?;
     // A directory of this run's own: concurrent bench runs (two tests in
     // one process, two CI steps on one box) never see each other's
     // artifacts, and it is removed however this function returns.
     let dir = ScratchDir::create().map_err(|e| CliError::Artifact(ArtifactError::Io(e)))?;
-    let v1_path = dir.0.join(format!("{name}-v1.antm"));
-    let v2_path = dir.0.join(format!("{name}-v2.antm"));
-    artifact.save_v1_path(&v1_path)?;
-    artifact.save_path(&v2_path)?;
+    let path = dir.0.join(format!("{name}.antm"));
+    artifact.save_path(&path)?;
     // Force writeback: a freshly-written file's page-cache pages are
     // dirty until flushed, which smaps would report as Private_Dirty of
     // the mapping — noise, not a copy-on-write by this process.
-    std::fs::File::open(&v2_path)
+    std::fs::File::open(&path)
         .and_then(|f| f.sync_all())
         .map_err(|e| CliError::Artifact(ArtifactError::Io(e)))?;
-    // Warm the page cache and the selection paths once each.
-    ModelArtifact::load_path(&v1_path)?.compile_strict()?;
-    let mapped = MappedArtifact::open(&v2_path)?;
+    // Warm the page cache and the selection paths once.
+    let mapped = MappedArtifact::open(&path)?;
     mapped.compile_strict()?;
     let zero_copy = mapped.is_zero_copy();
     // Shared-RSS metric: after a full strict compile, how much of the
@@ -1147,19 +1096,12 @@ fn measure_load_path(
     // shared, the multi-process serving story).
     let private_dirty_kb = mapping_private_dirty_kb(mapped.mapped_bytes().as_ptr() as usize);
     drop(mapped);
-    let t_v1 = time_per_iter(iters, || {
-        let plan = ModelArtifact::load_path(&v1_path)
-            .expect("v1 load")
-            .compile_strict()
-            .expect("v1 compile");
+    let t = time_per_iter(iters, || {
+        let mapped = MappedArtifact::open(&path).expect("open");
+        let plan = mapped.compile_strict().expect("compile");
         std::hint::black_box(&plan);
     });
-    let t_v2 = time_per_iter(iters, || {
-        let mapped = MappedArtifact::open(&v2_path).expect("v2 open");
-        let plan = mapped.compile_strict().expect("v2 compile");
-        std::hint::black_box(&plan);
-    });
-    Ok((t_v1 * 1e6, t_v2 * 1e6, zero_copy, private_dirty_kb))
+    Ok((t * 1e6, zero_copy, private_dirty_kb))
 }
 
 /// A uniquely named directory under the system temp dir, removed with
@@ -1296,7 +1238,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
     ));
     for (name, plan, features) in bench_plans(cfg.seed)? {
         let mut plan = plan.with_pool(std::sync::Arc::clone(&pool));
-        let (load_us_v1, load_us_v2, mapped_zero_copy, mapped_private_dirty_kb) =
+        let (load_us_v2, mapped_zero_copy, mapped_private_dirty_kb) =
             measure_load_path(name, cfg.seed, load_iters, cfg.quick)?;
         let x = sample_tensor(
             Distribution::Gaussian {
@@ -1383,7 +1325,6 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
             p99_us: pct(0.99),
             p999_us: pct(0.999),
             allocs_per_request,
-            load_us_v1,
             load_us_v2,
             mapped_zero_copy,
             mapped_private_dirty_kb,
@@ -1601,15 +1542,13 @@ pub fn run_bench(cfg: BenchConfig) -> Result<String, CliError> {
     );
     for w in &report.workloads {
         out.push_str(&format!(
-            "  {}: v1 owned {:.0} us -> v2 mapped {:.0} us ({:.1}x faster{})\n",
+            "  {}: mapped {:.0} us ({})\n",
             w.name,
-            w.load_us_v1,
             w.load_us_v2,
-            w.load_us_v1 / w.load_us_v2.max(1e-9),
             if w.mapped_zero_copy {
-                ", zero-copy"
+                "zero-copy"
             } else {
-                ", owned fallback"
+                "owned fallback"
             }
         ));
         if let Some(kb) = w.mapped_private_dirty_kb {
@@ -2262,7 +2201,6 @@ USAGE:
                   [--epochs N] [--seed N]
     antc inspect <file.antm>
     antc verify <file.antm>
-    antc migrate <file.antm>
     antc serve <file.antm> [--requests N] [--batch N]
                [--metrics-dump <file.prom>]
     antc stats <file.antm> [--requests N] [--batch N]
@@ -2277,14 +2215,13 @@ USAGE:
 The quantize subcommand trains a reference model, runs Algorithm-2 type
 selection through a memoizing Planner, and saves the packed result (wire
 codes + pre-packed panel images + selection-cache fingerprints) as a
-versioned .antm artifact (format v2: mmap-ready, 64-byte-aligned).
+versioned .antm artifact (mmap-ready, 64-byte-aligned).
 inspect dumps the header, section table, storage mode, per-layer
 selections with each packed layer's execution image width (i8/i16/i32)
 and the selection-cache fingerprint/hit/miss stats. verify
-runs the full integrity gate the lazy v2 load defers: section CRCs plus
-a bit-for-bit recompute of the PANL execution images. migrate rewrites
-an artifact (v1 or v2) in the current format version, atomically in
-place. serve memory-maps the artifact, strict-compiles it borrowing
+runs the full integrity gate the lazy load defers: section CRCs plus
+a bit-for-bit recompute of the PANL execution images. serve
+memory-maps the artifact, strict-compiles it borrowing
 weights straight from the file pages, and smoke-serves verified batched
 requests; --metrics-dump writes the telemetry registry in Prometheus
 text format afterwards. stats drives seeded requests through the plan
@@ -2294,7 +2231,7 @@ optional Prometheus and chrome://tracing exports. bench runs fixed
 MLP/CNN/attention serving workloads and writes BENCH_runtime.json
 (schema ant-bench/runtime-v2: throughput, p50/p90/p99/p999 latency,
 steady-state allocations per request, per-stage breakdowns, microkernel
-speedup, v1-vs-v2 time-to-serving-ready); --baseline compares batched
+speedup, mapped time-to-serving-ready); --baseline compares batched
 throughput against a stored report and flags drops beyond --tolerance
 (default 0.08) with the REGRESSION marker. loadgen drives a running
 antd daemon with concurrent keep-alive connections for a fixed duration
@@ -2364,10 +2301,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "verify" => match rest {
             [path] => run_verify(path),
             _ => Err(usage("verify takes exactly one artifact path")),
-        },
-        "migrate" => match rest {
-            [path] => run_migrate(path),
-            _ => Err(usage("migrate takes exactly one artifact path")),
         },
         "serve" => {
             let (path, rest) = rest

@@ -339,7 +339,6 @@ fn build_state(
 /// already served requests is the trusted source.
 fn rebuild_state(slot: &ModelSlot, policy: BatchPolicy) -> Result<ModelState, DaemonError> {
     let old = slot.current();
-    #[cfg(feature = "chaos")]
     if ant_runtime::chaos::maybe_fail(ant_runtime::chaos::FaultSite::ReloadCorrupt) {
         return Err(DaemonError::Artifact(ArtifactError::Io(io::Error::other(
             "chaos: injected artifact-reload corruption",
@@ -634,7 +633,6 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
             }
         };
         let started = ant_obs::now_ns();
-        #[cfg(feature = "chaos")]
         if ant_runtime::chaos::maybe_fail(ant_runtime::chaos::FaultSite::ConnDrop) {
             return Ok(()); // chaos: hang up without answering
         }
@@ -1034,7 +1032,6 @@ fn stream_generate(
     while produced < params.max_tokens {
         let token = argmax(&last);
         write_chunk(w, format!("{{\"token\":{token}}}\n").as_bytes())?;
-        #[cfg(feature = "chaos")]
         if ant_runtime::chaos::maybe_fail(ant_runtime::chaos::FaultSite::ConnDrop) {
             // The guard closes the session; the io error closes the
             // connection — exactly what a dropped client looks like.

@@ -6,7 +6,7 @@
 use ant_bench::antc::{parse_combo, run, CliError, ModelKind};
 use ant_bench::json::Json;
 use ant_core::select::PrimitiveCombo;
-use ant_runtime::{probe, ModelArtifact};
+use ant_runtime::{ArtifactError, ModelArtifact};
 use std::path::PathBuf;
 
 fn temp_artifact(name: &str) -> PathBuf {
@@ -226,9 +226,7 @@ fn bench_quick_writes_valid_json_and_reports_no_regression() {
                 "p99_us",
                 "p999_us",
                 "allocs_per_request",
-                "load_us_v1",
                 "load_us_v2",
-                "load_speedup_v2",
                 "mapped_zero_copy",
                 "mapped_private_dirty_kb",
                 "stages",
@@ -427,35 +425,31 @@ fn quantized_artifact(seed: u64) -> ModelArtifact {
 }
 
 #[test]
-fn migrate_upgrades_v1_in_place_bit_identically() {
-    let path = temp_artifact("migrate");
+fn inspect_refuses_version_1_and_0_streams_with_unsupported_version() {
+    let path = temp_artifact("old-version");
     let path_str = path.to_str().unwrap();
-    let artifact = quantized_artifact(23);
-    artifact.save_v1_path(&path).unwrap();
-    assert_eq!(
-        probe(&std::fs::read(&path).unwrap()[..]).unwrap().version,
-        1
-    );
-
-    let report = run(&args(&["migrate", path_str])).unwrap();
-    assert!(report.contains("v1 -> v2"), "{report}");
-
-    // The migrated file is exactly what a direct v2 save would produce,
-    // and round-trips to an identical artifact.
-    let migrated = std::fs::read(&path).unwrap();
-    assert_eq!(probe(&migrated[..]).unwrap().version, 2);
-    let mut direct = Vec::new();
-    artifact.save(&mut direct).unwrap();
-    assert_eq!(
-        migrated, direct,
-        "migrated bytes differ from a direct v2 save"
-    );
-    assert_eq!(ModelArtifact::load(&migrated[..]).unwrap(), artifact);
-
-    // Migrating an already-current artifact is byte-idempotent.
-    let report = run(&args(&["migrate", path_str])).unwrap();
-    assert!(report.contains("v2 -> v2"), "{report}");
-    assert_eq!(std::fs::read(&path).unwrap(), migrated);
+    let mut bytes = Vec::new();
+    quantized_artifact(23).save(&mut bytes).unwrap();
+    for found in [1u16, 0] {
+        bytes[4..6].copy_from_slice(&found.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        for cmd in ["inspect", "verify"] {
+            match run(&args(&[cmd, path_str])) {
+                Err(CliError::Artifact(ArtifactError::UnsupportedVersion {
+                    found: f,
+                    supported: 2,
+                })) => assert_eq!(f, found, "{cmd}"),
+                other => {
+                    panic!("{cmd}, version {found}: expected UnsupportedVersion, got {other:?}")
+                }
+            }
+        }
+    }
+    // There is no migrate subcommand any more.
+    assert!(matches!(
+        run(&args(&["migrate", path_str])),
+        Err(CliError::Usage(_))
+    ));
     std::fs::remove_file(&path).ok();
 }
 

@@ -16,7 +16,7 @@
 //! so every test serializes on one lock and installs its own seeded
 //! plan via the daemon config.
 
-#![cfg(all(feature = "chaos", feature = "obs"))]
+#![cfg(feature = "obs")]
 
 use ant_bench::antc::{run_generate, run_quantize, GenerateConfig, ModelKind, QuantizeConfig};
 use ant_bench::antd::{Daemon, DaemonConfig};

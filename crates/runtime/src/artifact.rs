@@ -1,5 +1,5 @@
-//! The `.antm` model artifact: quantize once, serve anywhere — and,
-//! since format v2, *map* once and serve zero-copy.
+//! The `.antm` model artifact: quantize once, *map* once, serve
+//! zero-copy anywhere.
 //!
 //! ANT's offline/online split (paper Sec. IV-C: Algorithm-2 selection and
 //! QAT happen once, serving runs on cheap packed wire codes) only pays off
@@ -11,30 +11,35 @@
 //! restarted offline pipeline replays Algorithm 2 instead of re-running
 //! it.
 //!
+//! Its layer records are also the only road from a model to a plan:
+//! [`CompiledPlan::from_quantized`] lowers each layer through the same
+//! record, and the same record → plan-step lowering, that a reload uses,
+//! so a plan compiled in process is the plan you get back from disk by
+//! construction.
+//!
 //! The on-disk format (normatively specified in `docs/format.md`) is a
 //! versioned, self-describing binary: a fixed header (magic, format
 //! version), a section table, and CRC-32-checked section payloads, all
-//! hand-rolled over [`std::io`]. Format **v2** adds a third section and
-//! an alignment discipline built for memory-mapped serving:
+//! hand-rolled over [`std::io`], with an alignment discipline built for
+//! memory-mapped serving:
 //!
 //! * every section payload starts on a [`SECTION_ALIGN`]-byte file
-//!   offset (64, equal to [`ant_core::store::STORE_ALIGN`]), and v2
-//!   `MODL` weight code streams are zero-padded to 64-byte
-//!   payload-relative offsets, so a page-aligned mapping can lend them
-//!   out directly as aligned [`TensorBytes`] borrows;
+//!   offset (64, equal to [`ant_core::store::STORE_ALIGN`]), and `MODL`
+//!   weight code streams are zero-padded to 64-byte payload-relative
+//!   offsets, so a page-aligned mapping can lend them out directly as
+//!   aligned [`TensorBytes`] borrows;
 //! * a `PANL` section stores every packed layer's LUT-decoded `i8`/`i16`
 //!   execution image **already in the microkernel's `NR`-interleaved
 //!   panel layout** (plus attention's transposed f32 output-projection
 //!   operand and each weight's integer decode LUT), each data chunk
 //!   64-byte aligned, so a mapped load performs no LUT decode and no
 //!   panel re-packing;
-//! * v2 section CRCs are **lazy**: loading validates structure only, and
+//! * section CRCs are **lazy**: loading validates structure only, and
 //!   [`ModelArtifact::verify_bytes`] (the `antc verify` engine) performs
 //!   the full checksum audit plus a recompute-and-compare of every panel
-//!   image against the wire codes. v1 streams keep their original eager
-//!   per-load CRC.
+//!   image against the wire codes.
 //!
-//! Loading a truncated, corrupted or newer-versioned file yields a
+//! Loading a truncated, corrupted or other-versioned file yields a
 //! structured [`ArtifactError`], never a panic.
 //!
 //! Reloading offers three paths:
@@ -43,8 +48,9 @@
 //!   file ([`crate::mmap::Mmap`]), borrow wire codes and panel images
 //!   straight out of the mapping, and compile plans whose weight storage
 //!   is read-only and page-shared across every process serving the same
-//!   file. [`load_copies`] counts owned weight-byte materializations: a
-//!   v2 mapped load contributes zero.
+//!   file. [`MappedArtifact::load_copies`] counts owned weight-byte
+//!   materializations: a mapped load on a little-endian unix target
+//!   makes none.
 //! * [`ModelArtifact::compile`] / [`ModelArtifact::compile_strict`] —
 //!   rebuild a [`CompiledPlan`] **directly from the saved wire codes**. No
 //!   float is ever re-encoded, so the reloaded plan's packed codes are
@@ -98,15 +104,12 @@ use std::any::Any;
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The four magic bytes every `.antm` stream starts with.
 pub const MAGIC: [u8; 4] = *b"ANTM";
 
-/// The format version this build writes and the newest it can read.
-/// Version 1 streams (contiguous sections, no panel images) remain fully
-/// readable; [`ModelArtifact::save_v1`] still writes them.
+/// The one format version this build writes and reads.
 pub const FORMAT_VERSION: u16 = 2;
 
 const SECTION_MODEL: [u8; 4] = *b"MODL";
@@ -118,7 +121,7 @@ const HEADER_LEN: usize = 4 + 2 + 2 + 4;
 /// Section-table entry size: id + offset + len + crc32.
 const ENTRY_LEN: usize = 4 + 8 + 8 + 4;
 
-/// File-offset alignment of every v2 section payload, of every v2 `MODL`
+/// File-offset alignment of every section payload, of every `MODL`
 /// wire-code stream (payload-relative) and of every `PANL` data chunk
 /// (section-relative): the borrowed-store alignment guarantee, promoted
 /// into the file format so a page-aligned mapping can lend bytes out
@@ -132,22 +135,6 @@ const _: () = assert!(SECTION_ALIGN == STORE_ALIGN);
 /// Type-erased keep-alive handle for borrowed stores (an
 /// [`Arc<Mmap>`](crate::mmap::Mmap) in practice).
 type ArcOwner = Arc<dyn Any + Send + Sync>;
-
-static LOAD_COPIES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of weight-byte buffers copied into owned storage
-/// while parsing artifacts (wire-code streams or panel images that could
-/// not be borrowed from a mapping). Monotonic: measure one operation by
-/// taking a delta around it. A v2 [`MappedArtifact::open`] on a
-/// little-endian unix target contributes **zero**; v1 loads and
-/// non-mapped parses count one per weight buffer they materialize.
-pub fn load_copies() -> u64 {
-    LOAD_COPIES.load(Ordering::Relaxed)
-}
-
-pub(crate) fn note_load_copy() {
-    LOAD_COPIES.fetch_add(1, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -167,11 +154,11 @@ pub enum ArtifactError {
         /// The four bytes actually found.
         found: [u8; 4],
     },
-    /// The stream's format version is newer than this build understands.
+    /// The stream's format version is not the one this build reads.
     UnsupportedVersion {
         /// Version stored in the stream.
         found: u16,
-        /// Newest version this build reads ([`FORMAT_VERSION`]).
+        /// The version this build reads ([`FORMAT_VERSION`]).
         supported: u16,
     },
     /// The stream ended before a declared structure was complete.
@@ -223,7 +210,7 @@ impl fmt::Display for ArtifactError {
             }
             ArtifactError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "artifact format version {found} is newer than supported version {supported}"
+                "artifact format version {found} is not the version this build reads ({supported})"
             ),
             ArtifactError::Truncated {
                 context,
@@ -297,12 +284,26 @@ impl From<RuntimeError> for ArtifactError {
 /// One serialized weight tensor: packed wire codes plus the calibration
 /// granularity needed to rebuild its [`TensorQuantizer`].
 #[derive(Debug, Clone, PartialEq)]
-struct WeightRecord {
+pub(crate) struct WeightRecord {
     granularity: Granularity,
     codes: PackedTensor,
 }
 
 impl WeightRecord {
+    /// Encodes a layer's f32 weight onto wire codes under its quantizer.
+    fn encode(
+        w: &Tensor,
+        wq: Option<&TensorQuantizer>,
+        dims: &[usize],
+        layer: &str,
+    ) -> Result<WeightRecord, RuntimeError> {
+        let wq = wq.ok_or_else(|| not_quantized(layer))?;
+        Ok(WeightRecord {
+            granularity: wq.granularity(),
+            codes: pack_weight_tensor(w.as_slice(), wq, dims)?,
+        })
+    }
+
     fn quantizer(&self) -> Result<TensorQuantizer, ArtifactError> {
         Ok(TensorQuantizer::from_scales(
             self.codes.dtype(),
@@ -324,26 +325,38 @@ impl WeightRecord {
 
 /// A serialized activation quantizer: data type plus per-tensor scale.
 #[derive(Debug, Clone, PartialEq)]
-struct ActRecord {
+pub(crate) struct ActRecord {
     dtype: DataType,
     scale: f32,
 }
 
 impl ActRecord {
-    fn quantizer(&self) -> Result<Quantizer, ArtifactError> {
-        if !self.scale.is_finite() || self.scale <= 0.0 {
-            return Err(ArtifactError::Malformed {
-                context: "activation quantizer".to_string(),
-                detail: format!("non-positive scale {}", self.scale),
-            });
-        }
-        Ok(Quantizer::with_scale(self.dtype, self.scale)?)
+    fn of(aq: Option<&Quantizer>, layer: &str) -> Result<ActRecord, RuntimeError> {
+        let aq = aq.ok_or_else(|| not_quantized(layer))?;
+        Ok(ActRecord {
+            dtype: aq.dtype(),
+            scale: aq.scale(),
+        })
+    }
+
+    /// The scale is positive and finite by construction: records come
+    /// from a live [`Quantizer`] or through `Rd::act`, which checks it.
+    fn quantizer(&self) -> Result<Quantizer, QuantError> {
+        Quantizer::with_scale(self.dtype, self.scale)
     }
 }
 
-/// One serialized network layer.
+fn not_quantized(layer: &str) -> RuntimeError {
+    RuntimeError::NotQuantized {
+        layer: layer.to_string(),
+    }
+}
+
+/// One network layer as the artifact persists it: wire codes, scales and
+/// shape parameters. Also the intermediate form every plan is compiled
+/// through ([`Self::from_layer`] then [`Self::lower`]).
 #[derive(Debug, Clone, PartialEq)]
-enum LayerRecord {
+pub(crate) enum LayerRecord {
     Dense {
         name: String,
         weight: WeightRecord,
@@ -397,37 +410,180 @@ impl LayerRecord {
         }
     }
 
-    /// Whether every wire-code stream this layer carries is borrowed
-    /// from an external owner (weightless layers are vacuously borrowed).
-    fn codes_borrowed(&self) -> bool {
+    /// The wire-code tensors this layer carries (dense/conv one,
+    /// attention its q, k, v, o projections, the rest none).
+    fn weights(&self) -> &[WeightRecord] {
         match self {
             LayerRecord::Dense { weight, .. } | LayerRecord::Conv { weight, .. } => {
-                weight.codes.is_borrowed()
+                std::slice::from_ref(weight)
             }
-            LayerRecord::Attn { weights, .. } => weights.iter().all(|w| w.codes.is_borrowed()),
-            _ => true,
+            LayerRecord::Attn { weights, .. } => &weights[..],
+            _ => &[],
         }
     }
 
-    /// Number of `PANL` entries this layer kind owns in a v2 stream.
-    fn panel_entry_count(&self) -> usize {
+    /// The input-activation selection, for compute layers.
+    fn act(&self) -> Option<&ActRecord> {
         match self {
-            LayerRecord::Dense { .. } | LayerRecord::Conv { .. } => 1,
-            LayerRecord::Attn { .. } => 5,
-            _ => 0,
+            LayerRecord::Dense { act, .. }
+            | LayerRecord::Conv { act, .. }
+            | LayerRecord::Attn { act, .. } => Some(act),
+            _ => None,
         }
     }
-}
 
-/// Whether a weight/activation pair lowers to the packed integer domain
-/// (the `PANL` writer serializes a real image exactly when it does) and
-/// its wire codes are shaped consistently enough to build one.
-fn panelable(w: &WeightRecord, act: &ActRecord) -> bool {
-    let dims = w.codes.dims();
-    dims.len() >= 2
-        && dims.iter().product::<usize>() == w.codes.len()
-        && w.codes.dtype().primitive() != PrimitiveType::Float
-        && act.dtype.primitive() != PrimitiveType::Float
+    /// Number of `PANL` entries this layer owns: one image per weight,
+    /// plus attention's transposed o-projection operand.
+    fn panel_entry_count(&self) -> usize {
+        self.weights().len() + usize::from(matches!(self, LayerRecord::Attn { .. }))
+    }
+
+    /// Captures one quantized layer: compute layers' weights are encoded
+    /// onto wire codes under their attached quantizers.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::NotQuantized`] when a compute layer has no
+    /// quantizers, plus any packing failures.
+    pub(crate) fn from_layer(layer: &NetLayer) -> Result<LayerRecord, RuntimeError> {
+        let name = layer.name().to_string();
+        Ok(match layer {
+            NetLayer::Dense(d) => LayerRecord::Dense {
+                weight: WeightRecord::encode(
+                    d.weight(),
+                    d.quant.weight.as_ref(),
+                    &[d.out_features(), d.in_features()],
+                    &name,
+                )?,
+                bias: d.bias().as_slice().to_vec(),
+                act: ActRecord::of(d.quant.activation.as_ref(), &name)?,
+                name,
+            },
+            NetLayer::Conv(c) => LayerRecord::Conv {
+                in_shape: c.in_shape(),
+                geo: c.geometry(),
+                weight: WeightRecord::encode(
+                    c.weight(),
+                    c.quant.weight.as_ref(),
+                    c.weight().dims(),
+                    &name,
+                )?,
+                bias: c.bias().as_slice().to_vec(),
+                act: ActRecord::of(c.quant.activation.as_ref(), &name)?,
+                name,
+            },
+            NetLayer::Attn(a) => {
+                let dim = a.dim();
+                let (ws, qs) = (a.projection_weights(), &a.quant.weights);
+                let pack =
+                    |i: usize| WeightRecord::encode(ws[i], qs[i].as_ref(), &[dim, dim], &name);
+                LayerRecord::Attn {
+                    seq: a.seq(),
+                    dim,
+                    weights: Box::new([pack(0)?, pack(1)?, pack(2)?, pack(3)?]),
+                    act: ActRecord::of(a.quant.activation.as_ref(), &name)?,
+                    causal: a.causal(),
+                    name,
+                }
+            }
+            NetLayer::Relu(_) => LayerRecord::Relu { name },
+            NetLayer::Gelu(_) => LayerRecord::Gelu { name },
+            NetLayer::Pool(p) => LayerRecord::Pool {
+                name,
+                in_shape: p.in_shape(),
+            },
+            NetLayer::Norm(n) => LayerRecord::Norm {
+                name,
+                gamma: n.gamma().as_slice().to_vec(),
+                beta: n.beta().as_slice().to_vec(),
+                eps: n.eps(),
+            },
+        })
+    }
+
+    /// Lowers the record to its plan step, straight from the wire codes
+    /// (no float is re-encoded). `entries` are this layer's pre-parsed
+    /// `PANL` images, adopted verbatim when present (the mapped path);
+    /// otherwise each packed layer LUT-decodes and panel-packs its own.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::UnsupportedType`] for a selection the integer
+    /// domain cannot execute ([`PlanLayer::or_fallback`] settles it),
+    /// plus shape inconsistencies.
+    pub(crate) fn lower(&self, entries: &[PanelEntry]) -> Result<PlanLayer, RuntimeError> {
+        let image = || match entries.first() {
+            Some(PanelEntry::Image(img)) => Some(img.clone()),
+            _ => None,
+        };
+        match self {
+            LayerRecord::Dense {
+                name,
+                weight,
+                bias,
+                act,
+            } => PackedLinear::from_parts(
+                name.clone(),
+                weight.codes.clone(),
+                bias.clone(),
+                act.quantizer()?,
+                image(),
+            )
+            .map(|p| PlanLayer::Packed(Box::new(p))),
+            LayerRecord::Conv {
+                name,
+                in_shape,
+                geo,
+                weight,
+                bias,
+                act,
+            } => PackedConv::from_parts(
+                name.clone(),
+                weight.codes.clone(),
+                bias.clone(),
+                act.quantizer()?,
+                *in_shape,
+                *geo,
+                image(),
+            )
+            .map(|p| PlanLayer::PackedConv(Box::new(p))),
+            LayerRecord::Attn {
+                name,
+                seq,
+                dim,
+                weights,
+                act,
+                causal,
+            } => {
+                let projections = std::array::from_fn(|i| weights[i].codes.clone());
+                let prebuilt = match entries {
+                    [PanelEntry::Image(q), PanelEntry::Image(k), PanelEntry::Image(v), PanelEntry::Image(o), PanelEntry::WoT(wo_t)] => {
+                        Some(([q.clone(), k.clone(), v.clone(), o.clone()], wo_t.clone()))
+                    }
+                    _ => None,
+                };
+                let aq = act.quantizer()?;
+                PackedAttn::from_parts(name.clone(), *seq, *dim, projections, aq, prebuilt)
+                    .and_then(|p| PlanLayer::attn(p, *causal))
+            }
+            LayerRecord::Relu { .. } => Ok(PlanLayer::Relu),
+            LayerRecord::Gelu { .. } => Ok(PlanLayer::Gelu),
+            LayerRecord::Pool { in_shape, .. } => Ok(PlanLayer::Pool {
+                in_shape: *in_shape,
+            }),
+            LayerRecord::Norm {
+                name,
+                gamma,
+                beta,
+                eps,
+            } => Ok(PlanLayer::Norm(Box::new(PlanNorm::from_parts(
+                name.clone(),
+                gamma.clone(),
+                beta.clone(),
+                *eps,
+            )))),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -448,8 +604,7 @@ pub struct ArtifactInfo {
 pub struct SectionInfo {
     /// Four-character section id (`MODL`, `PANL`, `CACH`).
     pub id: String,
-    /// Payload file offset in bytes (a [`SECTION_ALIGN`] multiple in v2
-    /// streams).
+    /// Payload file offset in bytes (a [`SECTION_ALIGN`] multiple).
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u64,
@@ -520,12 +675,9 @@ impl ModelArtifact {
     /// [`RuntimeError::NotQuantized`] when a compute layer has no
     /// quantizers, plus any packing failures.
     pub fn from_model(model: &Sequential) -> Result<Self, ArtifactError> {
-        let mut layers = Vec::with_capacity(model.layers().len());
-        for layer in model.layers() {
-            layers.push(record_from_layer(layer)?);
-        }
+        let layers = model.layers().iter().map(LayerRecord::from_layer);
         Ok(ModelArtifact {
-            layers,
+            layers: layers.collect::<Result<_, _>>()?,
             cache: Vec::new(),
         })
     }
@@ -572,9 +724,10 @@ impl ModelArtifact {
     /// external owner (a file mapping) rather than copied into owned
     /// buffers. Always `false` for artifacts built by [`Self::from_model`]
     /// or loaded through [`Self::load`]; `true` for the model half of a
-    /// v2 [`MappedArtifact`].
+    /// [`MappedArtifact`].
     pub fn codes_borrowed(&self) -> bool {
-        self.layers.iter().all(|l| l.codes_borrowed())
+        let mut weights = self.layers.iter().flat_map(LayerRecord::weights);
+        weights.all(|w| w.codes.is_borrowed())
     }
 
     /// Reconstructs a fake-quantized [`Sequential`]: layer weights are the
@@ -619,7 +772,7 @@ impl ModelArtifact {
 
     /// Plan construction shared by the decode path (`images: None` — each
     /// packed layer LUT-decodes and panel-packs its execution image) and
-    /// the mapped v2 path (`images: Some` — pre-parsed `PANL` entries are
+    /// the mapped path (`images: Some` — pre-parsed `PANL` entries are
     /// adopted verbatim, typically borrowed straight from the mapping).
     fn build_plan_with(
         &self,
@@ -628,76 +781,7 @@ impl ModelArtifact {
     ) -> Result<CompiledPlan, ArtifactError> {
         let mut layers = Vec::with_capacity(self.layers.len());
         for (i, record) in self.layers.iter().enumerate() {
-            let entries: &[PanelEntry] = images.map(|im| im[i].as_slice()).unwrap_or(&[]);
-            let image = match entries.first() {
-                Some(PanelEntry::Image(img)) => Some(img.clone()),
-                _ => None,
-            };
-            let lowered: Result<PlanLayer, RuntimeError> = match record {
-                LayerRecord::Dense {
-                    name,
-                    weight,
-                    bias,
-                    act,
-                } => act.quantizer().map(|aq| {
-                    let codes = weight.codes.clone();
-                    PackedLinear::from_parts(name.clone(), codes, bias.clone(), aq, image)
-                        .map(|p| PlanLayer::Packed(Box::new(p)))
-                })?,
-                LayerRecord::Conv {
-                    name,
-                    in_shape,
-                    geo,
-                    weight,
-                    bias,
-                    act,
-                } => act.quantizer().map(|aq| {
-                    PackedConv::from_parts(
-                        name.clone(),
-                        weight.codes.clone(),
-                        bias.clone(),
-                        aq,
-                        *in_shape,
-                        *geo,
-                        image,
-                    )
-                    .map(|p| PlanLayer::PackedConv(Box::new(p)))
-                })?,
-                LayerRecord::Attn {
-                    name,
-                    seq,
-                    dim,
-                    weights,
-                    act,
-                    causal,
-                } => act.quantizer().map(|aq| {
-                    let projections = std::array::from_fn(|i| weights[i].codes.clone());
-                    let prebuilt = match entries {
-                        [PanelEntry::Image(q), PanelEntry::Image(k), PanelEntry::Image(v), PanelEntry::Image(o), PanelEntry::WoT(wo_t)] => {
-                            Some(([q.clone(), k.clone(), v.clone(), o.clone()], wo_t.clone()))
-                        }
-                        _ => None,
-                    };
-                    PackedAttn::from_parts(name.clone(), *seq, *dim, projections, aq, prebuilt)
-                        .and_then(|p| PlanLayer::attn(p, *causal))
-                })?,
-                LayerRecord::Relu { .. } => Ok(PlanLayer::Relu),
-                LayerRecord::Gelu { .. } => Ok(PlanLayer::Gelu),
-                LayerRecord::Pool { in_shape, .. } => Ok(PlanLayer::Pool {
-                    in_shape: *in_shape,
-                }),
-                LayerRecord::Norm {
-                    name,
-                    gamma,
-                    beta,
-                    eps,
-                } => Ok(PlanLayer::Norm(Box::new(PlanNorm::from_parts(
-                    name.clone(),
-                    gamma.clone(),
-                    beta.clone(),
-                    *eps,
-                )))),
-            };
+            let lowered = record.lower(images.map_or(&[], |im| &im[i]));
             layers.push(PlanLayer::or_fallback(lowered, strict, || {
                 record_to_netlayer(record)
             })?);
@@ -707,17 +791,17 @@ impl ModelArtifact {
 
     // -- serialization ------------------------------------------------------
 
-    /// Serializes the artifact in format **v2** (see `docs/format.md`):
-    /// 64-byte-aligned `MODL`, `PANL` and `CACH` sections, aligned wire
-    /// codes, and pre-packed panel images so a mapped reader never
-    /// decodes or re-packs a weight.
+    /// Serializes the artifact (see `docs/format.md`): 64-byte-aligned
+    /// `MODL`, `PANL` and `CACH` sections, aligned wire codes, and
+    /// pre-packed panel images so a mapped reader never decodes or
+    /// re-packs a weight.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::Io`] on write failure; panel construction errors
     /// for semantically inconsistent records.
     pub fn save<W: Write>(&self, w: W) -> Result<(), ArtifactError> {
-        let model = self.model_payload(true);
+        let model = self.model_payload();
         let panel = self.panel_payload()?;
         let cache = self.cache_payload();
         let sections: [([u8; 4], &[u8]); 3] = [
@@ -725,25 +809,10 @@ impl ModelArtifact {
             (SECTION_PANEL, &panel),
             (SECTION_CACHE, &cache),
         ];
-        write_sections(w, FORMAT_VERSION, &sections, true)
+        write_sections(w, &sections)
     }
 
-    /// Serializes in the legacy **v1** layout (contiguous sections, no
-    /// `PANL`, no alignment padding) — byte-identical to what pre-v2
-    /// builds wrote. Kept for migration tooling and load-path
-    /// benchmarking; new files should use [`Self::save`].
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] on write failure.
-    pub fn save_v1<W: Write>(&self, w: W) -> Result<(), ArtifactError> {
-        let model = self.model_payload(false);
-        let cache = self.cache_payload();
-        let sections: [([u8; 4], &[u8]); 2] = [(SECTION_MODEL, &model), (SECTION_CACHE, &cache)];
-        write_sections(w, 1, &sections, false)
-    }
-
-    /// Serializes to a file at `path` (format v2).
+    /// Serializes to a file at `path`.
     ///
     /// # Errors
     ///
@@ -752,18 +821,8 @@ impl ModelArtifact {
         self.save(std::fs::File::create(path)?)
     }
 
-    /// Serializes to a file at `path` in the legacy v1 layout.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::save_v1`].
-    pub fn save_v1_path<P: AsRef<Path>>(&self, path: P) -> Result<(), ArtifactError> {
-        self.save_v1(std::fs::File::create(path)?)
-    }
-
     /// Deserializes an artifact from a reader, verifying magic, version
-    /// and section framing. v1 streams additionally CRC-check every
-    /// section eagerly; v2 streams defer checksums to
+    /// and section framing. Checksums are deferred to
     /// [`Self::verify_bytes`] (`antc verify`) so loading stays at parse
     /// cost. The `PANL` section is ignored here — records always own
     /// their codes; use [`MappedArtifact::open`] for the zero-copy path.
@@ -774,14 +833,13 @@ impl ModelArtifact {
     /// [`ArtifactError`]; this never panics.
     pub fn load<R: Read>(mut r: R) -> Result<Self, ArtifactError> {
         let start = crate::obs::now();
-        let copies_before = load_copies();
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)?;
-        let loaded = Self::from_bytes(&bytes)?;
+        let (loaded, _, copies) = parse_artifact(&bytes, None)?;
         crate::obs::metrics().artifact_load(
             start,
             crate::obs::now().saturating_sub(start),
-            load_copies().saturating_sub(copies_before),
+            copies,
             false,
         );
         Ok(loaded)
@@ -796,17 +854,13 @@ impl ModelArtifact {
         Self::load(std::fs::File::open(path)?)
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        parse_artifact(bytes, None).map(|(artifact, _)| artifact)
-    }
-
     /// Full integrity audit of an `.antm` stream — the slow, thorough
-    /// counterpart to the v2 lazy load:
+    /// counterpart to the lazy load:
     ///
     /// 1. every section payload is CRC-32-checked against the table,
     /// 2. the model (and cache) payloads are structurally parsed,
-    /// 3. in v2 streams the `PANL` section is parsed and every panel
-    ///    image is **recomputed from the wire codes** and compared
+    /// 3. the `PANL` section is parsed and every panel image is
+    ///    **recomputed from the wire codes** and compared
     ///    bit-for-bit, so a tampered image (or a lying `a_max`/`b_max`
     ///    bound) is caught even though loads never check it.
     ///
@@ -814,8 +868,7 @@ impl ModelArtifact {
     ///
     /// The first failing check, as a structured [`ArtifactError`]
     /// ([`ArtifactError::ChecksumMismatch`], [`ArtifactError::Malformed`],
-    /// [`ArtifactError::MissingSection`] for a v2 stream without `PANL`,
-    /// …).
+    /// [`ArtifactError::MissingSection`] for a stream without `PANL`, …).
     pub fn verify_bytes(bytes: &[u8]) -> Result<ArtifactInfo, ArtifactError> {
         let start = crate::obs::now();
         let info = Self::verify_bytes_inner(bytes)?;
@@ -826,7 +879,7 @@ impl ModelArtifact {
     fn verify_bytes_inner(bytes: &[u8]) -> Result<ArtifactInfo, ArtifactError> {
         let info = parse_header(bytes)?;
         for (i, section) in info.sections.iter().enumerate() {
-            let payload = section_payload(bytes, &info, i)?;
+            let payload = section_payload(bytes, &info, i);
             let computed = crc32(payload);
             if computed != section.crc32 {
                 return Err(ArtifactError::ChecksumMismatch {
@@ -836,31 +889,28 @@ impl ModelArtifact {
                 });
             }
         }
-        let artifact = Self::from_bytes(bytes)?;
-        if info.version >= 2 {
-            let pi = find_section(&info, SECTION_PANEL).ok_or_else(|| {
-                ArtifactError::MissingSection {
-                    section: "PANL".to_string(),
-                }
+        let (artifact, ..) = parse_artifact(bytes, None)?;
+        let pi =
+            find_section(&info, SECTION_PANEL).ok_or_else(|| ArtifactError::MissingSection {
+                section: "PANL".to_string(),
             })?;
-            let payload = section_payload(bytes, &info, pi)?;
-            let images = parse_panel_section(payload, &artifact.layers, None)?;
-            for (record, parsed) in artifact.layers.iter().zip(&images) {
-                let expected = expected_entries(record)?;
-                if parsed.len() != expected.len()
-                    || !parsed
-                        .iter()
-                        .zip(&expected)
-                        .all(|(p, e)| entries_match(p, e))
-                {
-                    return Err(ArtifactError::Malformed {
-                        context: "PANL section".to_string(),
-                        detail: format!(
-                            "panel image for layer '{}' disagrees with its wire codes",
-                            record.name()
-                        ),
-                    });
-                }
+        let payload = section_payload(bytes, &info, pi);
+        let (images, _) = parse_panel_section(payload, &artifact.layers, None)?;
+        for (record, parsed) in artifact.layers.iter().zip(&images) {
+            let expected = expected_entries(record)?;
+            if parsed.len() != expected.len()
+                || !parsed
+                    .iter()
+                    .zip(&expected)
+                    .all(|(p, e)| entries_match(p, e))
+            {
+                return Err(ArtifactError::Malformed {
+                    context: "PANL section".to_string(),
+                    detail: format!(
+                        "panel image for layer '{}' disagrees with its wire codes",
+                        record.name()
+                    ),
+                });
             }
         }
         Ok(info)
@@ -878,7 +928,7 @@ impl ModelArtifact {
 
     // -- payload builders ---------------------------------------------------
 
-    fn model_payload(&self, aligned: bool) -> Vec<u8> {
+    fn model_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_u32(&mut out, self.layers.len() as u32);
         for layer in &self.layers {
@@ -891,7 +941,7 @@ impl ModelArtifact {
                 } => {
                     out.push(0);
                     put_str(&mut out, name);
-                    put_weight(&mut out, weight, aligned);
+                    put_weight(&mut out, weight);
                     put_f32s(&mut out, bias);
                     put_act(&mut out, act);
                 }
@@ -914,7 +964,7 @@ impl ModelArtifact {
                     put_u32(&mut out, geo.kw as u32);
                     put_u32(&mut out, geo.stride as u32);
                     put_u32(&mut out, geo.padding as u32);
-                    put_weight(&mut out, weight, aligned);
+                    put_weight(&mut out, weight);
                     put_f32s(&mut out, bias);
                     put_act(&mut out, act);
                 }
@@ -951,7 +1001,7 @@ impl ModelArtifact {
                     put_u32(&mut out, *seq as u32);
                     put_u32(&mut out, *dim as u32);
                     for w in weights.iter() {
-                        put_weight(&mut out, w, aligned);
+                        put_weight(&mut out, w);
                     }
                     put_act(&mut out, act);
                 }
@@ -986,83 +1036,78 @@ impl ModelArtifact {
         out
     }
 
-    /// Builds the v2 `PANL` payload: a meta region (per-layer entry
+    /// Builds the `PANL` payload: a meta region (per-layer entry
     /// descriptors with inline decode LUTs and section-relative data
     /// offsets) followed by a 64-byte-aligned data area holding the raw
     /// panel/row/transpose images, each chunk on its own 64-byte
-    /// boundary. Two passes: build the raw images, then lay them out.
+    /// boundary. The entries are the ones [`expected_entries`] builds —
+    /// what `verify` compares a parsed section against — streamed out of
+    /// the images without an intermediate copy.
     fn panel_payload(&self) -> Result<Vec<u8>, ArtifactError> {
-        let mut raws: Vec<Vec<RawEntry>> = Vec::with_capacity(self.layers.len());
+        let mut layers = Vec::with_capacity(self.layers.len());
         for record in &self.layers {
-            raws.push(raw_entries_for(record)?);
-        }
-        // Pass 2: assign aligned data offsets after the meta region.
-        let meta_len: usize = 4 + raws
-            .iter()
-            .map(|es| 1 + es.iter().map(RawEntry::meta_len).sum::<usize>())
-            .sum::<usize>();
-        let mut off = meta_len.next_multiple_of(SECTION_ALIGN);
-        for entry in raws.iter_mut().flatten() {
-            if entry.data.is_empty() {
-                continue;
+            // Attention's trailing `WoT` rides on its o-projection record.
+            let ws = record.weights();
+            let mut entries = Vec::with_capacity(record.panel_entry_count());
+            for (entry, w) in expected_entries(record)?
+                .into_iter()
+                .zip(ws.iter().chain(ws.last()))
+            {
+                entries.push((entry.raw(w)?, entry));
             }
-            off = off.next_multiple_of(SECTION_ALIGN);
-            entry.off = off as u64;
-            off += entry.data.len();
+            layers.push(entries);
         }
-        let total = off;
+        // Assign aligned data offsets after the meta region.
+        let meta_len: usize = 4 + layers
+            .iter()
+            .map(|es| 1 + es.iter().map(|(raw, _)| raw.meta_len()).sum::<usize>())
+            .sum::<usize>();
+        let mut total = meta_len.next_multiple_of(SECTION_ALIGN);
+        for (raw, _) in layers.iter_mut().flatten().filter(|(raw, _)| raw.len != 0) {
+            raw.off = total.next_multiple_of(SECTION_ALIGN);
+            total = raw.off + raw.len;
+        }
         let mut out = Vec::with_capacity(total);
-        put_u32(&mut out, raws.len() as u32);
-        for entries in &raws {
+        put_u32(&mut out, layers.len() as u32);
+        for entries in &layers {
             out.push(entries.len() as u8);
-            for e in entries {
-                out.push(e.tag);
-                put_u32(&mut out, e.n);
-                put_u32(&mut out, e.k);
-                put_i64(&mut out, e.a_max);
-                put_i64(&mut out, e.b_max);
-                put_u32(&mut out, e.lut.len() as u32);
-                for &v in &e.lut {
+            for (raw, _) in entries {
+                out.push(raw.tag);
+                put_u32(&mut out, raw.n);
+                put_u32(&mut out, raw.k);
+                put_i64(&mut out, raw.a_max);
+                put_i64(&mut out, raw.b_max);
+                put_u32(&mut out, raw.lut.len() as u32);
+                for &v in &raw.lut {
                     put_i32(&mut out, v);
                 }
-                put_u64(&mut out, e.off);
-                put_u64(&mut out, e.data.len() as u64);
+                put_u64(&mut out, raw.off as u64);
+                put_u64(&mut out, raw.len as u64);
             }
         }
         debug_assert_eq!(out.len(), meta_len, "PANL meta length bookkeeping");
-        for entry in raws.iter().flatten() {
-            if entry.data.is_empty() {
-                continue;
-            }
-            out.resize(entry.off as usize, 0);
-            out.extend_from_slice(&entry.data);
+        for (raw, entry) in layers.iter().flatten().filter(|(raw, _)| raw.len != 0) {
+            out.resize(raw.off, 0);
+            entry.write_data(&mut out);
         }
-        out.resize(total.max(out.len()), 0);
+        out.resize(total, 0);
         Ok(out)
     }
 }
 
-/// Writes a header, section table and payloads. `aligned` pads every
-/// payload to a [`SECTION_ALIGN`] file offset (format v2); v1 writes the
-/// sections contiguously, byte-identical to pre-v2 builds.
-fn write_sections<W: Write>(
-    mut w: W,
-    version: u16,
-    sections: &[([u8; 4], &[u8])],
-    aligned: bool,
-) -> Result<(), ArtifactError> {
+/// Writes a header, section table and payloads, each payload padded to a
+/// [`SECTION_ALIGN`] file offset.
+fn write_sections<W: Write>(mut w: W, sections: &[([u8; 4], &[u8])]) -> Result<(), ArtifactError> {
     let table_len = HEADER_LEN + sections.len() * ENTRY_LEN;
     let mut header = Vec::with_capacity(table_len);
     header.extend_from_slice(&MAGIC);
-    put_u16(&mut header, version);
+    put_u16(&mut header, FORMAT_VERSION);
     put_u16(&mut header, 0); // reserved
     put_u32(&mut header, sections.len() as u32);
     let mut offsets = Vec::with_capacity(sections.len());
     let mut offset = table_len as u64;
     for (id, payload) in sections {
-        if aligned {
-            offset = offset.next_multiple_of(SECTION_ALIGN as u64);
-        }
+        offset = offset.next_multiple_of(SECTION_ALIGN as u64);
         header.extend_from_slice(id);
         put_u64(&mut header, offset);
         put_u64(&mut header, payload.len() as u64);
@@ -1073,12 +1118,9 @@ fn write_sections<W: Write>(
     w.write_all(&header)?;
     let mut pos = table_len as u64;
     for ((_, payload), &off) in sections.iter().zip(&offsets) {
-        if off > pos {
-            w.write_all(&vec![0u8; (off - pos) as usize])?;
-            pos = off;
-        }
+        w.write_all(&vec![0u8; (off - pos) as usize])?;
         w.write_all(payload)?;
-        pos += payload.len() as u64;
+        pos = off + payload.len() as u64;
     }
     Ok(())
 }
@@ -1086,36 +1128,22 @@ fn write_sections<W: Write>(
 /// Parses a full stream into records: the shared engine behind
 /// [`ModelArtifact::load`] (`owner: None`, everything owned) and
 /// [`MappedArtifact::open`] (`owner: Some`, wire codes borrowed from the
-/// mapping where alignment allows). v1 streams CRC eagerly; v2 streams
-/// defer checksums to `verify`.
+/// mapping where alignment allows). Checksums are `verify`'s job. Also
+/// returns how many weight buffers had to be copied into owned storage.
 fn parse_artifact(
     bytes: &[u8],
     owner: Option<&ArcOwner>,
-) -> Result<(ModelArtifact, ArtifactInfo), ArtifactError> {
+) -> Result<(ModelArtifact, ArtifactInfo, u64), ArtifactError> {
     let info = parse_header(bytes)?;
-    let aligned = info.version >= 2;
-    if !aligned {
-        for (i, section) in info.sections.iter().enumerate() {
-            let payload = section_payload(bytes, &info, i)?;
-            let computed = crc32(payload);
-            if computed != section.crc32 {
-                return Err(ArtifactError::ChecksumMismatch {
-                    section: section.id.clone(),
-                    stored: section.crc32,
-                    computed,
-                });
-            }
-        }
-    }
     let mi = find_section(&info, SECTION_MODEL).ok_or_else(|| ArtifactError::MissingSection {
         section: "MODL".to_string(),
     })?;
-    let layers = parse_model_section(section_payload(bytes, &info, mi)?, aligned, owner)?;
+    let (layers, copies) = parse_model_section(section_payload(bytes, &info, mi), owner)?;
     let cache = match find_section(&info, SECTION_CACHE) {
-        Some(ci) => parse_cache_section(section_payload(bytes, &info, ci)?)?,
+        Some(ci) => parse_cache_section(section_payload(bytes, &info, ci))?,
         None => Vec::new(),
     };
-    Ok((ModelArtifact { layers, cache }, info))
+    Ok((ModelArtifact { layers, cache }, info, copies))
 }
 
 /// Index of the first section with `id`, if present (unknown sections
@@ -1138,7 +1166,7 @@ const TAG_ABSENT: u8 = 4;
 /// attention output-projection operand, or nothing (layer compiles via
 /// fallback / decode).
 #[derive(Debug)]
-enum PanelEntry {
+pub(crate) enum PanelEntry {
     /// A dense/conv/attn-projection execution image in microkernel
     /// layout.
     Image(WeightImage),
@@ -1158,9 +1186,9 @@ impl PanelEntry {
     }
 }
 
-/// A `PANL` entry being assembled by the writer: descriptor fields plus
-/// the raw little-endian data chunk, with the section-relative data
-/// offset assigned in layout pass 2.
+/// The descriptor the writer emits for one `PANL` entry; the
+/// section-relative data offset is assigned once every entry is known.
+#[derive(Default)]
 struct RawEntry {
     tag: u8,
     n: u32,
@@ -1168,8 +1196,8 @@ struct RawEntry {
     a_max: i64,
     b_max: i64,
     lut: Vec<i32>,
-    data: Vec<u8>,
-    off: u64,
+    len: usize,
+    off: usize,
 }
 
 impl RawEntry {
@@ -1178,146 +1206,102 @@ impl RawEntry {
     fn meta_len(&self) -> usize {
         1 + 4 + 4 + 8 + 8 + 4 + 4 * self.lut.len() + 8 + 8
     }
+}
 
-    fn absent() -> RawEntry {
-        RawEntry {
-            tag: TAG_ABSENT,
-            n: 0,
-            k: 0,
-            a_max: 0,
-            b_max: 0,
-            lut: Vec::new(),
-            data: Vec::new(),
+impl PanelEntry {
+    /// This entry's descriptor, for the weight `w` it images: the shape
+    /// comes from the wire codes' dims, the inline LUT from their type.
+    fn raw(&self, w: &WeightRecord) -> Result<RawEntry, ArtifactError> {
+        let (tag, a_max, b_max, len) = match self {
+            PanelEntry::Absent => {
+                return Ok(RawEntry {
+                    tag: TAG_ABSENT,
+                    ..RawEntry::default()
+                })
+            }
+            PanelEntry::WoT(t) => (TAG_F32, 0, 0, 4 * t.len()),
+            PanelEntry::Image(WeightImage::I8(pg)) => {
+                (TAG_I8, pg.a_max(), pg.b_max(), pg.panels().len())
+            }
+            PanelEntry::Image(WeightImage::I16(pg)) => {
+                (TAG_I16, pg.a_max(), pg.b_max(), 2 * pg.panels().len())
+            }
+            PanelEntry::Image(WeightImage::I32(rows)) => (TAG_I32, 0, 0, 4 * rows.len()),
+        };
+        let lut = match tag {
+            TAG_F32 => None,
+            _ => ant_core::Codec::new(w.codes.dtype())?.decode_lut_int(),
+        };
+        let dims = w.codes.dims();
+        Ok(RawEntry {
+            tag,
+            n: dims[0] as u32,
+            k: dims[1..].iter().product::<usize>() as u32,
+            a_max,
+            b_max,
+            lut: lut.unwrap_or_default(),
+            len,
             off: 0,
+        })
+    }
+
+    /// Appends this entry's data chunk, little-endian.
+    fn write_data(&self, out: &mut Vec<u8>) {
+        match self {
+            PanelEntry::Image(WeightImage::I8(pg)) => {
+                out.extend(pg.panels().iter().map(|&v| v as u8));
+            }
+            PanelEntry::Image(WeightImage::I16(pg)) => {
+                out.extend(pg.panels().iter().flat_map(|v| v.to_le_bytes()));
+            }
+            PanelEntry::Image(WeightImage::I32(rows)) => {
+                out.extend(rows.iter().flat_map(|v| v.to_le_bytes()));
+            }
+            PanelEntry::WoT(t) => out.extend(t.iter().flat_map(|v| v.to_bits().to_le_bytes())),
+            PanelEntry::Absent => {}
         }
     }
 }
 
-/// Builds the raw `PANL` images for one layer record by running the
-/// exact decode-and-pack path plan compilation uses, so the serialized
-/// panels are bit-identical to what a fresh compile would build.
-fn raw_entries_for(record: &LayerRecord) -> Result<Vec<RawEntry>, ArtifactError> {
-    match record {
-        LayerRecord::Dense { weight, act, .. } | LayerRecord::Conv { weight, act, .. } => {
-            Ok(vec![raw_weight_entry(weight, act)?])
-        }
-        LayerRecord::Attn {
-            weights, act, dim, ..
-        } => {
-            let square = weights
-                .iter()
-                .all(|w| w.codes.dims() == [*dim, *dim] && panelable(w, act));
-            if !square {
-                return Ok((0..5).map(|_| RawEntry::absent()).collect());
-            }
-            let mut entries = Vec::with_capacity(5);
-            for w in weights.iter() {
-                entries.push(raw_weight_entry(w, act)?);
-            }
-            let wo_t = transpose(&decode_rows_f32(&weights[3].codes), *dim);
-            entries.push(RawEntry {
-                tag: TAG_F32,
-                n: *dim as u32,
-                k: *dim as u32,
-                a_max: 0,
-                b_max: 0,
-                lut: Vec::new(),
-                data: wo_t
-                    .iter()
-                    .flat_map(|v| v.to_bits().to_le_bytes())
-                    .collect(),
-                off: 0,
-            });
-            Ok(entries)
-        }
-        _ => Ok(Vec::new()),
-    }
-}
-
-fn raw_weight_entry(w: &WeightRecord, act: &ActRecord) -> Result<RawEntry, ArtifactError> {
-    if !panelable(w, act) {
-        return Ok(RawEntry::absent());
-    }
-    let image = decode_image(&w.codes, act_bound(&act.quantizer()?))?;
-    let lut = ant_core::Codec::new(w.codes.dtype())?
-        .decode_lut_int()
-        .unwrap_or_default();
-    Ok(match image {
-        WeightImage::I8(pg) => RawEntry {
-            tag: TAG_I8,
-            n: pg.n() as u32,
-            k: pg.k() as u32,
-            a_max: pg.a_max(),
-            b_max: pg.b_max(),
-            lut,
-            data: pg.panels().iter().map(|&v| v as u8).collect(),
-            off: 0,
-        },
-        WeightImage::I16(pg) => RawEntry {
-            tag: TAG_I16,
-            n: pg.n() as u32,
-            k: pg.k() as u32,
-            a_max: pg.a_max(),
-            b_max: pg.b_max(),
-            lut,
-            data: pg.panels().iter().flat_map(|v| v.to_le_bytes()).collect(),
-            off: 0,
-        },
-        WeightImage::I32(rows) => {
-            let dims = w.codes.dims();
-            RawEntry {
-                tag: TAG_I32,
-                n: dims[0] as u32,
-                k: dims[1..].iter().product::<usize>() as u32,
-                a_max: 0,
-                b_max: 0,
-                lut,
-                data: rows.iter().flat_map(|v| v.to_le_bytes()).collect(),
-                off: 0,
-            }
-        }
-    })
-}
-
-/// The `PANL` entries a v2 writer would emit for `record`, recomputed
-/// from the wire codes. [`ModelArtifact::verify_bytes`] compares these
-/// bit-for-bit against the parsed section.
+/// The `PANL` entries for `record`, computed from its wire codes by the
+/// exact decode-and-pack path plan compilation uses: what the writer
+/// serializes, and what [`ModelArtifact::verify_bytes`] compares a parsed
+/// section against bit-for-bit. A layer the integer domain refuses, or
+/// whose codes are not shaped consistently enough to image, gets `Absent`
+/// entries (all of them — attention adopts its images as a set) and
+/// compiles by decode or fallback instead.
 fn expected_entries(record: &LayerRecord) -> Result<Vec<PanelEntry>, ArtifactError> {
-    match record {
-        LayerRecord::Dense { weight, act, .. } | LayerRecord::Conv { weight, act, .. } => {
-            Ok(vec![expected_weight_entry(weight, act)?])
-        }
-        LayerRecord::Attn {
-            weights, act, dim, ..
-        } => {
-            let square = weights
-                .iter()
-                .all(|w| w.codes.dims() == [*dim, *dim] && panelable(w, act));
-            if !square {
-                return Ok((0..5).map(|_| PanelEntry::Absent).collect());
-            }
-            let mut entries = Vec::with_capacity(5);
-            for w in weights.iter() {
-                entries.push(expected_weight_entry(w, act)?);
-            }
-            entries.push(PanelEntry::WoT(PackedStore::from_vec(transpose(
-                &decode_rows_f32(&weights[3].codes),
-                *dim,
-            ))));
-            Ok(entries)
-        }
-        _ => Ok(Vec::new()),
+    let (weights, Some(act)) = (record.weights(), record.act()) else {
+        return Ok(Vec::new());
+    };
+    let absent = || (0..record.panel_entry_count()).map(|_| PanelEntry::Absent);
+    let float = |dt: DataType| dt.primitive() == PrimitiveType::Float;
+    let shaped = |w: &WeightRecord| {
+        let dims = w.codes.dims();
+        let square = match record {
+            LayerRecord::Attn { dim, .. } => dims == [*dim, *dim],
+            _ => true,
+        };
+        square && dims.len() >= 2 && dims.iter().product::<usize>() == w.codes.len()
+    };
+    if float(act.dtype) || !weights.iter().all(|w| shaped(w) && !float(w.codes.dtype())) {
+        return Ok(absent().collect());
     }
-}
-
-fn expected_weight_entry(w: &WeightRecord, act: &ActRecord) -> Result<PanelEntry, ArtifactError> {
-    if !panelable(w, act) {
-        return Ok(PanelEntry::Absent);
+    let name = record.name();
+    let images = act_bound(name, &act.quantizer()?).and_then(|bound| {
+        let image = |w: &WeightRecord| decode_image(name, &w.codes, bound);
+        weights.iter().map(image).collect::<Result<Vec<_>, _>>()
+    });
+    let mut entries: Vec<PanelEntry> = match images {
+        Ok(images) => images.into_iter().map(PanelEntry::Image).collect(),
+        Err(RuntimeError::UnsupportedType { .. }) => return Ok(absent().collect()),
+        Err(e) => return Err(e.into()),
+    };
+    if let LayerRecord::Attn { dim, weights, .. } = record {
+        let wo_t = transpose(&decode_rows_f32(&weights[3].codes), *dim);
+        entries.push(PanelEntry::WoT(PackedStore::from_vec(wo_t)));
     }
-    Ok(PanelEntry::Image(decode_image(
-        &w.codes,
-        act_bound(&act.quantizer()?),
-    )?))
+    Ok(entries)
 }
 
 fn entries_match(parsed: &PanelEntry, expected: &PanelEntry) -> bool {
@@ -1351,32 +1335,9 @@ fn pg_eq<T: KernelOperand + PartialEq>(x: &PanelGemm<T>, y: &PanelGemm<T>) -> bo
         && x.panels() == y.panels()
 }
 
-/// Materializes `raw` as a `PackedStore<T>`: borrowed straight from the
-/// mapping when an owner is present and the range satisfies the
-/// alignment/width contract (and, for multi-byte `T`, the host is
-/// little-endian so the file bytes *are* host values); otherwise an
-/// owned copy via `fallback`, counted by [`load_copies`].
-fn store_borrowed<T: StorePod, F: FnOnce(&[u8]) -> Vec<T>>(
-    raw: &[u8],
-    owner: Option<&ArcOwner>,
-    fallback: F,
-) -> PackedStore<T> {
-    if std::mem::size_of::<T>() == 1 || cfg!(target_endian = "little") {
-        if let Some(owner) = owner {
-            // SAFETY: `owner` keeps the mapped bytes alive and immutable
-            // for as long as any clone of the store exists, and the
-            // endianness gate above makes the byte content valid `T`s.
-            if let Some(store) = unsafe { PackedStore::<T>::borrowed(raw, owner.clone()) } {
-                return store;
-            }
-        }
-    }
-    note_load_copy();
-    PackedStore::from_vec(fallback(raw))
-}
-
-/// Parses a v2 `PANL` section against the already-parsed layer records,
-/// borrowing image data from `owner` where possible. Validates the
+/// Parses a `PANL` section against the already-parsed layer records,
+/// borrowing image data from `owner` where possible (and returning how
+/// many images had to be copied instead). Validates the
 /// per-layer entry structure, tag-specific data extents and the 64-byte
 /// data alignment the writer guarantees. `a_max`/`b_max` are *not*
 /// trusted beyond widening-cadence recomputation (a lying bound changes
@@ -1385,8 +1346,8 @@ fn parse_panel_section(
     payload: &[u8],
     layers: &[LayerRecord],
     owner: Option<&ArcOwner>,
-) -> Result<Vec<Vec<PanelEntry>>, ArtifactError> {
-    let mut rd = Rd::new(payload, "PANL section");
+) -> Result<(Vec<Vec<PanelEntry>>, u64), ArtifactError> {
+    let mut rd = Rd::new(payload, "PANL section", owner);
     let count = rd.usize32()?;
     if count != layers.len() {
         return Err(rd.malformed(format!(
@@ -1406,18 +1367,14 @@ fn parse_panel_section(
         }
         let mut entries = Vec::with_capacity(entry_count);
         for _ in 0..entry_count {
-            entries.push(parse_panel_entry(&mut rd, payload, owner)?);
+            entries.push(parse_panel_entry(&mut rd, payload)?);
         }
         all.push(entries);
     }
-    Ok(all)
+    Ok((all, rd.copies))
 }
 
-fn parse_panel_entry(
-    rd: &mut Rd<'_>,
-    payload: &[u8],
-    owner: Option<&ArcOwner>,
-) -> Result<PanelEntry, ArtifactError> {
+fn parse_panel_entry(rd: &mut Rd<'_>, payload: &[u8]) -> Result<PanelEntry, ArtifactError> {
     let tag = rd.u8()?;
     let n = rd.usize32()?;
     let k = rd.usize32()?;
@@ -1473,13 +1430,13 @@ fn parse_panel_entry(
     let raw = &payload[off..off + len];
     Ok(match tag {
         TAG_I8 => {
-            let store = store_borrowed(raw, owner, |r| r.iter().map(|&b| b as i8).collect());
+            let store = rd.store(raw, |r| r.iter().map(|&b| b as i8).collect());
             let pg = PanelGemm::from_store(store, n, k, a_max, b_max)
                 .ok_or_else(|| rd.malformed("panel store rejected"))?;
             PanelEntry::Image(WeightImage::I8(pg))
         }
         TAG_I16 => {
-            let store = store_borrowed(raw, owner, |r| {
+            let store = rd.store(raw, |r| {
                 r.chunks_exact(2)
                     .map(|c| i16::from_le_bytes(c.try_into().expect("2")))
                     .collect()
@@ -1489,7 +1446,7 @@ fn parse_panel_entry(
             PanelEntry::Image(WeightImage::I16(pg))
         }
         TAG_I32 => {
-            let store = store_borrowed(raw, owner, |r| {
+            let store = rd.store(raw, |r| {
                 r.chunks_exact(4)
                     .map(|c| i32::from_le_bytes(c.try_into().expect("4")))
                     .collect()
@@ -1497,7 +1454,7 @@ fn parse_panel_entry(
             PanelEntry::Image(WeightImage::I32(store))
         }
         _ => {
-            let store = store_borrowed(raw, owner, |r| {
+            let store = rd.store(raw, |r| {
                 r.chunks_exact(4)
                     .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4"))))
                     .collect()
@@ -1514,13 +1471,13 @@ fn parse_panel_entry(
 /// A memory-mapped `.antm` artifact — the zero-copy serving path.
 ///
 /// [`MappedArtifact::open`] maps the file once ([`Mmap`]) and parses it
-/// in place. For v2 streams the wire codes and the pre-packed `PANL`
-/// execution images are **borrowed** from the mapping (the shared
-/// `Arc<Mmap>` is the type-erased owner), so:
+/// in place. The wire codes and the pre-packed `PANL` execution images
+/// are **borrowed** from the mapping (the shared `Arc<Mmap>` is the
+/// type-erased owner), so:
 ///
 /// * opening performs no LUT decode, no panel re-packing, no CRC sweep
 ///   and — on little-endian unix targets — zero weight-byte copies
-///   ([`load_copies`] stays flat);
+///   ([`Self::load_copies`] is 0);
 /// * every plan compiled from the handle executes against the same
 ///   read-only pages, and the kernel shares those pages *across
 ///   processes* serving the same file, keeping per-worker RSS for the
@@ -1528,15 +1485,13 @@ fn parse_panel_entry(
 /// * the mapping lives exactly as long as the last borrower: plans keep
 ///   it alive through their stores, so dropping the `MappedArtifact`
 ///   handle while plans exist is safe.
-///
-/// v1 streams open through the same API but keep their legacy
-/// semantics: eager CRC, owned copy-and-decode load, no panel images.
 #[derive(Debug)]
 pub struct MappedArtifact {
     map: Arc<Mmap>,
     artifact: ModelArtifact,
     images: Option<Vec<Vec<PanelEntry>>>,
     info: ArtifactInfo,
+    load_copies: u64,
 }
 
 impl MappedArtifact {
@@ -1548,10 +1503,8 @@ impl MappedArtifact {
     /// [`ModelArtifact::load`] can report.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, ArtifactError> {
         let start = crate::obs::now();
-        let copies_before = load_copies();
         // Chaos site: a simulated unreadable artifact at the mmap layer
         // (exercises reload/rebuild failure handling in serving code).
-        #[cfg(feature = "chaos")]
         if crate::chaos::maybe_fail(crate::chaos::FaultSite::MmapLoad) {
             return Err(ArtifactError::Io(std::io::Error::other(
                 "chaos: injected mmap-load failure",
@@ -1559,41 +1512,43 @@ impl MappedArtifact {
         }
         let map = Arc::new(Mmap::open(path.as_ref())?);
         let owner: ArcOwner = map.clone();
-        let (artifact, info) = parse_artifact(map.as_slice(), Some(&owner))?;
-        let images = if info.version >= 2 {
-            match find_section(&info, SECTION_PANEL) {
-                Some(pi) => {
-                    let payload = section_payload(map.as_slice(), &info, pi)?;
-                    Some(parse_panel_section(
-                        payload,
-                        &artifact.layers,
-                        Some(&owner),
-                    )?)
-                }
-                // Loading is lenient about a missing PANL (verify is
-                // not): plans fall back to decode-on-compile.
-                None => None,
+        let (artifact, info, mut load_copies) = parse_artifact(map.as_slice(), Some(&owner))?;
+        // Loading is lenient about a missing PANL (verify is not): plans
+        // fall back to decode-on-compile.
+        let images = match find_section(&info, SECTION_PANEL) {
+            Some(pi) => {
+                let payload = section_payload(map.as_slice(), &info, pi);
+                let (images, copies) =
+                    parse_panel_section(payload, &artifact.layers, Some(&owner))?;
+                load_copies += copies;
+                Some(images)
             }
-        } else {
-            None
+            None => None,
         };
         let mapped = MappedArtifact {
             map,
             artifact,
             images,
             info,
+            load_copies,
         };
         crate::obs::metrics().artifact_load(
             start,
             crate::obs::now().saturating_sub(start),
-            load_copies().saturating_sub(copies_before),
+            load_copies,
             mapped.is_zero_copy(),
         );
         Ok(mapped)
     }
 
-    /// The parsed artifact (its records borrow the mapping in v2
-    /// streams).
+    /// Weight-byte buffers (wire-code streams or panel images) this open
+    /// had to copy into owned storage because they could not be borrowed
+    /// from the mapping — `0` on a little-endian unix target.
+    pub fn load_copies(&self) -> u64 {
+        self.load_copies
+    }
+
+    /// The parsed artifact (its records borrow the mapping).
     pub fn artifact(&self) -> &ModelArtifact {
         &self.artifact
     }
@@ -1614,13 +1569,12 @@ impl MappedArtifact {
         self.map.as_slice()
     }
 
-    /// Whether this handle achieved the full zero-copy contract: a v2
-    /// stream backed by an actual kernel mapping, with every wire-code
-    /// stream and every panel image borrowed — nothing copied, nothing
-    /// decoded, nothing re-packed.
+    /// Whether this handle achieved the full zero-copy contract: an
+    /// actual kernel mapping, with every wire-code stream and every panel
+    /// image borrowed — nothing copied, nothing decoded, nothing
+    /// re-packed.
     pub fn is_zero_copy(&self) -> bool {
-        self.info.version >= 2
-            && self.map.is_mapped()
+        self.map.is_mapped()
             && self.artifact.codes_borrowed()
             && self
                 .images
@@ -1667,93 +1621,6 @@ pub fn probe<R: Read>(mut r: R) -> Result<ArtifactInfo, ArtifactError> {
 // ---------------------------------------------------------------------------
 // Record <-> layer conversions
 // ---------------------------------------------------------------------------
-
-fn record_from_layer(layer: &NetLayer) -> Result<LayerRecord, ArtifactError> {
-    let name = layer.name().to_string();
-    let not_quantized = || {
-        ArtifactError::Runtime(RuntimeError::NotQuantized {
-            layer: layer.name().to_string(),
-        })
-    };
-    match layer {
-        NetLayer::Dense(d) => {
-            let wq = d.quant.weight.as_ref().ok_or_else(not_quantized)?;
-            let aq = d.quant.activation.as_ref().ok_or_else(not_quantized)?;
-            let (out, inp) = (d.out_features(), d.in_features());
-            let codes = pack_weight_tensor(d.weight().as_slice(), out, inp, wq, &[out, inp])?;
-            Ok(LayerRecord::Dense {
-                name,
-                weight: WeightRecord {
-                    granularity: wq.granularity(),
-                    codes,
-                },
-                bias: d.bias().as_slice().to_vec(),
-                act: ActRecord {
-                    dtype: aq.dtype(),
-                    scale: aq.scale(),
-                },
-            })
-        }
-        NetLayer::Conv(c) => {
-            let wq = c.quant.weight.as_ref().ok_or_else(not_quantized)?;
-            let aq = c.quant.activation.as_ref().ok_or_else(not_quantized)?;
-            let dims = c.weight().dims().to_vec();
-            let (co, kin) = (dims[0], dims[1] * dims[2] * dims[3]);
-            let codes = pack_weight_tensor(c.weight().as_slice(), co, kin, wq, &dims)?;
-            Ok(LayerRecord::Conv {
-                name,
-                in_shape: c.in_shape(),
-                geo: c.geometry(),
-                weight: WeightRecord {
-                    granularity: wq.granularity(),
-                    codes,
-                },
-                bias: c.bias().as_slice().to_vec(),
-                act: ActRecord {
-                    dtype: aq.dtype(),
-                    scale: aq.scale(),
-                },
-            })
-        }
-        NetLayer::Attn(a) => {
-            let aq = a.quant.activation.as_ref().ok_or_else(not_quantized)?;
-            let dim = a.dim();
-            let mut weights = Vec::with_capacity(4);
-            for (w, wq) in a.projection_weights().iter().zip(&a.quant.weights) {
-                let wq = wq.as_ref().ok_or_else(not_quantized)?;
-                let codes = pack_weight_tensor(w.as_slice(), dim, dim, wq, &[dim, dim])?;
-                weights.push(WeightRecord {
-                    granularity: wq.granularity(),
-                    codes,
-                });
-            }
-            let weights: [WeightRecord; 4] = weights.try_into().expect("exactly four projections");
-            Ok(LayerRecord::Attn {
-                name,
-                seq: a.seq(),
-                dim,
-                weights: Box::new(weights),
-                act: ActRecord {
-                    dtype: aq.dtype(),
-                    scale: aq.scale(),
-                },
-                causal: a.causal(),
-            })
-        }
-        NetLayer::Relu(_) => Ok(LayerRecord::Relu { name }),
-        NetLayer::Gelu(_) => Ok(LayerRecord::Gelu { name }),
-        NetLayer::Pool(p) => Ok(LayerRecord::Pool {
-            name,
-            in_shape: p.in_shape(),
-        }),
-        NetLayer::Norm(n) => Ok(LayerRecord::Norm {
-            name,
-            gamma: n.gamma().as_slice().to_vec(),
-            beta: n.beta().as_slice().to_vec(),
-            eps: n.eps(),
-        }),
-    }
-}
 
 fn record_to_netlayer(record: &LayerRecord) -> Result<NetLayer, ArtifactError> {
     match record {
@@ -1858,60 +1725,37 @@ fn malformed(context: &str, detail: &str) -> ArtifactError {
 }
 
 fn summarize(record: &LayerRecord) -> LayerSummary {
-    let weight_summary = |w: &WeightRecord| WeightSummary {
-        dtype: w.codes.dtype(),
-        granularity: w.granularity,
-        dims: w.codes.dims().to_vec(),
-        elements: w.codes.len(),
-        bytes: w.codes.size_bytes(),
-        scales: w.codes.scales().len(),
+    let kind = match record {
+        LayerRecord::Dense { .. } => "dense",
+        LayerRecord::Relu { .. } => "relu",
+        LayerRecord::Conv { .. } => "conv",
+        LayerRecord::Pool { .. } => "pool",
+        LayerRecord::Norm { .. } => "norm",
+        LayerRecord::Attn { causal: true, .. } => "causal-attn",
+        LayerRecord::Attn { .. } => "attn",
+        LayerRecord::Gelu { .. } => "gelu",
     };
-    let int_domain = |dts: &[DataType]| dts.iter().all(|dt| dt.primitive() != PrimitiveType::Float);
-    match record {
-        LayerRecord::Dense { weight, act, .. } => LayerSummary {
-            name: record.name().to_string(),
-            kind: "dense",
-            weights: vec![weight_summary(weight)],
-            activation: Some((act.dtype, act.scale)),
-            packed: int_domain(&[weight.codes.dtype(), act.dtype]),
-        },
-        LayerRecord::Conv { weight, act, .. } => LayerSummary {
-            name: record.name().to_string(),
-            kind: "conv",
-            weights: vec![weight_summary(weight)],
-            activation: Some((act.dtype, act.scale)),
-            packed: int_domain(&[weight.codes.dtype(), act.dtype]),
-        },
-        LayerRecord::Attn {
-            weights,
-            act,
-            causal,
-            ..
-        } => {
-            let mut dts: Vec<DataType> = weights.iter().map(|w| w.codes.dtype()).collect();
-            dts.push(act.dtype);
-            LayerSummary {
-                name: record.name().to_string(),
-                kind: if *causal { "causal-attn" } else { "attn" },
-                weights: weights.iter().map(weight_summary).collect(),
-                activation: Some((act.dtype, act.scale)),
-                packed: int_domain(&dts),
-            }
-        }
-        LayerRecord::Relu { .. } => shape_summary(record, "relu"),
-        LayerRecord::Gelu { .. } => shape_summary(record, "gelu"),
-        LayerRecord::Pool { .. } => shape_summary(record, "pool"),
-        LayerRecord::Norm { .. } => shape_summary(record, "norm"),
-    }
-}
-
-fn shape_summary(record: &LayerRecord, kind: &'static str) -> LayerSummary {
+    let (weights, act) = (record.weights(), record.act());
+    let mut dtypes = weights
+        .iter()
+        .map(|w| w.codes.dtype())
+        .chain(act.map(|a| a.dtype));
     LayerSummary {
         name: record.name().to_string(),
         kind,
-        weights: Vec::new(),
-        activation: None,
-        packed: true,
+        packed: dtypes.all(|dt| dt.primitive() != PrimitiveType::Float),
+        weights: weights
+            .iter()
+            .map(|w| WeightSummary {
+                dtype: w.codes.dtype(),
+                granularity: w.granularity,
+                dims: w.codes.dims().to_vec(),
+                elements: w.codes.len(),
+                bytes: w.codes.size_bytes(),
+                scales: w.codes.scales().len(),
+            })
+            .collect(),
+        activation: act.map(|a| (a.dtype, a.scale)),
     }
 }
 
@@ -1985,10 +1829,10 @@ fn put_dtype(out: &mut Vec<u8>, dt: DataType) {
     }
 }
 
-/// Serializes one weight record. `aligned` (v2) zero-pads to the next
+/// Serializes one weight record, zero-padding to the next
 /// [`SECTION_ALIGN`] boundary *before* the code bytes so a mapped reader
-/// can borrow them in place; v1 writes them back-to-back.
-fn put_weight(out: &mut Vec<u8>, w: &WeightRecord, aligned: bool) {
+/// can borrow them in place.
+fn put_weight(out: &mut Vec<u8>, w: &WeightRecord) {
     put_dtype(out, w.codes.dtype());
     out.push(granularity_tag(w.granularity));
     put_f32s(out, w.codes.scales());
@@ -1999,9 +1843,7 @@ fn put_weight(out: &mut Vec<u8>, w: &WeightRecord, aligned: bool) {
     }
     put_u64(out, w.codes.len() as u64);
     put_u64(out, w.codes.bytes().len() as u64);
-    if aligned {
-        out.resize(out.len().next_multiple_of(SECTION_ALIGN), 0);
-    }
+    out.resize(out.len().next_multiple_of(SECTION_ALIGN), 0);
     out.extend_from_slice(w.codes.bytes());
 }
 
@@ -2017,30 +1859,25 @@ fn put_act(out: &mut Vec<u8>, act: &ActRecord) {
 /// Bounds-checked little-endian reader over a byte slice. Every `take`
 /// failure reports what was being read and the exact shortfall.
 ///
-/// `aligned` switches on v2 semantics (weight code bytes sit at
-/// [`SECTION_ALIGN`] payload offsets behind zero padding); `owner`, when
-/// present, is the shared keep-alive for borrowing those byte ranges in
-/// place instead of copying them.
+/// `owner`, when present, is the shared keep-alive for borrowing weight
+/// byte ranges in place instead of copying them; `copies` tallies the
+/// ranges that had to be copied anyway.
 struct Rd<'a> {
     buf: &'a [u8],
     pos: usize,
     context: &'static str,
-    aligned: bool,
     owner: Option<ArcOwner>,
+    copies: u64,
 }
 
 impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8], context: &'static str) -> Self {
-        Rd::with(buf, context, false, None)
-    }
-
-    fn with(buf: &'a [u8], context: &'static str, aligned: bool, owner: Option<&ArcOwner>) -> Self {
+    fn new(buf: &'a [u8], context: &'static str, owner: Option<&ArcOwner>) -> Self {
         Rd {
             buf,
             pos: 0,
             context,
-            aligned,
             owner: owner.cloned(),
+            copies: 0,
         }
     }
 
@@ -2062,7 +1899,7 @@ impl<'a> Rd<'a> {
     }
 
     /// Consumes zero padding up to the next [`SECTION_ALIGN`] payload
-    /// offset (v2 weight framing). Nonzero pad bytes are a hard error —
+    /// offset (weight framing). Nonzero pad bytes are a hard error —
     /// padding is dead space, and tolerating data there would create a
     /// covert channel the CRC can't pin down.
     fn skip_padding(&mut self) -> Result<(), ArtifactError> {
@@ -2168,10 +2005,29 @@ impl<'a> Rd<'a> {
         }
     }
 
-    /// Materializes a raw byte range as [`TensorBytes`]: borrowed from
-    /// the owner when possible, owned (and counted) otherwise.
-    fn store_bytes(&self, raw: &[u8]) -> TensorBytes {
-        store_borrowed(raw, self.owner.as_ref(), |r| r.to_vec())
+    /// Materializes `raw` as a `PackedStore<T>`: borrowed straight from
+    /// the mapping when an owner is present and the range satisfies the
+    /// alignment/width contract (and, for multi-byte `T`, the host is
+    /// little-endian so the file bytes *are* host values); otherwise an
+    /// owned copy via `fallback`, counted in `copies`.
+    fn store<T: StorePod>(
+        &mut self,
+        raw: &[u8],
+        fallback: impl FnOnce(&[u8]) -> Vec<T>,
+    ) -> PackedStore<T> {
+        if std::mem::size_of::<T>() == 1 || cfg!(target_endian = "little") {
+            if let Some(owner) = &self.owner {
+                // SAFETY: `owner` keeps the mapped bytes alive and
+                // immutable for as long as any clone of the store exists,
+                // and the endianness gate above makes the byte content
+                // valid `T`s.
+                if let Some(store) = unsafe { PackedStore::<T>::borrowed(raw, owner.clone()) } {
+                    return store;
+                }
+            }
+        }
+        self.copies += 1;
+        PackedStore::from_vec(fallback(raw))
     }
 
     fn weight(&mut self) -> Result<WeightRecord, ArtifactError> {
@@ -2185,11 +2041,9 @@ impl<'a> Rd<'a> {
         }
         let elements = self.u64()? as usize;
         let byte_count = self.u64()? as usize;
-        if self.aligned {
-            self.skip_padding()?;
-        }
+        self.skip_padding()?;
         let raw = self.take(byte_count)?;
-        let bytes = self.store_bytes(raw);
+        let bytes: TensorBytes = self.store(raw, |r| r.to_vec());
         let codes = PackedTensor::from_store(dtype, elements, scales, &dims, bytes)?;
         Ok(WeightRecord { granularity, codes })
     }
@@ -2205,7 +2059,7 @@ impl<'a> Rd<'a> {
 }
 
 fn parse_header(bytes: &[u8]) -> Result<ArtifactInfo, ArtifactError> {
-    let mut rd = Rd::new(bytes, "header");
+    let mut rd = Rd::new(bytes, "header", None);
     let magic = rd.take(4)?;
     if magic != MAGIC {
         return Err(ArtifactError::BadMagic {
@@ -2213,7 +2067,7 @@ fn parse_header(bytes: &[u8]) -> Result<ArtifactInfo, ArtifactError> {
         });
     }
     let version = rd.u16()?;
-    if version > FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(ArtifactError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -2257,23 +2111,16 @@ fn parse_header(bytes: &[u8]) -> Result<ArtifactInfo, ArtifactError> {
 
 /// The payload slice of section `index` (extents were validated by
 /// [`parse_header`]).
-fn section_payload<'a>(
-    bytes: &'a [u8],
-    info: &ArtifactInfo,
-    index: usize,
-) -> Result<&'a [u8], ArtifactError> {
+fn section_payload<'a>(bytes: &'a [u8], info: &ArtifactInfo, index: usize) -> &'a [u8] {
     let section = &info.sections[index];
-    let offset = section.offset as usize;
-    let len = section.len as usize;
-    Ok(&bytes[offset..offset + len])
+    &bytes[section.offset as usize..(section.offset + section.len) as usize]
 }
 
 fn parse_model_section(
     payload: &[u8],
-    aligned: bool,
     owner: Option<&ArcOwner>,
-) -> Result<Vec<LayerRecord>, ArtifactError> {
-    let mut rd = Rd::with(payload, "MODL section", aligned, owner);
+) -> Result<(Vec<LayerRecord>, u64), ArtifactError> {
+    let mut rd = Rd::new(payload, "MODL section", owner);
     let count = rd.usize32()?;
     let mut layers = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
@@ -2339,11 +2186,11 @@ fn parse_model_section(
     if rd.remaining() != 0 {
         return Err(rd.malformed(format!("{} trailing bytes", rd.remaining())));
     }
-    Ok(layers)
+    Ok((layers, rd.copies))
 }
 
 fn parse_cache_section(payload: &[u8]) -> Result<Vec<(u64, Vec<TypeDecision>)>, ArtifactError> {
-    let mut rd = Rd::new(payload, "CACH section");
+    let mut rd = Rd::new(payload, "CACH section", None);
     let count = rd.usize32()?;
     let mut entries = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
@@ -2436,13 +2283,23 @@ mod tests {
     }
 
     #[test]
-    fn save_v1_roundtrips_and_keeps_version_1() {
-        let artifact = ModelArtifact::from_model(&quantized_mlp()).unwrap();
-        let mut bytes = Vec::new();
-        artifact.save_v1(&mut bytes).unwrap();
-        assert_eq!(probe(&bytes[..]).unwrap().version, 1);
-        let reloaded = ModelArtifact::load(&bytes[..]).unwrap();
-        assert_eq!(artifact, reloaded);
+    fn other_version_fields_are_unsupported_by_every_reader() {
+        for found in [1u16, 0] {
+            let mut bytes = saved_bytes();
+            bytes[4..6].copy_from_slice(&found.to_le_bytes());
+            let refused = |r: Result<(), ArtifactError>| match r {
+                Err(ArtifactError::UnsupportedVersion {
+                    found: f,
+                    supported,
+                }) => {
+                    assert_eq!((f, supported), (found, 2));
+                }
+                other => panic!("version {found}: expected UnsupportedVersion, got {other:?}"),
+            };
+            refused(ModelArtifact::load(&bytes[..]).map(drop));
+            refused(ModelArtifact::verify_bytes(&bytes).map(drop));
+            refused(probe(&bytes[..]).map(drop));
+        }
     }
 
     #[test]
@@ -2476,7 +2333,7 @@ mod tests {
         // panel data is laid out after the descriptors).
         let target = (panl.offset + panl.len - 1) as usize;
         bytes[target] ^= 0x40;
-        // v2 load is lazy: it ignores PANL and still parses.
+        // Load is lazy: it ignores PANL and still parses.
         ModelArtifact::load(&bytes[..]).unwrap();
         // verify recomputes images from the wire codes and catches it.
         let err = ModelArtifact::verify_bytes(&bytes).unwrap_err();

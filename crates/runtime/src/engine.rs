@@ -981,11 +981,8 @@ fn worker_loop(
         }
         let is_step = !matches!(batch[0].work, Work::Infer);
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            #[cfg(feature = "chaos")]
-            {
-                crate::chaos::maybe_slow(crate::chaos::FaultSite::SlowBatch);
-                crate::chaos::maybe_panic(crate::chaos::FaultSite::WorkerPanic);
-            }
+            crate::chaos::maybe_slow(crate::chaos::FaultSite::SlowBatch);
+            crate::chaos::maybe_panic(crate::chaos::FaultSite::WorkerPanic);
             if is_step {
                 run_step_batch(shared, &mut plan, &batch, &mut outputs, &mut step_gate)
             } else {
@@ -1234,7 +1231,6 @@ fn run_batch(
     stacked: &mut Vec<f32>,
     outputs: &mut Vec<f32>,
 ) -> BatchResults {
-    #[cfg(feature = "chaos")]
     crate::chaos::assert_unpoisoned(batch.iter().map(|q| q.input.as_slice()));
     let features = batch[0].input.len();
     if batch.iter().any(|q| q.input.len() != features) {
@@ -1289,7 +1285,6 @@ fn run_step_batch(
     outputs: &mut Vec<f32>,
     step_gate: &mut Option<StepGate>,
 ) -> (BatchResults, usize) {
-    #[cfg(feature = "chaos")]
     crate::chaos::assert_unpoisoned(batch.iter().map(|q| q.input.as_slice()));
     let mut results: BatchResults = Vec::with_capacity(batch.len());
     // Claim sessions. A missing/closed slot fails that request alone.

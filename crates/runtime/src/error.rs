@@ -11,8 +11,11 @@ pub enum RuntimeError {
     /// An underlying model operation failed.
     Nn(NnError),
     /// A layer selected a data type the integer-domain engine cannot
-    /// execute (the `float` primitive has no int-based wire decoder —
-    /// paper Sec. V-B ships the int-based PE precisely to avoid it).
+    /// execute exactly: the `float` primitive has no int-based wire
+    /// decoder (paper Sec. V-B ships the int-based PE precisely to avoid
+    /// it), and a lattice past `i32`, or operands whose products cannot
+    /// be proven to fit the `i64` accumulator (6-bit PoT), would saturate
+    /// or wrap.
     UnsupportedType {
         /// The offending layer's name.
         layer: String,
@@ -81,7 +84,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::UnsupportedType { layer, dtype } => {
                 write!(
                     f,
-                    "layer {layer}: type {dtype} has no integer-domain decoder"
+                    "layer {layer}: type {dtype} has no exact integer-domain execution"
                 )
             }
             RuntimeError::NotQuantized { layer } => {

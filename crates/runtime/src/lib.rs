@@ -61,7 +61,7 @@
 //!   Reloading strict-compiles **directly from the wire codes**
 //!   (bit-identical to the saved plan); corrupted, truncated or
 //!   wrong-version files fail with a structured [`ArtifactError`],
-//! * [`MappedArtifact`] — the zero-copy load path for v2 artifacts:
+//! * [`MappedArtifact`] — the zero-copy load path:
 //!   memory-map the file ([`Mmap`], no crates, raw `mmap`/`munmap`) and
 //!   borrow the 64-byte-aligned wire codes *and* pre-packed panel
 //!   images straight out of the page cache into the compiled plan
@@ -69,11 +69,10 @@
 //!   load copies zero weight bytes, decodes nothing and re-packs
 //!   nothing; the mapping outlives the handle for as long as any plan
 //!   borrows it, and N processes serving one file share its pages. The
-//!   CRC sweep moves to [`ModelArtifact::verify_bytes`] / `antc
-//!   verify` (v1 files keep eager load-time CRCs). The byte-level
-//!   format is specified in `docs/format.md`; the `antc` CLI
-//!   (`crates/bench/src/bin/antc.rs`) drives the `quantize → inspect →
-//!   verify → serve → migrate` flow from the shell.
+//!   CRC sweep lives in [`ModelArtifact::verify_bytes`] / `antc
+//!   verify`. The byte-level format is specified in `docs/format.md`;
+//!   the `antc` CLI (`crates/bench/src/bin/antc.rs`) drives the
+//!   `quantize → inspect → verify → serve` flow from the shell.
 //!
 //! # Quickstart
 //!
@@ -111,8 +110,8 @@ pub mod pool;
 pub mod scratch;
 
 pub use artifact::{
-    load_copies, probe, ArtifactError, ArtifactInfo, LayerSummary, MappedArtifact, ModelArtifact,
-    SectionInfo, WeightSummary, FORMAT_VERSION,
+    probe, ArtifactError, ArtifactInfo, LayerSummary, MappedArtifact, ModelArtifact, SectionInfo,
+    WeightSummary, FORMAT_VERSION,
 };
 pub use cache::{Planner, SelectionCache, TypeDecision};
 pub use chaos::{FaultPlan, FaultSite};

@@ -4,8 +4,8 @@
 //! that streams K/V rows out of a packed cache.
 
 use super::matrix::{
-    act_bound, check_features, check_int_domain, decode_rows_f32, narrow_acts, pack_weight_tensor,
-    transpose, ActQuant, LayerCtx, PackedMatrix, WeightImage,
+    act_bound, check_features, check_int_domain, decode_rows_f32, narrow_acts, transpose, ActQuant,
+    LayerCtx, PackedMatrix, WeightImage,
 };
 use crate::error::RuntimeError;
 use crate::gemm::Epilogue;
@@ -14,8 +14,7 @@ use crate::scratch::grab;
 use ant_core::pack::PackedTensor;
 use ant_core::store::PackedStore;
 use ant_core::Quantizer;
-use ant_nn::attention::{softmax_rows_in_place, Attention};
-use ant_nn::layer::Layer as _;
+use ant_nn::attention::softmax_rows_in_place;
 
 /// A raw `*mut f32` crossing into pool tasks; tasks write disjoint
 /// regions, which is what makes the shared mutable access sound.
@@ -89,13 +88,13 @@ impl PackedAttn {
             Some((images, wo_t)) => (images.map(Some), Some(wo_t)),
             None => Default::default(),
         };
-        let bound = act_bound(&act);
+        let bound = act_bound(&name, &act)?;
         let [q, k, v, o] = projections;
         let projs = [
-            PackedMatrix::from_packed(q, bound, qi)?,
-            PackedMatrix::from_packed(k, bound, ki)?,
-            PackedMatrix::from_packed(v, bound, vi)?,
-            PackedMatrix::from_packed(o, bound, oi)?,
+            PackedMatrix::from_packed(&name, q, bound, qi)?,
+            PackedMatrix::from_packed(&name, k, bound, ki)?,
+            PackedMatrix::from_packed(&name, v, bound, vi)?,
+            PackedMatrix::from_packed(&name, o, bound, oi)?,
         ];
         let wo_t_f32 = match wo_t {
             Some(wo_t) if wo_t.len() != dim * dim => {
@@ -483,25 +482,4 @@ impl PackedAttn {
         b.act_i32 = master;
         Ok(())
     }
-}
-
-/// Packs one quantized attention block: all four projection weights onto
-/// wire codes, then builds the block from them exactly as an artifact
-/// reload would.
-pub(super) fn pack_attn(a: &Attention) -> Result<PackedAttn, RuntimeError> {
-    let name = a.name().to_string();
-    let (Some(aq), [Some(wq), Some(wk), Some(wv), Some(wo)]) =
-        (&a.quant.activation, &a.quant.weights)
-    else {
-        return Err(RuntimeError::NotQuantized { layer: name });
-    };
-    let wqs = [wq, wk, wv, wo];
-    let mut dtypes = vec![aq.dtype()];
-    dtypes.extend(wqs.iter().map(|q| q.dtype()));
-    check_int_domain(&name, &dtypes)?;
-    let dim = a.dim();
-    let weights = a.projection_weights();
-    let pack = |i: usize| pack_weight_tensor(weights[i].as_slice(), dim, dim, wqs[i], &[dim, dim]);
-    let projections = [pack(0)?, pack(1)?, pack(2)?, pack(3)?];
-    PackedAttn::from_parts(name, a.seq(), dim, projections, aq.clone(), None)
 }

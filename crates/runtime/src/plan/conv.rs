@@ -2,15 +2,13 @@
 //! same weight-stationary GEMM as dense layers.
 
 use super::matrix::{
-    act_bound, check_features, check_int_domain, pack_weight_tensor, require_quantizers, ActQuant,
-    LayerCtx, PackedMatrix, WeightImage,
+    act_bound, check_features, check_int_domain, ActQuant, LayerCtx, PackedMatrix, WeightImage,
 };
 use crate::error::RuntimeError;
 use crate::gemm::{im2row, Epilogue};
 use crate::scratch::grab;
 use ant_core::pack::PackedTensor;
 use ant_core::{DataType, Quantizer};
-use ant_nn::layer::{Conv2d, Layer as _};
 use ant_tensor::linalg::Conv2dGeometry;
 
 /// A 2-D convolution compiled to the packed integer domain: the quantized
@@ -72,7 +70,7 @@ impl PackedConv {
                 })
             }
         };
-        let mat = PackedMatrix::from_packed(weights, act_bound(&act), image)?;
+        let mat = PackedMatrix::from_packed(&name, weights, act_bound(&name, &act)?, image)?;
         if bias.len() != mat.out {
             return Err(RuntimeError::ShapeMismatch {
                 expected: mat.out,
@@ -208,26 +206,4 @@ impl PackedConv {
             im2row(sample, ci, h, w, self.geo, lowered);
         }
     }
-}
-
-/// Packs one quantized convolution: kernel codes shaped `[co, ci, kh, kw]`
-/// with per-output-channel scales, geometry captured for the im2row
-/// lowering.
-pub(super) fn pack_conv(c: &Conv2d) -> Result<PackedConv, RuntimeError> {
-    let name = c.name().to_string();
-    let (wq, aq) = require_quantizers(&name, &c.quant.weight, &c.quant.activation)?;
-    check_int_domain(&name, &[wq.dtype(), aq.dtype()])?;
-    let dims = c.weight().dims();
-    let (co, kin) = (dims[0], dims[1] * dims[2] * dims[3]);
-    let weights = pack_weight_tensor(c.weight().as_slice(), co, kin, wq, dims)?;
-    let bias = c.bias().as_slice().to_vec();
-    PackedConv::from_parts(
-        name,
-        weights,
-        bias,
-        aq.clone(),
-        c.in_shape(),
-        c.geometry(),
-        None,
-    )
 }

@@ -1,15 +1,13 @@
 //! [`PackedLinear`]: a dense layer as one integer GEMM.
 
 use super::matrix::{
-    act_bound, check_features, check_int_domain, pack_weight_tensor, require_quantizers, ActQuant,
-    LayerCtx, PackedMatrix, WeightImage,
+    act_bound, check_features, check_int_domain, ActQuant, LayerCtx, PackedMatrix, WeightImage,
 };
 use crate::error::RuntimeError;
 use crate::gemm::Epilogue;
 use crate::scratch::grab;
 use ant_core::pack::PackedTensor;
 use ant_core::{DataType, Quantizer};
-use ant_nn::layer::{Dense, Layer as _};
 
 /// A dense layer compiled to the packed integer domain.
 #[derive(Debug, Clone)]
@@ -28,7 +26,7 @@ pub struct PackedLinear {
 impl PackedLinear {
     /// Builds the layer from wire codes: `weights` must be a
     /// `[out, in]`-shaped pack and `bias` a length-`out` vector. `image`
-    /// is a pre-built weight image (borrowed from a mapped v2 artifact);
+    /// is a pre-built weight image (borrowed from a mapped artifact);
     /// `None` decodes one.
     pub(crate) fn from_parts(
         name: String,
@@ -38,7 +36,7 @@ impl PackedLinear {
         image: Option<WeightImage>,
     ) -> Result<Self, RuntimeError> {
         check_int_domain(&name, &[weights.dtype(), act.dtype()])?;
-        let mat = PackedMatrix::from_packed(weights, act_bound(&act), image)?;
+        let mat = PackedMatrix::from_packed(&name, weights, act_bound(&name, &act)?, image)?;
         if bias.len() != mat.out {
             return Err(RuntimeError::ShapeMismatch {
                 expected: mat.out,
@@ -115,17 +113,4 @@ impl PackedLinear {
         );
         Ok(())
     }
-}
-
-/// Packs one quantized dense layer: encodes the fake-quantized weight onto
-/// wire codes, then builds the layer from them exactly as an artifact
-/// reload would.
-pub(super) fn pack_dense(d: &Dense) -> Result<PackedLinear, RuntimeError> {
-    let name = d.name().to_string();
-    let (wq, aq) = require_quantizers(&name, &d.quant.weight, &d.quant.activation)?;
-    check_int_domain(&name, &[wq.dtype(), aq.dtype()])?;
-    let (out, inp) = (d.out_features(), d.in_features());
-    let weights = pack_weight_tensor(d.weight().as_slice(), out, inp, wq, &[out, inp])?;
-    let bias = d.bias().as_slice().to_vec();
-    PackedLinear::from_parts(name, weights, bias, aq.clone(), None)
 }

@@ -180,11 +180,11 @@ pub(super) fn narrow_acts<T: ActInt>(src: &[i32], out: &mut Vec<T>) {
 ///
 /// `i8` covers every ≤8-bit paper type (Table I magnitudes top out at 64,
 /// `int8` at ±128); wide flint magnitudes (`flint8u` reaches 16384) take
-/// the `i16` panels; anything wider — or a non-integral lattice that
-/// slipped past strict mode — executes on plain `i32` rows. Panel images
-/// are pre-packed for the microkernel at compile time (or borrowed
-/// verbatim from a mapped v2 artifact's panel section), so serving never
-/// re-lays weights out.
+/// the `i16` panels; anything wider (`int15`/`int16`, `pot5`) executes on
+/// plain `i32` rows, once [`PackedMatrix::from_packed`] has proven their
+/// `i64` accumulator wide enough. Panel images are pre-packed for the
+/// microkernel at compile time (or borrowed verbatim from a mapped
+/// artifact's panel section), so serving never re-lays weights out.
 #[derive(Debug, Clone)]
 pub(crate) enum WeightImage {
     /// Byte panels for the microkernel (quarter traffic, double lanes).
@@ -251,25 +251,21 @@ fn row_scales(scales: &[f32], out: usize) -> Result<Vec<f32>, RuntimeError> {
     Ok(w_scales)
 }
 
-/// Encodes a `[out, inp]`-flattened f32 weight onto packed wire codes
-/// under `wq`, attaching `dims` as the logical shape. Shared by plan
-/// compilation and artifact export so both produce bit-identical code
-/// streams for the same `(weight, quantizer)` pair.
+/// Encodes an f32 weight of logical shape `dims` (flattened row-major,
+/// one scale group per `dims[0]` row) onto packed wire codes under `wq`:
+/// the one place a float weight becomes codes, so a plan compiled in
+/// process and an exported artifact cannot disagree on a code stream.
 pub(crate) fn pack_weight_tensor(
     w: &[f32],
-    out: usize,
-    inp: usize,
     wq: &TensorQuantizer,
     dims: &[usize],
 ) -> Result<PackedTensor, RuntimeError> {
     let codec = wq.codec();
-    let w_scales = row_scales(wq.scales(), out)?;
-    let mut codes = Vec::with_capacity(out * inp);
-    for o in 0..out {
-        let s = w_scales[o];
-        for i in 0..inp {
-            codes.push(codec.encode(w[o * inp + i] / s));
-        }
+    let w_scales = row_scales(wq.scales(), dims[0])?;
+    let inp: usize = dims[1..].iter().product();
+    let mut codes = Vec::with_capacity(w.len());
+    for (row, s) in w.chunks_exact(inp.max(1)).zip(&w_scales) {
+        codes.extend(row.iter().map(|&v| codec.encode(v / s)));
     }
     Ok(PackedTensor::pack_with_dims(
         wq.dtype(),
@@ -279,14 +275,25 @@ pub(crate) fn pack_weight_tensor(
     )?)
 }
 
-/// The layer's bound on quantized-activation magnitudes, when the
-/// activation lattice is integral (it is for every int/PoT/flint type
-/// whose values fit `i32`): what fixes the microkernel's widening
-/// cadence and qualifies the narrow operand widths.
-pub(crate) fn act_bound(act: &Quantizer) -> Option<i64> {
+/// The refusal for a `(layer, type)` pair the integer domain cannot
+/// execute exactly; [`super::PlanLayer::or_fallback`] settles it.
+fn unsupported(layer: &str, dtype: DataType) -> RuntimeError {
+    RuntimeError::UnsupportedType {
+        layer: layer.to_string(),
+        dtype,
+    }
+}
+
+/// The layer's bound on quantized-activation magnitudes — what fixes the
+/// microkernel's widening cadence and qualifies the narrow operand
+/// widths — or the refusal for an activation lattice with no exact `i32`
+/// image (`float`, or PoT past `2^31`: `ActQuant::Snap` would saturate).
+pub(crate) fn act_bound(layer: &str, act: &Quantizer) -> Result<i64, RuntimeError> {
     let codec = act.codec();
-    codec.decode_lut_int()?;
-    Some(codec.max_value() as i64)
+    match codec.decode_lut_int() {
+        Some(_) => Ok(codec.max_value() as i64),
+        None => Err(unsupported(layer, act.dtype())),
+    }
 }
 
 impl PackedMatrix {
@@ -295,18 +302,25 @@ impl PackedMatrix {
     /// artifact reload path land here, so a reloaded plan is
     /// bit-identical to the plan that was saved: no floats are
     /// re-encoded, the wire codes *are* the weights. `act_max` is the
-    /// activation-lattice magnitude bound (see [`act_bound`]); `None`
-    /// keeps the general `i32` image.
+    /// activation-lattice magnitude bound (see [`act_bound`]).
     ///
     /// With `image: None` the integer image is decoded here. `Some` is
     /// the zero-copy path used by [`crate::artifact::MappedArtifact`],
-    /// where the image bytes are borrowed straight from a mapped v2 panel
+    /// where the image bytes are borrowed straight from a mapped panel
     /// section: its shape is validated against the wire codes' dims; its
     /// *contents* are trusted (lying panel bytes produce wrong results,
     /// not UB) and cross-checked against a fresh decode by `antc verify`.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::UnsupportedType`] when the weight lattice has no
+    /// exact `i32` image, or when the image takes the `i32` rows and
+    /// `act_max · b_max · inp` cannot be proven to fit their `i64`
+    /// accumulator.
     pub(super) fn from_packed(
+        layer: &str,
         weights: PackedTensor,
-        act_max: Option<i64>,
+        act_max: i64,
         image: Option<WeightImage>,
     ) -> Result<Self, RuntimeError> {
         let dims = weights.dims();
@@ -319,16 +333,17 @@ impl PackedMatrix {
         let (out, inp) = (dims[0], dims[1..].iter().product::<usize>());
         let w_scales = row_scales(weights.scales(), out)?;
         let image = match image {
-            None => decode_image(&weights, act_max)?,
+            None => decode_image(layer, &weights, act_max)?,
             Some(image) => {
                 let (shape_ok, actual) = match &image {
                     WeightImage::I8(pg) => (
                         (pg.n(), pg.k()) == (out, inp)
-                            && Some(pg.a_max()) == act_max.filter(|&am| am <= i8::MAX as i64),
+                            && pg.a_max() == act_max
+                            && act_max <= i8::MAX as i64,
                         pg.n() * pg.k(),
                     ),
                     WeightImage::I16(pg) => (
-                        (pg.n(), pg.k()) == (out, inp) && Some(pg.a_max()) == act_max,
+                        (pg.n(), pg.k()) == (out, inp) && pg.a_max() == act_max,
                         pg.n() * pg.k(),
                     ),
                     WeightImage::I32(rows) => (rows.len() == out * inp, rows.len()),
@@ -342,6 +357,17 @@ impl PackedMatrix {
                 image
             }
         };
+        if matches!(image, WeightImage::I32(_)) {
+            // The general kernel has no widening cadence: `inp` products
+            // of at most `act_max · b_max` each go straight into an `i64`.
+            // The bound comes from the types, not the (trusted, possibly
+            // borrowed) image bytes.
+            let lut = ant_core::Codec::new(weights.dtype())?.decode_lut_int();
+            let b_max = lut.and_then(|l| l.iter().map(|v| v.unsigned_abs() as i64).max());
+            b_max
+                .and_then(|b| act_max.checked_mul(b)?.checked_mul(inp as i64))
+                .ok_or_else(|| unsupported(layer, weights.dtype()))?;
+        }
         Ok(PackedMatrix {
             weights,
             image,
@@ -417,63 +443,48 @@ impl PackedMatrix {
 /// Decodes a packed tensor's wire codes into the plan-domain integer
 /// image at the narrowest operand width the weight *and* activation
 /// lattices allow, pre-packing microkernel panels for it. Shared by
-/// plan compilation and the v2 artifact writer so the panel bytes the
+/// plan compilation and the artifact writer so the panel bytes the
 /// writer serializes are bit-identical to the ones a fresh compile
 /// would build.
+///
+/// # Errors
+///
+/// [`RuntimeError::UnsupportedType`] when the weight lattice has no
+/// exact `i32` image: there is nothing to execute, and a rounded image
+/// would compute a different model.
 pub(crate) fn decode_image(
+    layer: &str,
     weights: &PackedTensor,
-    act_max: Option<i64>,
+    act_max: i64,
 ) -> Result<WeightImage, RuntimeError> {
     let dims = weights.dims();
     let out = dims[0];
     let inp: usize = dims[1..].iter().product();
-    let codec = ant_core::Codec::new(weights.dtype())?;
-    // Decode once through the integer LUT when the lattice is
-    // integral (every packed-domain type); fall back to the f32 LUT
-    // cast otherwise — that path only executes behind a Fallback
-    // anyway.
-    let (w_int, integral): (Vec<i32>, bool) = match codec.decode_lut_int() {
-        Some(lut) => (
-            weights.codes().iter().map(|&c| lut[c as usize]).collect(),
-            true,
-        ),
-        None => {
-            let lut = codec.decode_lut();
-            (
-                weights
-                    .codes()
-                    .iter()
-                    .map(|&c| lut[c as usize] as i32)
-                    .collect(),
-                false,
-            )
+    let lut = ant_core::Codec::new(weights.dtype())?
+        .decode_lut_int()
+        .ok_or_else(|| unsupported(layer, weights.dtype()))?;
+    let w_int: Vec<i32> = weights.codes().iter().map(|&c| lut[c as usize]).collect();
+    if act_max <= i8::MAX as i64 {
+        if let Some(w8) = w_int
+            .iter()
+            .map(|&v| i8::try_from(v).ok())
+            .collect::<Option<Vec<i8>>>()
+        {
+            return Ok(WeightImage::I8(PanelGemm::pack(&w8, out, inp, act_max)));
         }
-    };
-    if integral {
-        if let Some(am) = act_max {
-            if am <= i8::MAX as i64 {
-                if let Some(w8) = w_int
-                    .iter()
-                    .map(|&v| i8::try_from(v).ok())
-                    .collect::<Option<Vec<i8>>>()
-                {
-                    return Ok(WeightImage::I8(PanelGemm::pack(&w8, out, inp, am)));
-                }
-            }
-            if am <= i16::MAX as i64 {
-                if let Some(w16) = w_int
-                    .iter()
-                    .map(|&v| i16::try_from(v).ok())
-                    .collect::<Option<Vec<i16>>>()
-                {
-                    let b_max = w16.iter().map(|&v| (v as i64).abs()).max().unwrap_or(0);
-                    // A cadence too short to amortize the widening
-                    // fold means the magnitudes are effectively wide:
-                    // take the general path instead.
-                    if crate::gemm::k_block_for(am, b_max) >= 16 {
-                        return Ok(WeightImage::I16(PanelGemm::pack(&w16, out, inp, am)));
-                    }
-                }
+    }
+    if act_max <= i16::MAX as i64 {
+        if let Some(w16) = w_int
+            .iter()
+            .map(|&v| i16::try_from(v).ok())
+            .collect::<Option<Vec<i16>>>()
+        {
+            let b_max = w16.iter().map(|&v| (v as i64).abs()).max().unwrap_or(0);
+            // A cadence too short to amortize the widening fold means
+            // the magnitudes are effectively wide: take the general
+            // path instead.
+            if crate::gemm::k_block_for(act_max, b_max) >= 16 {
+                return Ok(WeightImage::I16(PanelGemm::pack(&w16, out, inp, act_max)));
             }
         }
     }
@@ -516,10 +527,7 @@ pub(super) struct LayerCtx<'a> {
 pub(super) fn check_int_domain(layer: &str, dtypes: &[DataType]) -> Result<(), RuntimeError> {
     for &dt in dtypes {
         if dt.primitive() == PrimitiveType::Float {
-            return Err(RuntimeError::UnsupportedType {
-                layer: layer.to_string(),
-                dtype: dt,
-            });
+            return Err(unsupported(layer, dt));
         }
     }
     Ok(())
@@ -535,19 +543,4 @@ pub(super) fn check_features(x: &[f32], batch: usize, expected: usize) -> Result
         });
     }
     Ok(())
-}
-
-/// Unwraps a layer's weight/activation quantizer pair or reports it as
-/// unquantized.
-pub(super) fn require_quantizers<'a>(
-    name: &str,
-    weight: &'a Option<TensorQuantizer>,
-    activation: &'a Option<Quantizer>,
-) -> Result<(&'a TensorQuantizer, &'a Quantizer), RuntimeError> {
-    match (weight, activation) {
-        (Some(w), Some(a)) => Ok((w, a)),
-        _ => Err(RuntimeError::NotQuantized {
-            layer: name.to_string(),
-        }),
-    }
 }

@@ -8,8 +8,8 @@
 //! time each weight matrix is decoded **once** through the integer LUT
 //! ([`ant_core::Codec::decode_lut_int`]) into the narrowest operand image
 //! that holds its lattice — `i8` for every ≤8-bit paper type, `i16` for
-//! wide flint magnitudes, plain `i32` rows as the general fallback — and
-//! pre-packed into the microkernel panel layout
+//! wide flint magnitudes, plain `i32` rows for `int15`/`int16`/`pot5` —
+//! and pre-packed into the microkernel panel layout
 //! ([`crate::gemm::PanelGemm`]). Execution quantizes activations straight
 //! into the same narrow width and runs the register-blocked integer
 //! microkernel: the software mirror of the TypeFusion array's
@@ -50,9 +50,17 @@
 //! Shape-polymorphic layers (ReLU, GELU, max-pool, layer norm) carry no
 //! wire codes and execute the same arithmetic as their reference
 //! implementations, so CNN→head and Transformer pipelines compile without
-//! fallback. Only layers whose selected type has no integer decoder (the
-//! `float` primitive) fall back to the fake-quantized reference path —
-//! or fail compilation under [`CompiledPlan::from_quantized_strict`].
+//! fallback. Only layers whose selected type the integer domain cannot
+//! execute exactly — the `float` primitive, or a PoT lattice whose
+//! products cannot be proven to fit the `i64` accumulator (6 bits) —
+//! fall back to the fake-quantized reference path, or fail compilation
+//! under [`CompiledPlan::from_quantized_strict`]; nothing lowers to
+//! arithmetic that saturates or wraps.
+//!
+//! Compilation has one road: every layer becomes the wire-code record an
+//! `.antm` artifact persists and that record is lowered to its plan step
+//! (`crate::artifact`), whether the record was just encoded from a live
+//! model or parsed back from a file.
 
 mod attn;
 mod conv;
@@ -72,6 +80,7 @@ pub(crate) use matrix::{
 };
 pub(crate) use walk::{no_causal_err, SessionFactory};
 
+use crate::artifact::LayerRecord;
 use crate::error::RuntimeError;
 use crate::kv::{DecodeSession, KvQuant, KvQuantSpec};
 use crate::pool::WorkerPool;
@@ -109,7 +118,7 @@ pub enum PlanLayer {
     /// Layer normalisation (decode-boundary, f32).
     Norm(Box<PlanNorm>),
     /// Reference (fake-quantized f32) execution for layers the packed
-    /// path cannot cover (a `float`-typed selection). This path is off
+    /// path cannot cover (a `float`-typed or 6-bit PoT selection). This path is off
     /// the zero-allocation hot path: it round-trips through [`Tensor`].
     Fallback(Box<NetLayer>),
 }
@@ -128,7 +137,7 @@ impl PlanLayer {
     }
 
     /// Settles one lowered step under the plan's strictness — the single
-    /// place a type with no integer decoder becomes either the strict
+    /// place a type the integer domain refuses becomes either the strict
     /// refusal or a reference-path [`PlanLayer::Fallback`] over
     /// `reference()`.
     pub(crate) fn or_fallback<E: From<RuntimeError>>(
@@ -140,7 +149,7 @@ impl PlanLayer {
             Err(RuntimeError::UnsupportedType { layer, dtype }) if strict => {
                 Err(E::from(RuntimeError::UnsupportedLayer {
                     layer,
-                    reason: format!("selected type {dtype} has no integer-domain decoder"),
+                    reason: format!("selected type {dtype} has no exact integer-domain execution"),
                 }))
             }
             Err(RuntimeError::UnsupportedType { .. }) => {
@@ -169,8 +178,9 @@ impl CompiledPlan {
     /// quantizers (e.g. after [`ant_nn::qat::quantize_model`] or via
     /// [`crate::Planner::compile`], which adds the memoizing cache).
     ///
-    /// Layers whose selected type has no integer-domain decoder (the
-    /// `float` primitive) compile to [`PlanLayer::Fallback`] and execute
+    /// Layers whose selected type the integer domain cannot execute
+    /// exactly (the `float` primitive, 6-bit PoT) compile to
+    /// [`PlanLayer::Fallback`] and execute
     /// through their fake-quantized reference implementation; use
     /// [`Self::from_quantized_strict`] to refuse them instead, and
     /// [`Self::coverage`] to observe how much of a plan is packed.
@@ -196,22 +206,15 @@ impl CompiledPlan {
         Self::compile(model, true)
     }
 
+    /// The one road from a model to a plan: each layer becomes the
+    /// wire-code record an artifact would persist, and the record lowers
+    /// exactly as a reloaded one does — so a plan compiled in process *is*
+    /// the plan that comes back from disk. The lenient reference is the
+    /// layer itself.
     fn compile(model: &Sequential, strict: bool) -> Result<Self, RuntimeError> {
         let mut layers = Vec::with_capacity(model.layers().len());
         for layer in model.layers() {
-            let lowered = match layer {
-                NetLayer::Dense(d) => linear::pack_dense(d).map(|p| PlanLayer::Packed(Box::new(p))),
-                NetLayer::Conv(c) => conv::pack_conv(c).map(|p| PlanLayer::PackedConv(Box::new(p))),
-                NetLayer::Attn(a) => {
-                    attn::pack_attn(a).and_then(|p| PlanLayer::attn(p, a.causal()))
-                }
-                NetLayer::Relu(_) => Ok(PlanLayer::Relu),
-                NetLayer::Gelu(_) => Ok(PlanLayer::Gelu),
-                NetLayer::Pool(p) => Ok(PlanLayer::Pool {
-                    in_shape: p.in_shape(),
-                }),
-                NetLayer::Norm(n) => Ok(PlanLayer::Norm(Box::new(PlanNorm::from_layer(n)))),
-            };
+            let lowered = LayerRecord::from_layer(layer)?.lower(&[]);
             layers.push(PlanLayer::or_fallback(lowered, strict, || {
                 Ok::<_, RuntimeError>(layer.clone())
             })?);
@@ -219,8 +222,7 @@ impl CompiledPlan {
         Ok(Self::from_plan_layers(layers))
     }
 
-    /// Assembles a plan from already-lowered steps (the artifact reload
-    /// path, where packed layers are rebuilt straight from wire codes).
+    /// Assembles a plan from already-lowered steps.
     pub(crate) fn from_plan_layers(layers: Vec<PlanLayer>) -> Self {
         // Shape-polymorphic prefix layers (relu/gelu/norm) preserve
         // width, so the first layer that pins a width pins the plan's

@@ -5,8 +5,7 @@
 use super::matrix::check_features;
 use crate::error::RuntimeError;
 use crate::scratch::grab;
-use ant_nn::attention::{layer_norm_group, LayerNorm};
-use ant_nn::layer::Layer as _;
+use ant_nn::attention::layer_norm_group;
 
 /// Layer normalisation state copied into a plan (γ, β and ε are the only
 /// things the stateless forward needs).
@@ -20,8 +19,7 @@ pub struct PlanNorm {
 }
 
 impl PlanNorm {
-    /// Builds the norm step from explicit parameters (artifact reload
-    /// path).
+    /// Builds the norm step from its parameters.
     pub(crate) fn from_parts(name: String, gamma: Vec<f32>, beta: Vec<f32>, eps: f32) -> PlanNorm {
         let dim = gamma.len();
         PlanNorm {
@@ -30,16 +28,6 @@ impl PlanNorm {
             gamma,
             beta,
             eps,
-        }
-    }
-
-    pub(super) fn from_layer(n: &LayerNorm) -> PlanNorm {
-        PlanNorm {
-            name: n.name().to_string(),
-            dim: n.dim(),
-            gamma: n.gamma().as_slice().to_vec(),
-            beta: n.beta().as_slice().to_vec(),
-            eps: n.eps(),
         }
     }
 
@@ -55,7 +43,7 @@ impl PlanNorm {
 
     /// Normalises `dim`-sized feature groups through the shared
     /// [`layer_norm_group`] kernel — the *same* arithmetic as the
-    /// reference [`LayerNorm`] forward, by construction.
+    /// reference [`ant_nn::attention::LayerNorm`] forward, by construction.
     pub(super) fn forward_rows(
         &self,
         x: &[f32],

@@ -261,7 +261,6 @@ fn execute(
         // Chaos site: a GEMM shard dying mid-layer. The panic rides the
         // pool's normal forwarding — `ctl.panicked` → `run` re-raises on
         // the caller — into the engine supervisor.
-        #[cfg(feature = "chaos")]
         crate::chaos::maybe_panic(crate::chaos::FaultSite::PoolTask);
         body(task)
     };

@@ -166,13 +166,51 @@ fn build_task(kind: ModelKind, seed: u64) -> (Sequential, Dataset) {
     }
 }
 
+/// Algorithm-2 selection (through a memoizing [`Planner`]) and plan
+/// compilation for `antc quantize`. A plan is packed or it does not
+/// compile, so a selection the runtime cannot execute fails here —
+/// before anything is written.
+fn select_and_compile(
+    model: &mut Sequential,
+    calib: &Tensor,
+    cfg: QuantizeConfig,
+) -> Result<(Planner, CompiledPlan), CliError> {
+    let spec = QuantSpec {
+        combo: cfg.combo,
+        bits: cfg.bits,
+        ..QuantSpec::default()
+    };
+    let float_combo = matches!(
+        cfg.combo,
+        PrimitiveCombo::FloatIntPot | PrimitiveCombo::FloatIntPotFlint
+    );
+    let mut planner = Planner::new();
+    match planner.compile(model, calib, spec) {
+        Ok(plan) => Ok((planner, plan)),
+        Err(RuntimeError::UnsupportedLayer { layer, reason }) if float_combo => {
+            Err(CliError::Runtime(RuntimeError::UnsupportedLayer {
+                layer,
+                reason: format!(
+                    "{reason}; combo {} needs the float-based PE and this runtime mirrors \
+                     the int-based one (paper Sec. VII-B) — nothing written, use int, ip or ipf",
+                    cfg.combo.label()
+                ),
+            }))
+        }
+        Err(e) => Err(e.into()),
+    }
+}
+
 /// Runs the offline pipeline: train → calibrate → Algorithm-2 selection
 /// (through a [`Planner`], so the decisions land in the artifact's cache
 /// section) → serialize to `out`. Returns the human-readable report.
 ///
 /// # Errors
 ///
-/// Propagates training, quantization and serialization failures.
+/// Propagates training, quantization and serialization failures; a
+/// selection with no exact integer-domain execution (e.g. a float type
+/// under `--combo fip|fipf`) is [`RuntimeError::UnsupportedLayer`] and
+/// leaves no file.
 pub fn run_quantize<P: AsRef<Path>>(cfg: QuantizeConfig, out: P) -> Result<String, CliError> {
     if cfg.model == ModelKind::Decoder {
         return quantize_decoder(cfg, out);
@@ -195,13 +233,7 @@ pub fn run_quantize<P: AsRef<Path>>(cfg: QuantizeConfig, out: P) -> Result<Strin
     let fp32_acc = evaluate(&mut model, &test_set)?;
     let calib_indices: Vec<usize> = (0..64.min(train_set.len())).collect();
     let (calib, _) = train_set.batch(&calib_indices);
-    let spec = QuantSpec {
-        combo: cfg.combo,
-        bits: cfg.bits,
-        ..QuantSpec::default()
-    };
-    let mut planner = Planner::new();
-    let plan = planner.compile(&mut model, &calib, spec)?;
+    let (planner, plan) = select_and_compile(&mut model, &calib, cfg)?;
     let quant_acc = evaluate(&mut model, &test_set)?;
     let artifact = ModelArtifact::from_model(&model)?.with_cache(planner.cache());
     artifact.save_path(&out)?;
@@ -217,17 +249,6 @@ pub fn run_quantize<P: AsRef<Path>>(cfg: QuantizeConfig, out: P) -> Result<Strin
     report.push_str(&format!(
         "accuracy: fp32 {:.3} -> quantized {:.3}\n",
         fp32_acc, quant_acc
-    ));
-    let covered = plan
-        .layers()
-        .iter()
-        .filter(|l| !matches!(l, ant_runtime::PlanLayer::Fallback(_)))
-        .count();
-    report.push_str(&format!(
-        "coverage: {:.2} ({covered}/{} layers outside fallback; {} carry packed wire codes)\n",
-        plan.coverage(),
-        plan.layers().len(),
-        plan.packed_layer_count()
     ));
     report.push_str(&format!(
         "weights: {packed} packed bytes vs {f32_bytes} f32 bytes ({:.1}x smaller)\n",
@@ -270,13 +291,7 @@ fn quantize_decoder<P: AsRef<Path>>(cfg: QuantizeConfig, out: P) -> Result<Strin
         &[24, DECODER_SEQ * DECODER_DIM],
         cfg.seed.wrapping_add(1),
     );
-    let spec = QuantSpec {
-        combo: cfg.combo,
-        bits: cfg.bits,
-        ..QuantSpec::default()
-    };
-    let mut planner = Planner::new();
-    let plan = planner.compile(&mut model, &calib, spec)?;
+    let (planner, plan) = select_and_compile(&mut model, &calib, cfg)?;
     let artifact = ModelArtifact::from_model(&model)?.with_cache(planner.cache());
     artifact.save_path(&out)?;
 
@@ -317,42 +332,22 @@ fn quantize_decoder<P: AsRef<Path>>(cfg: QuantizeConfig, out: P) -> Result<Strin
 
 /// Renders the `antc inspect` report: header metadata, the per-layer
 /// dtype/bit-width table (with the execution image width the compiled
-/// plan reports for each packed layer), and the coverage line.
-///
-/// Coverage is computed by lenient-compiling the artifact and reading
-/// [`ant_runtime::CompiledPlan::coverage`] — the same quantity with the
-/// same denominator (all plan layers, fallback included) as the
-/// documented API, so the two can never disagree.
+/// plan reports for each packed layer), and whether the artifact
+/// compiles — with the refusal when it does not (a hand-built or
+/// pre-refusal file carrying a float-typed layer, say).
 ///
 /// # Errors
 ///
-/// Propagates load and compile failures.
+/// Propagates load failures.
 pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
     let bytes = std::fs::read(&path).map_err(|e| CliError::Artifact(ArtifactError::Io(e)))?;
     let info = probe(&bytes[..])?;
     let mapped = MappedArtifact::open(&path)?;
     let copies = mapped.load_copies();
     let artifact = mapped.artifact();
-    let mut plan = None;
-    let coverage_line = match mapped.compile() {
-        Ok(p) => {
-            // Same quantity, same denominator as CompiledPlan::coverage():
-            // every plan layer counts, fallback layers included.
-            let covered = p
-                .layers()
-                .iter()
-                .filter(|l| !matches!(l, ant_runtime::PlanLayer::Fallback(_)))
-                .count();
-            let line = format!(
-                "coverage: {:.2} ({covered} of {} plan layers packed-executable; \
-                 float-typed fallback layers count toward the denominator)",
-                p.coverage(),
-                p.layers().len()
-            );
-            plan = Some(p);
-            line
-        }
-        Err(e) => format!("coverage: plan does not compile ({e})"),
+    let (plan, plan_line) = match mapped.compile() {
+        Ok(p) => (Some(p), "plan: compiles".to_string()),
+        Err(e) => (None, format!("plan: does not compile ({e})")),
     };
 
     let mut out = String::new();
@@ -429,7 +424,6 @@ pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
             elems.to_string(),
             bytes.to_string(),
             act,
-            if l.packed { "yes" } else { "no" }.to_string(),
             image,
         ]);
     }
@@ -444,13 +438,12 @@ pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
             "elems",
             "bytes",
             "activation",
-            "packed",
             "image",
         ],
         &rows,
     ));
     out.push('\n');
-    out.push_str(&coverage_line);
+    out.push_str(&plan_line);
     out.push('\n');
     if let Some(p) = &plan {
         let (packed, f32b) = p.weight_bytes();
@@ -483,7 +476,7 @@ pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Loads an artifact, strict-compiles it, and pushes `requests` seeded
+/// Loads an artifact, compiles it, and pushes `requests` seeded
 /// random rows through a batched [`Engine`], verifying every response
 /// against a direct plan execution. Returns the serving report.
 ///
@@ -503,13 +496,12 @@ pub fn run_serve<P: AsRef<Path>>(
     metrics_dump: Option<&Path>,
 ) -> Result<String, CliError> {
     let mapped = MappedArtifact::open(&path)?;
-    let plan = mapped.compile_strict()?;
+    let plan = mapped.compile()?;
     let storage = if mapped.is_zero_copy() {
         "mmap zero-copy"
     } else {
         "owned"
     };
-    let coverage = plan.coverage();
     let features = plan.in_features().ok_or_else(|| {
         CliError::Runtime(RuntimeError::Engine(
             "plan does not pin an input width".to_string(),
@@ -556,7 +548,7 @@ pub fn run_serve<P: AsRef<Path>>(
     let stats = engine.stats();
     let mut report = format!(
         "served {verified} request(s), all verified against direct execution\n\
-         coverage: {coverage:.2}; {} batches, largest {}; weights {storage}\n\
+         {} batches, largest {}; weights {storage}\n\
          elapsed: {:.1} ms ({:.0} req/s)\n",
         stats.batches,
         stats.largest_batch,
@@ -658,13 +650,13 @@ pub struct BenchWorkload {
     /// scratch-arena path; `None` when the counting allocator is not
     /// installed (e.g. library callers).
     pub allocs_per_request: Option<f64>,
-    /// Time-to-serving-ready (open + strict compile) from a mapped
+    /// Time-to-serving-ready (open + compile) from a mapped
     /// artifact, microseconds: parse in place, borrow wire codes and
     /// pre-packed panel images.
     pub load_us_v2: f64,
     /// Whether the mapped handle achieved the full zero-copy contract.
     pub mapped_zero_copy: bool,
-    /// `Private_Dirty` kB of the mapping after a full strict compile
+    /// `Private_Dirty` kB of the mapping after a full compile
     /// (`/proc/self/smaps`): this process's private-RSS share of the
     /// weight pages — 0 means every page stays shared across processes
     /// serving the same artifact. `None` when the measurement is
@@ -956,7 +948,7 @@ impl BenchReport {
     }
 }
 
-/// Builds the three fixed serving workloads as strict-compiled plans.
+/// Builds the three fixed serving workloads as compiled plans.
 fn bench_plans(seed: u64) -> Result<Vec<(&'static str, CompiledPlan, usize)>, CliError> {
     use ant_nn::model::{deep_mlp, transformer_block};
     use ant_nn::qat::quantize_model;
@@ -975,7 +967,7 @@ fn bench_plans(seed: u64) -> Result<Vec<(&'static str, CompiledPlan, usize)>, Cl
             seed.wrapping_add(3),
         );
         quantize_model(&mut model, &calib, QuantSpec::default())?;
-        let plan = CompiledPlan::from_quantized_strict(&model)?;
+        let plan = CompiledPlan::from_quantized(&model)?;
         out.push((name, plan, features));
     }
     Ok(out)
@@ -1066,7 +1058,7 @@ fn mapping_private_dirty_kb(addr: usize) -> Option<u64> {
 
 /// Measures time-to-serving-ready for one workload archetype (at
 /// [`load_scale_model`] size): map, parse in place, adopt the pre-packed
-/// images, strict-compile. Returns
+/// images, compile. Returns
 /// `(load_us, zero_copy, private_dirty_kb)`.
 fn measure_load_path(
     name: &str,
@@ -1089,16 +1081,16 @@ fn measure_load_path(
         .map_err(|e| CliError::Artifact(ArtifactError::Io(e)))?;
     // Warm the page cache and the selection paths once.
     let mapped = MappedArtifact::open(&path)?;
-    mapped.compile_strict()?;
+    mapped.compile()?;
     let zero_copy = mapped.is_zero_copy();
-    // Shared-RSS metric: after a full strict compile, how much of the
+    // Shared-RSS metric: after a full compile, how much of the
     // mapping this process dirtied (0 kB = every weight page stays
     // shared, the multi-process serving story).
     let private_dirty_kb = mapping_private_dirty_kb(mapped.mapped_bytes().as_ptr() as usize);
     drop(mapped);
     let t = time_per_iter(iters, || {
         let mapped = MappedArtifact::open(&path).expect("open");
-        let plan = mapped.compile_strict().expect("compile");
+        let plan = mapped.compile().expect("compile");
         std::hint::black_box(&plan);
     });
     Ok((t * 1e6, zero_copy, private_dirty_kb))
@@ -1157,7 +1149,7 @@ fn measure_decode(cfg: &BenchConfig) -> Result<DecodeBench, CliError> {
         cfg.seed.wrapping_add(3),
     );
     quantize_model(&mut model, &calib, QuantSpec::default())?;
-    let mut plan = CompiledPlan::from_quantized_strict(&model)?;
+    let mut plan = CompiledPlan::from_quantized(&model)?;
     // One prefill token plus every decode step must fit: capacity is
     // fixed at open and appends never grow it.
     let capacity = 1 + WARMUP + steps;
@@ -1538,7 +1530,7 @@ pub fn run_bench(cfg: BenchConfig) -> Result<String, CliError> {
         out.push_str("\nper-stage breakdown unavailable (runtime built without the obs feature)\n");
     }
     out.push_str(
-        "\nartifact load (time-to-serving-ready, load + strict compile,\nload-scale archetype models of ~0.4-1.6M wire codes):\n",
+        "\nartifact load (time-to-serving-ready, load + compile,\nload-scale archetype models of ~0.4-1.6M wire codes):\n",
     );
     for w in &report.workloads {
         out.push_str(&format!(
@@ -1594,7 +1586,7 @@ impl Default for StatsConfig {
     }
 }
 
-/// `antc stats`: drives seeded requests through a strict-compiled
+/// `antc stats`: drives seeded requests through a compiled
 /// artifact and reports the per-layer-kind timing/work breakdown read
 /// back from the telemetry registry — calls, total time, share, per-call
 /// p50/p99, derived GOPS and effective GB/s — plus the coverage check
@@ -1608,7 +1600,7 @@ impl Default for StatsConfig {
 pub fn run_stats<P: AsRef<Path>>(path: P, cfg: StatsConfig) -> Result<String, CliError> {
     let io = |e: std::io::Error| CliError::Artifact(ArtifactError::Io(e));
     let mapped = MappedArtifact::open(&path)?;
-    let mut plan = mapped.compile_strict()?;
+    let mut plan = mapped.compile()?;
     let features = plan.in_features().ok_or_else(|| {
         CliError::Runtime(RuntimeError::Engine(
             "plan does not pin an input width".to_string(),
@@ -2215,13 +2207,18 @@ USAGE:
 The quantize subcommand trains a reference model, runs Algorithm-2 type
 selection through a memoizing Planner, and saves the packed result (wire
 codes + pre-packed panel images + selection-cache fingerprints) as a
-versioned .antm artifact (mmap-ready, 64-byte-aligned).
+versioned .antm artifact (mmap-ready, 64-byte-aligned). A plan is packed
+or it does not compile: the runtime mirrors the paper's int-based PE, so
+when Algorithm 2 picks a type with no exact integer-domain execution (a
+float type under --combo fip|fipf, 6-bit PoT) quantize exits non-zero
+naming the layer and type, and writes nothing.
 inspect dumps the header, section table, storage mode, per-layer
-selections with each packed layer's execution image width (i8/i16/i32)
-and the selection-cache fingerprint/hit/miss stats. verify
+selections with each packed layer's execution image width (i8/i16/i32),
+whether the plan compiles (with the refusal if not) and the
+selection-cache fingerprint/hit/miss stats. verify
 runs the full integrity gate the lazy load defers: section CRCs plus
 a bit-for-bit recompute of the PANL execution images. serve
-memory-maps the artifact, strict-compiles it borrowing
+memory-maps the artifact, compiles it borrowing
 weights straight from the file pages, and smoke-serves verified batched
 requests; --metrics-dump writes the telemetry registry in Prometheus
 text format afterwards. stats drives seeded requests through the plan

@@ -315,14 +315,14 @@ pub struct Daemon {
     accept: Option<JoinHandle<()>>,
 }
 
-/// Loads and strict-compiles one artifact into a fresh engine.
+/// Loads and compiles one artifact into a fresh engine.
 fn build_state(
     path: &PathBuf,
     policy: BatchPolicy,
     generation: u64,
 ) -> Result<ModelState, DaemonError> {
     let mapped = Arc::new(MappedArtifact::open(path)?);
-    let plan = mapped.compile_strict()?;
+    let plan = mapped.compile()?;
     let in_features = plan.in_features();
     let token_dim = plan.token_dim();
     Ok(ModelState {
@@ -344,7 +344,7 @@ fn rebuild_state(slot: &ModelSlot, policy: BatchPolicy) -> Result<ModelState, Da
             "chaos: injected artifact-reload corruption",
         ))));
     }
-    let plan = old.mapped.compile_strict()?;
+    let plan = old.mapped.compile()?;
     let in_features = plan.in_features();
     let token_dim = plan.token_dim();
     Ok(ModelState {
@@ -1108,7 +1108,7 @@ fn submit_and_wait(
     }
 }
 
-/// `POST /v1/models/{name}/reload`: re-map the artifact, strict-compile,
+/// `POST /v1/models/{name}/reload`: re-map the artifact, compile,
 /// swap the engine. The old generation keeps serving until the swap.
 fn reload(inner: &Inner, name: &str) -> Response {
     let Some(slot) = inner.model(name) else {

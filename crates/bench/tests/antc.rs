@@ -6,7 +6,7 @@
 use ant_bench::antc::{parse_combo, run, CliError, ModelKind};
 use ant_bench::json::Json;
 use ant_core::select::PrimitiveCombo;
-use ant_runtime::{ArtifactError, ModelArtifact};
+use ant_runtime::{ArtifactError, ModelArtifact, RuntimeError};
 use std::path::PathBuf;
 
 fn temp_artifact(name: &str) -> PathBuf {
@@ -29,7 +29,6 @@ fn quantize_inspect_serve_roundtrip() {
     ]))
     .unwrap();
     assert!(report.contains("combo IP-F, 4 bits"), "{report}");
-    assert!(report.contains("coverage: 1.00"), "{report}");
     assert!(
         report.contains("memoized selection fingerprint"),
         "{report}"
@@ -48,15 +47,7 @@ fn quantize_inspect_serve_roundtrip() {
         assert!(inspect.contains("mmap zero-copy"), "{inspect}");
     }
     assert!(inspect.contains("dense"), "{inspect}");
-    // The coverage line states the documented denominator semantics.
-    assert!(
-        inspect.contains("5 of 5 plan layers packed-executable"),
-        "{inspect}"
-    );
-    assert!(
-        inspect.contains("fallback layers count toward the denominator"),
-        "{inspect}"
-    );
+    assert!(inspect.contains("plan: compiles"), "{inspect}");
 
     let dump = temp_artifact("roundtrip-metrics");
     let serve = run(&args(&[
@@ -74,7 +65,6 @@ fn quantize_inspect_serve_roundtrip() {
         serve.contains("served 48 request(s), all verified"),
         "{serve}"
     );
-    assert!(serve.contains("coverage: 1.00"), "{serve}");
     assert!(serve.contains("metrics: wrote"), "{serve}");
     let prom = std::fs::read_to_string(&dump).unwrap();
     #[cfg(feature = "obs")]
@@ -107,6 +97,83 @@ fn quantize_supports_bits_and_combo_overrides() {
     assert!(report.contains("combo Int, 8 bits"), "{report}");
     let inspect = run(&args(&["inspect", path_str])).unwrap();
     assert!(inspect.contains("int8s"), "{inspect}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn quantize_refuses_a_float_selection_and_leaves_no_file() {
+    // FIP-F on this seed selects float4 activations, which need the
+    // float-based PE: the refusal names the layer and the type, and comes
+    // before anything is written.
+    let path = temp_artifact("fipf");
+    let err = run(&args(&[
+        "quantize",
+        "--out",
+        path.to_str().unwrap(),
+        "--model",
+        "mlp",
+        "--combo",
+        "fipf",
+        "--seed",
+        "7",
+    ]))
+    .unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            CliError::Runtime(RuntimeError::UnsupportedLayer { layer, .. }) if layer == "fc2"
+        ),
+        "{err:?}"
+    );
+    let message = err.to_string();
+    assert!(
+        message.contains("selected type float4u has no exact integer-domain execution"),
+        "{message}"
+    );
+    assert!(message.contains("float-based PE"), "{message}");
+    assert!(!path.exists(), "a refused quantize must not write {path:?}");
+}
+
+#[test]
+fn inspect_says_why_a_float_typed_artifact_does_not_compile() {
+    // The library can still save a float-typed selection (a file an older
+    // `antc quantize --combo fipf` wrote looks like this): inspect dumps
+    // it and reports the refusal, serve fails with it.
+    use ant_nn::model::{mlp, NetLayer};
+    use ant_nn::qat::{quantize_model, QuantSpec};
+    let mut model = mlp(8, 4, 31);
+    let calib = ant_tensor::dist::sample_tensor(
+        ant_tensor::dist::Distribution::Gaussian {
+            mean: 0.0,
+            std: 1.0,
+        },
+        &[64, 8],
+        32,
+    );
+    quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
+    if let NetLayer::Dense(d) = &mut model.layers_mut()[2] {
+        let float4 = ant_core::DataType::float(4, false).unwrap();
+        d.quant.activation = Some(ant_core::Quantizer::with_scale(float4, 0.5).unwrap());
+    }
+    let path = temp_artifact("float-typed");
+    let path_str = path.to_str().unwrap();
+    ModelArtifact::from_model(&model)
+        .unwrap()
+        .save_path(&path)
+        .unwrap();
+    let inspect = run(&args(&["inspect", path_str])).unwrap();
+    assert!(
+        inspect.contains("plan: does not compile (")
+            && inspect.contains("layer fc2")
+            && inspect.contains("float4u has no exact integer-domain execution"),
+        "{inspect}"
+    );
+    assert!(matches!(
+        run(&args(&["serve", path_str])),
+        Err(CliError::Artifact(ArtifactError::Runtime(
+            RuntimeError::UnsupportedLayer { .. }
+        )))
+    ));
     std::fs::remove_file(&path).ok();
 }
 

@@ -58,26 +58,6 @@ impl LayerNorm {
         }
     }
 
-    /// Reconstructs a layer norm from explicit parameters (import hook for
-    /// model artifacts: the inverse of reading [`Self::gamma`],
-    /// [`Self::beta`] and [`Self::eps`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gamma` or `beta` is not a `[dim]` vector.
-    pub fn from_params(name: impl Into<String>, gamma: Tensor, beta: Tensor, eps: f32) -> Self {
-        assert_eq!(gamma.rank(), 1, "gamma must be rank 1");
-        assert_eq!(gamma.dims(), beta.dims(), "gamma/beta shape");
-        LayerNorm {
-            name: name.into(),
-            dim: gamma.len(),
-            gamma: Param::new(gamma),
-            beta: Param::new(beta),
-            eps,
-            cache: None,
-        }
-    }
-
     /// Feature-group size (export hook for inference runtimes).
     pub fn dim(&self) -> usize {
         self.dim
@@ -274,38 +254,6 @@ impl Attention {
     /// inference runtimes).
     pub fn causal(&self) -> bool {
         self.causal
-    }
-
-    /// Reconstructs an attention block from explicit projection weights
-    /// (q, k, v, o), each `[dim, dim]` — the import hook for model
-    /// artifacts, inverse of [`Self::projection_weights`]. Quantizers start
-    /// detached; attach them through [`Attention::quant`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any projection is not `[dim, dim]`.
-    pub fn from_weights(
-        name: impl Into<String>,
-        seq: usize,
-        dim: usize,
-        projections: [Tensor; 4],
-    ) -> Self {
-        for w in &projections {
-            assert_eq!(w.dims(), &[dim, dim], "projection must be [dim, dim]");
-        }
-        let [wq, wk, wv, wo] = projections;
-        Attention {
-            name: name.into(),
-            seq,
-            dim,
-            causal: false,
-            wq: Param::new(wq),
-            wk: Param::new(wk),
-            wv: Param::new(wv),
-            wo: Param::new(wo),
-            quant: AttnQuantState::default(),
-            cache: None,
-        }
     }
 
     /// Sequence length (export hook for inference runtimes).
@@ -615,28 +563,6 @@ mod tests {
             Attention::init("a2", 4, 8, 43).backward(&Tensor::zeros(&[1, 32])),
             Err(NnError::NoForwardState { .. })
         ));
-    }
-
-    #[test]
-    fn from_weights_and_from_params_roundtrip_forward() {
-        let mut at = Attention::init("attn", 3, 4, 51);
-        let x = gaussian(&[2, 12], 53);
-        let y = at.forward(&x).unwrap();
-        let ws = at.projection_weights().map(|w| w.clone());
-        let mut rebuilt = Attention::from_weights("attn", 3, 4, ws);
-        assert_eq!(rebuilt.forward(&x).unwrap(), y);
-        assert_eq!(rebuilt.seq(), 3);
-        assert_eq!(rebuilt.dim(), 4);
-
-        let mut ln = LayerNorm::new("ln", 6);
-        ln.gamma.value.as_mut_slice()[2] = 1.5;
-        ln.beta.value.as_mut_slice()[4] = -0.25;
-        let xl = gaussian(&[2, 12], 57);
-        let yl = ln.forward(&xl).unwrap();
-        let mut rebuilt =
-            LayerNorm::from_params("ln", ln.gamma().clone(), ln.beta().clone(), ln.eps());
-        assert_eq!(rebuilt.forward(&xl).unwrap(), yl);
-        assert_eq!(rebuilt.dim(), 6);
     }
 
     #[test]

@@ -46,8 +46,7 @@ impl NetLayer {
     }
 
     /// Forward pass on this single layer (export hook: lets external
-    /// runtimes execute individual layers — e.g. `ant-runtime`'s fallback
-    /// path for layers it does not run in the packed domain).
+    /// code execute one layer's reference arithmetic on its own).
     ///
     /// # Errors
     ///

@@ -42,7 +42,9 @@
 //! Loading a truncated, corrupted or other-versioned file yields a
 //! structured [`ArtifactError`], never a panic.
 //!
-//! Reloading offers three paths:
+//! Reloading offers two paths, both ending in the same record → plan-step
+//! lowering (a fake-quantized [`Sequential`] is never rebuilt — serving
+//! mirrors the paper's int-based PE and has no float executor):
 //!
 //! * [`MappedArtifact::open`] — the zero-copy serving path: `mmap(2)` the
 //!   file ([`crate::mmap::Mmap`]), borrow wire codes and panel images
@@ -51,13 +53,16 @@
 //!   file. [`MappedArtifact::load_copies`] counts owned weight-byte
 //!   materializations: a mapped load on a little-endian unix target
 //!   makes none.
-//! * [`ModelArtifact::compile`] / [`ModelArtifact::compile_strict`] —
-//!   rebuild a [`CompiledPlan`] **directly from the saved wire codes**. No
-//!   float is ever re-encoded, so the reloaded plan's packed codes are
-//!   bit-identical to the plan that was saved.
-//! * [`ModelArtifact::to_model`] — reconstruct a fake-quantized
-//!   [`Sequential`] (weights dequantized from the codes, quantizers
-//!   reattached from the saved scales) for inspection or further tuning.
+//! * [`ModelArtifact::load`] then [`ModelArtifact::compile`] — rebuild a
+//!   [`CompiledPlan`] **directly from the saved wire codes**, decoding
+//!   each execution image at compile. No float is ever re-encoded, so the
+//!   reloaded plan's packed codes are bit-identical to the plan that was
+//!   saved.
+//!
+//! Either way a record the integer domain cannot execute — a `float`
+//! selection, 6-bit PoT, shapes that disagree — is a structured compile
+//! error ([`RuntimeError::UnsupportedLayer`]), never a panic at serve
+//! time.
 //!
 //! ```
 //! use ant_nn::model::mlp;
@@ -74,10 +79,10 @@
 //! let mut bytes = Vec::new();
 //! artifact.save(&mut bytes)?;
 //!
-//! // Online: load anywhere, strict-compile straight from wire codes.
+//! // Online: load anywhere, compile straight from wire codes.
 //! let reloaded = ModelArtifact::load(&bytes[..])?;
-//! let mut plan = reloaded.compile_strict()?;
-//! assert_eq!(plan.coverage(), 1.0);
+//! let plan = reloaded.compile()?;
+//! assert_eq!(plan.packed_layer_count(), 3);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -93,11 +98,7 @@ use ant_core::minifloat::FloatFormat;
 use ant_core::pack::PackedTensor;
 use ant_core::store::{PackedStore, StorePod, TensorBytes, STORE_ALIGN};
 use ant_core::{DataType, Granularity, PrimitiveType, QuantError, Quantizer, TensorQuantizer};
-use ant_nn::attention::{Attention, LayerNorm};
-use ant_nn::gelu::Gelu;
-use ant_nn::layer::{Conv2d, Dense, MaxPool2, Relu};
 use ant_nn::model::{NetLayer, Sequential};
-use ant_nn::NnError;
 use ant_tensor::linalg::Conv2dGeometry;
 use ant_tensor::Tensor;
 use std::any::Any;
@@ -194,10 +195,8 @@ pub enum ArtifactError {
     },
     /// A quantization-level operation on the decoded state failed.
     Quant(QuantError),
-    /// A model-level operation on the decoded state failed.
-    Nn(NnError),
-    /// A plan-compilation operation on the decoded state failed (e.g.
-    /// strict compilation of a float-typed layer).
+    /// A plan-compilation operation on the decoded state failed (e.g. a
+    /// float-typed layer, or a record whose shapes disagree).
     Runtime(RuntimeError),
 }
 
@@ -235,7 +234,6 @@ impl fmt::Display for ArtifactError {
                 write!(f, "malformed artifact ({context}): {detail}")
             }
             ArtifactError::Quant(e) => write!(f, "artifact quantization error: {e}"),
-            ArtifactError::Nn(e) => write!(f, "artifact model error: {e}"),
             ArtifactError::Runtime(e) => write!(f, "artifact plan error: {e}"),
         }
     }
@@ -246,7 +244,6 @@ impl std::error::Error for ArtifactError {
         match self {
             ArtifactError::Io(e) => Some(e),
             ArtifactError::Quant(e) => Some(e),
-            ArtifactError::Nn(e) => Some(e),
             ArtifactError::Runtime(e) => Some(e),
             _ => None,
         }
@@ -265,12 +262,6 @@ impl From<QuantError> for ArtifactError {
     }
 }
 
-impl From<NnError> for ArtifactError {
-    fn from(e: NnError) -> Self {
-        ArtifactError::Nn(e)
-    }
-}
-
 impl From<RuntimeError> for ArtifactError {
     fn from(e: RuntimeError) -> Self {
         ArtifactError::Runtime(e)
@@ -282,7 +273,7 @@ impl From<RuntimeError> for ArtifactError {
 // ---------------------------------------------------------------------------
 
 /// One serialized weight tensor: packed wire codes plus the calibration
-/// granularity needed to rebuild its [`TensorQuantizer`].
+/// granularity of its [`TensorQuantizer`] (what `antc inspect` reports).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WeightRecord {
     granularity: Granularity,
@@ -301,24 +292,6 @@ impl WeightRecord {
         Ok(WeightRecord {
             granularity: wq.granularity(),
             codes: pack_weight_tensor(w.as_slice(), wq, dims)?,
-        })
-    }
-
-    fn quantizer(&self) -> Result<TensorQuantizer, ArtifactError> {
-        Ok(TensorQuantizer::from_scales(
-            self.codes.dtype(),
-            self.granularity,
-            self.codes.scales().to_vec(),
-        )?)
-    }
-
-    /// Dequantizes the wire codes back into an f32 tensor shaped by the
-    /// pack's logical dims.
-    fn decode(&self, context: &str) -> Result<Tensor, ArtifactError> {
-        let values = self.codes.decode_all()?;
-        Tensor::from_vec(values, self.codes.dims()).map_err(|e| ArtifactError::Malformed {
-            context: context.to_string(),
-            detail: e.to_string(),
         })
     }
 }
@@ -356,86 +329,71 @@ fn not_quantized(layer: &str) -> RuntimeError {
 /// shape parameters. Also the intermediate form every plan is compiled
 /// through ([`Self::from_layer`] then [`Self::lower`]).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum LayerRecord {
-    Dense {
-        name: String,
-        weight: WeightRecord,
-        bias: Vec<f32>,
-        act: ActRecord,
-    },
-    Relu {
-        name: String,
-    },
+pub(crate) struct LayerRecord {
+    name: String,
+    kind: RecordKind,
+    /// The wire-code tensors: as many as [`RecordKind::row`] says
+    /// (dense/conv one, attention its q, k, v, o projections).
+    weights: Vec<WeightRecord>,
+    /// Dense/conv bias; empty for every other kind.
+    bias: Vec<f32>,
+    /// The input-activation selection: `Some` iff the kind has weights.
+    act: Option<ActRecord>,
+}
+
+/// A record's kind, with the shape parameters only that kind has.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum RecordKind {
+    Dense,
+    Relu,
     Conv {
-        name: String,
         in_shape: (usize, usize, usize),
         geo: Conv2dGeometry,
-        weight: WeightRecord,
-        bias: Vec<f32>,
-        act: ActRecord,
     },
     Pool {
-        name: String,
         in_shape: (usize, usize, usize),
     },
     Norm {
-        name: String,
         gamma: Vec<f32>,
         beta: Vec<f32>,
         eps: f32,
     },
     Attn {
-        name: String,
         seq: usize,
         dim: usize,
-        weights: Box<[WeightRecord; 4]>,
-        act: ActRecord,
         causal: bool,
     },
-    Gelu {
-        name: String,
-    },
+    Gelu,
+}
+
+impl RecordKind {
+    /// `(MODL tag, inspect label, weight count, has bias)` — the one row
+    /// per kind that the wire codec, the summaries and the `PANL` entry
+    /// count read. On the wire a record is its tag, name and kind
+    /// parameters, then that many weights, the bias if it has one, and
+    /// the activation selection if it has weights.
+    fn row(&self) -> (u8, &'static str, usize, bool) {
+        match self {
+            RecordKind::Dense => (0, "dense", 1, true),
+            RecordKind::Relu => (1, "relu", 0, false),
+            RecordKind::Conv { .. } => (2, "conv", 1, true),
+            RecordKind::Pool { .. } => (3, "pool", 0, false),
+            RecordKind::Norm { .. } => (4, "norm", 0, false),
+            RecordKind::Attn { causal: false, .. } => (5, "attn", 4, false),
+            RecordKind::Gelu => (6, "gelu", 0, false),
+            // A causal block's payload is byte-identical to tag 5's; its
+            // own tag makes readers that predate it reject it cleanly as
+            // an unknown kind rather than serve it unmasked.
+            RecordKind::Attn { causal: true, .. } => (7, "causal-attn", 4, false),
+        }
+    }
 }
 
 impl LayerRecord {
-    fn name(&self) -> &str {
-        match self {
-            LayerRecord::Dense { name, .. }
-            | LayerRecord::Relu { name }
-            | LayerRecord::Conv { name, .. }
-            | LayerRecord::Pool { name, .. }
-            | LayerRecord::Norm { name, .. }
-            | LayerRecord::Attn { name, .. }
-            | LayerRecord::Gelu { name } => name,
-        }
-    }
-
-    /// The wire-code tensors this layer carries (dense/conv one,
-    /// attention its q, k, v, o projections, the rest none).
-    fn weights(&self) -> &[WeightRecord] {
-        match self {
-            LayerRecord::Dense { weight, .. } | LayerRecord::Conv { weight, .. } => {
-                std::slice::from_ref(weight)
-            }
-            LayerRecord::Attn { weights, .. } => &weights[..],
-            _ => &[],
-        }
-    }
-
-    /// The input-activation selection, for compute layers.
-    fn act(&self) -> Option<&ActRecord> {
-        match self {
-            LayerRecord::Dense { act, .. }
-            | LayerRecord::Conv { act, .. }
-            | LayerRecord::Attn { act, .. } => Some(act),
-            _ => None,
-        }
-    }
-
     /// Number of `PANL` entries this layer owns: one image per weight,
     /// plus attention's transposed o-projection operand.
     fn panel_entry_count(&self) -> usize {
-        self.weights().len() + usize::from(matches!(self, LayerRecord::Attn { .. }))
+        self.weights.len() + usize::from(matches!(self.kind, RecordKind::Attn { .. }))
     }
 
     /// Captures one quantized layer: compute layers' weights are encoded
@@ -446,59 +404,79 @@ impl LayerRecord {
     /// [`RuntimeError::NotQuantized`] when a compute layer has no
     /// quantizers, plus any packing failures.
     pub(crate) fn from_layer(layer: &NetLayer) -> Result<LayerRecord, RuntimeError> {
-        let name = layer.name().to_string();
-        Ok(match layer {
-            NetLayer::Dense(d) => LayerRecord::Dense {
-                weight: WeightRecord::encode(
+        let name = layer.name();
+        let plain = |kind| (kind, Vec::new(), Vec::new(), None);
+        let (kind, weights, bias, act) = match layer {
+            NetLayer::Dense(d) => (
+                RecordKind::Dense,
+                vec![WeightRecord::encode(
                     d.weight(),
                     d.quant.weight.as_ref(),
                     &[d.out_features(), d.in_features()],
-                    &name,
-                )?,
-                bias: d.bias().as_slice().to_vec(),
-                act: ActRecord::of(d.quant.activation.as_ref(), &name)?,
-                name,
-            },
-            NetLayer::Conv(c) => LayerRecord::Conv {
-                in_shape: c.in_shape(),
-                geo: c.geometry(),
-                weight: WeightRecord::encode(
+                    name,
+                )?],
+                d.bias().as_slice().to_vec(),
+                d.quant.activation.as_ref(),
+            ),
+            NetLayer::Conv(c) => (
+                RecordKind::Conv {
+                    in_shape: c.in_shape(),
+                    geo: c.geometry(),
+                },
+                vec![WeightRecord::encode(
                     c.weight(),
                     c.quant.weight.as_ref(),
                     c.weight().dims(),
-                    &name,
-                )?,
-                bias: c.bias().as_slice().to_vec(),
-                act: ActRecord::of(c.quant.activation.as_ref(), &name)?,
-                name,
-            },
+                    name,
+                )?],
+                c.bias().as_slice().to_vec(),
+                c.quant.activation.as_ref(),
+            ),
             NetLayer::Attn(a) => {
                 let dim = a.dim();
-                let (ws, qs) = (a.projection_weights(), &a.quant.weights);
-                let pack =
-                    |i: usize| WeightRecord::encode(ws[i], qs[i].as_ref(), &[dim, dim], &name);
-                LayerRecord::Attn {
-                    seq: a.seq(),
-                    dim,
-                    weights: Box::new([pack(0)?, pack(1)?, pack(2)?, pack(3)?]),
-                    act: ActRecord::of(a.quant.activation.as_ref(), &name)?,
-                    causal: a.causal(),
-                    name,
-                }
+                let projections = a.projection_weights().into_iter().zip(&a.quant.weights);
+                let packed = projections
+                    .map(|(w, q)| WeightRecord::encode(w, q.as_ref(), &[dim, dim], name));
+                (
+                    RecordKind::Attn {
+                        seq: a.seq(),
+                        dim,
+                        causal: a.causal(),
+                    },
+                    packed.collect::<Result<_, _>>()?,
+                    Vec::new(),
+                    a.quant.activation.as_ref(),
+                )
             }
-            NetLayer::Relu(_) => LayerRecord::Relu { name },
-            NetLayer::Gelu(_) => LayerRecord::Gelu { name },
-            NetLayer::Pool(p) => LayerRecord::Pool {
-                name,
+            NetLayer::Relu(_) => plain(RecordKind::Relu),
+            NetLayer::Gelu(_) => plain(RecordKind::Gelu),
+            NetLayer::Pool(p) => plain(RecordKind::Pool {
                 in_shape: p.in_shape(),
-            },
-            NetLayer::Norm(n) => LayerRecord::Norm {
-                name,
+            }),
+            NetLayer::Norm(n) => plain(RecordKind::Norm {
                 gamma: n.gamma().as_slice().to_vec(),
                 beta: n.beta().as_slice().to_vec(),
                 eps: n.eps(),
-            },
+            }),
+        };
+        let act = if weights.is_empty() {
+            None
+        } else {
+            Some(ActRecord::of(act, name)?)
+        };
+        Ok(LayerRecord {
+            name: name.to_string(),
+            kind,
+            weights,
+            bias,
+            act,
         })
+    }
+
+    /// The wire codes of this record's `N` weights (`N` is its kind's
+    /// [`RecordKind::row`] count: both constructors guarantee it).
+    fn codes<const N: usize>(&self) -> [PackedTensor; N] {
+        std::array::from_fn(|i| self.weights[i].codes.clone())
     }
 
     /// Lowers the record to its plan step, straight from the wire codes
@@ -506,82 +484,67 @@ impl LayerRecord {
     /// `PANL` images, adopted verbatim when present (the mapped path);
     /// otherwise each packed layer LUT-decodes and panel-packs its own.
     ///
+    /// This is the only road to a plan, so it is also where a record is
+    /// validated: the parser checks framing, not that shapes agree.
+    ///
     /// # Errors
     ///
-    /// [`RuntimeError::UnsupportedType`] for a selection the integer
-    /// domain cannot execute ([`PlanLayer::or_fallback`] settles it),
-    /// plus shape inconsistencies.
+    /// [`RuntimeError::UnsupportedLayer`] for a selection the integer
+    /// domain cannot execute exactly or a record whose shapes disagree
+    /// (plus the shape errors of the packed layers' constructors) —
+    /// never a step that would panic or silently truncate at run time.
     pub(crate) fn lower(&self, entries: &[PanelEntry]) -> Result<PlanLayer, RuntimeError> {
+        let name = &self.name;
+        let refuse = |reason: &str| RuntimeError::UnsupportedLayer {
+            layer: name.clone(),
+            reason: reason.to_string(),
+        };
+        let act = || {
+            let act = self.act.as_ref().ok_or_else(|| not_quantized(name))?;
+            Ok::<_, RuntimeError>(act.quantizer()?)
+        };
         let image = || match entries.first() {
             Some(PanelEntry::Image(img)) => Some(img.clone()),
             _ => None,
         };
-        match self {
-            LayerRecord::Dense {
-                name,
-                weight,
-                bias,
-                act,
-            } => PackedLinear::from_parts(
-                name.clone(),
-                weight.codes.clone(),
-                bias.clone(),
-                act.quantizer()?,
-                image(),
-            )
-            .map(|p| PlanLayer::Packed(Box::new(p))),
-            LayerRecord::Conv {
-                name,
-                in_shape,
-                geo,
-                weight,
-                bias,
-                act,
-            } => PackedConv::from_parts(
-                name.clone(),
-                weight.codes.clone(),
-                bias.clone(),
-                act.quantizer()?,
-                *in_shape,
-                *geo,
-                image(),
-            )
-            .map(|p| PlanLayer::PackedConv(Box::new(p))),
-            LayerRecord::Attn {
-                name,
-                seq,
-                dim,
-                weights,
-                act,
-                causal,
-            } => {
-                let projections = std::array::from_fn(|i| weights[i].codes.clone());
+        match &self.kind {
+            RecordKind::Dense => {
+                let [w] = self.codes();
+                PackedLinear::from_parts(name.clone(), w, self.bias.clone(), act()?, image())
+                    .map(|p| PlanLayer::Packed(Box::new(p)))
+            }
+            RecordKind::Conv { in_shape, geo } => {
+                let ([w], bias) = (self.codes(), self.bias.clone());
+                PackedConv::from_parts(name.clone(), w, bias, act()?, *in_shape, *geo, image())
+                    .map(|p| PlanLayer::PackedConv(Box::new(p)))
+            }
+            RecordKind::Attn { seq, dim, causal } => {
                 let prebuilt = match entries {
                     [PanelEntry::Image(q), PanelEntry::Image(k), PanelEntry::Image(v), PanelEntry::Image(o), PanelEntry::WoT(wo_t)] => {
                         Some(([q.clone(), k.clone(), v.clone(), o.clone()], wo_t.clone()))
                     }
                     _ => None,
                 };
-                let aq = act.quantizer()?;
-                PackedAttn::from_parts(name.clone(), *seq, *dim, projections, aq, prebuilt)
+                PackedAttn::from_parts(name.clone(), *seq, *dim, self.codes(), act()?, prebuilt)
                     .and_then(|p| PlanLayer::attn(p, *causal))
             }
-            LayerRecord::Relu { .. } => Ok(PlanLayer::Relu),
-            LayerRecord::Gelu { .. } => Ok(PlanLayer::Gelu),
-            LayerRecord::Pool { in_shape, .. } => Ok(PlanLayer::Pool {
-                in_shape: *in_shape,
-            }),
-            LayerRecord::Norm {
-                name,
-                gamma,
-                beta,
-                eps,
-            } => Ok(PlanLayer::Norm(Box::new(PlanNorm::from_parts(
-                name.clone(),
-                gamma.clone(),
-                beta.clone(),
-                *eps,
-            )))),
+            RecordKind::Relu => Ok(PlanLayer::Relu),
+            RecordKind::Gelu => Ok(PlanLayer::Gelu),
+            RecordKind::Pool { in_shape } => {
+                if !in_shape.1.is_multiple_of(2) || !in_shape.2.is_multiple_of(2) {
+                    return Err(refuse("pool extents must be even"));
+                }
+                Ok(PlanLayer::Pool {
+                    in_shape: *in_shape,
+                })
+            }
+            RecordKind::Norm { gamma, beta, eps } => {
+                if gamma.is_empty() || gamma.len() != beta.len() {
+                    return Err(refuse("norm gamma/beta lengths disagree"));
+                }
+                let norm = PlanNorm::from_parts(name.clone(), gamma.clone(), beta.clone(), *eps);
+                Ok(PlanLayer::Norm(Box::new(norm)))
+            }
         }
     }
 }
@@ -636,16 +599,12 @@ pub struct LayerSummary {
     /// Layer name.
     pub name: String,
     /// Layer kind (`dense`, `relu`, `conv`, `pool`, `norm`, `attn`,
-    /// `gelu`).
+    /// `causal-attn`, `gelu`).
     pub kind: &'static str,
     /// Weight tensors (dense/conv carry one, attention four, others none).
     pub weights: Vec<WeightSummary>,
     /// Activation selection, for compute layers.
     pub activation: Option<(DataType, f32)>,
-    /// Whether [`ModelArtifact::compile`] lowers this layer to the packed
-    /// integer domain (`false` only for float-typed compute layers, which
-    /// compile to reference-path fallback).
-    pub packed: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -726,48 +685,28 @@ impl ModelArtifact {
     /// or loaded through [`Self::load`]; `true` for the model half of a
     /// [`MappedArtifact`].
     pub fn codes_borrowed(&self) -> bool {
-        let mut weights = self.layers.iter().flat_map(LayerRecord::weights);
+        let mut weights = self.layers.iter().flat_map(|l| &l.weights);
         weights.all(|w| w.codes.is_borrowed())
     }
 
-    /// Reconstructs a fake-quantized [`Sequential`]: layer weights are the
-    /// dequantized wire codes (exactly on the scaled lattice) and the
-    /// saved `(dtype, granularity, scales)` selections are reattached as
-    /// quantizers.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Malformed`] (or a wrapped quantization error) when
-    /// record shapes are inconsistent.
-    pub fn to_model(&self) -> Result<Sequential, ArtifactError> {
-        let mut model = Sequential::new();
-        for record in &self.layers {
-            model = model.push(record_to_netlayer(record)?);
-        }
-        Ok(model)
-    }
-
     /// Compiles an executable plan **directly from the saved wire codes**
-    /// (bit-identical to the plan that produced the artifact). Float-typed
-    /// compute layers compile to reference-path fallback, exactly as
-    /// [`CompiledPlan::from_quantized`] would.
+    /// (bit-identical to the plan that produced the artifact), through
+    /// the lowering [`CompiledPlan::from_quantized`] uses.
     ///
     /// # Errors
     ///
-    /// Propagates reconstruction failures.
+    /// [`ArtifactError::Runtime`] wrapping
+    /// [`RuntimeError::UnsupportedLayer`] for a record the integer domain
+    /// cannot execute (a `float` or 6-bit PoT selection) or whose shapes
+    /// disagree, naming the layer.
     pub fn compile(&self) -> Result<CompiledPlan, ArtifactError> {
-        self.build_plan_with(false, None)
+        self.build_plan_with(None)
     }
 
-    /// Strict [`Self::compile`]: a layer the packed path cannot execute
-    /// fails with [`RuntimeError::UnsupportedLayer`] (wrapped in
-    /// [`ArtifactError::Runtime`]) instead of falling back.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::compile`], plus the strict-mode refusal.
+    /// Forwards to [`Self::compile`]; kept for the benchmark contract.
+    #[doc(hidden)]
     pub fn compile_strict(&self) -> Result<CompiledPlan, ArtifactError> {
-        self.build_plan_with(true, None)
+        self.compile()
     }
 
     /// Plan construction shared by the decode path (`images: None` — each
@@ -776,16 +715,13 @@ impl ModelArtifact {
     /// adopted verbatim, typically borrowed straight from the mapping).
     fn build_plan_with(
         &self,
-        strict: bool,
         images: Option<&[Vec<PanelEntry>]>,
     ) -> Result<CompiledPlan, ArtifactError> {
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for (i, record) in self.layers.iter().enumerate() {
-            let lowered = record.lower(images.map_or(&[], |im| &im[i]));
-            layers.push(PlanLayer::or_fallback(lowered, strict, || {
-                record_to_netlayer(record)
-            })?);
-        }
+        let lower = |(i, record): (usize, &LayerRecord)| {
+            record.lower(images.map_or(&[], |im| im[i].as_slice()))
+        };
+        let layers = self.layers.iter().enumerate().map(lower);
+        let layers = layers.collect::<Result<_, RuntimeError>>()?;
         Ok(CompiledPlan::from_plan_layers(layers))
     }
 
@@ -908,7 +844,7 @@ impl ModelArtifact {
                     context: "PANL section".to_string(),
                     detail: format!(
                         "panel image for layer '{}' disagrees with its wire codes",
-                        record.name()
+                        record.name
                     ),
                 });
             }
@@ -932,83 +868,36 @@ impl ModelArtifact {
         let mut out = Vec::new();
         put_u32(&mut out, self.layers.len() as u32);
         for layer in &self.layers {
-            match layer {
-                LayerRecord::Dense {
-                    name,
-                    weight,
-                    bias,
-                    act,
-                } => {
-                    out.push(0);
-                    put_str(&mut out, name);
-                    put_weight(&mut out, weight);
-                    put_f32s(&mut out, bias);
-                    put_act(&mut out, act);
-                }
-                LayerRecord::Relu { name } => {
-                    out.push(1);
-                    put_str(&mut out, name);
-                }
-                LayerRecord::Conv {
-                    name,
-                    in_shape,
-                    geo,
-                    weight,
-                    bias,
-                    act,
-                } => {
-                    out.push(2);
-                    put_str(&mut out, name);
+            let (tag, _, _, has_bias) = layer.kind.row();
+            out.push(tag);
+            put_str(&mut out, &layer.name);
+            match &layer.kind {
+                RecordKind::Conv { in_shape, geo } => {
                     put_shape3(&mut out, *in_shape);
-                    put_u32(&mut out, geo.kh as u32);
-                    put_u32(&mut out, geo.kw as u32);
-                    put_u32(&mut out, geo.stride as u32);
-                    put_u32(&mut out, geo.padding as u32);
-                    put_weight(&mut out, weight);
-                    put_f32s(&mut out, bias);
-                    put_act(&mut out, act);
+                    for v in [geo.kh, geo.kw, geo.stride, geo.padding] {
+                        put_u32(&mut out, v as u32);
+                    }
                 }
-                LayerRecord::Pool { name, in_shape } => {
-                    out.push(3);
-                    put_str(&mut out, name);
-                    put_shape3(&mut out, *in_shape);
-                }
-                LayerRecord::Norm {
-                    name,
-                    gamma,
-                    beta,
-                    eps,
-                } => {
-                    out.push(4);
-                    put_str(&mut out, name);
+                RecordKind::Pool { in_shape } => put_shape3(&mut out, *in_shape),
+                RecordKind::Norm { gamma, beta, eps } => {
                     put_f32s(&mut out, gamma);
                     put_f32s(&mut out, beta);
                     put_f32(&mut out, *eps);
                 }
-                LayerRecord::Attn {
-                    name,
-                    seq,
-                    dim,
-                    weights,
-                    act,
-                    causal,
-                } => {
-                    // Tag 7 is a causal attention block; its payload is
-                    // byte-identical to tag 5, so old readers reject it
-                    // cleanly as an unknown tag rather than mis-parsing.
-                    out.push(if *causal { 7 } else { 5 });
-                    put_str(&mut out, name);
+                RecordKind::Attn { seq, dim, .. } => {
                     put_u32(&mut out, *seq as u32);
                     put_u32(&mut out, *dim as u32);
-                    for w in weights.iter() {
-                        put_weight(&mut out, w);
-                    }
-                    put_act(&mut out, act);
                 }
-                LayerRecord::Gelu { name } => {
-                    out.push(6);
-                    put_str(&mut out, name);
-                }
+                RecordKind::Dense | RecordKind::Relu | RecordKind::Gelu => {}
+            }
+            for w in &layer.weights {
+                put_weight(&mut out, w);
+            }
+            if has_bias {
+                put_f32s(&mut out, &layer.bias);
+            }
+            if let Some(act) = &layer.act {
+                put_act(&mut out, act);
             }
         }
         out
@@ -1047,7 +936,7 @@ impl ModelArtifact {
         let mut layers = Vec::with_capacity(self.layers.len());
         for record in &self.layers {
             // Attention's trailing `WoT` rides on its o-projection record.
-            let ws = record.weights();
+            let ws = &record.weights;
             let mut entries = Vec::with_capacity(record.panel_entry_count());
             for (entry, w) in expected_entries(record)?
                 .into_iter()
@@ -1163,8 +1052,8 @@ const TAG_F32: u8 = 3;
 const TAG_ABSENT: u8 = 4;
 
 /// One parsed `PANL` entry: a ready-to-adopt execution image, the
-/// attention output-projection operand, or nothing (layer compiles via
-/// fallback / decode).
+/// attention output-projection operand, or nothing (the layer decodes
+/// its image at compile, or compilation refuses it).
 #[derive(Debug)]
 pub(crate) enum PanelEntry {
     /// A dense/conv/attn-projection execution image in microkernel
@@ -1172,7 +1061,7 @@ pub(crate) enum PanelEntry {
     Image(WeightImage),
     /// Attention's transposed f32 output-projection operand.
     WoT(PackedStore<f32>),
-    /// No image serialized (non-integer-domain layer).
+    /// No image serialized (a layer the integer domain refuses).
     Absent,
 }
 
@@ -1268,18 +1157,19 @@ impl PanelEntry {
 /// serializes, and what [`ModelArtifact::verify_bytes`] compares a parsed
 /// section against bit-for-bit. A layer the integer domain refuses, or
 /// whose codes are not shaped consistently enough to image, gets `Absent`
-/// entries (all of them — attention adopts its images as a set) and
-/// compiles by decode or fallback instead.
+/// entries (all of them — attention adopts its images as a set): the
+/// file still saves, loads and verifies, and compiling it reports the
+/// refusal.
 fn expected_entries(record: &LayerRecord) -> Result<Vec<PanelEntry>, ArtifactError> {
-    let (weights, Some(act)) = (record.weights(), record.act()) else {
+    let (weights, Some(act)) = (&record.weights, &record.act) else {
         return Ok(Vec::new());
     };
     let absent = || (0..record.panel_entry_count()).map(|_| PanelEntry::Absent);
     let float = |dt: DataType| dt.primitive() == PrimitiveType::Float;
     let shaped = |w: &WeightRecord| {
         let dims = w.codes.dims();
-        let square = match record {
-            LayerRecord::Attn { dim, .. } => dims == [*dim, *dim],
+        let square = match record.kind {
+            RecordKind::Attn { dim, .. } => dims == [dim, dim],
             _ => true,
         };
         square && dims.len() >= 2 && dims.iter().product::<usize>() == w.codes.len()
@@ -1287,18 +1177,18 @@ fn expected_entries(record: &LayerRecord) -> Result<Vec<PanelEntry>, ArtifactErr
     if float(act.dtype) || !weights.iter().all(|w| shaped(w) && !float(w.codes.dtype())) {
         return Ok(absent().collect());
     }
-    let name = record.name();
+    let name = &record.name;
     let images = act_bound(name, &act.quantizer()?).and_then(|bound| {
         let image = |w: &WeightRecord| decode_image(name, &w.codes, bound);
         weights.iter().map(image).collect::<Result<Vec<_>, _>>()
     });
     let mut entries: Vec<PanelEntry> = match images {
         Ok(images) => images.into_iter().map(PanelEntry::Image).collect(),
-        Err(RuntimeError::UnsupportedType { .. }) => return Ok(absent().collect()),
+        Err(RuntimeError::UnsupportedLayer { .. }) => return Ok(absent().collect()),
         Err(e) => return Err(e.into()),
     };
-    if let LayerRecord::Attn { dim, weights, .. } = record {
-        let wo_t = transpose(&decode_rows_f32(&weights[3].codes), *dim);
+    if let RecordKind::Attn { dim, .. } = record.kind {
+        let wo_t = transpose(&decode_rows_f32(&weights[3].codes), dim);
         entries.push(PanelEntry::WoT(PackedStore::from_vec(wo_t)));
     }
     Ok(entries)
@@ -1361,7 +1251,7 @@ fn parse_panel_section(
         if entry_count != record.panel_entry_count() {
             return Err(rd.malformed(format!(
                 "layer '{}' has {entry_count} panel entries, expected {}",
-                record.name(),
+                record.name,
                 record.panel_entry_count()
             )));
         }
@@ -1513,8 +1403,8 @@ impl MappedArtifact {
         let map = Arc::new(Mmap::open(path.as_ref())?);
         let owner: ArcOwner = map.clone();
         let (artifact, info, mut load_copies) = parse_artifact(map.as_slice(), Some(&owner))?;
-        // Loading is lenient about a missing PANL (verify is not): plans
-        // fall back to decode-on-compile.
+        // Loading tolerates a missing PANL (verify does not): plans then
+        // decode their images at compile.
         let images = match find_section(&info, SECTION_PANEL) {
             Some(pi) => {
                 let payload = section_payload(map.as_slice(), &info, pi);
@@ -1584,23 +1474,19 @@ impl MappedArtifact {
 
     /// Compiles a plan that adopts the mapped panel images verbatim:
     /// weights stay borrowed from the file pages, scratch stays owned
-    /// and per-plan. Fallback semantics match
-    /// [`ModelArtifact::compile`].
+    /// and per-plan.
     ///
     /// # Errors
     ///
     /// As [`ModelArtifact::compile`].
     pub fn compile(&self) -> Result<CompiledPlan, ArtifactError> {
-        self.artifact.build_plan_with(false, self.images.as_deref())
+        self.artifact.build_plan_with(self.images.as_deref())
     }
 
-    /// Strict [`Self::compile`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelArtifact::compile_strict`].
+    /// Forwards to [`Self::compile`]; kept for the benchmark contract.
+    #[doc(hidden)]
     pub fn compile_strict(&self) -> Result<CompiledPlan, ArtifactError> {
-        self.artifact.build_plan_with(true, self.images.as_deref())
+        self.compile()
     }
 }
 
@@ -1618,144 +1504,20 @@ pub fn probe<R: Read>(mut r: R) -> Result<ArtifactInfo, ArtifactError> {
     parse_header(&bytes)
 }
 
-// ---------------------------------------------------------------------------
-// Record <-> layer conversions
-// ---------------------------------------------------------------------------
-
-fn record_to_netlayer(record: &LayerRecord) -> Result<NetLayer, ArtifactError> {
-    match record {
-        LayerRecord::Dense {
-            name,
-            weight,
-            bias,
-            act,
-        } => {
-            let w = weight.decode(name)?;
-            if w.rank() != 2 || bias.len() != w.dims()[0] {
-                return Err(malformed(name, "dense weight/bias shapes disagree"));
-            }
-            let mut d = Dense::new(name.clone(), w, Tensor::from_slice(bias));
-            d.quant.weight = Some(weight.quantizer()?);
-            d.quant.activation = Some(act.quantizer()?);
-            Ok(NetLayer::Dense(d))
-        }
-        LayerRecord::Relu { name } => Ok(NetLayer::Relu(Relu::new(name.clone()))),
-        LayerRecord::Conv {
-            name,
-            in_shape,
-            geo,
-            weight,
-            bias,
-            act,
-        } => {
-            let w = weight.decode(name)?;
-            let dims = w.dims().to_vec();
-            if dims.len() != 4 || dims[1] != in_shape.0 || bias.len() != dims[0] {
-                return Err(malformed(name, "conv kernel/bias/input shapes disagree"));
-            }
-            if dims[2] != geo.kh || dims[3] != geo.kw {
-                return Err(malformed(name, "conv kernel shape disagrees with geometry"));
-            }
-            if geo.out_extent(in_shape.1, geo.kh).is_none()
-                || geo.out_extent(in_shape.2, geo.kw).is_none()
-            {
-                return Err(malformed(name, "conv kernel does not fit input"));
-            }
-            let mut c = Conv2d::new(name.clone(), w, Tensor::from_slice(bias), *in_shape, *geo);
-            c.quant.weight = Some(weight.quantizer()?);
-            c.quant.activation = Some(act.quantizer()?);
-            Ok(NetLayer::Conv(c))
-        }
-        LayerRecord::Pool { name, in_shape } => {
-            if !in_shape.1.is_multiple_of(2) || !in_shape.2.is_multiple_of(2) {
-                return Err(malformed(name, "pool extents must be even"));
-            }
-            Ok(NetLayer::Pool(MaxPool2::new(name.clone(), *in_shape)))
-        }
-        LayerRecord::Norm {
-            name,
-            gamma,
-            beta,
-            eps,
-        } => {
-            if gamma.len() != beta.len() || gamma.is_empty() {
-                return Err(malformed(name, "norm gamma/beta lengths disagree"));
-            }
-            Ok(NetLayer::Norm(LayerNorm::from_params(
-                name.clone(),
-                Tensor::from_slice(gamma),
-                Tensor::from_slice(beta),
-                *eps,
-            )))
-        }
-        LayerRecord::Attn {
-            name,
-            seq,
-            dim,
-            weights,
-            act,
-            causal,
-        } => {
-            let mut projections = Vec::with_capacity(4);
-            for w in weights.iter() {
-                let t = w.decode(name)?;
-                if t.dims() != [*dim, *dim] {
-                    return Err(malformed(name, "attention projection is not [dim, dim]"));
-                }
-                projections.push(t);
-            }
-            let projections: [Tensor; 4] = projections.try_into().expect("exactly four");
-            let mut a =
-                Attention::from_weights(name.clone(), *seq, *dim, projections).with_causal(*causal);
-            for (slot, w) in a.quant.weights.iter_mut().zip(weights.iter()) {
-                *slot = Some(w.quantizer()?);
-            }
-            a.quant.activation = Some(act.quantizer()?);
-            Ok(NetLayer::Attn(Box::new(a)))
-        }
-        LayerRecord::Gelu { name } => Ok(NetLayer::Gelu(Gelu::new(name.clone()))),
-    }
-}
-
-fn malformed(context: &str, detail: &str) -> ArtifactError {
-    ArtifactError::Malformed {
-        context: context.to_string(),
-        detail: detail.to_string(),
-    }
-}
-
 fn summarize(record: &LayerRecord) -> LayerSummary {
-    let kind = match record {
-        LayerRecord::Dense { .. } => "dense",
-        LayerRecord::Relu { .. } => "relu",
-        LayerRecord::Conv { .. } => "conv",
-        LayerRecord::Pool { .. } => "pool",
-        LayerRecord::Norm { .. } => "norm",
-        LayerRecord::Attn { causal: true, .. } => "causal-attn",
-        LayerRecord::Attn { .. } => "attn",
-        LayerRecord::Gelu { .. } => "gelu",
-    };
-    let (weights, act) = (record.weights(), record.act());
-    let mut dtypes = weights
-        .iter()
-        .map(|w| w.codes.dtype())
-        .chain(act.map(|a| a.dtype));
+    let weights = record.weights.iter().map(|w| WeightSummary {
+        dtype: w.codes.dtype(),
+        granularity: w.granularity,
+        dims: w.codes.dims().to_vec(),
+        elements: w.codes.len(),
+        bytes: w.codes.size_bytes(),
+        scales: w.codes.scales().len(),
+    });
     LayerSummary {
-        name: record.name().to_string(),
-        kind,
-        packed: dtypes.all(|dt| dt.primitive() != PrimitiveType::Float),
-        weights: weights
-            .iter()
-            .map(|w| WeightSummary {
-                dtype: w.codes.dtype(),
-                granularity: w.granularity,
-                dims: w.codes.dims().to_vec(),
-                elements: w.codes.len(),
-                bytes: w.codes.size_bytes(),
-                scales: w.codes.scales().len(),
-            })
-            .collect(),
-        activation: act.map(|a| (a.dtype, a.scale)),
+        name: record.name.clone(),
+        kind: record.kind.row().1,
+        weights: weights.collect(),
+        activation: record.act.as_ref().map(|a| (a.dtype, a.scale)),
     }
 }
 
@@ -2124,64 +1886,51 @@ fn parse_model_section(
     let count = rd.usize32()?;
     let mut layers = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        let kind = rd.u8()?;
+        let tag = rd.u8()?;
         let name = rd.string()?;
-        let record = match kind {
-            0 => LayerRecord::Dense {
-                name,
-                weight: rd.weight()?,
-                bias: rd.f32s()?,
-                act: rd.act()?,
-            },
-            1 => LayerRecord::Relu { name },
+        let kind = match tag {
+            0 => RecordKind::Dense,
+            1 => RecordKind::Relu,
             2 => {
                 let in_shape = rd.shape3()?;
-                let kh = rd.usize32()?;
-                let kw = rd.usize32()?;
-                let stride = rd.usize32()?;
-                let padding = rd.usize32()?;
-                let geo = Conv2dGeometry::new(kh, kw, stride, padding).map_err(|e| {
-                    ArtifactError::Malformed {
-                        context: "MODL section".to_string(),
-                        detail: e.to_string(),
-                    }
-                })?;
-                LayerRecord::Conv {
-                    name,
-                    in_shape,
-                    geo,
-                    weight: rd.weight()?,
-                    bias: rd.f32s()?,
-                    act: rd.act()?,
-                }
+                let (kh, kw) = (rd.usize32()?, rd.usize32()?);
+                let (stride, padding) = (rd.usize32()?, rd.usize32()?);
+                let geo = Conv2dGeometry::new(kh, kw, stride, padding)
+                    .map_err(|e| rd.malformed(e.to_string()))?;
+                RecordKind::Conv { in_shape, geo }
             }
-            3 => LayerRecord::Pool {
-                name,
+            3 => RecordKind::Pool {
                 in_shape: rd.shape3()?,
             },
-            4 => LayerRecord::Norm {
-                name,
+            4 => RecordKind::Norm {
                 gamma: rd.f32s()?,
                 beta: rd.f32s()?,
                 eps: rd.f32()?,
             },
-            kind @ (5 | 7) => {
-                let seq = rd.usize32()?;
-                let dim = rd.usize32()?;
-                let weights = [rd.weight()?, rd.weight()?, rd.weight()?, rd.weight()?];
-                LayerRecord::Attn {
-                    name,
-                    seq,
-                    dim,
-                    weights: Box::new(weights),
-                    act: rd.act()?,
-                    causal: kind == 7,
-                }
-            }
-            6 => LayerRecord::Gelu { name },
+            5 | 7 => RecordKind::Attn {
+                seq: rd.usize32()?,
+                dim: rd.usize32()?,
+                causal: tag == 7,
+            },
+            6 => RecordKind::Gelu,
             other => return Err(rd.malformed(format!("unknown layer kind {other}"))),
         };
-        layers.push(record);
+        let (_, _, weight_count, has_bias) = kind.row();
+        let weights = (0..weight_count).map(|_| rd.weight());
+        let weights = weights.collect::<Result<Vec<_>, _>>()?;
+        let bias = if has_bias { rd.f32s()? } else { Vec::new() };
+        let act = if weights.is_empty() {
+            None
+        } else {
+            Some(rd.act()?)
+        };
+        layers.push(LayerRecord {
+            name,
+            kind,
+            weights,
+            bias,
+            act,
+        });
     }
     if rd.remaining() != 0 {
         return Err(rd.malformed(format!("{} trailing bytes", rd.remaining())));
@@ -2362,9 +2111,58 @@ mod tests {
         assert_eq!(summaries.len(), 5);
         assert_eq!(summaries[0].kind, "dense");
         assert_eq!(summaries[1].kind, "relu");
-        assert!(summaries[0].packed);
         assert_eq!(summaries[0].weights.len(), 1);
         assert!(artifact.packed_weight_bytes() > 0);
+    }
+
+    #[test]
+    fn defective_records_save_load_and_verify_but_do_not_compile() {
+        let record = |name: &str, kind| LayerRecord {
+            name: name.to_string(),
+            kind,
+            weights: Vec::new(),
+            bias: Vec::new(),
+            act: None,
+        };
+        let norm = |gamma: usize, beta: usize| RecordKind::Norm {
+            gamma: vec![1.0; gamma],
+            beta: vec![0.0; beta],
+            eps: 1e-5,
+        };
+        let pool = |in_shape| RecordKind::Pool { in_shape };
+        // Each stream is CRC-valid and parses: the writer and the reader
+        // agree, the record disagrees with itself. Serving such a plan
+        // would index out of bounds, divide by zero, or silently drop the
+        // last pooled row and column.
+        for (kind, why) in [
+            (norm(4, 2), "norm gamma/beta lengths disagree"),
+            (norm(0, 0), "norm gamma/beta lengths disagree"),
+            (pool((1, 3, 3)), "pool extents must be even"),
+        ] {
+            let artifact = ModelArtifact {
+                layers: vec![record("defect", kind)],
+                cache: Vec::new(),
+            };
+            let mut bytes = Vec::new();
+            artifact.save(&mut bytes).unwrap();
+            ModelArtifact::verify_bytes(&bytes).unwrap();
+            let reloaded = ModelArtifact::load(&bytes[..]).unwrap();
+            assert_eq!(reloaded, artifact);
+            match reloaded.compile() {
+                Err(ArtifactError::Runtime(RuntimeError::UnsupportedLayer { layer, reason })) => {
+                    assert_eq!((layer.as_str(), reason.as_str()), ("defect", why));
+                }
+                other => panic!("{why}: expected a structured refusal, got {other:?}"),
+            }
+        }
+        // Their well-formed twins still lower and run.
+        let artifact = ModelArtifact {
+            layers: vec![record("ln", norm(4, 4)), record("pool", pool((1, 2, 2)))],
+            cache: Vec::new(),
+        };
+        let mut plan = artifact.compile().unwrap();
+        let out = plan.forward(&Tensor::zeros(&[3, 4])).unwrap();
+        assert_eq!(out.dims(), [3, 1]);
     }
 
     #[test]

@@ -97,7 +97,6 @@ impl SelectionCache {
 #[derive(Debug, Default)]
 pub struct Planner {
     cache: SelectionCache,
-    strict: bool,
 }
 
 impl Planner {
@@ -118,20 +117,12 @@ impl Planner {
         planner
     }
 
-    /// Turns on strict compilation: a layer the packed path cannot execute
-    /// fails [`Self::compile`] with [`RuntimeError::UnsupportedLayer`]
-    /// instead of silently becoming a reference-path
-    /// [`crate::PlanLayer::Fallback`]. Serving stacks that promise
-    /// packed-domain latency should compile strict and alarm on the error.
+    /// A no-op (every compile refuses what the packed path cannot
+    /// execute); kept for the benchmark contract.
+    #[doc(hidden)]
     #[must_use]
-    pub fn strict(mut self) -> Self {
-        self.strict = true;
+    pub fn strict(self) -> Self {
         self
-    }
-
-    /// Whether this planner compiles strictly.
-    pub fn is_strict(&self) -> bool {
-        self.strict
     }
 
     /// The selection cache (for stats/introspection).
@@ -144,9 +135,9 @@ impl Planner {
     ///
     /// # Errors
     ///
-    /// Propagates quantization failures and the packing errors of
-    /// [`CompiledPlan::from_quantized`] (or, for a strict planner,
-    /// [`CompiledPlan::from_quantized_strict`]).
+    /// Propagates quantization failures and the errors of
+    /// [`CompiledPlan::from_quantized`] — including its refusal of a
+    /// selection with no exact integer-domain execution.
     pub fn compile(
         &mut self,
         model: &mut Sequential,
@@ -166,11 +157,7 @@ impl Planner {
             self.cache.misses += 1;
             crate::obs::metrics().cache_miss();
         }
-        if self.strict {
-            CompiledPlan::from_quantized_strict(model)
-        } else {
-            CompiledPlan::from_quantized(model)
-        }
+        CompiledPlan::from_quantized(model)
     }
 }
 

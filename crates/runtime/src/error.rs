@@ -1,4 +1,4 @@
-use ant_core::{DataType, QuantError};
+use ant_core::QuantError;
 use ant_nn::NnError;
 use std::error::Error;
 use std::fmt;
@@ -10,26 +10,20 @@ pub enum RuntimeError {
     Quant(QuantError),
     /// An underlying model operation failed.
     Nn(NnError),
-    /// A layer selected a data type the integer-domain engine cannot
-    /// execute exactly: the `float` primitive has no int-based wire
-    /// decoder (paper Sec. V-B ships the int-based PE precisely to avoid
-    /// it), and a lattice past `i32`, or operands whose products cannot
-    /// be proven to fit the `i64` accumulator (6-bit PoT), would saturate
-    /// or wrap.
-    UnsupportedType {
-        /// The offending layer's name.
-        layer: String,
-        /// The selected type.
-        dtype: DataType,
-    },
     /// A layer reached the plan compiler without attached quantizers.
     NotQuantized {
         /// The offending layer's name.
         layer: String,
     },
-    /// Strict compilation refused a layer the packed path cannot execute
-    /// (where lenient compilation would emit a reference-path
-    /// `PlanLayer::Fallback` instead).
+    /// A layer the packed integer domain cannot execute — there is no
+    /// other executor, so compilation fails. Either the record's shapes
+    /// disagree, or the selected type has no exact integer-domain
+    /// execution: the `float` primitive has no int-based wire decoder
+    /// (paper Sec. V-B ships the int-based PE precisely to avoid it), and
+    /// a lattice past `i32`, or operands whose products cannot be proven
+    /// to fit the `i64` accumulator (6-bit PoT), would saturate or wrap.
+    /// Also what the decode entry points return for a plan or step that
+    /// is not decodable.
     UnsupportedLayer {
         /// The offending layer's name.
         layer: String,
@@ -81,12 +75,6 @@ impl fmt::Display for RuntimeError {
         match self {
             RuntimeError::Quant(e) => write!(f, "quantization error: {e}"),
             RuntimeError::Nn(e) => write!(f, "model error: {e}"),
-            RuntimeError::UnsupportedType { layer, dtype } => {
-                write!(
-                    f,
-                    "layer {layer}: type {dtype} has no exact integer-domain execution"
-                )
-            }
             RuntimeError::NotQuantized { layer } => {
                 write!(f, "layer {layer} has no quantizers attached")
             }
@@ -144,10 +132,6 @@ mod tests {
         let variants: Vec<RuntimeError> = vec![
             RuntimeError::Quant(QuantError::EmptyCalibration),
             RuntimeError::Nn(NnError::BadDataset("x".into())),
-            RuntimeError::UnsupportedType {
-                layer: "fc".into(),
-                dtype: DataType::float(4, true).unwrap(),
-            },
             RuntimeError::NotQuantized { layer: "fc".into() },
             RuntimeError::UnsupportedLayer {
                 layer: "conv".into(),

@@ -13,9 +13,11 @@
 //!   integer im2row) and attention ([`PackedAttn`], integer Q/K/V with f32
 //!   softmax at the decode boundary) all execute on wire codes;
 //!   shape-polymorphic layers (ReLU/GELU/pool/norm) ride along, so CNN and
-//!   Transformer pipelines compile with [`CompiledPlan::coverage`] of 1.0.
-//!   [`Planner::strict`] turns silent fallback into a hard
-//!   [`RuntimeError::UnsupportedLayer`],
+//!   Transformer pipelines compile whole. A plan is packed or it does not
+//!   compile: a selection the integer domain cannot execute exactly (the
+//!   `float` primitive, 6-bit PoT) is a
+//!   [`RuntimeError::UnsupportedLayer`] from every entry point — the
+//!   runtime mirrors the paper's int-based PE and has no float executor,
 //! * [`crate::gemm`] — exact integer-domain GEMM over LUT-decoded
 //!   operands, the software mirror of the TypeFusion decoder → int-PE
 //!   pipeline (paper Figs. 6–9), numerics validated code-for-code against
@@ -58,7 +60,7 @@
 //!   versioned `.antm` binary artifact holding per-tensor type
 //!   selections, per-channel scales, packed wire codes, biases/norm
 //!   parameters and the planner's memoized selection fingerprints.
-//!   Reloading strict-compiles **directly from the wire codes**
+//!   Reloading compiles **directly from the wire codes**
 //!   (bit-identical to the saved plan); corrupted, truncated or
 //!   wrong-version files fail with a structured [`ArtifactError`],
 //! * [`MappedArtifact`] — the zero-copy load path:

@@ -35,12 +35,10 @@ pub enum LayerKind {
     Pool,
     /// Layer normalisation.
     Norm,
-    /// Fake-quantized f32 fallback.
-    Fallback,
 }
 
 /// Number of [`LayerKind`] variants (size of the per-kind metric arrays).
-pub const N_LAYER_KINDS: usize = 8;
+pub const N_LAYER_KINDS: usize = 7;
 
 /// Every kind, in index order.
 pub const LAYER_KINDS: [LayerKind; N_LAYER_KINDS] = [
@@ -51,7 +49,6 @@ pub const LAYER_KINDS: [LayerKind; N_LAYER_KINDS] = [
     LayerKind::Gelu,
     LayerKind::Pool,
     LayerKind::Norm,
-    LayerKind::Fallback,
 ];
 
 impl LayerKind {
@@ -66,7 +63,6 @@ impl LayerKind {
             LayerKind::Gelu => "gelu",
             LayerKind::Pool => "pool",
             LayerKind::Norm => "norm",
-            LayerKind::Fallback => "fallback",
         }
     }
 
@@ -80,7 +76,6 @@ impl LayerKind {
             LayerKind::Gelu => 4,
             LayerKind::Pool => 5,
             LayerKind::Norm => 6,
-            LayerKind::Fallback => 7,
         }
     }
 }
@@ -370,7 +365,6 @@ mod imp {
             LayerKind::Gelu => "layer.gelu",
             LayerKind::Pool => "layer.pool",
             LayerKind::Norm => "layer.norm",
-            LayerKind::Fallback => "layer.fallback",
         }
     }
 

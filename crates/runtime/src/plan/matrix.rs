@@ -276,11 +276,12 @@ pub(crate) fn pack_weight_tensor(
 }
 
 /// The refusal for a `(layer, type)` pair the integer domain cannot
-/// execute exactly; [`super::PlanLayer::or_fallback`] settles it.
+/// execute exactly. There is no other executor, so this is how
+/// compilation of such a selection ends, from every entry point.
 fn unsupported(layer: &str, dtype: DataType) -> RuntimeError {
-    RuntimeError::UnsupportedType {
+    RuntimeError::UnsupportedLayer {
         layer: layer.to_string(),
-        dtype,
+        reason: format!("selected type {dtype} has no exact integer-domain execution"),
     }
 }
 
@@ -313,7 +314,7 @@ impl PackedMatrix {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::UnsupportedType`] when the weight lattice has no
+    /// [`RuntimeError::UnsupportedLayer`] when the weight lattice has no
     /// exact `i32` image, or when the image takes the `i32` rows and
     /// `act_max · b_max · inp` cannot be proven to fit their `i64`
     /// accumulator.
@@ -449,7 +450,7 @@ impl PackedMatrix {
 ///
 /// # Errors
 ///
-/// [`RuntimeError::UnsupportedType`] when the weight lattice has no
+/// [`RuntimeError::UnsupportedLayer`] when the weight lattice has no
 /// exact `i32` image: there is nothing to execute, and a rounded image
 /// would compute a different model.
 pub(crate) fn decode_image(

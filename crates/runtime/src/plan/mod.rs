@@ -49,13 +49,15 @@
 //!
 //! Shape-polymorphic layers (ReLU, GELU, max-pool, layer norm) carry no
 //! wire codes and execute the same arithmetic as their reference
-//! implementations, so CNN→head and Transformer pipelines compile without
-//! fallback. Only layers whose selected type the integer domain cannot
-//! execute exactly — the `float` primitive, or a PoT lattice whose
-//! products cannot be proven to fit the `i64` accumulator (6 bits) —
-//! fall back to the fake-quantized reference path, or fail compilation
-//! under [`CompiledPlan::from_quantized_strict`]; nothing lowers to
-//! arithmetic that saturates or wraps.
+//! implementations, so CNN→head and Transformer pipelines compile whole.
+//! A plan is packed or it does not compile: a layer whose selected type
+//! the integer domain cannot execute exactly — the `float` primitive, or
+//! a PoT lattice whose products cannot be proven to fit the `i64`
+//! accumulator (6 bits) — fails compilation with
+//! [`RuntimeError::UnsupportedLayer`] from every entry point. This is the
+//! software mirror of the paper's *int-based* PE (Sec. VII-B); there is
+//! no float executor to fall back to, and nothing lowers to arithmetic
+//! that saturates or wraps.
 //!
 //! Compilation has one road: every layer becomes the wire-code record an
 //! `.antm` artifact persists and that record is lowered to its plan step
@@ -85,7 +87,7 @@ use crate::error::RuntimeError;
 use crate::kv::{DecodeSession, KvQuant, KvQuantSpec};
 use crate::pool::WorkerPool;
 use crate::scratch::Scratch;
-use ant_nn::model::{NetLayer, Sequential};
+use ant_nn::model::Sequential;
 use ant_tensor::Tensor;
 use std::sync::Arc;
 use walk::{decode_err, DecodeRole, Phase};
@@ -117,10 +119,6 @@ pub enum PlanLayer {
     },
     /// Layer normalisation (decode-boundary, f32).
     Norm(Box<PlanNorm>),
-    /// Reference (fake-quantized f32) execution for layers the packed
-    /// path cannot cover (a `float`-typed or 6-bit PoT selection). This path is off
-    /// the zero-allocation hot path: it round-trips through [`Tensor`].
-    Fallback(Box<NetLayer>),
 }
 
 impl PlanLayer {
@@ -133,29 +131,6 @@ impl PlanLayer {
             Ok(PlanLayer::PackedCausalAttn(Box::new(p)))
         } else {
             Ok(PlanLayer::PackedAttn(Box::new(p)))
-        }
-    }
-
-    /// Settles one lowered step under the plan's strictness — the single
-    /// place a type the integer domain refuses becomes either the strict
-    /// refusal or a reference-path [`PlanLayer::Fallback`] over
-    /// `reference()`.
-    pub(crate) fn or_fallback<E: From<RuntimeError>>(
-        lowered: Result<PlanLayer, RuntimeError>,
-        strict: bool,
-        reference: impl FnOnce() -> Result<NetLayer, E>,
-    ) -> Result<PlanLayer, E> {
-        match lowered {
-            Err(RuntimeError::UnsupportedType { layer, dtype }) if strict => {
-                Err(E::from(RuntimeError::UnsupportedLayer {
-                    layer,
-                    reason: format!("selected type {dtype} has no exact integer-domain execution"),
-                }))
-            }
-            Err(RuntimeError::UnsupportedType { .. }) => {
-                Ok(PlanLayer::Fallback(Box::new(reference()?)))
-            }
-            other => Ok(other?),
         }
     }
 }
@@ -178,48 +153,30 @@ impl CompiledPlan {
     /// quantizers (e.g. after [`ant_nn::qat::quantize_model`] or via
     /// [`crate::Planner::compile`], which adds the memoizing cache).
     ///
-    /// Layers whose selected type the integer domain cannot execute
-    /// exactly (the `float` primitive, 6-bit PoT) compile to
-    /// [`PlanLayer::Fallback`] and execute
-    /// through their fake-quantized reference implementation; use
-    /// [`Self::from_quantized_strict`] to refuse them instead, and
-    /// [`Self::coverage`] to observe how much of a plan is packed.
+    /// This is the one road from a model to a plan: each layer becomes
+    /// the wire-code record an artifact would persist, and the record
+    /// lowers exactly as a reloaded one does — so a plan compiled in
+    /// process *is* the plan that comes back from disk.
     ///
     /// # Errors
     ///
     /// * [`RuntimeError::NotQuantized`] when a quantizable layer has no
-    ///   weight/activation quantizers (either mode — serving an
-    ///   unquantized model is never silently acceptable).
+    ///   weight/activation quantizers — serving an unquantized model is
+    ///   never silently acceptable.
+    /// * [`RuntimeError::UnsupportedLayer`] when a layer's selected type
+    ///   has no exact integer-domain execution (the `float` primitive,
+    ///   6-bit PoT) or its shapes disagree.
     pub fn from_quantized(model: &Sequential) -> Result<Self, RuntimeError> {
-        Self::compile(model, false)
+        let lower = |layer| LayerRecord::from_layer(layer)?.lower(&[]);
+        let layers = model.layers().iter().map(lower);
+        Ok(Self::from_plan_layers(layers.collect::<Result<_, _>>()?))
     }
 
-    /// Strict [`Self::from_quantized`]: every layer must lower to the
-    /// packed domain.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::from_quantized`], plus
-    /// [`RuntimeError::UnsupportedLayer`] wherever the lenient mode would
-    /// have emitted a [`PlanLayer::Fallback`].
+    /// Forwards to [`Self::from_quantized`]; kept for the benchmark
+    /// contract.
+    #[doc(hidden)]
     pub fn from_quantized_strict(model: &Sequential) -> Result<Self, RuntimeError> {
-        Self::compile(model, true)
-    }
-
-    /// The one road from a model to a plan: each layer becomes the
-    /// wire-code record an artifact would persist, and the record lowers
-    /// exactly as a reloaded one does — so a plan compiled in process *is*
-    /// the plan that comes back from disk. The lenient reference is the
-    /// layer itself.
-    fn compile(model: &Sequential, strict: bool) -> Result<Self, RuntimeError> {
-        let mut layers = Vec::with_capacity(model.layers().len());
-        for layer in model.layers() {
-            let lowered = LayerRecord::from_layer(layer)?.lower(&[]);
-            layers.push(PlanLayer::or_fallback(lowered, strict, || {
-                Ok::<_, RuntimeError>(layer.clone())
-            })?);
-        }
-        Ok(Self::from_plan_layers(layers))
+        Self::from_quantized(model)
     }
 
     /// Assembles a plan from already-lowered steps.
@@ -300,28 +257,6 @@ impl CompiledPlan {
         self.layers.iter().filter(borrowed).count()
     }
 
-    /// Fraction of plan layers executing outside the fallback path.
-    ///
-    /// The denominator is **every** layer of the plan, fallback layers
-    /// included: `coverage() == 1 − fallback_count / layers().len()`.
-    /// Packed compute layers *and* shape-polymorphic decode-boundary
-    /// layers (ReLU/GELU/pool/norm) count as covered; float-typed
-    /// [`PlanLayer::Fallback`] layers count against coverage but still
-    /// count in the denominator — a 5-layer plan with one fallback reports
-    /// exactly `0.8`, never `4/4`. `antc inspect` and the serving examples
-    /// print this same quantity; an empty plan reports `1.0`.
-    pub fn coverage(&self) -> f64 {
-        if self.layers.is_empty() {
-            return 1.0;
-        }
-        let fallback = self
-            .layers
-            .iter()
-            .filter(|l| matches!(l, PlanLayer::Fallback(_)))
-            .count();
-        1.0 - fallback as f64 / self.layers.len() as f64
-    }
-
     /// Bytes of packed weight storage (the aligned `⌈n·bits/8⌉` footprint),
     /// versus the f32 bytes the same weights would occupy.
     pub fn weight_bytes(&self) -> (usize, usize) {
@@ -346,7 +281,7 @@ impl CompiledPlan {
     ///
     /// # Errors
     ///
-    /// Propagates shape mismatches and fallback-layer failures.
+    /// Propagates shape mismatches.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, RuntimeError> {
         if self.layers.is_empty() {
             return Ok(x.clone());
@@ -368,14 +303,13 @@ impl CompiledPlan {
     /// into `out` — the allocation-free serving entry point: every
     /// intermediate lives in the plan's [`Scratch`] arena and `out` is
     /// `clear`ed and refilled in place, so once buffers have reached
-    /// their high-water marks a call performs **zero heap allocations**
-    /// (fallback layers excepted — they round-trip through [`Tensor`]).
+    /// their high-water marks a call performs **zero heap allocations**.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::ShapeMismatch`] when `batch` is zero, `x` is not a
     /// whole number of rows, or a layer's expected feature count
-    /// disagrees; plus fallback-layer failures.
+    /// disagrees.
     pub fn forward_rows(
         &mut self,
         x: &[f32],
@@ -440,7 +374,7 @@ impl CompiledPlan {
     ///
     /// [`RuntimeError::UnsupportedLayer`] when `max_tokens` is zero, the
     /// plan has no causal layer, or a step is not decodable
-    /// (convolution/pooling/encoder attention/fallback).
+    /// (convolution/pooling/encoder attention).
     pub fn open_session(&self, max_tokens: usize) -> Result<DecodeSession, RuntimeError> {
         self.session_factory()?.open(max_tokens)
     }
@@ -528,8 +462,8 @@ impl CompiledPlan {
 mod tests {
     use super::matrix::ActQuant;
     use super::*;
-    use ant_core::{ClipSearch, DataType, Granularity, Quantizer, TensorQuantizer};
-    use ant_nn::model::{mlp, small_cnn, tiny_transformer, transformer_block};
+    use ant_core::Quantizer;
+    use ant_nn::model::{mlp, small_cnn, tiny_transformer, transformer_block, NetLayer};
     use ant_nn::qat::{quantize_model, QuantSpec};
     use ant_tensor::dist::{sample_tensor, Distribution};
 
@@ -569,7 +503,6 @@ mod tests {
         let mut plan = CompiledPlan::from_quantized(&model).unwrap();
         assert_eq!(plan.packed_layer_count(), 3);
         assert_eq!(plan.in_features(), Some(8));
-        assert_eq!(plan.coverage(), 1.0);
         let x = calib;
         assert_close(&mut plan, &mut model, &x);
     }
@@ -596,8 +529,7 @@ mod tests {
         let mut model = small_cnn(4, 7);
         let calib = gaussian(&[24, 144], 9);
         quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-        let mut plan = CompiledPlan::from_quantized_strict(&model).unwrap();
-        assert_eq!(plan.coverage(), 1.0);
+        let mut plan = CompiledPlan::from_quantized(&model).unwrap();
         assert_eq!(plan.packed_layer_count(), 3); // conv1, conv2, head
         assert_eq!(plan.in_features(), Some(144));
         assert!(plan
@@ -616,8 +548,7 @@ mod tests {
         ] {
             let calib = gaussian(&[24, feat], 11);
             quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-            let mut plan = CompiledPlan::from_quantized_strict(&model).unwrap();
-            assert_eq!(plan.coverage(), 1.0);
+            let mut plan = CompiledPlan::from_quantized(&model).unwrap();
             assert!(plan
                 .layers()
                 .iter()
@@ -625,59 +556,6 @@ mod tests {
             let x = gaussian(&[3, feat], 17);
             assert_close(&mut plan, &mut model, &x);
         }
-    }
-
-    #[test]
-    fn float_typed_layer_falls_back_leniently_and_fails_strict() {
-        let (mut model, calib) = quantized_mlp();
-        // Force a float-typed weight on the middle dense layer.
-        let fdt = DataType::float(4, true).unwrap();
-        if let NetLayer::Dense(d) = &mut model.layers_mut()[2] {
-            let (q, _) = TensorQuantizer::fit(
-                fdt,
-                &d.weight().clone(),
-                Granularity::PerChannel,
-                ClipSearch::default(),
-            )
-            .unwrap();
-            d.quant.weight = Some(q);
-        }
-        let mut plan = CompiledPlan::from_quantized(&model).unwrap();
-        assert!(plan.coverage() < 1.0);
-        assert_eq!(plan.packed_layer_count(), 2);
-        assert!(plan
-            .layers()
-            .iter()
-            .any(|l| matches!(l, PlanLayer::Fallback(_))));
-        // Fallback still computes exactly what the reference computes.
-        assert_close(&mut plan, &mut model, &calib.clone());
-        // Strict mode refuses the same model.
-        match CompiledPlan::from_quantized_strict(&model) {
-            Err(RuntimeError::UnsupportedLayer { layer, .. }) => assert_eq!(layer, "fc2"),
-            other => panic!("expected UnsupportedLayer, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn coverage_counts_fallback_layers_in_the_denominator() {
-        // The documented contract: coverage = 1 − fallback/total over ALL
-        // plan layers. The 5-layer MLP (dense, relu, dense, relu, dense)
-        // with one float-typed dense must report exactly 4/5, not 4/4.
-        let (mut model, _) = quantized_mlp();
-        let fdt = DataType::float(4, true).unwrap();
-        if let NetLayer::Dense(d) = &mut model.layers_mut()[2] {
-            let (q, _) = TensorQuantizer::fit(
-                fdt,
-                &d.weight().clone(),
-                Granularity::PerChannel,
-                ClipSearch::default(),
-            )
-            .unwrap();
-            d.quant.weight = Some(q);
-        }
-        let plan = CompiledPlan::from_quantized(&model).unwrap();
-        assert_eq!(plan.layers().len(), 5);
-        assert_eq!(plan.coverage(), 1.0 - 1.0 / 5.0);
     }
 
     #[test]
@@ -720,7 +598,7 @@ mod tests {
         let mut model = small_cnn(4, 7);
         let calib = gaussian(&[24, 144], 9);
         quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-        let base = CompiledPlan::from_quantized_strict(&model).unwrap();
+        let base = CompiledPlan::from_quantized(&model).unwrap();
         let x = gaussian(&[6, 144], 29);
         let want = base.clone().with_threads(1).forward(&x).unwrap();
         for threads in [2, 4, 7] {

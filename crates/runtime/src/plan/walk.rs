@@ -13,8 +13,6 @@ use crate::obs::{self, LayerKind};
 use crate::scratch::{grab, Scratch};
 use ant_core::store::PackedStore;
 use ant_nn::gelu::gelu;
-use ant_nn::model::NetLayer;
-use ant_tensor::Tensor;
 
 /// Which entry point a walk serves — the only thing that differs between
 /// them is what causal attention does with its K/V rows.
@@ -198,13 +196,6 @@ impl PlanLayer {
                 name: n.name(),
                 ..base
             },
-            PlanLayer::Fallback(l) => LayerDesc {
-                kind: LayerKind::Fallback,
-                name: l.name(),
-                in_features: layer_in_features(l),
-                decode: DecodeRole::No("is a fallback layer; those do not execute in decode"),
-                ..base
-            },
         }
     }
 
@@ -260,13 +251,6 @@ impl PlanLayer {
             }
             PlanLayer::Pool { in_shape } => maxpool2_rows(cur, rows, *in_shape, next)?,
             PlanLayer::Norm(n) => n.forward_rows(cur, rows, next)?,
-            PlanLayer::Fallback(l) => {
-                let features = cur.len() / rows;
-                let t = Tensor::from_vec(cur.to_vec(), &[rows, features])
-                    .expect("pipeline buffer is rows × features");
-                let y = l.forward(&t)?;
-                grab(next, y.len(), 0.0).copy_from_slice(y.as_slice());
-            }
         }
         Ok(true)
     }
@@ -392,23 +376,4 @@ pub(super) fn decode_err(reason: String) -> RuntimeError {
 /// The error every decode entry point returns on a non-causal plan.
 pub(crate) fn no_causal_err() -> RuntimeError {
     decode_err("plan has no causal attention layer".to_string())
-}
-
-/// Input feature count implied by a reference layer's geometry, when it
-/// has one (so a fallback step pins the same input width its packed form
-/// would).
-fn layer_in_features(layer: &NetLayer) -> Option<usize> {
-    match layer {
-        NetLayer::Dense(d) => Some(d.in_features()),
-        NetLayer::Conv(c) => {
-            let (ci, h, w) = c.in_shape();
-            Some(ci * h * w)
-        }
-        NetLayer::Pool(p) => {
-            let (c, h, w) = p.in_shape();
-            Some(c * h * w)
-        }
-        NetLayer::Attn(a) => Some(a.seq() * a.dim()),
-        _ => None,
-    }
 }

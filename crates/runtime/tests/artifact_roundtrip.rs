@@ -85,11 +85,11 @@ fn roundtrip_and_check(model: &Sequential, x: &Tensor, context: &str) {
     let want = direct.forward(x).unwrap();
     let got = replayed.forward(x).unwrap();
     assert_rel_close(&got, &want, 1e-6, context);
-    // The reconstructed fake-quantized model agrees with the packed plan
+    // An oracle that never touches `PackedMatrix` guards the wire codes:
+    // the reloaded plan agrees with the original fake-quantized forward
     // to the usual packed-vs-reference tolerance.
-    let mut rebuilt = reloaded.to_model().unwrap();
-    let model_out = rebuilt.forward(x).unwrap();
-    assert_rel_close(&model_out, &want, 1e-4, &format!("{context} (to_model)"));
+    let reference = model.clone().forward(x).unwrap();
+    assert_rel_close(&got, &reference, 1e-4, &format!("{context} (vs model)"));
 }
 
 #[test]
@@ -183,7 +183,6 @@ fn reloaded_plan_serves_through_the_engine() {
     artifact.save(&mut bytes).unwrap();
     let reloaded = ModelArtifact::load(&bytes[..]).unwrap();
     let plan = reloaded.compile_strict().unwrap();
-    assert_eq!(plan.coverage(), 1.0);
     let mut reference = plan.clone();
     let engine = Engine::new(plan, BatchPolicy::default());
     let x = gaussian(&[8, 144], 43);
@@ -199,7 +198,7 @@ fn reloaded_plan_serves_through_the_engine() {
 }
 
 #[test]
-fn float_typed_layer_falls_back_leniently_and_fails_strict_after_reload() {
+fn float_typed_layer_is_refused_after_reload() {
     let mut model = mlp(8, 4, 11);
     let calib = gaussian(&[64, 8], 3);
     quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
@@ -225,18 +224,6 @@ fn float_typed_layer_falls_back_leniently_and_fails_strict_after_reload() {
         }
         other => panic!("expected strict refusal, got {other:?}"),
     }
-    // Lenient compiles with one fallback layer; coverage counts it in the
-    // denominator (5 layers, 1 fallback => 0.8).
-    let mut plan = reloaded.compile().unwrap();
-    assert_eq!(plan.coverage(), 0.8);
-    let mut direct = CompiledPlan::from_quantized(&model).unwrap();
-    let x = gaussian(&[4, 8], 37);
-    assert_rel_close(
-        &plan.forward(&x).unwrap(),
-        &direct.forward(&x).unwrap(),
-        1e-4,
-        "lenient fallback",
-    );
 }
 
 #[test]

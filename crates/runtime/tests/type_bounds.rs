@@ -15,8 +15,10 @@
 
 use ant_core::{ClipSearch, DataType, Granularity, PrimitiveType, Quantizer, TensorQuantizer};
 use ant_nn::model::{mlp, NetLayer, Sequential};
-use ant_nn::qat::{capture_layer_inputs, dequantize_layer};
-use ant_runtime::{CompiledPlan, PlanLayer, RuntimeError};
+use ant_nn::qat::{capture_layer_inputs, dequantize_layer, QuantSpec};
+use ant_runtime::{
+    ArtifactError, CompiledPlan, MappedArtifact, ModelArtifact, PlanLayer, Planner, RuntimeError,
+};
 use ant_tensor::dist::{sample_tensor, Distribution};
 use ant_tensor::Tensor;
 
@@ -140,7 +142,6 @@ fn every_type_is_refused_or_matches_the_reference() {
                 let label = format!("{prim:?}{bits} {acts:?}");
                 match CompiledPlan::from_quantized_strict(&model) {
                     Ok(mut plan) => {
-                        assert_eq!(plan.coverage(), 1.0, "{label}");
                         assert_matches_reference(&label, &mut plan, &mut model, &x);
                         accepted += 1;
                     }
@@ -156,26 +157,78 @@ fn every_type_is_refused_or_matches_the_reference() {
     assert_eq!(refused, ["Pot6 Signed", "Pot6 Unsigned"]);
 }
 
-#[test]
-fn pot6_is_refused_in_strict_and_reference_exact_in_lenient() {
-    // Unsigned pot6 activations reach 2^62: no layer has an exact `i32`
-    // activation image, so all three dense layers are refused.
-    let (calib, x) = (abs(&gaussian(&[32, 6], 29)), abs(&gaussian(&[4, 6], 41)));
-    let mut model = forced_mlp(PrimitiveType::Pot, 6, Acts::Unsigned, &calib).unwrap();
-    match CompiledPlan::from_quantized_strict(&model) {
-        Err(RuntimeError::UnsupportedLayer { layer, reason }) => {
-            assert!(reason.contains("pot"), "layer {layer}: {reason}");
+/// The `(layer, reason)` of a refusal, from whichever error type the
+/// entry point wraps it in.
+fn refusal<T: std::fmt::Debug, E: Into<ArtifactError>>(
+    what: &str,
+    result: Result<T, E>,
+) -> (String, String) {
+    match result.map_err(Into::into) {
+        Err(ArtifactError::Runtime(RuntimeError::UnsupportedLayer { layer, reason })) => {
+            (layer, reason)
         }
-        other => panic!("expected a strict refusal, got {other:?}"),
+        other => panic!("{what}: expected UnsupportedLayer, got {other:?}"),
     }
-    let mut plan = CompiledPlan::from_quantized(&model).expect("lenient compile");
-    let fallbacks = |l: &&PlanLayer| matches!(l, PlanLayer::Fallback(_));
-    assert_eq!(plan.layers().iter().filter(fallbacks).count(), 3);
-    assert_eq!(plan.packed_layer_count(), 0);
-    // Fallback layers *are* the reference layers: bit-for-bit.
-    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let reference = model.forward(&x).unwrap();
-    assert_eq!(bits(&plan.forward(&x).unwrap()), bits(&reference));
+}
+
+#[test]
+fn every_entry_point_refuses_float_and_pot6_with_the_same_error() {
+    // There is one road to a plan, so a selection the integer domain
+    // cannot execute is the same error whichever door it came through.
+    let calib = gaussian(&[32, 6], 29);
+    let spec = QuantSpec::default();
+    let mut selected = Planner::new();
+    selected
+        .compile(&mut mlp(6, 3, 1), &calib, spec)
+        .expect("default selection compiles");
+    let float4 = DataType::float(4, true).unwrap();
+    let pot6 = DataType::pot(6, true).unwrap();
+    for dtype in [float4, pot6] {
+        // Replay the memoized selection with every type forced to
+        // `dtype`: the planner's own route to a refused model.
+        let mut forced = selected.cache().export();
+        for decision in forced.iter_mut().flat_map(|(_, ds)| ds.iter_mut()) {
+            decision.activation.0 = dtype;
+            decision.weights.iter_mut().for_each(|w| w.0 = dtype);
+        }
+        let mut model = mlp(6, 3, 1);
+        let planner = || Planner::with_cache(forced.clone());
+        let want = refusal(
+            "Planner::compile",
+            planner().compile(&mut model, &calib, spec),
+        );
+        assert_eq!(
+            want.1,
+            format!("selected type {dtype} has no exact integer-domain execution")
+        );
+        // `model` now carries the forced quantizers.
+        let artifact = ModelArtifact::from_model(&model).expect("refused models still save");
+        let path = std::env::temp_dir().join(format!(
+            "ant-type-bounds-{}-{dtype}.antm",
+            std::process::id()
+        ));
+        artifact.save_path(&path).unwrap();
+        let mapped = MappedArtifact::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let got = [
+            refusal(
+                "Planner::strict",
+                planner().strict().compile(&mut model, &calib, spec),
+            ),
+            refusal("from_quantized", CompiledPlan::from_quantized(&model)),
+            refusal(
+                "from_quantized_strict",
+                CompiledPlan::from_quantized_strict(&model),
+            ),
+            refusal("ModelArtifact::compile", artifact.compile()),
+            refusal("ModelArtifact::compile_strict", artifact.compile_strict()),
+            refusal("MappedArtifact::compile", mapped.compile()),
+            refusal("MappedArtifact::compile_strict", mapped.compile_strict()),
+        ];
+        for g in got {
+            assert_eq!(g, want, "{dtype}");
+        }
+    }
 }
 
 #[test]

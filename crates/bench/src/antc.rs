@@ -833,118 +833,116 @@ pub struct BenchReport {
     /// `REGRESSION` marker this sets in the rendered report.
     pub regression: bool,
     /// The `--baseline` file's headline numbers, carried into the written
-    /// JSON (as a pre-rendered `"before"` object) so a committed record
-    /// of a speed-up shows before and after side by side.
-    pub before: Option<String>,
+    /// JSON (as its `"before"` object) so a committed record of a
+    /// speed-up shows before and after side by side.
+    pub before: Option<Json>,
+}
+
+/// A JSON number rounded to `places` decimals — the precision the
+/// record has always carried for that key.
+fn num(v: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::Num((v * scale).round() / scale)
+}
+
+/// A JSON object from `(key, value)` pairs, in order.
+fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 impl BenchReport {
-    /// Serializes the report as JSON (hand-rolled: the workspace is
-    /// dependency-free by construction). Schema `ant-bench/runtime-v2`:
-    /// v1 plus `p90_us`/`p999_us`, a per-workload `stages` object
-    /// (per-layer-kind and engine-stage breakdowns from the telemetry
-    /// registry; `null` when the runtime has no hooks compiled in), and
-    /// a top-level `decode` object (autoregressive tokens/s, per-step
-    /// latency percentiles, KV bytes/token).
+    /// Serializes the report as JSON through [`Json::render`], the one
+    /// writer `loadgen --out` re-renders the same file with. Schema
+    /// `ant-bench/runtime-v2`: v1 plus `p90_us`/`p999_us`, a
+    /// per-workload `stages` object (per-layer-kind and engine-stage
+    /// breakdowns from the telemetry registry; `null` when the runtime
+    /// has no hooks compiled in), and a top-level `decode` object
+    /// (autoregressive tokens/s, per-step latency percentiles, KV
+    /// bytes/token).
     pub fn to_json(&self, quick: bool) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"ant-bench/runtime-v2\",\n");
-        s.push_str(&format!("  \"quick\": {},\n", quick));
-        s.push_str(&format!(
-            "  \"gemm_speedup_i8_vs_i32\": {:.3},\n",
-            self.gemm_speedup_i8_vs_i32
-        ));
-        s.push_str(&format!(
-            "  \"decode\": {{\"tokens_per_sec\": {:.1}, \"step_p50_us\": {:.2}, \
-             \"step_p99_us\": {:.2}, \"kv_bytes_per_token\": {}, \"sessions\": {}}},\n",
-            self.decode.tokens_per_sec,
-            self.decode.step_p50_us,
-            self.decode.step_p99_us,
-            self.decode.kv_bytes_per_token,
-            self.decode.sessions
-        ));
-        s.push_str(&format!("  \"regression\": {},\n", self.regression));
+        let or_null = |v: Option<Json>| v.unwrap_or(Json::Null);
+        let layer = |l: &LayerStage| {
+            obj(vec![
+                ("kind", Json::Str(l.kind.clone())),
+                ("calls", Json::Num(l.calls as f64)),
+                ("total_us", num(l.total_us, 2)),
+                ("share", num(l.share, 4)),
+                ("p50_us", num(l.p50_us, 3)),
+                ("p99_us", num(l.p99_us, 3)),
+                ("gops", num(l.gops, 3)),
+                ("gbps", num(l.gbps, 3)),
+            ])
+        };
+        let engine = |e: &EngineStages| {
+            obj(vec![
+                ("submit_wait_p50_us", num(e.submit_wait_p50_us, 3)),
+                ("submit_wait_p99_us", num(e.submit_wait_p99_us, 3)),
+                ("service_p50_us", num(e.service_p50_us, 3)),
+                ("service_p99_us", num(e.service_p99_us, 3)),
+                ("mean_batch", num(e.mean_batch, 2)),
+            ])
+        };
+        let stages = |st: &WorkloadStages| {
+            obj(vec![
+                ("coverage_of_forward", num(st.coverage_of_forward, 4)),
+                ("layers", Json::Arr(st.layers.iter().map(layer).collect())),
+                ("engine", or_null(st.engine.as_ref().map(engine))),
+            ])
+        };
+        let workload = |w: &BenchWorkload| {
+            let dirty_kb = w.mapped_private_dirty_kb.map(|kb| Json::Num(kb as f64));
+            obj(vec![
+                ("name", Json::Str(w.name.to_string())),
+                ("features", Json::Num(w.features as f64)),
+                ("batched_ops_per_sec", num(w.batched_ops_per_sec, 1)),
+                ("engine_ops_per_sec", num(w.engine_ops_per_sec, 1)),
+                ("p50_us", num(w.p50_us, 2)),
+                ("p90_us", num(w.p90_us, 2)),
+                ("p99_us", num(w.p99_us, 2)),
+                ("p999_us", num(w.p999_us, 2)),
+                (
+                    "allocs_per_request",
+                    or_null(w.allocs_per_request.map(|a| num(a, 4))),
+                ),
+                ("load_us_v2", num(w.load_us_v2, 1)),
+                ("mapped_zero_copy", Json::Bool(w.mapped_zero_copy)),
+                ("mapped_private_dirty_kb", or_null(dirty_kb)),
+                ("stages", or_null(w.stages.as_ref().map(stages))),
+            ])
+        };
+        let d = &self.decode;
+        let mut doc = vec![
+            ("schema", Json::Str("ant-bench/runtime-v2".to_string())),
+            ("quick", Json::Bool(quick)),
+            (
+                "gemm_speedup_i8_vs_i32",
+                num(self.gemm_speedup_i8_vs_i32, 3),
+            ),
+            (
+                "decode",
+                obj(vec![
+                    ("tokens_per_sec", num(d.tokens_per_sec, 1)),
+                    ("step_p50_us", num(d.step_p50_us, 2)),
+                    ("step_p99_us", num(d.step_p99_us, 2)),
+                    ("kv_bytes_per_token", Json::Num(d.kv_bytes_per_token as f64)),
+                    ("sessions", Json::Num(d.sessions as f64)),
+                ]),
+            ),
+            ("regression", Json::Bool(self.regression)),
+        ];
         if let Some(before) = &self.before {
-            s.push_str(&format!("  \"before\": {before},\n"));
+            doc.push(("before", before.clone()));
         }
-        s.push_str("  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"name\": \"{}\", ", w.name));
-            s.push_str(&format!("\"features\": {}, ", w.features));
-            s.push_str(&format!(
-                "\"batched_ops_per_sec\": {:.1}, ",
-                w.batched_ops_per_sec
-            ));
-            s.push_str(&format!(
-                "\"engine_ops_per_sec\": {:.1}, ",
-                w.engine_ops_per_sec
-            ));
-            s.push_str(&format!("\"p50_us\": {:.2}, ", w.p50_us));
-            s.push_str(&format!("\"p90_us\": {:.2}, ", w.p90_us));
-            s.push_str(&format!("\"p99_us\": {:.2}, ", w.p99_us));
-            s.push_str(&format!("\"p999_us\": {:.2}, ", w.p999_us));
-            match w.allocs_per_request {
-                Some(a) => s.push_str(&format!("\"allocs_per_request\": {:.4}, ", a)),
-                None => s.push_str("\"allocs_per_request\": null, "),
-            }
-            s.push_str(&format!("\"load_us_v2\": {:.1}, ", w.load_us_v2));
-            s.push_str(&format!("\"mapped_zero_copy\": {}, ", w.mapped_zero_copy));
-            match w.mapped_private_dirty_kb {
-                Some(kb) => s.push_str(&format!("\"mapped_private_dirty_kb\": {kb}, ")),
-                None => s.push_str("\"mapped_private_dirty_kb\": null, "),
-            }
-            match &w.stages {
-                None => s.push_str("\"stages\": null"),
-                Some(st) => {
-                    s.push_str("\"stages\": {\n");
-                    s.push_str(&format!(
-                        "      \"coverage_of_forward\": {:.4},\n",
-                        st.coverage_of_forward
-                    ));
-                    s.push_str("      \"layers\": [\n");
-                    for (j, l) in st.layers.iter().enumerate() {
-                        s.push_str(&format!(
-                            "        {{\"kind\": \"{}\", \"calls\": {}, \"total_us\": {:.2}, \
-                             \"share\": {:.4}, \"p50_us\": {:.3}, \"p99_us\": {:.3}, \
-                             \"gops\": {:.3}, \"gbps\": {:.3}}}{}\n",
-                            l.kind,
-                            l.calls,
-                            l.total_us,
-                            l.share,
-                            l.p50_us,
-                            l.p99_us,
-                            l.gops,
-                            l.gbps,
-                            if j + 1 < st.layers.len() { "," } else { "" }
-                        ));
-                    }
-                    s.push_str("      ],\n");
-                    match &st.engine {
-                        None => s.push_str("      \"engine\": null\n"),
-                        Some(e) => s.push_str(&format!(
-                            "      \"engine\": {{\"submit_wait_p50_us\": {:.3}, \
-                             \"submit_wait_p99_us\": {:.3}, \"service_p50_us\": {:.3}, \
-                             \"service_p99_us\": {:.3}, \"mean_batch\": {:.2}}}\n",
-                            e.submit_wait_p50_us,
-                            e.submit_wait_p99_us,
-                            e.service_p50_us,
-                            e.service_p99_us,
-                            e.mean_batch
-                        )),
-                    }
-                    s.push_str("    }");
-                }
-            }
-            s.push('}');
-            s.push_str(if i + 1 < self.workloads.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        doc.push((
+            "workloads",
+            Json::Arr(self.workloads.iter().map(workload).collect()),
+        ));
+        obj(doc).render()
     }
 }
 
@@ -1386,27 +1384,27 @@ fn compare_baseline(
         ))
     })?;
     // Keep the baseline's headline numbers for the written record.
-    let num = |v: Option<&Json>| match v.and_then(Json::as_f64) {
-        Some(x) => format!("{x}"),
-        None => "null".to_string(),
-    };
-    let before_rows: Vec<String> = base_workloads
+    let number = |v: Option<&Json>| v.and_then(Json::as_f64).map_or(Json::Null, Json::Num);
+    let before_rows = base_workloads
         .iter()
         .filter_map(|b| {
             let name = b.get("name").and_then(Json::as_str)?;
-            Some(format!(
-                "{{\"name\": \"{name}\", \"batched_ops_per_sec\": {}, \"p50_us\": {}}}",
-                num(b.get("batched_ops_per_sec")),
-                num(b.get("p50_us"))
-            ))
+            Some(obj(vec![
+                ("name", Json::Str(name.to_string())),
+                ("batched_ops_per_sec", number(b.get("batched_ops_per_sec"))),
+                ("p50_us", number(b.get("p50_us"))),
+            ]))
         })
         .collect();
-    report.before = Some(format!(
-        "{{\"gemm_speedup_i8_vs_i32\": {}, \"decode_tokens_per_sec\": {}, \"workloads\": [{}]}}",
-        num(doc.get("gemm_speedup_i8_vs_i32")),
-        num(doc.get("decode").and_then(|d| d.get("tokens_per_sec"))),
-        before_rows.join(", ")
-    ));
+    let decode_rate = doc.get("decode").and_then(|d| d.get("tokens_per_sec"));
+    report.before = Some(obj(vec![
+        (
+            "gemm_speedup_i8_vs_i32",
+            number(doc.get("gemm_speedup_i8_vs_i32")),
+        ),
+        ("decode_tokens_per_sec", number(decode_rate)),
+        ("workloads", Json::Arr(before_rows)),
+    ]));
     let mut out = format!(
         "\nperf guard vs {} (allowed drop {:.0}%):\n",
         baseline.display(),
@@ -2018,23 +2016,20 @@ pub fn run_loadgen(cfg: LoadgenConfig) -> Result<String, CliError> {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Json::Obj(Vec::new()),
             Err(e) => return Err(io(e)),
         };
-        let section = Json::Obj(vec![
-            ("model".into(), Json::Str(cfg.model.clone())),
-            (
-                "concurrency".into(),
-                Json::Num(cfg.concurrency.max(1) as f64),
-            ),
-            ("duration_s".into(), Json::Num(elapsed)),
-            ("requests_ok".into(), Json::Num(merged.ok as f64)),
-            ("shed_429".into(), Json::Num(merged.shed_429 as f64)),
-            ("shed_503".into(), Json::Num(merged.shed_503 as f64)),
-            ("retries".into(), Json::Num(merged.retries as f64)),
-            ("retry_rate".into(), Json::Num(retry_rate)),
-            ("errors".into(), Json::Num(merged.errors as f64)),
-            ("req_per_s".into(), Json::Num(req_per_s)),
-            ("p50_us".into(), Json::Num(p50)),
-            ("p90_us".into(), Json::Num(p90)),
-            ("p99_us".into(), Json::Num(p99)),
+        let section = obj(vec![
+            ("model", Json::Str(cfg.model.clone())),
+            ("concurrency", Json::Num(cfg.concurrency.max(1) as f64)),
+            ("duration_s", Json::Num(elapsed)),
+            ("requests_ok", Json::Num(merged.ok as f64)),
+            ("shed_429", Json::Num(merged.shed_429 as f64)),
+            ("shed_503", Json::Num(merged.shed_503 as f64)),
+            ("retries", Json::Num(merged.retries as f64)),
+            ("retry_rate", Json::Num(retry_rate)),
+            ("errors", Json::Num(merged.errors as f64)),
+            ("req_per_s", Json::Num(req_per_s)),
+            ("p50_us", Json::Num(p50)),
+            ("p90_us", Json::Num(p90)),
+            ("p99_us", Json::Num(p99)),
         ]);
         match &mut doc {
             Json::Obj(fields) => {
@@ -2243,6 +2238,51 @@ incrementally and the final done line must account for every streamed
 token, making the command a conformance check as well as a demo
 client.";
 
+/// A usage error: the message, then the full usage text.
+fn usage(msg: &str) -> CliError {
+    CliError::Usage(format!("{msg}\n\n{USAGE}"))
+}
+
+/// One subcommand's flag words, read left to right: every subcommand is
+/// a `while let Some(flag) = flags.next()` over a flat `match`, and the
+/// usage errors are spelled here once.
+struct Flags<'a> {
+    words: std::slice::Iter<'a, String>,
+    /// The flag [`Self::next`] returned last.
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(words: &'a [String]) -> Self {
+        Flags {
+            words: words.iter(),
+            flag: "",
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.words.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value word.
+    fn value(&mut self) -> Result<String, CliError> {
+        let word = self.words.next().cloned();
+        word.ok_or_else(|| usage(&format!("{} needs a value", self.flag)))
+    }
+
+    /// The current flag's value parsed as a number; `what` names the
+    /// kind in the error (`"an integer"`, `"a number"`).
+    fn num<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, CliError> {
+        let parsed = self.value()?.parse();
+        parsed.map_err(|_| usage(&format!("{} needs {what}", self.flag)))
+    }
+
+    fn unknown(&self) -> CliError {
+        usage(&format!("unknown flag '{}'", self.flag))
+    }
+}
+
 /// Parses argv (without the program name) and runs the selected
 /// subcommand, returning its report.
 ///
@@ -2251,7 +2291,6 @@ client.";
 /// [`CliError::Usage`] on bad arguments, otherwise the subcommand's
 /// failure.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let usage = |msg: &str| CliError::Usage(format!("{msg}\n\n{USAGE}"));
     let (cmd, rest) = args
         .split_first()
         .ok_or_else(|| usage("missing subcommand"))?;
@@ -2259,33 +2298,16 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "quantize" => {
             let mut cfg = QuantizeConfig::default();
             let mut out: Option<String> = None;
-            let mut it = rest.iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage(&format!("{name} needs a value")))
-                };
-                match flag.as_str() {
-                    "--out" => out = Some(value("--out")?),
-                    "--model" => cfg.model = ModelKind::parse(&value("--model")?)?,
-                    "--bits" => {
-                        cfg.bits = value("--bits")?
-                            .parse()
-                            .map_err(|_| usage("--bits needs an integer"))?
-                    }
-                    "--combo" => cfg.combo = parse_combo(&value("--combo")?)?,
-                    "--epochs" => {
-                        cfg.epochs = value("--epochs")?
-                            .parse()
-                            .map_err(|_| usage("--epochs needs an integer"))?
-                    }
-                    "--seed" => {
-                        cfg.seed = value("--seed")?
-                            .parse()
-                            .map_err(|_| usage("--seed needs an integer"))?
-                    }
-                    other => return Err(usage(&format!("unknown flag '{other}'"))),
+            let mut flags = Flags::new(rest);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--out" => out = Some(flags.value()?),
+                    "--model" => cfg.model = ModelKind::parse(&flags.value()?)?,
+                    "--bits" => cfg.bits = flags.num("an integer")?,
+                    "--combo" => cfg.combo = parse_combo(&flags.value()?)?,
+                    "--epochs" => cfg.epochs = flags.num("an integer")?,
+                    "--seed" => cfg.seed = flags.num("an integer")?,
+                    _ => return Err(flags.unknown()),
                 }
             }
             let out = out.ok_or_else(|| usage("quantize requires --out <file.antm>"))?;
@@ -2306,26 +2328,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let mut requests = 256usize;
             let mut batch = 32usize;
             let mut metrics_dump: Option<std::path::PathBuf> = None;
-            let mut it = rest.iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage(&format!("{name} needs a value")))
-                };
-                match flag.as_str() {
-                    "--requests" => {
-                        requests = value("--requests")?
-                            .parse()
-                            .map_err(|_| usage("--requests needs an integer"))?
-                    }
-                    "--batch" => {
-                        batch = value("--batch")?
-                            .parse()
-                            .map_err(|_| usage("--batch needs an integer"))?
-                    }
-                    "--metrics-dump" => metrics_dump = Some(value("--metrics-dump")?.into()),
-                    other => return Err(usage(&format!("unknown flag '{other}'"))),
+            let mut flags = Flags::new(rest);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--requests" => requests = flags.num("an integer")?,
+                    "--batch" => batch = flags.num("an integer")?,
+                    "--metrics-dump" => metrics_dump = Some(flags.value()?.into()),
+                    _ => return Err(flags.unknown()),
                 }
             }
             run_serve(path, requests, batch, metrics_dump.as_deref())
@@ -2335,86 +2344,47 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 .split_first()
                 .ok_or_else(|| usage("stats requires an artifact path"))?;
             let mut cfg = StatsConfig::default();
-            let mut it = rest.iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage(&format!("{name} needs a value")))
-                };
-                match flag.as_str() {
-                    "--requests" => {
-                        cfg.requests = value("--requests")?
-                            .parse()
-                            .map_err(|_| usage("--requests needs an integer"))?
-                    }
-                    "--batch" => {
-                        cfg.batch = value("--batch")?
-                            .parse()
-                            .map_err(|_| usage("--batch needs an integer"))?
-                    }
-                    "--prom" => cfg.prom = Some(value("--prom")?.into()),
-                    "--trace" => cfg.trace = Some(value("--trace")?.into()),
-                    other => return Err(usage(&format!("unknown flag '{other}'"))),
+            let mut flags = Flags::new(rest);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--requests" => cfg.requests = flags.num("an integer")?,
+                    "--batch" => cfg.batch = flags.num("an integer")?,
+                    "--prom" => cfg.prom = Some(flags.value()?.into()),
+                    "--trace" => cfg.trace = Some(flags.value()?.into()),
+                    _ => return Err(flags.unknown()),
                 }
             }
             run_stats(path, cfg)
         }
         "bench" => {
             let mut cfg = BenchConfig::default();
-            let mut it = rest.iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage(&format!("{name} needs a value")))
-                };
-                match flag.as_str() {
+            let mut flags = Flags::new(rest);
+            while let Some(flag) = flags.next() {
+                match flag {
                     "--quick" => cfg.quick = true,
-                    "--out" => cfg.out = value("--out")?.into(),
-                    "--seed" => {
-                        cfg.seed = value("--seed")?
-                            .parse()
-                            .map_err(|_| usage("--seed needs an integer"))?
-                    }
-                    "--baseline" => cfg.baseline = Some(value("--baseline")?.into()),
-                    "--tolerance" => {
-                        cfg.tolerance = value("--tolerance")?
-                            .parse()
-                            .map_err(|_| usage("--tolerance needs a number"))?
-                    }
-                    other => return Err(usage(&format!("unknown flag '{other}'"))),
+                    "--out" => cfg.out = flags.value()?.into(),
+                    "--seed" => cfg.seed = flags.num("an integer")?,
+                    "--baseline" => cfg.baseline = Some(flags.value()?.into()),
+                    "--tolerance" => cfg.tolerance = flags.num("a number")?,
+                    _ => return Err(flags.unknown()),
                 }
             }
             run_bench(cfg)
         }
         "loadgen" => {
             let mut cfg = LoadgenConfig::default();
-            let mut it = rest.iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage(&format!("{name} needs a value")))
-                };
-                match flag.as_str() {
-                    "--addr" => cfg.addr = value("--addr")?,
-                    "--model" => cfg.model = value("--model")?,
-                    "--concurrency" => {
-                        cfg.concurrency = value("--concurrency")?
-                            .parse()
-                            .map_err(|_| usage("--concurrency needs an integer"))?
-                    }
+            let mut flags = Flags::new(rest);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--addr" => cfg.addr = flags.value()?,
+                    "--model" => cfg.model = flags.value()?,
+                    "--concurrency" => cfg.concurrency = flags.num("an integer")?,
                     "--duration-secs" => {
-                        cfg.duration = std::time::Duration::from_secs(
-                            value("--duration-secs")?
-                                .parse()
-                                .map_err(|_| usage("--duration-secs needs an integer"))?,
-                        )
+                        cfg.duration = std::time::Duration::from_secs(flags.num("an integer")?)
                     }
-                    "--out" => cfg.out = Some(value("--out")?.into()),
+                    "--out" => cfg.out = Some(flags.value()?.into()),
                     "--check-metrics" => cfg.check_metrics = true,
-                    other => return Err(usage(&format!("unknown flag '{other}'"))),
+                    _ => return Err(flags.unknown()),
                 }
             }
             if cfg.model.is_empty() {
@@ -2424,31 +2394,20 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         "generate" => {
             let mut cfg = GenerateConfig::default();
-            let mut it = rest.iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage(&format!("{name} needs a value")))
-                };
-                match flag.as_str() {
-                    "--addr" => cfg.addr = value("--addr")?,
-                    "--model" => cfg.model = value("--model")?,
+            let mut flags = Flags::new(rest);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--addr" => cfg.addr = flags.value()?,
+                    "--model" => cfg.model = flags.value()?,
                     "--prompt" => {
-                        cfg.prompt = value("--prompt")?
-                            .split(',')
-                            .map(|t| t.trim().parse::<u32>())
-                            .collect::<Result<_, _>>()
-                            .map_err(|_| {
-                                usage("--prompt needs comma-separated token ids (e.g. 1,2,3)")
-                            })?
+                        let ids = flags.value()?;
+                        let ids = ids.split(',').map(|t| t.trim().parse::<u32>());
+                        cfg.prompt = ids.collect::<Result<_, _>>().map_err(|_| {
+                            usage("--prompt needs comma-separated token ids (e.g. 1,2,3)")
+                        })?
                     }
-                    "--max-tokens" => {
-                        cfg.max_tokens = value("--max-tokens")?
-                            .parse()
-                            .map_err(|_| usage("--max-tokens needs an integer"))?
-                    }
-                    other => return Err(usage(&format!("unknown flag '{other}'"))),
+                    "--max-tokens" => cfg.max_tokens = flags.num("an integer")?,
+                    _ => return Err(flags.unknown()),
                 }
             }
             if cfg.model.is_empty() {

@@ -57,7 +57,9 @@ use crate::http::{
 use crate::json::Json;
 use ant_obs::export::prometheus_text;
 use ant_obs::{global, Counter, Gauge, Histogram};
-use ant_runtime::{ArtifactError, BatchPolicy, Engine, FaultPlan, MappedArtifact, RuntimeError};
+use ant_runtime::{
+    ArtifactError, BatchPolicy, Engine, FaultPlan, MappedArtifact, RequestId, RuntimeError,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
@@ -117,8 +119,7 @@ pub struct DaemonConfig {
     /// answers 504.
     pub request_timeout: Duration,
     /// Fault-injection plan installed process-wide at startup
-    /// (`--chaos SPEC`). Dormant unless the runtime's `chaos` feature
-    /// is compiled in; `None` leaves whatever plan is already active.
+    /// (`--chaos SPEC`); `None` leaves whatever plan is already active.
     pub chaos: Option<FaultPlan>,
 }
 
@@ -315,13 +316,14 @@ pub struct Daemon {
     accept: Option<JoinHandle<()>>,
 }
 
-/// Loads and compiles one artifact into a fresh engine.
-fn build_state(
-    path: &PathBuf,
+/// Compiles a mapped artifact into a fresh engine: the one way a
+/// [`ModelState`] is made, whether the mapping is new (start, reload)
+/// or the one that already served (rebuild).
+fn model_state(
+    mapped: Arc<MappedArtifact>,
     policy: BatchPolicy,
     generation: u64,
 ) -> Result<ModelState, DaemonError> {
-    let mapped = Arc::new(MappedArtifact::open(path)?);
     let plan = mapped.compile()?;
     let in_features = plan.in_features();
     let token_dim = plan.token_dim();
@@ -334,6 +336,15 @@ fn build_state(
     })
 }
 
+/// Loads and compiles one artifact into a fresh engine.
+fn build_state(
+    path: &PathBuf,
+    policy: BatchPolicy,
+    generation: u64,
+) -> Result<ModelState, DaemonError> {
+    model_state(Arc::new(MappedArtifact::open(path)?), policy, generation)
+}
+
 /// Recompiles a model's engine from its still-mapped artifact — the
 /// breaker's background self-heal. No file I/O: the mapping that
 /// already served requests is the trusted source.
@@ -344,16 +355,7 @@ fn rebuild_state(slot: &ModelSlot, policy: BatchPolicy) -> Result<ModelState, Da
             "chaos: injected artifact-reload corruption",
         ))));
     }
-    let plan = old.mapped.compile()?;
-    let in_features = plan.in_features();
-    let token_dim = plan.token_dim();
-    Ok(ModelState {
-        engine: Engine::new(plan, policy),
-        in_features,
-        token_dim,
-        generation: old.generation + 1,
-        mapped: Arc::clone(&old.mapped),
-    })
+    model_state(Arc::clone(&old.mapped), policy, old.generation + 1)
 }
 
 /// Rebuild attempts per breaker trip. Exhausting them leaves the
@@ -486,8 +488,7 @@ impl Daemon {
         }
         if let Some(plan) = &config.chaos {
             // Installed before the first artifact opens so mmap-load
-            // faults can hit startup paths too. A no-op (plan never
-            // consulted) unless the runtime's `chaos` feature is on.
+            // faults can hit startup paths too.
             eprintln!("[antd] chaos plan armed: {plan:?}");
             ant_runtime::chaos::install(plan.clone());
         }
@@ -803,41 +804,58 @@ fn infer(inner: &Arc<Inner>, name: &str, body: &[u8]) -> Response {
     resp
 }
 
-/// The engine round-trip of [`infer`], after breaker admission.
+/// The engine round trip of [`infer`], after breaker admission.
 fn infer_on(inner: &Inner, name: &str, state: &ModelState, input: &[f32]) -> Response {
-    let id = match state.engine.submit(input) {
+    let output = match round_trip(inner, name, &state.engine, |e| e.submit(input)) {
+        Ok(output) => output,
+        Err(resp) => return resp,
+    };
+    let doc = Json::Obj(vec![
+        (
+            "output".into(),
+            Json::Arr(output.iter().map(|v| Json::Num(f64::from(*v))).collect()),
+        ),
+        ("generation".into(), Json::Num(state.generation as f64)),
+    ]);
+    Response::new(200).json(doc.render())
+}
+
+/// One engine round trip — an infer row, a prefill or a single decode
+/// step, as `submit` decides — under the request deadline, with engine
+/// errors mapped to the HTTP response the caller sends (or, once a
+/// stream is under way, folds into its body).
+fn round_trip(
+    inner: &Inner,
+    name: &str,
+    engine: &Engine,
+    submit: impl FnOnce(&Engine) -> Result<RequestId, RuntimeError>,
+) -> Result<Vec<f32>, Response> {
+    let id = match submit(engine) {
         Ok(id) => id,
         Err(RuntimeError::Overloaded { queued, max_queue }) => {
-            return Response::new(429)
+            return Err(Response::new(429)
                 .header("Retry-After", "1")
-                .text(format!("overloaded: queue {queued}/{max_queue}\n"));
+                .text(format!("overloaded: queue {queued}/{max_queue}\n")));
         }
         Err(e @ RuntimeError::ShapeMismatch { .. }) => {
-            return Response::new(400).text(format!("{e}\n"));
+            return Err(Response::new(400).text(format!("{e}\n")));
         }
-        Err(e) => return engine_failure(name, &state.engine, &e),
+        Err(e) => return Err(engine_failure(name, engine, &e)),
     };
-    match state.engine.wait_timeout(id, inner.request_timeout) {
-        Ok(Some(output)) => {
-            let doc = Json::Obj(vec![
-                (
-                    "output".into(),
-                    Json::Arr(output.iter().map(|v| Json::Num(f64::from(*v))).collect()),
-                ),
-                ("generation".into(), Json::Num(state.generation as f64)),
-            ]);
-            Response::new(200).json(doc.render())
-        }
+    match engine.wait_timeout(id, inner.request_timeout) {
+        Ok(Some(row)) => Ok(row),
         Ok(None) => {
             // Deadline expired: drop the eventual result so it does not
             // park in the engine forever.
-            state.engine.cancel(id);
-            Response::new(504).text("request deadline exceeded\n")
+            engine.cancel(id);
+            Err(Response::new(504).text("request deadline exceeded\n"))
         }
         // The quarantine isolated this request as the one that poisons
         // its batch: a client bug, not a server fault — don't retry.
-        Err(e @ RuntimeError::PoisonedRequest { .. }) => Response::new(422).text(format!("{e}\n")),
-        Err(e) => engine_failure(name, &state.engine, &e),
+        Err(e @ RuntimeError::PoisonedRequest { .. }) => {
+            Err(Response::new(422).text(format!("{e}\n")))
+        }
+        Err(e) => Err(engine_failure(name, engine, &e)),
     }
 }
 
@@ -1020,7 +1038,8 @@ fn stream_generate(
     }
     // Prefill before committing to a 200: its errors (overload, a
     // mid-flight reload closing the session) still map to clean HTTP.
-    let mut last = match submit_and_wait(inner, name, &state.engine, sid, &rows, true) {
+    let prefill = round_trip(inner, name, &state.engine, |e| e.submit_prefill(sid, &rows));
+    let mut last = match prefill {
         Ok(row) => row,
         Err(resp) => return buffered(w, resp, close),
     };
@@ -1045,7 +1064,7 @@ fn stream_generate(
         }
         step.clear();
         embed_token(token, dim, &mut step);
-        match submit_and_wait(inner, name, &state.engine, sid, &step, false) {
+        match round_trip(inner, name, &state.engine, |e| e.submit_decode(sid, &step)) {
             Ok(row) => last = row,
             Err(resp) => {
                 // Already streaming: the failure rides the body.
@@ -1065,47 +1084,6 @@ fn stream_generate(
     finish_chunked(w)?;
     drop(guard);
     Ok(200)
-}
-
-/// One engine round-trip of the generate loop (prefill or single decode
-/// step) under the request deadline, with engine errors mapped to the
-/// HTTP response the caller would have sent.
-fn submit_and_wait(
-    inner: &Inner,
-    name: &str,
-    engine: &Engine,
-    sid: ant_runtime::SessionId,
-    rows: &[f32],
-    prefill: bool,
-) -> Result<Vec<f32>, Response> {
-    let submit = if prefill {
-        engine.submit_prefill(sid, rows)
-    } else {
-        engine.submit_decode(sid, rows)
-    };
-    let id = match submit {
-        Ok(id) => id,
-        Err(RuntimeError::Overloaded { queued, max_queue }) => {
-            return Err(Response::new(429)
-                .header("Retry-After", "1")
-                .text(format!("overloaded: queue {queued}/{max_queue}\n")));
-        }
-        Err(e @ RuntimeError::ShapeMismatch { .. }) => {
-            return Err(Response::new(400).text(format!("{e}\n")));
-        }
-        Err(e) => return Err(engine_failure(name, engine, &e)),
-    };
-    match engine.wait_timeout(id, inner.request_timeout) {
-        Ok(Some(row)) => Ok(row),
-        Ok(None) => {
-            engine.cancel(id);
-            Err(Response::new(504).text("request deadline exceeded\n"))
-        }
-        Err(e @ RuntimeError::PoisonedRequest { .. }) => {
-            Err(Response::new(422).text(format!("{e}\n")))
-        }
-        Err(e) => Err(engine_failure(name, engine, &e)),
-    }
 }
 
 /// `POST /v1/models/{name}/reload`: re-map the artifact, compile,
@@ -1208,8 +1186,7 @@ pub fn serve_until_shutdown(daemon: Daemon) {
 ///
 /// `--chaos` arms the runtime's deterministic fault-injection plan
 /// (e.g. `seed=42,worker_panic=0.05,poison=1000000`); see
-/// `ant_runtime::chaos` for the grammar. Dormant in builds without the
-/// `chaos` feature.
+/// `ant_runtime::chaos` for the grammar.
 ///
 /// # Errors
 ///

@@ -95,9 +95,10 @@ fn read_line(
     what: &str,
 ) -> Result<Option<String>, HttpError> {
     let mut line = Vec::new();
-    // Bound the read: take_mut-style cap via manual loop would be
-    // overkill; read_until then check the budget.
-    let n = r.read_until(b'\n', &mut line)?;
+    // Bound the read itself, not just its result: one byte past the
+    // budget proves the line too long, and a peer that never sends
+    // '\n' must not be buffered for as long as it keeps sending.
+    let n = io::Read::take(&mut *r, *budget as u64 + 1).read_until(b'\n', &mut line)?;
     if n == 0 {
         return Ok(None);
     }
@@ -568,6 +569,45 @@ mod tests {
         let chunked = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
         let mut r = BufReader::new(&chunked[..]);
         assert!(matches!(read_request(&mut r), Err(HttpError::Malformed(_))));
+    }
+
+    /// `left` newline-free bytes, counting how many the parser pulls.
+    struct Flood<'a> {
+        left: usize,
+        pulled: &'a mut usize,
+    }
+
+    impl io::Read for Flood<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.left);
+            buf[..n].fill(b'a');
+            self.left -= n;
+            *self.pulled += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_overlong_line_is_refused_without_being_buffered() {
+        type Reader = fn(&mut BufReader<Flood>) -> Result<(), HttpError>;
+        let readers: [(&str, Reader); 2] = [
+            ("request line", |r| read_request(r).map(drop)),
+            ("chunk-size line", |r| read_chunk(r).map(drop)),
+        ];
+        for (what, read) in readers {
+            let mut pulled = 0;
+            let flood = Flood {
+                left: 64 * MAX_HEADER_BYTES,
+                pulled: &mut pulled,
+            };
+            let refused = read(&mut BufReader::new(flood));
+            assert!(matches!(refused, Err(HttpError::TooLarge(_))), "{what}");
+            // Budget + 1 bytes decide it; the slack is one BufReader fill.
+            assert!(
+                pulled <= 2 * MAX_HEADER_BYTES,
+                "{what}: {pulled} bytes pulled against a {MAX_HEADER_BYTES}-byte limit"
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! A minimal JSON value and recursive-descent parser.
 //!
 //! The workspace is dependency-free by construction, and the bench
-//! tooling both writes JSON (hand-rolled in `antc.rs`) and now needs to
-//! *read* it back: the `antc bench --baseline` perf guard compares a
-//! fresh run against a stored `BENCH_runtime.json`, and the CLI tests
-//! validate the schema structurally instead of by substring. This
-//! parser covers exactly the JSON subset those artifacts use (no
-//! surrogate-pair escapes, numbers via `f64`).
+//! tooling both writes JSON ([`Json::render`] is the one writer:
+//! `antc bench`, `antc loadgen --out`, `antd`) and reads it back: the
+//! `antc bench --baseline` perf guard compares a fresh run against a
+//! stored `BENCH_runtime.json`, and the CLI tests validate the schema
+//! structurally instead of by substring. This parser covers exactly
+//! the JSON subset those artifacts use (no surrogate-pair escapes,
+//! numbers via `f64`).
 
 use std::fmt;
 

@@ -10,9 +10,9 @@
 //! ```
 //!
 //! is [`install`]ed process-wide, and instrumented sites across the
-//! runtime and daemon (`engine.rs` batch dispatch, `pool.rs` task
-//! execution, `artifact.rs` mmap open, `antd` reload/streaming) consult
-//! it through [`active`]. Every draw is a pure function of
+//! runtime and daemon (`engine/supervisor.rs` batch dispatch, `pool.rs`
+//! task execution, `artifact.rs` mmap open, `antd` reload/streaming)
+//! consult it through [`active`]. Every draw is a pure function of
 //! `(seed, site, draw index)` via SplitMix64 — re-running the same
 //! traffic against the same spec reproduces the same faults, and every
 //! triggered fault prints a `[chaos]` line naming the seed, site, and
@@ -22,10 +22,9 @@
 //! with probability 0.05) or **exactly once at the Nth draw**
 //! (`worker_panic=@3`) for tests that need one specific batch to die.
 //!
-//! The consult sites are behind the `chaos` cargo feature (on by
-//! default, like `obs`); a `--no-default-features` build compiles every
-//! site out of the hot path entirely. Even when compiled in, an
-//! uninstalled plan costs one relaxed atomic load per site visit.
+//! The consult sites are always compiled in (there is no cargo feature
+//! to strip them; `--no-default-features` removes only the `obs` hooks):
+//! an uninstalled plan costs one atomic load per site visit.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};

@@ -10,7 +10,20 @@
 //!
 //! Because the packed layers compute in exact integer arithmetic, results
 //! are bit-identical no matter how requests are grouped; batching is
-//! invisible to callers except in latency.
+//! invisible to callers except in latency. Regrouping requests,
+//! coalescing decode steps and re-running the innocents of a panicked
+//! batch are therefore all *policy* over one exact executor, and the
+//! module is split along those policies:
+//!
+//! * this file — the public surface: [`Engine`] validates shapes and
+//!   delegates,
+//! * `scheduler.rs` — admission into the bounded queue, the request
+//!   table, the session slots, the gather rule, the batch runner and
+//!   the worker loop,
+//! * `supervisor.rs` — what a panicking batch costs: the restart budget,
+//!   bisection quarantine and the backoff. The scheduler knows no panic
+//!   policy; a supervisor with `max_restarts = 0` *is* the unsupervised
+//!   engine.
 //!
 //! # Prefill and decode phases
 //!
@@ -22,9 +35,16 @@
 //! gathers *same-kind runs*: consecutive decode steps from distinct
 //! sessions coalesce into one batched [`CompiledPlan::decode_steps`] call
 //! (the continuous-batching shape — one step, many sequences), while a
-//! prefill executes as its own batch. The same `max_wait` bound applies
-//! to every gather window, so a decode step never waits longer than
-//! `max_wait` for company once it reaches the queue head.
+//! prefill executes as its own batch.
+//!
+//! The same `max_wait` bound applies to every gather window, and only an
+//! *open* run waits at all. The run at the queue head is **closed** —
+//! dispatched at once — when it is full, is a prefill, or is followed in
+//! the FIFO by a request that could not join it (another kind of work, or
+//! a second step of a session already in the run): order forbids
+//! overtaking, so no later arrival could join it either, and waiting
+//! would only delay the run and everything queued behind it. A run with
+//! nothing behind it stays open for company until `max_wait` is spent.
 //!
 //! Sessions are freed *eagerly*: [`Engine::close_session`] releases the
 //! KV cache immediately when the session is idle, and at the executing
@@ -32,14 +52,16 @@
 //! it — a timed-out caller that cancels its request and closes its
 //! session never leaves cache bytes pinned behind a long batch.
 
+mod scheduler;
+mod supervisor;
+
 use crate::error::RuntimeError;
-use crate::kv::DecodeSession;
-use crate::obs;
 use crate::plan::{no_causal_err, CompiledPlan, SessionFactory};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use scheduler::{Runner, Scheduler, Work};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use supervisor::Supervisor;
 
 /// When the scheduler closes a batch, and how much work it will hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,104 +166,6 @@ pub struct EngineStats {
     pub quarantine_probes: u64,
 }
 
-/// What a queued request asks the worker to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Work {
-    /// A stateless single-row forward (the original engine traffic).
-    Infer,
-    /// Full-prompt prefill into session `sid` (executes alone).
-    Prefill { sid: u64 },
-    /// One decode step advancing session `sid` by one token.
-    Decode { sid: u64 },
-}
-
-impl Work {
-    /// The session this work touches, if any.
-    fn sid(&self) -> Option<u64> {
-        match self {
-            Work::Infer => None,
-            Work::Prefill { sid } | Work::Decode { sid } => Some(*sid),
-        }
-    }
-}
-
-/// One queued request.
-struct Queued {
-    id: u64,
-    work: Work,
-    input: Vec<f32>,
-    /// Submit timestamp (telemetry).
-    submitted: u64,
-}
-
-/// One open decode session as the scheduler tracks it.
-struct SessionSlot {
-    /// The session itself; `None` while the worker holds it for an
-    /// executing batch.
-    session: Option<DecodeSession>,
-    /// Cache bytes this session pins (fixed at open).
-    bytes: usize,
-    /// Close was requested while the worker held the session: the
-    /// worker drops it at the batch boundary instead of returning it.
-    closed: bool,
-}
-
-struct State {
-    queue: VecDeque<Queued>,
-    results: HashMap<u64, Result<Vec<f32>, RuntimeError>>,
-    sessions: HashMap<u64, SessionSlot>,
-    /// Sum of `bytes` over `sessions` (the `ant_kv_cache_bytes` gauge).
-    kv_bytes: usize,
-    next_sid: u64,
-    /// Ids drained from the queue whose batch is currently executing.
-    executing: HashSet<u64>,
-    /// Executing ids whose caller gave up ([`Engine::cancel`]): their
-    /// results are dropped on publish instead of parking in `results`
-    /// forever.
-    abandoned: HashSet<u64>,
-    next_id: u64,
-    shutdown: bool,
-    /// Set when the worker thread died by panic (a strictly stronger
-    /// condition than `shutdown`): every result is already failed and no
-    /// future request can complete.
-    worker_panicked: bool,
-    stats: EngineStats,
-}
-
-impl State {
-    /// Whether `id` is still somewhere inside the engine (queued or in the
-    /// executing batch). Once false with no result present, the id is
-    /// either unknown or already delivered.
-    fn in_flight(&self, id: u64) -> bool {
-        self.executing.contains(&id) || self.queue.iter().any(|q| q.id == id)
-    }
-
-    /// Removes session `sid`'s slot and returns its cache to the
-    /// allocator, maintaining the byte gauge. The slot must hold its
-    /// session (callers handle the worker-held case separately).
-    fn free_session(&mut self, sid: u64) {
-        if let Some(slot) = self.sessions.remove(&sid) {
-            self.kv_bytes -= slot.bytes;
-        }
-        obs::metrics().kv_cache_usage(self.kv_bytes, self.sessions.len());
-    }
-}
-
-struct Shared {
-    state: Mutex<State>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-}
-
-impl Shared {
-    /// Locks the state, recovering from poison: a panicking worker must
-    /// leave the engine *observable* (so [`Engine::wait`] can report the
-    /// death), not wedge every caller behind a poisoned mutex.
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 /// The batch-execution seam ([`Engine::with_exec`]): production engines
 /// forward through the plan's scratch arena; chaos and contract tests
 /// inject blocking, panicking or fault-scheduled executors to pin the
@@ -258,7 +182,7 @@ pub type StepGate = Box<dyn FnMut() + Send>;
 
 /// A batched inference engine over a [`CompiledPlan`].
 pub struct Engine {
-    shared: Arc<Shared>,
+    scheduler: Arc<Scheduler>,
     in_features: Option<usize>,
     token_dim: Option<usize>,
     session_factory: Option<SessionFactory>,
@@ -312,42 +236,28 @@ impl Engine {
         let in_features = plan.in_features();
         let token_dim = plan.token_dim();
         let session_factory = plan.session_factory().ok();
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                results: HashMap::new(),
-                sessions: HashMap::new(),
-                kv_bytes: 0,
-                next_sid: 0,
-                executing: HashSet::new(),
-                abandoned: HashSet::new(),
-                next_id: 0,
-                shutdown: false,
-                worker_panicked: false,
-                stats: EngineStats::default(),
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let worker_shared = Arc::clone(&shared);
+        let scheduler = Arc::new(Scheduler::new(policy));
+        let sched = Arc::clone(&scheduler);
         let worker = std::thread::spawn(move || {
-            // Batch-execution panics are supervised *inside* the loop
-            // (failed batch, bisection quarantine, bounded restarts);
-            // this outer guard is the backstop for panics in the
-            // scheduler itself and for an exhausted restart budget.
+            // Batch-execution panics are the supervisor's (failed batch,
+            // bisection quarantine, bounded restarts); this outer guard
+            // is the backstop for panics in the scheduler itself.
             // Swallowing an unwind silently would leave every waiter
-            // blocked on `done_cv` forever; instead the engine is marked
-            // dead, every in-flight request is failed, and all waiters
-            // are woken so `wait` returns an error promptly.
+            // blocked forever; instead the engine is marked dead, every
+            // in-flight request is failed, and all waiters are woken so
+            // `wait` returns an error promptly.
             let unwind = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                worker_loop(&worker_shared, plan, policy, exec, step_gate)
+                sched.work(
+                    Runner::new(plan, exec, step_gate),
+                    Supervisor::new(policy.max_restarts, policy.restart_backoff),
+                )
             }));
             if let Err(payload) = unwind {
-                fail_after_worker_panic(&worker_shared, &panic_message(&payload));
+                sched.fail_after_worker_panic(&supervisor::panic_message(payload));
             }
         });
         Engine {
-            shared,
+            scheduler,
             in_features,
             token_dim,
             session_factory,
@@ -402,68 +312,7 @@ impl Engine {
                 });
             }
         }
-        let state = self.shared.lock();
-        if state.shutdown {
-            return Err(RuntimeError::Engine(shutdown_message(&state)));
-        }
-        if state.queue.len() >= self.policy.max_queue {
-            return Err(RuntimeError::Overloaded {
-                queued: state.queue.len(),
-                max_queue: self.policy.max_queue,
-            });
-        }
-        self.enqueue(state, Work::Infer, input)
-    }
-
-    /// Pushes validated work onto the bounded queue and wakes the
-    /// worker. Admission control was already checked by the caller.
-    fn enqueue(
-        &self,
-        mut state: MutexGuard<'_, State>,
-        work: Work,
-        input: &[f32],
-    ) -> Result<RequestId, RuntimeError> {
-        let id = state.next_id;
-        state.next_id += 1;
-        state.stats.submitted += 1;
-        state.queue.push_back(Queued {
-            id,
-            work,
-            input: input.to_vec(),
-            submitted: obs::now(),
-        });
-        let m = obs::metrics();
-        m.engine_submit();
-        m.engine_queue_depth(state.queue.len());
-        drop(state);
-        self.shared.work_cv.notify_one();
-        Ok(RequestId(id))
-    }
-
-    /// Admission checks shared by the session-bound submission paths:
-    /// engine alive, queue not full, session open (and not pending
-    /// close).
-    fn admit_session_work<'a>(
-        &'a self,
-        sid: SessionId,
-    ) -> Result<MutexGuard<'a, State>, RuntimeError> {
-        let state = self.shared.lock();
-        if state.shutdown {
-            return Err(RuntimeError::Engine(shutdown_message(&state)));
-        }
-        if state.queue.len() >= self.policy.max_queue {
-            return Err(RuntimeError::Overloaded {
-                queued: state.queue.len(),
-                max_queue: self.policy.max_queue,
-            });
-        }
-        match state.sessions.get(&sid.0) {
-            Some(slot) if !slot.closed => Ok(state),
-            _ => Err(RuntimeError::Engine(format!(
-                "session {} is not open",
-                sid.0
-            ))),
-        }
+        self.scheduler.submit(Work::Infer, input)
     }
 
     /// Opens a decode session against the worker's plan: every byte of
@@ -476,25 +325,7 @@ impl Engine {
     /// `max_tokens` is zero, [`RuntimeError::Engine`] after shutdown.
     pub fn open_session(&self, max_tokens: usize) -> Result<SessionId, RuntimeError> {
         let factory = self.session_factory.as_ref().ok_or_else(no_causal_err)?;
-        let session = factory.open(max_tokens)?;
-        let bytes = session.kv_bytes();
-        let mut state = self.shared.lock();
-        if state.shutdown {
-            return Err(RuntimeError::Engine(shutdown_message(&state)));
-        }
-        let sid = state.next_sid;
-        state.next_sid += 1;
-        state.sessions.insert(
-            sid,
-            SessionSlot {
-                session: Some(session),
-                bytes,
-                closed: false,
-            },
-        );
-        state.kv_bytes += bytes;
-        obs::metrics().kv_cache_usage(state.kv_bytes, state.sessions.len());
-        Ok(SessionId(sid))
+        self.scheduler.open_session(factory.open(max_tokens)?)
     }
 
     /// Closes a decode session, releasing its KV cache **eagerly**: an
@@ -507,48 +338,7 @@ impl Engine {
     /// Idempotent: returns `false` when the id is unknown or already
     /// closed.
     pub fn close_session(&self, sid: SessionId) -> bool {
-        let mut state = self.shared.lock();
-        let Some(slot) = state.sessions.get_mut(&sid.0) else {
-            return false;
-        };
-        if slot.closed {
-            return false;
-        }
-        if slot.session.is_some() {
-            state.free_session(sid.0);
-        } else {
-            slot.closed = true;
-        }
-        // Fail queued work targeting the closed session so callers
-        // don't wait on steps that will never run.
-        let orphaned: Vec<u64> = {
-            let mut ids = Vec::new();
-            state.queue.retain(|q| {
-                if q.work.sid() == Some(sid.0) {
-                    ids.push(q.id);
-                    false
-                } else {
-                    true
-                }
-            });
-            ids
-        };
-        let woke = !orphaned.is_empty();
-        for id in orphaned {
-            state.results.insert(
-                id,
-                Err(RuntimeError::Engine(format!(
-                    "session {} was closed",
-                    sid.0
-                ))),
-            );
-        }
-        obs::metrics().engine_queue_depth(state.queue.len());
-        drop(state);
-        if woke {
-            self.shared.done_cv.notify_all();
-        }
-        true
+        self.scheduler.close_session(sid.0)
     }
 
     /// Enqueues a full-prompt prefill (`n·token_dim` features) into
@@ -574,8 +364,7 @@ impl Engine {
                 actual: prompt.len(),
             });
         }
-        let state = self.admit_session_work(sid)?;
-        self.enqueue(state, Work::Prefill { sid: sid.0 }, prompt)
+        self.scheduler.submit(Work::Prefill { sid: sid.0 }, prompt)
     }
 
     /// Enqueues one decode step: a single `token_dim`-feature token row
@@ -594,18 +383,17 @@ impl Engine {
                 actual: token.len(),
             });
         }
-        let state = self.admit_session_work(sid)?;
-        self.enqueue(state, Work::Decode { sid: sid.0 }, token)
+        self.scheduler.submit(Work::Decode { sid: sid.0 }, token)
     }
 
     /// Decode sessions currently open (including any the worker holds).
     pub fn session_count(&self) -> usize {
-        self.shared.lock().sessions.len()
+        self.scheduler.session_count()
     }
 
     /// Bytes pinned by open sessions' packed KV caches.
     pub fn kv_bytes(&self) -> usize {
-        self.shared.lock().kv_bytes
+        self.scheduler.kv_bytes()
     }
 
     /// The decode pipeline's per-token feature width; `None` for
@@ -617,8 +405,7 @@ impl Engine {
     /// Non-blocking result check: `None` while the request is in flight,
     /// the result (taken out of the engine) once its batch completed.
     pub fn poll(&self, id: RequestId) -> Option<Result<Vec<f32>, RuntimeError>> {
-        let mut state = self.shared.lock();
-        state.results.remove(&id.0)
+        self.scheduler.poll(id.0)
     }
 
     /// Blocks until the request's batch completes and returns its result.
@@ -659,7 +446,7 @@ impl Engine {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn wait(&self, id: RequestId) -> Result<Vec<f32>, RuntimeError> {
-        match self.wait_deadline(id, None) {
+        match self.scheduler.wait_deadline(id.0, None) {
             Ok(Some(r)) => Ok(r),
             Ok(None) => unreachable!("deadline-free wait cannot expire"),
             Err(e) => Err(e),
@@ -687,54 +474,8 @@ impl Engine {
         id: RequestId,
         timeout: Duration,
     ) -> Result<Option<Vec<f32>>, RuntimeError> {
-        self.wait_deadline(id, Some(Instant::now() + timeout))
-    }
-
-    /// The condvar loop behind [`Self::wait`] (no deadline) and
-    /// [`Self::wait_timeout`] (deadline): take the result if present,
-    /// error on unknown/taken ids and dead engines, otherwise sleep on
-    /// `done_cv` until woken or past the deadline.
-    fn wait_deadline(
-        &self,
-        id: RequestId,
-        deadline: Option<Instant>,
-    ) -> Result<Option<Vec<f32>>, RuntimeError> {
-        let mut state = self.shared.lock();
-        loop {
-            if let Some(r) = state.results.remove(&id.0) {
-                return r.map(Some);
-            }
-            if !state.in_flight(id.0) {
-                return Err(RuntimeError::Engine(format!(
-                    "request {} is unknown or its result was already taken",
-                    id.0
-                )));
-            }
-            if state.shutdown {
-                return Err(RuntimeError::Engine(shutdown_message(&state)));
-            }
-            match deadline {
-                None => {
-                    state = self
-                        .shared
-                        .done_cv
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Ok(None);
-                    }
-                    state = self
-                        .shared
-                        .done_cv
-                        .wait_timeout(state, d - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-            }
-        }
+        self.scheduler
+            .wait_deadline(id.0, Some(Instant::now() + timeout))
     }
 
     /// Abandons a request: a queued request is dropped before execution,
@@ -747,31 +488,18 @@ impl Engine {
     /// without it, results of timed-out requests would accumulate in the
     /// engine for the life of the process.
     pub fn cancel(&self, id: RequestId) -> bool {
-        let mut state = self.shared.lock();
-        if state.results.remove(&id.0).is_some() {
-            return true;
-        }
-        if let Some(pos) = state.queue.iter().position(|q| q.id == id.0) {
-            state.queue.remove(pos);
-            obs::metrics().engine_queue_depth(state.queue.len());
-            return true;
-        }
-        if state.executing.contains(&id.0) {
-            state.abandoned.insert(id.0);
-            return true;
-        }
-        false
+        self.scheduler.cancel(id.0)
     }
 
     /// Requests currently queued (excluding the executing batch). The
     /// admission headroom is `policy().max_queue - queue_depth()`.
     pub fn queue_depth(&self) -> usize {
-        self.shared.lock().queue.len()
+        self.scheduler.queue_depth()
     }
 
     /// Scheduler counters so far.
     pub fn stats(&self) -> EngineStats {
-        self.shared.lock().stats
+        self.scheduler.stats()
     }
 
     /// Whether the worker died by panic (its restart budget exhausted,
@@ -780,600 +508,15 @@ impl Engine {
     /// ends use this to distinguish "rebuild the engine" (trip a
     /// circuit breaker) from a per-request failure.
     pub fn is_dead(&self) -> bool {
-        self.shared.lock().worker_panicked
+        self.scheduler.is_dead()
     }
-}
-
-/// The `Engine`/`wait` error text for a dead engine, distinguishing a
-/// panicked worker from an orderly shutdown.
-fn shutdown_message(state: &State) -> String {
-    if state.worker_panicked {
-        "engine worker panicked; engine is dead".to_string()
-    } else {
-        "engine is shut down".to_string()
-    }
-}
-
-/// Renders a panic payload the way `std` would print it.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The worker died by panic: mark the engine dead, fail every request
-/// still inside it (queued or mid-batch), and wake all waiters so
-/// [`Engine::wait`] returns an error instead of blocking forever on a
-/// worker that will never publish again.
-fn fail_after_worker_panic(shared: &Shared, msg: &str) {
-    let mut state = shared.lock();
-    state.shutdown = true;
-    state.worker_panicked = true;
-    let queued: Vec<u64> = state.queue.drain(..).map(|q| q.id).collect();
-    let executing: Vec<u64> = state.executing.drain().collect();
-    for id in queued.into_iter().chain(executing) {
-        if state.abandoned.remove(&id) {
-            continue;
-        }
-        state.results.insert(
-            id,
-            Err(RuntimeError::Engine(format!(
-                "engine worker panicked: {msg}"
-            ))),
-        );
-    }
-    // Sessions the dead worker held are gone with its stack; the rest
-    // can never be served again. Drop them all so the byte gauge stays
-    // truthful.
-    state.sessions.clear();
-    state.kv_bytes = 0;
-    let m = obs::metrics();
-    m.kv_cache_usage(0, 0);
-    m.engine_queue_depth(state.queue.len());
-    drop(state);
-    shared.work_cv.notify_all();
-    shared.done_cv.notify_all();
 }
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.lock();
-            state.shutdown = true;
-        }
-        self.shared.work_cv.notify_all();
-        self.shared.done_cv.notify_all();
+        self.scheduler.shut_down();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
-        }
-    }
-}
-
-/// The executable same-kind run at the queue head: infer requests batch
-/// with infer requests, decode steps batch with decode steps **from
-/// distinct sessions** (a session advances at most one token per batch —
-/// steps are sequentially dependent), and a prefill always runs alone.
-fn gatherable(queue: &VecDeque<Queued>, max_batch: usize) -> usize {
-    let Some(front) = queue.front() else {
-        return 0;
-    };
-    match front.work {
-        Work::Prefill { .. } => 1,
-        Work::Infer => queue
-            .iter()
-            .take(max_batch)
-            .take_while(|q| q.work == Work::Infer)
-            .count(),
-        Work::Decode { .. } => {
-            let mut sids = HashSet::new();
-            queue
-                .iter()
-                .take(max_batch)
-                .take_while(|q| match q.work {
-                    Work::Decode { sid } => sids.insert(sid),
-                    _ => false,
-                })
-                .count()
-        }
-    }
-}
-
-/// What one supervised batch episode produced: the per-request results
-/// to publish plus the supervision counters it moved.
-struct Episode {
-    results: BatchResults,
-    step_count: usize,
-    /// 1 when the supervisor absorbed a panic this episode.
-    restarted: u64,
-    poisoned: u64,
-    probes: u64,
-}
-
-/// The worker: wait for work, gather a same-kind batch under the policy,
-/// execute **under supervision**, publish results, repeat. Queued work
-/// is drained even during shutdown so submitted requests are never
-/// silently dropped.
-///
-/// Supervision: every batch execution runs under `catch_unwind`. A
-/// panicking infer batch is re-run in bisection to isolate the poisoned
-/// request(s) — innocents are transparently re-executed, offenders fail
-/// with [`RuntimeError::PoisonedRequest`]. A panicking prefill/decode
-/// batch fails its members and closes their sessions (the KV state is
-/// unknowable after a partial append). The engine only dies when
-/// [`BatchPolicy::max_restarts`] *consecutive* executions panic.
-///
-/// The input-stacking and output buffers persist across batches and the
-/// plan executes through its scratch arena, so a steady-state batch costs
-/// one allocation per *request* (the result row handed to the caller),
-/// not one per intermediate; the `catch_unwind` wrapper allocates
-/// nothing on the non-panicking path.
-fn worker_loop(
-    shared: &Shared,
-    mut plan: CompiledPlan,
-    policy: BatchPolicy,
-    mut exec: BatchExec,
-    mut step_gate: Option<StepGate>,
-) {
-    let mut stacked: Vec<f32> = Vec::new();
-    let mut outputs: Vec<f32> = Vec::new();
-    // Consecutive panicked executions; any successful execution
-    // (including a quarantine probe) resets it.
-    let mut consecutive_panics: u32 = 0;
-    loop {
-        let batch = {
-            let mut state = shared.lock();
-            while state.queue.is_empty() && !state.shutdown {
-                state = shared
-                    .work_cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            if state.queue.is_empty() && state.shutdown {
-                return;
-            }
-            // First request in hand: hold the batch open until the
-            // same-kind run at the queue head is full or the wait budget
-            // is spent. A prefill run is full by definition, so it (and
-            // anything queued behind it) is never delayed by the window.
-            let deadline = Instant::now() + policy.max_wait;
-            while gatherable(&state.queue, policy.max_batch) < policy.max_batch && !state.shutdown {
-                if state
-                    .queue
-                    .front()
-                    .is_some_and(|q| matches!(q.work, Work::Prefill { .. }))
-                {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (s, timeout) = shared
-                    .work_cv
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                state = s;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            let take = gatherable(&state.queue, policy.max_batch);
-            if take == 0 {
-                // Every gathered request was cancelled out of the queue
-                // while the batch window was open; nothing to run.
-                continue;
-            }
-            let batch = state.queue.drain(..take).collect::<Vec<_>>();
-            for q in &batch {
-                state.executing.insert(q.id);
-            }
-            obs::metrics().engine_queue_depth(state.queue.len());
-            batch
-        };
-        let m = obs::metrics();
-        let dispatch = obs::now();
-        for q in &batch {
-            m.engine_request_wait(dispatch.saturating_sub(q.submitted));
-        }
-        let is_step = !matches!(batch[0].work, Work::Infer);
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::chaos::maybe_slow(crate::chaos::FaultSite::SlowBatch);
-            crate::chaos::maybe_panic(crate::chaos::FaultSite::WorkerPanic);
-            if is_step {
-                run_step_batch(shared, &mut plan, &batch, &mut outputs, &mut step_gate)
-            } else {
-                (
-                    run_batch(&mut plan, &mut exec, &batch, &mut stacked, &mut outputs),
-                    0,
-                )
-            }
-        }));
-        let episode = match attempt {
-            Ok((results, step_count)) => {
-                consecutive_panics = 0;
-                Episode {
-                    results,
-                    step_count,
-                    restarted: 0,
-                    poisoned: 0,
-                    probes: 0,
-                }
-            }
-            Err(payload) => {
-                let msg = panic_message(&payload);
-                consecutive_panics += 1;
-                if consecutive_panics > policy.max_restarts {
-                    eprintln!(
-                        "engine: batch execution panicked ({msg}); restart budget \
-                         ({}) exhausted -- engine is dead",
-                        policy.max_restarts
-                    );
-                    fail_after_worker_panic(shared, &msg);
-                    return;
-                }
-                eprintln!(
-                    "engine: batch execution panicked ({msg}); supervisor recovering \
-                     (restart {consecutive_panics}/{})",
-                    policy.max_restarts
-                );
-                obs::metrics().engine_restart();
-                if is_step {
-                    let (results, poisoned) = fail_step_batch_after_panic(shared, &batch, &msg);
-                    Episode {
-                        results,
-                        step_count: 0,
-                        restarted: 1,
-                        poisoned,
-                        probes: 0,
-                    }
-                } else {
-                    let q = quarantine_infer(
-                        &mut plan,
-                        &mut exec,
-                        &batch,
-                        &mut stacked,
-                        &mut outputs,
-                        &msg,
-                    );
-                    if q.any_success {
-                        // The plan still executes work: isolated poison,
-                        // not a broken engine.
-                        consecutive_panics = 0;
-                    }
-                    Episode {
-                        results: q.results,
-                        step_count: 0,
-                        restarted: 1,
-                        poisoned: q.poisoned,
-                        probes: q.probes,
-                    }
-                }
-            }
-        };
-        let dur = obs::now().saturating_sub(dispatch);
-        if episode.step_count > 0 && matches!(batch[0].work, Work::Decode { .. }) {
-            m.engine_decode_batch(dispatch, dur, episode.step_count);
-        } else {
-            m.engine_batch_done(dispatch, dur, batch.len());
-        }
-        if episode.poisoned > 0 {
-            m.engine_poisoned(episode.poisoned);
-        }
-        if episode.probes > 0 {
-            m.engine_quarantine_probes(episode.probes);
-        }
-        let mut state = shared.lock();
-        state.stats.batches += 1;
-        state.stats.largest_batch = state.stats.largest_batch.max(batch.len());
-        state.stats.completed += batch.len() as u64;
-        state.stats.restarts += episode.restarted;
-        state.stats.poisoned += episode.poisoned;
-        state.stats.quarantine_probes += episode.probes;
-        match batch[0].work {
-            Work::Prefill { .. } => state.stats.prefills += 1,
-            Work::Decode { .. } if episode.step_count > 0 => {
-                state.stats.decode_batches += 1;
-                state.stats.decode_tokens += episode.step_count as u64;
-                state.stats.largest_decode_batch =
-                    state.stats.largest_decode_batch.max(episode.step_count);
-            }
-            _ => {}
-        }
-        for (id, result) in episode.results {
-            state.executing.remove(&id);
-            if state.abandoned.remove(&id) {
-                continue; // caller timed out and cancelled; drop the result
-            }
-            state.results.insert(id, result);
-        }
-        drop(state);
-        shared.done_cv.notify_all();
-        // Exponential backoff after an absorbed panic that did not prove
-        // the engine healthy (no successful execution this episode):
-        // don't spin on a broken plan at full speed.
-        if consecutive_panics > 0 && !policy.restart_backoff.is_zero() {
-            let exp = consecutive_panics.saturating_sub(1).min(16);
-            let delay = policy
-                .restart_backoff
-                .saturating_mul(1u32 << exp)
-                .min(Duration::from_secs(1));
-            std::thread::sleep(delay);
-        }
-    }
-}
-
-/// After a panicked infer batch, isolates the poisoned request(s) by
-/// bisection: halves of a known-panicking subset are re-executed under
-/// `catch_unwind`; a half that completes delivers its (innocent)
-/// results — bit-identical to a fault-free run, since integer execution
-/// is grouping-independent — while a panicking half shrinks further. A
-/// member that still panics alone is the offender and fails with
-/// [`RuntimeError::PoisonedRequest`]. Costs O(k·log n) probes for k
-/// offenders in a batch of n.
-fn quarantine_infer(
-    plan: &mut CompiledPlan,
-    exec: &mut BatchExec,
-    batch: &[Queued],
-    stacked: &mut Vec<f32>,
-    outputs: &mut Vec<f32>,
-    msg: &str,
-) -> Quarantine {
-    let mut q = Quarantine {
-        results: Vec::with_capacity(batch.len()),
-        probes: 0,
-        poisoned: 0,
-        any_success: false,
-    };
-    // Subsets known to panic as a whole, shrunk by halving.
-    let mut suspect: Vec<&[Queued]> = vec![batch];
-    while let Some(sub) = suspect.pop() {
-        if sub.len() == 1 {
-            q.poisoned += 1;
-            q.results.push((
-                sub[0].id,
-                Err(RuntimeError::PoisonedRequest {
-                    message: msg.to_string(),
-                }),
-            ));
-            continue;
-        }
-        let mid = sub.len() / 2;
-        for half in [&sub[..mid], &sub[mid..]] {
-            q.probes += 1;
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_batch(plan, exec, half, stacked, outputs)
-            }));
-            match attempt {
-                Ok(results) => {
-                    q.any_success = true;
-                    q.results.extend(results);
-                }
-                Err(payload) if half.len() == 1 => {
-                    q.poisoned += 1;
-                    q.results.push((
-                        half[0].id,
-                        Err(RuntimeError::PoisonedRequest {
-                            message: panic_message(&payload),
-                        }),
-                    ));
-                }
-                Err(_) => suspect.push(half),
-            }
-        }
-    }
-    q
-}
-
-/// Per-request results of one isolated poison quarantine, plus what it
-/// cost and whether any probe proved the engine still executes.
-struct Quarantine {
-    results: BatchResults,
-    probes: u64,
-    poisoned: u64,
-    any_success: bool,
-}
-
-/// After a panicked prefill/decode batch: the involved sessions' KV
-/// state is unknowable (the unwind may have interrupted a partial
-/// append), so every session the batch touched is closed and freed —
-/// the byte/session gauges drain — and its request fails. A step batch
-/// that ran *alone* isolates its offender by construction, so that
-/// request fails as [`RuntimeError::PoisonedRequest`]; members of a
-/// coalesced decode batch fail with a retriable engine error instead
-/// (the panicking member is unknown and steps cannot be safely re-run).
-fn fail_step_batch_after_panic(
-    shared: &Shared,
-    batch: &[Queued],
-    msg: &str,
-) -> (BatchResults, u64) {
-    let mut state = shared.lock();
-    for q in batch {
-        if let Some(sid) = q.work.sid() {
-            state.free_session(sid);
-        }
-    }
-    drop(state);
-    if batch.len() == 1 {
-        let err = RuntimeError::PoisonedRequest {
-            message: format!("{msg} (ran alone; its session was closed)"),
-        };
-        (vec![(batch[0].id, Err(err))], 1)
-    } else {
-        let results = batch
-            .iter()
-            .map(|q| {
-                (
-                    q.id,
-                    Err(RuntimeError::Engine(format!(
-                        "engine worker panicked during a decode step; session closed: {msg}"
-                    ))),
-                )
-            })
-            .collect();
-        (results, 0)
-    }
-}
-
-/// Stacks the batch into one `[b, features]` slice (reusing `stacked`),
-/// runs the plan through its scratch arena (reusing `outputs`), and
-/// splits the output back into per-request rows. Called both for the
-/// scheduled batch and for quarantine probes over its subsets, so the
-/// chaos poison scan at the top re-triggers on exactly the poisoned
-/// members during bisection.
-fn run_batch(
-    plan: &mut CompiledPlan,
-    exec: &mut BatchExec,
-    batch: &[Queued],
-    stacked: &mut Vec<f32>,
-    outputs: &mut Vec<f32>,
-) -> BatchResults {
-    crate::chaos::assert_unpoisoned(batch.iter().map(|q| q.input.as_slice()));
-    let features = batch[0].input.len();
-    if batch.iter().any(|q| q.input.len() != features) {
-        // Heterogeneous rows can only happen when the plan has no pinned
-        // input width; fail each request individually.
-        return batch
-            .iter()
-            .map(|q| {
-                (
-                    q.id,
-                    Err(RuntimeError::Engine(
-                        "mixed feature counts in batch".to_string(),
-                    )),
-                )
-            })
-            .collect();
-    }
-    stacked.clear();
-    for q in batch {
-        stacked.extend_from_slice(&q.input);
-    }
-    match exec(plan, stacked, batch.len(), outputs) {
-        Ok(()) => {
-            let per = outputs.len() / batch.len();
-            batch
-                .iter()
-                .enumerate()
-                .map(|(i, q)| (q.id, Ok(outputs[i * per..(i + 1) * per].to_vec())))
-                .collect()
-        }
-        Err(e) if batch.len() == 1 => vec![(batch[0].id, Err(e))],
-        Err(e) => batch
-            .iter()
-            .map(|q| (q.id, Err(RuntimeError::Engine(e.to_string()))))
-            .collect(),
-    }
-}
-
-/// Per-request `(id, outcome)` pairs one batch yields.
-type BatchResults = Vec<(u64, Result<Vec<f32>, RuntimeError>)>;
-
-/// Executes a prefill (always alone) or a coalesced decode step batch:
-/// takes each request's session out of its slot, runs the phase against
-/// the plan, and returns sessions to their slots — or drops them right
-/// here when the caller closed the session mid-batch (the eager-release
-/// half of [`Engine::close_session`]). Returns the per-request results
-/// plus how many sessions actually advanced (the decode batch size).
-fn run_step_batch(
-    shared: &Shared,
-    plan: &mut CompiledPlan,
-    batch: &[Queued],
-    outputs: &mut Vec<f32>,
-    step_gate: &mut Option<StepGate>,
-) -> (BatchResults, usize) {
-    crate::chaos::assert_unpoisoned(batch.iter().map(|q| q.input.as_slice()));
-    let mut results: BatchResults = Vec::with_capacity(batch.len());
-    // Claim sessions. A missing/closed slot fails that request alone.
-    let mut claimed: Vec<(&Queued, u64, DecodeSession)> = Vec::with_capacity(batch.len());
-    {
-        let mut state = shared.lock();
-        for q in batch {
-            let sid = q.work.sid().expect("step batches carry session work");
-            match state.sessions.get_mut(&sid).and_then(|s| s.session.take()) {
-                Some(sess) => claimed.push((q, sid, sess)),
-                None => results.push((
-                    q.id,
-                    Err(RuntimeError::Engine(format!("session {sid} is not open"))),
-                )),
-            }
-        }
-    }
-    if let Some(gate) = step_gate.as_mut() {
-        gate();
-    }
-    // Capacity pre-check so one exhausted session fails its own request
-    // instead of the whole coalesced step.
-    let mut ready: Vec<(&Queued, u64, DecodeSession)> = Vec::with_capacity(claimed.len());
-    for (q, sid, sess) in claimed {
-        if sess.tokens() + q.input.len() / plan.token_dim().unwrap_or(1).max(1) > sess.max_tokens()
-        {
-            results.push((
-                q.id,
-                Err(RuntimeError::KvCacheFull {
-                    capacity: sess.max_tokens(),
-                }),
-            ));
-            return_session(shared, sid, sess);
-        } else {
-            ready.push((q, sid, sess));
-        }
-    }
-    let step_count = ready.len();
-    if ready.is_empty() {
-        return (results, 0);
-    }
-    if let Work::Prefill { .. } = batch[0].work {
-        let (q, sid, mut sess) = ready.pop().expect("prefill runs alone");
-        let r = plan.prefill(&mut sess, &q.input, outputs).map(|()| {
-            // The serving result is the last token's row — the
-            // next-token state a sampler consumes.
-            let dim = outputs.len() / sess.tokens().max(1);
-            outputs[outputs.len() - dim..].to_vec()
-        });
-        results.push((q.id, r));
-        return_session(shared, sid, sess);
-    } else {
-        let mut stacked: Vec<f32> = Vec::with_capacity(ready.len() * ready[0].0.input.len());
-        for (q, _, _) in &ready {
-            stacked.extend_from_slice(&q.input);
-        }
-        let outcome = {
-            let mut refs: Vec<&mut DecodeSession> = ready.iter_mut().map(|(_, _, s)| s).collect();
-            plan.decode_steps(&mut refs, &stacked, outputs)
-        };
-        match outcome {
-            Ok(()) => {
-                let per = outputs.len() / ready.len();
-                for (i, (q, _, _)) in ready.iter().enumerate() {
-                    results.push((q.id, Ok(outputs[i * per..(i + 1) * per].to_vec())));
-                }
-            }
-            Err(e) => {
-                for (q, _, _) in &ready {
-                    results.push((q.id, Err(RuntimeError::Engine(e.to_string()))));
-                }
-            }
-        }
-        for (_, sid, sess) in ready {
-            return_session(shared, sid, sess);
-        }
-    }
-    (results, step_count)
-}
-
-/// Returns a claimed session to its slot — unless the caller closed it
-/// while the batch ran, in which case the cache is freed right now.
-fn return_session(shared: &Shared, sid: u64, sess: DecodeSession) {
-    let mut state = shared.lock();
-    match state.sessions.get_mut(&sid) {
-        Some(slot) if !slot.closed => slot.session = Some(sess),
-        _ => {
-            drop(sess);
-            state.free_session(sid);
         }
     }
 }

@@ -51,11 +51,12 @@
 //!   isolated by bisection ([`RuntimeError::PoisonedRequest`]) while
 //!   innocents re-execute, and the engine only dies when the
 //!   [`BatchPolicy::max_restarts`] budget is exhausted,
-//! * [`chaos`] — deterministic fault injection (default-on `chaos`
-//!   feature): a seeded [`FaultPlan`] drives worker panics, slow
-//!   batches, pool-task panics, mmap-load failures, reload corruption
-//!   and connection drops through instrumented sites, reproducibly by
-//!   seed; `--no-default-features` compiles every site out,
+//! * [`chaos`] — deterministic fault injection: a seeded [`FaultPlan`]
+//!   drives worker panics, slow batches, pool-task panics, mmap-load
+//!   failures, reload corruption and connection drops through
+//!   instrumented sites, reproducibly by seed; the sites are always
+//!   compiled in and cost one atomic load while no plan is
+//!   installed,
 //! * [`ModelArtifact`] — the quantize-once/serve-anywhere boundary: a
 //!   versioned `.antm` binary artifact holding per-tensor type
 //!   selections, per-channel scales, packed wire codes, biases/norm

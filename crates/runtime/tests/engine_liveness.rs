@@ -229,6 +229,49 @@ fn prefill_does_not_starve_queued_decode_steps_past_max_wait() {
 }
 
 #[test]
+fn decode_step_with_a_prefill_behind_it_does_not_wait_for_company() {
+    // The mirror of the test above: a decode step at the queue head with
+    // a prefill queued *behind* it is a closed run — FIFO order means no
+    // later step could ever join it — so it dispatches at once instead
+    // of holding the window (and the prefill) for max_wait.
+    let max_wait = Duration::from_millis(400);
+    let engine = Engine::new(
+        decoder_plan(),
+        BatchPolicy {
+            max_batch: 64,
+            max_wait,
+            max_queue: 64,
+            ..BatchPolicy::default()
+        },
+    );
+    let a = engine.open_session(SEQ).unwrap();
+    let b = engine.open_session(SEQ).unwrap();
+    // Warm the plan outside the timed region and give `a` a token of
+    // history to decode against.
+    let w = engine.submit_prefill(a, &token(1)).unwrap();
+    engine.wait(w).unwrap();
+    let prompt: Vec<f32> = (0..SEQ - 1).flat_map(|t| token(10 + t as u64)).collect();
+    let start = Instant::now();
+    let d = engine.submit_decode(a, &token(2)).unwrap();
+    let p = engine.submit_prefill(b, &prompt).unwrap();
+    assert_eq!(engine.wait(d).unwrap().len(), DIM);
+    let decode_done = start.elapsed();
+    assert_eq!(engine.wait(p).unwrap().len(), DIM);
+    let prefill_done = start.elapsed();
+    assert!(
+        decode_done < max_wait / 2,
+        "decode step waited out the window for company FIFO order forbids: {decode_done:?}"
+    );
+    assert!(
+        prefill_done < max_wait / 2,
+        "prefill was delayed by the run ahead of it: {prefill_done:?}"
+    );
+    let stats = engine.stats();
+    assert_eq!(stats.decode_batches, 1, "{stats:?}");
+    assert_eq!(stats.prefills, 2, "{stats:?}");
+}
+
+#[test]
 fn session_close_frees_kv_even_with_requests_in_flight() {
     // Public-API variant of the eager-release regression: a caller that
     // times out, cancels, and closes its session must leave no KV bytes

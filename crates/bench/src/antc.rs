@@ -455,24 +455,14 @@ pub fn run_inspect<P: AsRef<Path>>(path: P) -> Result<String, CliError> {
         "cache: {} memoized selection fingerprint(s)\n",
         artifact.cache_entries().len()
     ));
+    // `MappedArtifact::open` above recorded its load, so the runtime's
+    // families are registered by now; a counter nothing hit reads 0.
     let snap = ant_obs::global().snapshot();
-    let counter = |fam: &str| {
-        snap.get(fam, None).and_then(|s| match &s.value {
-            Value::Counter(v) => Some(*v),
-            _ => None,
-        })
-    };
-    match (
-        counter("ant_selection_cache_hits_total"),
-        counter("ant_selection_cache_misses_total"),
-    ) {
-        (Some(hits), Some(misses)) => out.push_str(&format!(
-            "selection cache this process: {hits} hit(s), {misses} miss(es) (telemetry registry)\n"
-        )),
-        _ => out.push_str(
-            "selection cache this process: counters unavailable (runtime built without the obs feature)\n",
-        ),
-    }
+    out.push_str(&format!(
+        "selection cache this process: {} hit(s), {} miss(es) (telemetry registry)\n",
+        delta_counter(&snap, "ant_selection_cache_hits_total", None),
+        delta_counter(&snap, "ant_selection_cache_misses_total", None),
+    ));
     Ok(out)
 }
 
@@ -606,8 +596,8 @@ pub struct BenchConfig {
     /// baseline sets the `REGRESSION` marker.
     pub baseline: Option<std::path::PathBuf>,
     /// Allowed fractional throughput drop vs the baseline (e.g. `0.08`
-    /// = 8%; the instrumentation overhead budget is 2%, the rest is
-    /// machine noise allowance for CI).
+    /// = 8%). The figures are best-slice, but on a shared box per-core
+    /// speed itself moves by ~10% between runs: widen it there.
     pub tolerance: f64,
 }
 
@@ -664,9 +654,11 @@ pub struct BenchWorkload {
     /// "unknown", never as a clean zero.
     pub mapped_private_dirty_kb: Option<u64>,
     /// Per-stage breakdown read back from the telemetry registry delta
-    /// over this workload's measurement windows; `None` when the runtime
-    /// was built without its `obs` feature (no hooks, nothing recorded).
-    pub stages: Option<WorkloadStages>,
+    /// over this workload's measurement windows.
+    pub stages: WorkloadStages,
+    /// Fraction of a batch-32 forward spent in telemetry hooks: plan
+    /// layers × [`BenchReport::hook_ns`] ÷ the batched forward time.
+    pub telemetry_share: f64,
 }
 
 /// One plan-layer kind's share of a measurement window, read from the
@@ -742,13 +734,9 @@ fn delta_counter(delta: &Snapshot, fam: &str, label: Option<&str>) -> u64 {
 }
 
 /// Extracts the per-layer-kind breakdown and forward-time coverage from
-/// a registry delta; `None` when the runtime recorded nothing (obs
-/// feature off, or no forward ran in the window).
-fn layer_stages(delta: &Snapshot) -> Option<(Vec<LayerStage>, f64)> {
-    let forward = delta_hist(delta, "ant_forward_time_ns", None)?;
-    if forward.count() == 0 {
-        return None;
-    }
+/// a registry delta over a window in which at least one forward ran.
+fn layer_stages(delta: &Snapshot) -> (Vec<LayerStage>, f64) {
+    let forward_ns = delta_hist(delta, "ant_forward_time_ns", None).map_or(0, |h| h.sum());
     let mut layers = Vec::new();
     let mut layer_ns_sum = 0u64;
     for kind in ant_runtime::obs::LAYER_KINDS {
@@ -778,7 +766,7 @@ fn layer_stages(delta: &Snapshot) -> Option<(Vec<LayerStage>, f64)> {
         l.share = l.total_us / (layer_ns_sum as f64 / 1e3).max(1e-9);
     }
     layers.sort_by(|a, b| b.total_us.partial_cmp(&a.total_us).expect("finite totals"));
-    Some((layers, layer_ns_sum as f64 / forward.sum().max(1) as f64))
+    (layers, layer_ns_sum as f64 / forward_ns.max(1) as f64)
 }
 
 /// Extracts the engine submit/service split from a registry delta.
@@ -828,9 +816,15 @@ pub struct BenchReport {
     /// Raw dense-GEMM speedup of the `i8` microkernel over the scalar
     /// `i32` reference on a fixed `(64, 256, 256)` shape, single thread.
     pub gemm_speedup_i8_vs_i32: f64,
-    /// Whether any tracked property regressed (currently: nonzero
-    /// steady-state allocations while counting). CI greps for the
-    /// `REGRESSION` marker this sets in the rendered report.
+    /// What one plan-layer boundary's telemetry costs in this binary,
+    /// nanoseconds: the walk's per-layer hook sequence timed in a tight
+    /// loop. Over [`HOOK_BUDGET_NS`] is a regression.
+    pub hook_ns: f64,
+    /// Whether any tracked property regressed (steady-state
+    /// allocations while counting, a non-zero-copy mapped load, dirtied
+    /// weight pages, `hook_ns` over budget, a `--baseline` throughput
+    /// drop). CI greps for the `REGRESSION` marker this sets in the
+    /// rendered report.
     pub regression: bool,
     /// The `--baseline` file's headline numbers, carried into the written
     /// JSON (as its `"before"` object) so a committed record of a
@@ -860,10 +854,11 @@ impl BenchReport {
     /// writer `loadgen --out` re-renders the same file with. Schema
     /// `ant-bench/runtime-v2`: v1 plus `p90_us`/`p999_us`, a
     /// per-workload `stages` object (per-layer-kind and engine-stage
-    /// breakdowns from the telemetry registry; `null` when the runtime
-    /// has no hooks compiled in), and a top-level `decode` object
-    /// (autoregressive tokens/s, per-step latency percentiles, KV
-    /// bytes/token).
+    /// breakdowns from the telemetry registry), a top-level `decode`
+    /// object (autoregressive tokens/s, per-step latency percentiles, KV
+    /// bytes/token), and the telemetry cost: a top-level `telemetry`
+    /// object (`hook_ns` against `budget_ns`) and a per-workload
+    /// `telemetry_share`.
     pub fn to_json(&self, quick: bool) -> String {
         let or_null = |v: Option<Json>| v.unwrap_or(Json::Null);
         let layer = |l: &LayerStage| {
@@ -912,7 +907,8 @@ impl BenchReport {
                 ("load_us_v2", num(w.load_us_v2, 1)),
                 ("mapped_zero_copy", Json::Bool(w.mapped_zero_copy)),
                 ("mapped_private_dirty_kb", or_null(dirty_kb)),
-                ("stages", or_null(w.stages.as_ref().map(stages))),
+                ("stages", stages(&w.stages)),
+                ("telemetry_share", num(w.telemetry_share, 4)),
             ])
         };
         let d = &self.decode;
@@ -931,6 +927,13 @@ impl BenchReport {
                     ("step_p99_us", num(d.step_p99_us, 2)),
                     ("kv_bytes_per_token", Json::Num(d.kv_bytes_per_token as f64)),
                     ("sessions", Json::Num(d.sessions as f64)),
+                ]),
+            ),
+            (
+                "telemetry",
+                obj(vec![
+                    ("hook_ns", num(self.hook_ns, 1)),
+                    ("budget_ns", Json::Num(HOOK_BUDGET_NS)),
                 ]),
             ),
             ("regression", Json::Bool(self.regression)),
@@ -1192,13 +1195,62 @@ fn measure_decode(cfg: &BenchConfig) -> Result<DecodeBench, CliError> {
     })
 }
 
-/// Times `iters` runs of `f` and returns seconds per run.
+/// Slices [`time_per_iter`] times at least; it reports the fastest.
+const SLICES: usize = 8;
+/// Wall time [`time_per_iter`]'s slices span at least.
+const MIN_SPAN: std::time::Duration = std::time::Duration::from_millis(100);
+
+/// Seconds per run of `f`: the fastest slice of `iters` runs, over at
+/// least [`SLICES`] slices spanning at least [`MIN_SPAN`]. A `--quick`
+/// window is ~100 µs, so one preemption or timer tick moves a single
+/// reading by tens of percent — but only ever upwards, which makes the
+/// best slice the least contaminated one (the per-slice method of
+/// `benchmark/src/stats.rs`) and `--baseline` comparisons repeatable.
+/// The span is there because on a shared box slow phases last tens of
+/// milliseconds: eight back-to-back 160 µs slices all land inside one.
 fn time_per_iter<F: FnMut()>(iters: usize, mut f: F) -> f64 {
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
+    let began = std::time::Instant::now();
+    let mut best = f64::INFINITY;
+    let mut slices = 0;
+    while slices < SLICES || began.elapsed() < MIN_SPAN {
+        let start = std::time::Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        best = best.min(start.elapsed().as_secs_f64());
+        slices += 1;
     }
-    start.elapsed().as_secs_f64() / iters.max(1) as f64
+    best / iters.max(1) as f64
+}
+
+/// The telemetry budget: what one plan-layer boundary's hooks may cost,
+/// nanoseconds. About 4× what one clock read, a handful of relaxed
+/// atomics and one ring write measure on a 2-vCPU box (~65 ns): a lock,
+/// syscall or allocation creeping into a hook lands over it.
+pub const HOOK_BUDGET_NS: f64 = 250.0;
+
+/// Measures the telemetry cost of one plan-layer boundary, nanoseconds,
+/// in this binary: the hook sequence `CompiledPlan::walk` executes
+/// around each layer — one clock read and one `LayerTally::record` — with
+/// one `record_forward` and one tally drop per walk of one layer of each
+/// kind, and nothing between the hooks. Slices are short (~0.5 ms) so
+/// that on a busy box some of them run uninterrupted.
+fn measure_hook_ns() -> f64 {
+    use ant_runtime::obs;
+    const WALKS: usize = 1_000;
+    let per_walk = time_per_iter(WALKS, || {
+        let fwd = obs::metrics();
+        let mut per_layer = fwd.layers();
+        let t0 = obs::now();
+        let mut t_prev = t0;
+        for kind in obs::LAYER_KINDS {
+            let t_now = obs::now();
+            per_layer.record(kind, t_prev, t_now - t_prev, 1, 1, 1);
+            t_prev = t_now;
+        }
+        fwd.record_forward(t0, t_prev - t0, 1);
+    });
+    per_walk * 1e9 / obs::N_LAYER_KINDS as f64
 }
 
 /// Runs the fixed MLP/CNN/attention serving workloads and measures
@@ -1218,6 +1270,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
     const BATCH: usize = 32;
     let counting = crate::alloc::is_counting();
     let load_iters = if cfg.quick { 5 } else { 25 };
+    let hook_ns = measure_hook_ns();
     let mut workloads = Vec::new();
     // A pool of this run's own, as wide as the default one: the
     // allocation scope below enrols its workers, and workers shared with
@@ -1228,6 +1281,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
     ));
     for (name, plan, features) in bench_plans(cfg.seed)? {
         let mut plan = plan.with_pool(std::sync::Arc::clone(&pool));
+        let layers_per_forward = plan.layers().len();
         let (load_us_v2, mapped_zero_copy, mapped_private_dirty_kb) =
             measure_load_path(name, cfg.seed, load_iters, cfg.quick)?;
         let x = sample_tensor(
@@ -1299,12 +1353,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
             }
         });
         let engine_delta = ant_obs::global().snapshot().delta_since(&engine_before);
-        let stages =
-            layer_stages(&batch1_delta).map(|(layers, coverage_of_forward)| WorkloadStages {
-                layers,
-                coverage_of_forward,
-                engine: engine_stages(&engine_delta),
-            });
+        let (layers, coverage_of_forward) = layer_stages(&batch1_delta);
         workloads.push(BenchWorkload {
             name,
             features,
@@ -1318,7 +1367,12 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
             load_us_v2,
             mapped_zero_copy,
             mapped_private_dirty_kb,
-            stages,
+            stages: WorkloadStages {
+                layers,
+                coverage_of_forward,
+                engine: engine_stages(&engine_delta),
+            },
+            telemetry_share: layers_per_forward as f64 * hook_ns / (per_batch * 1e9),
         });
     }
     // Raw kernel comparison: the acceptance-criteria dense-GEMM shape.
@@ -1347,9 +1401,12 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
     // smaps), which must never pass as a clean zero — it is simply not
     // judged, unlike `Some(kb)` past the budget, which fails.
     let expect_zero_copy = cfg!(all(unix, target_endian = "little"));
-    let regression = workloads
-        .iter()
-        .any(|w| w.allocs_per_request.is_some_and(|a| a > 0.0))
+    // The budget is stated on optimized code; an unoptimized build's
+    // hooks are function calls, not a handful of inlined atomics.
+    let regression = (!cfg!(debug_assertions) && hook_ns > HOOK_BUDGET_NS)
+        || workloads
+            .iter()
+            .any(|w| w.allocs_per_request.is_some_and(|a| a > 0.0))
         || (expect_zero_copy && workloads.iter().any(|w| !w.mapped_zero_copy))
         || (expect_zero_copy
             && workloads
@@ -1359,6 +1416,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
         workloads,
         decode,
         gemm_speedup_i8_vs_i32,
+        hook_ns,
         regression,
         before: None,
     })
@@ -1497,35 +1555,32 @@ pub fn run_bench(cfg: BenchConfig) -> Result<String, CliError> {
         report.decode.step_p99_us,
         report.decode.kv_bytes_per_token
     ));
-    let mut any_stages = false;
+    out.push_str(&format!(
+        "telemetry: {:.0} ns per layer boundary (budget {HOOK_BUDGET_NS:.0} ns)\n",
+        report.hook_ns
+    ));
+    out.push_str("\nper-stage breakdown (telemetry registry, batch-1 window):\n");
     for w in &report.workloads {
-        if let Some(st) = &w.stages {
-            if !any_stages {
-                out.push_str("\nper-stage breakdown (telemetry registry, batch-1 window):\n");
-                any_stages = true;
-            }
-            let top: Vec<String> = st
-                .layers
-                .iter()
-                .take(3)
-                .map(|l| format!("{} {:.0}%", l.kind, l.share * 100.0))
-                .collect();
+        let st = &w.stages;
+        let top: Vec<String> = st
+            .layers
+            .iter()
+            .take(3)
+            .map(|l| format!("{} {:.0}%", l.kind, l.share * 100.0))
+            .collect();
+        out.push_str(&format!(
+            "  {}: layer timing covers {:.0}% of forward, hooks are {:.1}% of a batch-32 forward; top: {}\n",
+            w.name,
+            st.coverage_of_forward * 100.0,
+            w.telemetry_share * 100.0,
+            top.join(", ")
+        ));
+        if let Some(e) = &st.engine {
             out.push_str(&format!(
-                "  {}: layer timing covers {:.0}% of forward; top: {}\n",
-                w.name,
-                st.coverage_of_forward * 100.0,
-                top.join(", ")
+                "    engine: submit-wait p50 {:.1} µs / p99 {:.1} µs, service p50 {:.1} µs, mean batch {:.1}\n",
+                e.submit_wait_p50_us, e.submit_wait_p99_us, e.service_p50_us, e.mean_batch
             ));
-            if let Some(e) = &st.engine {
-                out.push_str(&format!(
-                    "    engine: submit-wait p50 {:.1} µs / p99 {:.1} µs, service p50 {:.1} µs, mean batch {:.1}\n",
-                    e.submit_wait_p50_us, e.submit_wait_p99_us, e.service_p50_us, e.mean_batch
-                ));
-            }
         }
-    }
-    if !any_stages {
-        out.push_str("\nper-stage breakdown unavailable (runtime built without the obs feature)\n");
     }
     out.push_str(
         "\nartifact load (time-to-serving-ready, load + compile,\nload-scale archetype models of ~0.4-1.6M wire codes):\n",
@@ -1553,7 +1608,8 @@ pub fn run_bench(cfg: BenchConfig) -> Result<String, CliError> {
     if report.regression {
         out.push_str(
             "REGRESSION: steady-state allocations, a non-zero-copy mapped load, \
-             dirtied weight pages, or throughput below the baseline budget\n",
+             dirtied weight pages, telemetry hooks over budget, or throughput \
+             below the baseline\n",
         );
     }
     out.push_str(&format!("wrote {}\n", cfg.out.display()));
@@ -1634,58 +1690,51 @@ pub fn run_stats<P: AsRef<Path>>(path: P, cfg: StatsConfig) -> Result<String, Cl
         iters * batch,
         wall.as_secs_f64() * 1e3,
     );
-    match layer_stages(&delta) {
-        None => out.push_str(
-            "\nno telemetry recorded: the runtime was built without its `obs` feature\n\
-             (rebuild with default features to get the per-layer breakdown)\n",
-        ),
-        Some((layers, coverage)) => {
-            let mut rows = Vec::new();
-            for l in &layers {
-                rows.push(vec![
-                    l.kind.clone(),
-                    l.calls.to_string(),
-                    format!("{:.2}", l.total_us / 1e3),
-                    format!("{:.1}%", l.share * 100.0),
-                    format!("{:.1}", l.p50_us),
-                    format!("{:.1}", l.p99_us),
-                    if l.gops > 0.0 {
-                        format!("{:.2}", l.gops)
-                    } else {
-                        "-".to_string()
-                    },
-                    format!("{:.2}", l.gbps),
-                ]);
-            }
-            out.push('\n');
-            out.push_str(&render_table(
-                &[
-                    "layer kind",
-                    "calls",
-                    "total ms",
-                    "share",
-                    "p50 µs",
-                    "p99 µs",
-                    "GOPS",
-                    "GB/s",
-                ],
-                &rows,
-            ));
-            if let Some(fwd) = delta_hist(&delta, "ant_forward_time_ns", None) {
-                out.push_str(&format!(
-                    "\nforward: {} call(s), total {:.2} ms, per-call p50 {:.1} µs / p99 {:.1} µs\n",
-                    fwd.count(),
-                    fwd.sum() as f64 / 1e6,
-                    fwd.quantile(0.50) / 1e3,
-                    fwd.quantile(0.99) / 1e3,
-                ));
-            }
-            out.push_str(&format!(
-                "per-layer timing covers {:.1}% of end-to-end forward time (budget: within 10%)\n",
-                coverage * 100.0
-            ));
-        }
+    let (layers, coverage) = layer_stages(&delta);
+    let mut rows = Vec::new();
+    for l in &layers {
+        rows.push(vec![
+            l.kind.clone(),
+            l.calls.to_string(),
+            format!("{:.2}", l.total_us / 1e3),
+            format!("{:.1}%", l.share * 100.0),
+            format!("{:.1}", l.p50_us),
+            format!("{:.1}", l.p99_us),
+            if l.gops > 0.0 {
+                format!("{:.2}", l.gops)
+            } else {
+                "-".to_string()
+            },
+            format!("{:.2}", l.gbps),
+        ]);
     }
+    out.push('\n');
+    out.push_str(&render_table(
+        &[
+            "layer kind",
+            "calls",
+            "total ms",
+            "share",
+            "p50 µs",
+            "p99 µs",
+            "GOPS",
+            "GB/s",
+        ],
+        &rows,
+    ));
+    if let Some(fwd) = delta_hist(&delta, "ant_forward_time_ns", None) {
+        out.push_str(&format!(
+            "\nforward: {} call(s), total {:.2} ms, per-call p50 {:.1} µs / p99 {:.1} µs\n",
+            fwd.count(),
+            fwd.sum() as f64 / 1e6,
+            fwd.quantile(0.50) / 1e3,
+            fwd.quantile(0.99) / 1e3,
+        ));
+    }
+    out.push_str(&format!(
+        "per-layer timing covers {:.1}% of end-to-end forward time (budget: within 10%)\n",
+        coverage * 100.0
+    ));
     if let Some(prom) = &cfg.prom {
         let text = prometheus_text(&ant_obs::global().snapshot());
         std::fs::write(prom, &text).map_err(io)?;

@@ -15,10 +15,9 @@
 //! below count its forward records exactly — so every test that runs
 //! forwards does so holding [`forwards`].
 //!
-//! With the (default) `obs` feature the same windows also prove the
-//! telemetry tentpole: per-layer metrics and span records are being
-//! written *during* the zero-allocation window — recording really is
-//! allocation-free, not merely disabled.
+//! The same windows also prove the telemetry contract: per-layer
+//! metrics and span records are being written *during* the
+//! zero-allocation window — recording really is allocation-free.
 
 #[global_allocator]
 static ALLOC: ant_bench::alloc::CountingAlloc = ant_bench::alloc::CountingAlloc;
@@ -102,7 +101,6 @@ fn steady_state_forward_rows_allocates_nothing() {
         let warm = out.clone();
         // Telemetry snapshot taken *outside* the counted window (the
         // snapshot itself allocates; recording must not).
-        #[cfg(feature = "obs")]
         let obs_before = ant_obs::global().snapshot();
         // Steady state: not one allocation across many requests.
         let before = alloc_count();
@@ -123,7 +121,6 @@ fn steady_state_forward_rows_allocates_nothing() {
         // live: every forward call and every layer execution must have
         // landed in the registry, or the tentpole claim ("recording
         // never allocates") was vacuously tested against a dead path.
-        #[cfg(feature = "obs")]
         {
             let delta = ant_obs::global().snapshot().delta_since(&obs_before);
             let hist_count = |family: &str| -> u64 {
@@ -221,7 +218,6 @@ fn steady_state_decode_steps_allocate_nothing() {
             .unwrap();
     }
     let kv_before = a.kv_bytes();
-    #[cfg(feature = "obs")]
     let obs_before = ant_obs::global().snapshot();
     // Steady state: not one allocation per decode step, either shape.
     let before = alloc_count();
@@ -246,7 +242,6 @@ fn steady_state_decode_steps_allocate_nothing() {
     assert_eq!(a.kv_bytes(), kv_before, "decode: KV cache grew per step");
     // Telemetry was live through the window: every decode step is a
     // timed forward with per-layer records.
-    #[cfg(feature = "obs")]
     {
         let delta = ant_obs::global().snapshot().delta_since(&obs_before);
         let forwards = match &delta

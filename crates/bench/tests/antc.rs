@@ -67,7 +67,6 @@ fn quantize_inspect_serve_roundtrip() {
     );
     assert!(serve.contains("metrics: wrote"), "{serve}");
     let prom = std::fs::read_to_string(&dump).unwrap();
-    #[cfg(feature = "obs")]
     {
         // The serve loop drives the engine, so its counters must be in
         // the dump (the registry is process-wide; other tests may add
@@ -78,8 +77,6 @@ fn quantize_inspect_serve_roundtrip() {
         );
         assert!(prom.contains("ant_forward_time_ns_bucket"), "{prom}");
     }
-    #[cfg(not(feature = "obs"))]
-    let _ = prom;
 
     std::fs::remove_file(&dump).ok();
     std::fs::remove_file(&path).ok();
@@ -297,6 +294,7 @@ fn bench_quick_writes_valid_json_and_reports_no_regression() {
                 "mapped_zero_copy",
                 "mapped_private_dirty_kb",
                 "stages",
+                "telemetry_share",
             ],
             "workload key set drifted from the runtime-v2 schema"
         );
@@ -328,7 +326,6 @@ fn bench_quick_writes_valid_json_and_reports_no_regression() {
             );
         }
         let stages = w.get("stages").unwrap();
-        #[cfg(feature = "obs")]
         {
             let layers = stages.get("layers").and_then(Json::as_arr).unwrap();
             assert!(!layers.is_empty(), "obs build must report layer stages");
@@ -351,11 +348,6 @@ fn bench_quick_writes_valid_json_and_reports_no_regression() {
                 "engine wave ran, stage latencies must be present"
             );
         }
-        #[cfg(not(feature = "obs"))]
-        assert!(
-            stages.is_null(),
-            "no hooks compiled in, stages must be null"
-        );
     }
     std::fs::remove_file(&out).ok();
 }
@@ -436,13 +428,11 @@ fn stats_reports_per_layer_breakdown_and_exports() {
         trace.to_str().unwrap(),
     ]))
     .unwrap();
-    // Both exporters write regardless of feature state (a hook-less
-    // runtime just exports an empty registry / span set).
+    // Both exporters write.
     assert!(report.contains("Prometheus text exposition"), "{report}");
     assert!(report.contains("chrome://tracing JSON"), "{report}");
     let trace_doc = Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
     let events = trace_doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-    #[cfg(feature = "obs")]
     {
         // The acceptance budget: per-layer-kind timing sums to within
         // 10% of the end-to-end forward time.
@@ -463,11 +453,6 @@ fn stats_reports_per_layer_breakdown_and_exports() {
             "stats prom export lacks layer histograms"
         );
         assert!(!events.is_empty(), "obs build must retain span events");
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        assert!(report.contains("no telemetry recorded"), "{report}");
-        let _ = events;
     }
     std::fs::remove_file(&prom).ok();
     std::fs::remove_file(&trace).ok();

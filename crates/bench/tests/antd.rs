@@ -417,7 +417,6 @@ fn generate_streams_tokens_and_drains_cleanly() {
     // session count come back to zero before the drain.
     let metrics = call(addr, "GET", "/metrics", None).unwrap();
     let samples = promcheck::validate(&metrics.body_str()).expect("valid exposition");
-    #[cfg(feature = "obs")]
     for gauge in ["ant_kv_cache_bytes", "ant_kv_sessions"] {
         let s = samples
             .iter()
@@ -425,8 +424,6 @@ fn generate_streams_tokens_and_drains_cleanly() {
             .unwrap_or_else(|| panic!("{gauge} missing from /metrics"));
         assert_eq!(s.value, 0.0, "{gauge} leaked after generate streams");
     }
-    #[cfg(not(feature = "obs"))]
-    let _ = samples;
 
     daemon.shutdown();
     daemon.join();

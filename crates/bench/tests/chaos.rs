@@ -16,8 +16,6 @@
 //! so every test serializes on one lock and installs its own seeded
 //! plan via the daemon config.
 
-#![cfg(feature = "obs")]
-
 use ant_bench::antc::{run_generate, run_quantize, GenerateConfig, ModelKind, QuantizeConfig};
 use ant_bench::antd::{Daemon, DaemonConfig};
 use ant_bench::http::{read_response, write_request, ClientResponse};

@@ -3,12 +3,12 @@
 //!
 //! A deterministic registry is rendered and compared byte-for-byte
 //! against a checked-in golden file (`golden/metrics.prom`), then both
-//! that exposition and — in obs builds — the *live* process registry
-//! after real forward traffic are run through a small Prometheus
-//! parser: `# HELP`/`# TYPE` exactly once per family and before its
-//! first sample, no duplicate series, cumulative histogram buckets that
-//! end at `_count`. The chrome trace is parsed with the in-tree JSON
-//! parser and checked event by event.
+//! that exposition and the *live* process registry after real forward
+//! traffic are run through a small Prometheus parser: `# HELP`/`# TYPE`
+//! exactly once per family and before its first sample, no duplicate
+//! series, cumulative histogram buckets that end at `_count`. The chrome
+//! trace is parsed with the in-tree JSON parser and checked event by
+//! event.
 
 use ant_bench::json::Json;
 use ant_bench::promcheck::{validate, Sample};
@@ -92,7 +92,6 @@ fn prometheus_exposition_parses_cleanly() {
 /// forward traffic — must also render a clean exposition: real family
 /// names, labeled per-kind series, no duplicates.
 #[test]
-#[cfg(feature = "obs")]
 fn live_registry_exposition_parses_cleanly() {
     use ant_nn::model::deep_mlp;
     use ant_nn::qat::{quantize_model, QuantSpec};
@@ -143,7 +142,6 @@ fn live_registry_exposition_parses_cleanly() {
 /// per-step histograms plus the KV byte gauge — live, labeled, and
 /// rendered without duplicates.
 #[test]
-#[cfg(feature = "obs")]
 fn live_decode_series_parse_cleanly() {
     use ant_nn::model::decoder_block;
     use ant_nn::qat::{quantize_model, QuantSpec};
@@ -229,6 +227,78 @@ fn live_decode_series_parse_cleanly() {
         "closed sessions must zero the gauge"
     );
     assert_eq!(get("ant_kv_sessions"), 0.0);
+}
+
+/// The catalog in `docs/observability.md` and the registry agree both
+/// ways: every family the process registers is named in the document,
+/// and every family a catalog table lists is registered. A daemon on a
+/// decoder artifact registers all three sets — the runtime's (first
+/// hook), the pool's (plan compile) and `antd`'s (start).
+#[test]
+fn metric_catalog_matches_the_registry() {
+    use ant_bench::antc::{run_quantize, ModelKind, QuantizeConfig};
+    use ant_bench::antd::{Daemon, DaemonConfig};
+    use std::collections::BTreeSet;
+
+    let path = std::env::temp_dir().join(format!("obs-catalog-{}.antm", std::process::id()));
+    run_quantize(
+        QuantizeConfig {
+            model: ModelKind::Decoder,
+            ..QuantizeConfig::default()
+        },
+        &path,
+    )
+    .expect("quantize decoder artifact");
+    let daemon = Daemon::start(DaemonConfig {
+        models: vec![("dec".to_string(), path.clone())],
+        ..DaemonConfig::default()
+    })
+    .expect("daemon starts");
+    let registered: BTreeSet<String> = ant_obs::global()
+        .snapshot()
+        .series
+        .into_iter()
+        .map(|s| s.family)
+        .collect();
+    daemon.shutdown();
+    daemon.join();
+    std::fs::remove_file(&path).ok();
+
+    // A family is written `ant_…` or `antd_…` in backticks, optionally
+    // followed by its `{label}`; `ant_obs::…` paths are not families.
+    let families = |text: &str| -> BTreeSet<String> {
+        text.split('`')
+            .skip(1)
+            .step_by(2)
+            .map(|code| code.split('{').next().unwrap_or(code))
+            .filter(|name| {
+                (name.starts_with("ant_") || name.starts_with("antd_")) && !name.contains("::")
+            })
+            .map(str::to_string)
+            .collect()
+    };
+    let doc = include_str!("../../../docs/observability.md");
+    let documented = families(doc);
+    // A catalog row's first cell is the family.
+    let cataloged: BTreeSet<String> = doc
+        .lines()
+        .filter(|l| l.starts_with("| `"))
+        .flat_map(|l| families(l.split('|').nth(1).unwrap_or("")))
+        .collect();
+    assert!(
+        !cataloged.is_empty(),
+        "no catalog rows found in the document"
+    );
+    let undocumented: Vec<_> = registered.difference(&documented).collect();
+    assert!(
+        undocumented.is_empty(),
+        "registered but missing from docs/observability.md: {undocumented:?}"
+    );
+    let unregistered: Vec<_> = cataloged.difference(&registered).collect();
+    assert!(
+        unregistered.is_empty(),
+        "cataloged in docs/observability.md but never registered: {unregistered:?}"
+    );
 }
 
 #[test]

@@ -22,9 +22,9 @@
 //! with probability 0.05) or **exactly once at the Nth draw**
 //! (`worker_panic=@3`) for tests that need one specific batch to die.
 //!
-//! The consult sites are always compiled in (there is no cargo feature
-//! to strip them; `--no-default-features` removes only the `obs` hooks):
-//! an uninstalled plan costs one atomic load per site visit.
+//! The consult sites are always compiled in (the workspace has no
+//! cargo features; the `obs` hooks are unconditional too): an
+//! uninstalled plan costs one atomic load per site visit.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -262,8 +262,8 @@ fn parse_trigger(key: &str, value: &str) -> Result<Trigger, String> {
     }
 }
 
-/// Fast-path guard: false until the first [`install`], so an
-/// uninstrumented process pays one relaxed load per site visit.
+/// Fast-path guard: false until the first [`install`], so a process
+/// with no plan installed pays one relaxed load per site visit.
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 static PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
 

@@ -35,13 +35,12 @@
 //! * [`Scratch`] — the per-plan buffer arena behind
 //!   [`CompiledPlan::forward_rows`]: after warmup, steady-state serving
 //!   performs zero heap allocations per request inside the plan,
-//! * [`obs`] — the runtime's hooks over the `ant-obs` telemetry spine
-//!   (default-on `obs` feature): per-layer-kind timing/work counters,
-//!   engine queue/batch/latency metrics, pool and artifact telemetry,
-//!   request spans. Recording is relaxed atomic adds on preallocated
-//!   storage, so the zero-allocation steady state survives with
-//!   telemetry enabled; `--no-default-features` compiles every hook to
-//!   a no-op,
+//! * [`obs`] — the runtime's hooks over the `ant-obs` telemetry spine,
+//!   always compiled (there is one build): per-layer-kind timing/work
+//!   counters, engine queue/batch/latency metrics, pool and artifact
+//!   telemetry, request spans. Recording is relaxed atomic adds on
+//!   preallocated storage, so the zero-allocation steady state holds
+//!   with telemetry recording,
 //! * [`Engine`] — a batch scheduler: [`Engine::submit`] single requests,
 //!   a worker coalesces them under a [`BatchPolicy`] (max-batch /
 //!   max-wait) into one batched pass per layer, [`Engine::poll`] or

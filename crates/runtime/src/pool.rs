@@ -157,20 +157,17 @@ impl WorkerPool {
     /// Pool-local executed-task count per telemetry slot (index 0 =
     /// `run` callers, 1.. = worker threads). Exact for this pool, unlike
     /// the global `ant_pool_*` families shared by every pool.
-    #[cfg(feature = "obs")]
     pub fn slot_task_counts(&self) -> Vec<u64> {
         self.shared.obs.slot_task_counts()
     }
 
     /// Pool-local park-transition (idle) count per worker slot.
-    #[cfg(feature = "obs")]
     pub fn slot_park_counts(&self) -> Vec<u64> {
         self.shared.obs.slot_park_counts()
     }
 
     /// Total tasks this pool has executed (always equals the sum of
     /// [`Self::slot_task_counts`]).
-    #[cfg(feature = "obs")]
     pub fn executed_tasks(&self) -> u64 {
         self.shared.obs.total_tasks()
     }

@@ -1,4 +1,4 @@
-//! Worker-pool telemetry invariants (obs builds only).
+//! Worker-pool telemetry invariants.
 //!
 //! The pool records counts-only telemetry into pool-local per-slot
 //! counters (slot 0 = the participating `run` caller, slots 1.. = the
@@ -10,7 +10,6 @@
 //! * **Isolation of failure**: a panicking task body re-raises on its
 //!   own submitter while other concurrent submitters keep making
 //!   progress on the same pool, and the counters keep counting.
-#![cfg(feature = "obs")]
 
 use ant_runtime::WorkerPool;
 use proptest::prelude::*;

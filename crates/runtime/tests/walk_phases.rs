@@ -89,7 +89,6 @@ fn foreign_session_is_a_structured_error_in_both_session_phases() {
     assert_eq!(out, want[..3 * dim]);
 }
 
-#[cfg(feature = "obs")]
 #[test]
 fn every_phase_records_one_forward_and_one_record_per_layer() {
     let (seq, dim) = (5, 16);

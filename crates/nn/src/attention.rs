@@ -5,6 +5,7 @@
 //! experiments need this layer to reproduce the phenomenon.
 
 use crate::layer::{Layer, Param};
+use crate::vmath::exp_sub_slice;
 use crate::NnError;
 use ant_core::{Quantizer, TensorQuantizer};
 use ant_tensor::linalg;
@@ -292,18 +293,16 @@ impl Attention {
 
 /// Row-wise max-subtracted softmax over a `[rows, cols]` slice (export
 /// hook: inference runtimes that evaluate attention scores outside the
-/// layer abstraction must use the *same* formulation, or their outputs
-/// drift from the QAT reference).
+/// layer abstraction must use the *same* formulation — the
+/// [`vmath`](crate::vmath) `exp`, an ascending sum, one divide per
+/// element — or their outputs drift from the QAT reference).
 pub fn softmax_rows_in_place(m: &mut [f32], rows: usize, cols: usize) {
     assert_eq!(m.len(), rows * cols, "softmax shape");
     for i in 0..rows {
         let row = &mut m[i * cols..(i + 1) * cols];
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
+        exp_sub_slice(row, max);
+        let sum = row.iter().fold(0.0, |s, &e| s + e);
         for v in row.iter_mut() {
             *v /= sum;
         }

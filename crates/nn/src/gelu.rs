@@ -4,6 +4,7 @@
 //! require high-precision numbers").
 
 use crate::layer::{Layer, Param};
+use crate::vmath::{gelu_grad, gelu_slice};
 use crate::NnError;
 use ant_tensor::Tensor;
 
@@ -14,21 +15,12 @@ pub struct Gelu {
     cached_input: Option<Tensor>,
 }
 
-const C: f32 = 0.797_884_6; // sqrt(2/pi)
-
 /// Scalar GELU (export hook: inference runtimes that execute GELU outside
-/// the layer abstraction must use the *same* approximation, or their
-/// outputs drift from the QAT reference).
-pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-fn gelu_grad(x: f32) -> f32 {
-    let u = C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
-    let du = C * (1.0 + 3.0 * 0.044715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-}
+/// the layer abstraction must compute the *same* function, bit for bit, or
+/// their outputs drift from the QAT reference). It is
+/// [`vmath::gelu`](crate::vmath::gelu) — the one definition, which
+/// [`vmath::gelu_slice`](crate::vmath::gelu_slice) applies at vector width.
+pub use crate::vmath::gelu;
 
 impl Gelu {
     /// Creates a GELU layer.
@@ -47,7 +39,9 @@ impl Layer for Gelu {
 
     fn forward(&mut self, x: &Tensor) -> Result<Tensor, NnError> {
         self.cached_input = Some(x.clone());
-        Ok(x.map(gelu))
+        let mut y = x.clone();
+        gelu_slice(y.as_mut_slice());
+        Ok(y)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {

@@ -43,5 +43,6 @@ pub mod model;
 pub mod optim;
 pub mod qat;
 pub mod train;
+pub mod vmath;
 
 pub use error::NnError;

@@ -15,6 +15,7 @@ use ant_core::pack::PackedTensor;
 use ant_core::store::PackedStore;
 use ant_core::Quantizer;
 use ant_nn::attention::softmax_rows_in_place;
+use ant_nn::vmath::{axpy, dot};
 
 /// A raw `*mut f32` crossing into pool tasks; tasks write disjoint
 /// regions, which is what makes the shared mutable access sound.
@@ -46,8 +47,8 @@ pub struct PackedAttn {
     /// (`[in, out]`): its GEMM operand is the f32 context, so the decode
     /// happens once at compile time, and the transposed layout lets the
     /// mixed-domain product run output-major — the per-output reduction
-    /// keeps its ascending-`d` addition order (bit-identical to the
-    /// row-major loop) while the inner loop vectorizes over outputs.
+    /// keeps its ascending-`d` addition order while the inner loop is an
+    /// `axpy` over outputs.
     /// Owned on compile; borrowed from the panel section of a mapped
     /// v2 artifact on the zero-copy reload path.
     pub(super) wo_t_f32: PackedStore<f32>,
@@ -246,10 +247,9 @@ impl PackedAttn {
     /// input and the output. Mixed-domain GEMM of the f32 context against
     /// the decoded lattice weights, scale at the boundary, plus the
     /// residual on the quantized input. Output-major against the
-    /// transposed weights: each output's reduction still sums in
-    /// ascending `d` (bit-identical to the row-major dot), but the inner
-    /// loop is a broadcast-multiply-add stream over outputs the
-    /// autovectorizer handles.
+    /// transposed weights: one [`axpy`] per context element, so each
+    /// output's reduction sums in ascending `d` while the inner loop runs
+    /// at vector width over outputs.
     fn out_project(&self, ctx: &[f32], master: &[i32], out: &mut [f32]) {
         let (dim, s_a) = (self.dim, self.act.scale());
         let (wo_t, w_scales) = (&self.wo_t_f32, &self.projs[3].w_scales);
@@ -259,11 +259,8 @@ impl PackedAttn {
             .zip(master.chunks_exact(dim))
         {
             row_out.fill(0.0);
-            for (d, &c) in ctx.iter().enumerate() {
-                let w_row = &wo_t[d * dim..(d + 1) * dim];
-                for (o, out_val) in row_out.iter_mut().enumerate() {
-                    *out_val += c * w_row[o];
-                }
+            for (&c, w_row) in ctx.iter().zip(wo_t.chunks_exact(dim)) {
+                axpy(row_out, c, w_row);
             }
             for (o, out_val) in row_out.iter_mut().enumerate() {
                 *out_val = a32[o] as f32 * s_a + *out_val * w_scales[o];
@@ -337,7 +334,8 @@ impl PackedAttn {
                 }
             }
         }
-        // Scores, softmax and context in f32 — the decode boundary.
+        // Scores, softmax and context in f32 — the decode boundary, on
+        // the `vmath` helpers the decode step shares.
         // Attention mixes tokens only within a sample, so this
         // parallelizes over samples: each chunk of samples owns one
         // scores slice and writes disjoint context rows. A causal row
@@ -366,12 +364,9 @@ impl PackedAttn {
                 let ks = &k[s * feat..(s + 1) * feat];
                 for i in 0..seq {
                     let visible = if causal { i + 1 } else { seq };
-                    for j in 0..visible {
-                        let mut dot = 0f32;
-                        for d in 0..dim {
-                            dot += qs[i * dim + d] * ks[j * dim + d];
-                        }
-                        a[i * seq + j] = dot * inv_sqrt_d;
+                    let qi = &qs[i * dim..(i + 1) * dim];
+                    for (j, kj) in ks.chunks_exact(dim).take(visible).enumerate() {
+                        a[i * seq + j] = dot(qi, kj) * inv_sqrt_d;
                     }
                     a[i * seq + visible..(i + 1) * seq].fill(f32::NEG_INFINITY);
                 }
@@ -380,12 +375,9 @@ impl PackedAttn {
                 // SAFETY: as above — sample `s` belongs to this chunk alone.
                 let cs = unsafe { std::slice::from_raw_parts_mut(ctx_dst.0.add(s * feat), feat) };
                 cs.fill(0.0);
-                for i in 0..seq {
-                    for j in 0..seq {
-                        let aij = a[i * seq + j];
-                        for d in 0..dim {
-                            cs[i * dim + d] += aij * vs[j * dim + d];
-                        }
+                for (ci, ai) in cs.chunks_exact_mut(dim).zip(a.chunks_exact(seq)) {
+                    for (&aij, vj) in ai.iter().zip(vs.chunks_exact(dim)) {
+                        axpy(ci, aij, vj);
                     }
                 }
             }
@@ -421,9 +413,11 @@ impl PackedAttn {
     ///
     /// Numerically this reproduces the last token row of the
     /// full-sequence causal forward **exactly**: the cache hands back the
-    /// same quantized values (shared group-encode path), the reductions
-    /// keep the same ascending-`d`/ascending-`j` orders, and the prefix
-    /// softmax is bitwise the masked full-row softmax.
+    /// same quantized values (shared group-encode path), scores and
+    /// context go through the same [`dot`] and [`axpy`] — whose result
+    /// depends on neither row position nor batch — in the same
+    /// ascending-`j` order, and the prefix softmax is bitwise the masked
+    /// full-row softmax.
     pub(super) fn decode_rows(
         &self,
         x: &[f32],
@@ -461,20 +455,14 @@ impl PackedAttn {
             let row = &mut b.kv_row[..dim];
             for (j, aj) in a.iter_mut().enumerate() {
                 cache.decode_row(kvq, KvHalf::K, j, row);
-                let mut dot = 0f32;
-                for d in 0..dim {
-                    dot += qs[d] * row[d];
-                }
-                *aj = dot * inv_sqrt_d;
+                *aj = dot(qs, row) * inv_sqrt_d;
             }
             softmax_rows_in_place(a, 1, t);
             let cs = &mut b.ctx[si * dim..(si + 1) * dim];
             cs.fill(0.0);
             for (j, &aij) in a.iter().enumerate() {
                 cache.decode_row(kvq, KvHalf::V, j, row);
-                for d in 0..dim {
-                    cs[d] += aij * row[d];
-                }
+                axpy(cs, aij, row);
             }
         }
         // Serial: decode rows are few and small.

@@ -12,7 +12,7 @@ use crate::kv::{DecodeSession, KvCache, KvQuant};
 use crate::obs::{self, LayerKind};
 use crate::scratch::{grab, Scratch};
 use ant_core::store::PackedStore;
-use ant_nn::gelu::gelu;
+use ant_nn::vmath::gelu_slice;
 
 /// Which entry point a walk serves — the only thing that differs between
 /// them is what causal attention does with its K/V rows.
@@ -244,9 +244,7 @@ impl PlanLayer {
                 return Ok(false);
             }
             PlanLayer::Gelu => {
-                for v in cur.iter_mut() {
-                    *v = gelu(*v);
-                }
+                gelu_slice(cur);
                 return Ok(false);
             }
             PlanLayer::Pool { in_shape } => maxpool2_rows(cur, rows, *in_shape, next)?,

@@ -21,8 +21,13 @@ use ant_core::{
 };
 use ant_hw::decode::{decode, WireType};
 use ant_hw::systolic::{reference_gemm, DecodedMatrix};
-use ant_nn::model::{mlp, small_cnn, tiny_transformer, transformer_block, NetLayer, Sequential};
+use ant_nn::attention::softmax_rows_in_place;
+use ant_nn::gelu::{gelu, Gelu};
+use ant_nn::model::{
+    decoder_block, mlp, small_cnn, tiny_transformer, transformer_block, NetLayer, Sequential,
+};
 use ant_nn::qat::{capture_layer_inputs, dequantize_layer, quantize_model, QuantSpec};
+use ant_nn::vmath;
 use ant_runtime::gemm::{im2row_i32, int_gemm};
 use ant_runtime::{BatchPolicy, CompiledPlan, Engine, PlanLayer, Planner, RuntimeError};
 use ant_tensor::dist::{sample_tensor, Distribution};
@@ -534,4 +539,122 @@ fn polymorphic_prefix_still_pins_plan_input_width() {
     quantize_model(&mut model, &calib, QuantSpec::default()).expect("quantize");
     let plan = CompiledPlan::from_quantized_strict(&model).expect("compile");
     assert_eq!(plan.in_features(), Some(32));
+}
+
+// ---- The f32 boundary on shapes that are not a multiple of the vector
+// width: every other grid in this suite uses dims that are, so the
+// `vmath` tails would go unexecuted by the packed path.
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `seq = 5`, `dim = 12` attention models (an encoder block with its
+/// GELU and head, a causal decoder block), quantized.
+fn ragged_attention_models(seed: u64) -> Vec<(&'static str, Sequential)> {
+    let mut models = vec![
+        ("encoder", transformer_block(5, 12, 3, seed)),
+        ("decoder", decoder_block(5, 12, 1, seed)),
+    ];
+    for (_, model) in &mut models {
+        let calib = gaussian(&[24, 60], seed ^ 0x5eed);
+        quantize_model(model, &calib, QuantSpec::default()).expect("quantize");
+    }
+    models
+}
+
+#[test]
+fn f32_boundary_ragged_batch_rows_equal_batch_one_rows() {
+    for (label, model) in ragged_attention_models(41) {
+        let compile = |threads| {
+            CompiledPlan::from_quantized_strict(&model)
+                .expect("compile")
+                .with_threads(threads)
+        };
+        let x = gaussian(&[9, 60], 42);
+        let x = x.as_slice();
+        let (mut single, mut out) = (compile(1), Vec::new());
+        let mut want = Vec::new();
+        for row in x.chunks_exact(60) {
+            single.forward_rows(row, 1, &mut out).expect("batch 1");
+            want.extend(bits(&out));
+        }
+        let per_row = want.len() / 9;
+        for threads in [1, 2] {
+            let mut plan = compile(threads);
+            for n in 1..=9 {
+                plan.forward_rows(&x[..n * 60], n, &mut out)
+                    .expect("batch n");
+                assert_eq!(
+                    bits(&out),
+                    want[..n * per_row],
+                    "{label}: batch {n}, {threads} threads"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn f32_boundary_ragged_decode_steps_equal_full_forward_rows() {
+    let (seq, dim) = (5, 12);
+    let (_, model) = ragged_attention_models(43).pop().expect("decoder");
+    let mut plan = CompiledPlan::from_quantized_strict(&model).expect("compile");
+    let x = gaussian(&[1, seq * dim], 44);
+    let x = x.as_slice();
+    let mut full = Vec::new();
+    plan.forward_rows(x, 1, &mut full).expect("full forward");
+    for prompt in 1..seq {
+        let mut sess = plan.open_session(seq).expect("session");
+        let mut got = Vec::new();
+        plan.prefill(&mut sess, &x[..prompt * dim], &mut got)
+            .expect("prefill");
+        assert_eq!(bits(&got), bits(&full[..prompt * dim]), "prefill {prompt}");
+        for t in prompt..seq {
+            plan.decode_steps(&mut [&mut sess], &x[t * dim..(t + 1) * dim], &mut got)
+                .expect("decode step");
+            assert_eq!(
+                bits(&got),
+                bits(&full[t * dim..(t + 1) * dim]),
+                "prompt {prompt}, step {t}"
+            );
+        }
+    }
+}
+
+#[test]
+fn f32_boundary_gelu_and_softmax_are_the_reference_functions() {
+    // A GELU-only plan over a ragged width against the layer and the
+    // scalar export hook.
+    let mut model = Sequential::new().push(NetLayer::Gelu(Gelu::new("gelu")));
+    let x = gaussian(&[3, 13], 45);
+    let reference = model.forward(&x).expect("reference");
+    let mut plan = CompiledPlan::from_quantized_strict(&model).expect("compile");
+    let mut out = Vec::new();
+    plan.forward_rows(x.as_slice(), 3, &mut out)
+        .expect("packed");
+    assert_eq!(bits(&out), bits(reference.as_slice()));
+    assert_eq!(bits(&out), bits(x.map(gelu).as_slice()));
+
+    // The softmax the attention core calls, on a ragged row: the scalar
+    // definition element by element, and a causal row's masked tail
+    // changes nothing about its prefix (what decode relies on).
+    let scores = gaussian(&[1, 13], 46);
+    let scores = scores.as_slice();
+    let mut row = scores.to_vec();
+    softmax_rows_in_place(&mut row, 1, 13);
+    let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let exps: Vec<f32> = scores.iter().map(|&s| vmath::exp(s - max)).collect();
+    let sum = exps.iter().fold(0.0, |s, &e| s + e);
+    let want: Vec<f32> = exps.iter().map(|&e| e / sum).collect();
+    assert_eq!(bits(&row), bits(&want));
+    for visible in 1..13 {
+        let mut masked = scores.to_vec();
+        masked[visible..].fill(f32::NEG_INFINITY);
+        softmax_rows_in_place(&mut masked, 1, 13);
+        let mut prefix = scores[..visible].to_vec();
+        softmax_rows_in_place(&mut prefix, 1, visible);
+        assert_eq!(bits(&masked[..visible]), bits(&prefix), "visible {visible}");
+        assert!(masked[visible..].iter().all(|&w| w.to_bits() == 0));
+    }
 }

@@ -8,7 +8,7 @@
 
 use ant_nn::model::{deep_mlp, small_cnn, transformer_block, Sequential};
 use ant_nn::qat::{quantize_model, QuantSpec};
-use ant_runtime::gemm::{int_gemm, int_gemm_threaded, PanelGemm};
+use ant_runtime::gemm::{int_gemm, PanelGemm};
 use ant_runtime::{BatchPolicy, CompiledPlan, Engine, WorkerPool};
 use ant_tensor::dist::{sample_tensor, Distribution};
 use ant_tensor::Tensor;
@@ -155,8 +155,8 @@ fn bench_packed_family(
 /// Raw dense-GEMM kernels at a serving-typical shape: the scalar `i32`
 /// reference vs the panel-packed narrow microkernel (bit-identical
 /// results; the rate gap is the whole point of the narrow hot path), plus
-/// the pool-threaded driver at the batch-1 wide-layer shape that
-/// historically never parallelized.
+/// the microkernel at the batch-1 wide-layer shape that historically
+/// never parallelized.
 fn bench_runtime_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("runtime_gemm");
     let (m, k, n) = (64usize, 256usize, 256usize);
@@ -183,15 +183,14 @@ fn bench_runtime_gemm(c: &mut Criterion) {
     // The m=1 tall-weight serving shape: the old row-only partitioning
     // pinned this to one thread regardless of budget.
     let (m1, k1, n1) = (1usize, 512usize, 2048usize);
-    let a1: Vec<i32> = (0..m1 * k1).map(|i| (i % 127) as i32 - 63).collect();
-    let w1: Vec<i32> = (0..n1 * k1).map(|i| (i % 129) as i32 - 64).collect();
+    let a1_8: Vec<i8> = (0..m1 * k1)
+        .map(|i| ((i % 127) as i32 - 63) as i8)
+        .collect();
+    let w1_8: Vec<i8> = (0..n1 * k1)
+        .map(|i| ((i % 129) as i32 - 64) as i8)
+        .collect();
     let mut out1 = vec![0i64; m1 * n1];
     group.throughput(Throughput::Elements((m1 * k1 * n1) as u64));
-    group.bench_function("batch1_wide/i32_threaded", |bch| {
-        bch.iter(|| int_gemm_threaded(black_box(&a1), &w1, m1, k1, n1, &mut out1, 8))
-    });
-    let a1_8: Vec<i8> = a1.iter().map(|&v| v as i8).collect();
-    let w1_8: Vec<i8> = w1.iter().map(|&v| v as i8).collect();
     let packed1 = PanelGemm::pack(&w1_8, n1, k1, 127);
     group.bench_function("batch1_wide/i8_microkernel", |bch| {
         bch.iter(|| packed1.matmul(black_box(&a1_8), m1, &mut out1, pool, 8))

@@ -2257,7 +2257,7 @@ when Algorithm 2 picks a type with no exact integer-domain execution (a
 float type under --combo fip|fipf, 6-bit PoT) quantize exits non-zero
 naming the layer and type, and writes nothing.
 inspect dumps the header, section table, storage mode, per-layer
-selections with each packed layer's execution image width (i8/i16/i32),
+selections with each packed layer's execution image width (i8/i16),
 whether the plan compiles (with the refusal if not) and the
 selection-cache fingerprint/hit/miss stats. verify
 runs the full integrity gate the lazy load defers: section CRCs plus

@@ -398,7 +398,7 @@ impl Codec {
     /// value fits a single byte (`i8`), which is what qualifies a type for
     /// the byte-wide microkernel GEMM path. All of the paper's 4-bit types
     /// qualify (Table I magnitudes top out at 64); `int8` does too (±127);
-    /// wider flint/PoT magnitudes fall back to the `i16`/`i32` paths.
+    /// wider flint/PoT magnitudes take the `i16` panels.
     pub fn decode_lut_i8(&self) -> Option<Vec<i8>> {
         self.decode_lut_int()?
             .into_iter()

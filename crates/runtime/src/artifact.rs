@@ -1047,6 +1047,7 @@ fn find_section(info: &ArtifactInfo, id: [u8; 4]) -> Option<usize> {
 
 const TAG_I8: u8 = 0;
 const TAG_I16: u8 = 1;
+/// Reserved: was plain `i32` rows. Never written; no reader accepts it.
 const TAG_I32: u8 = 2;
 const TAG_F32: u8 = 3;
 const TAG_ABSENT: u8 = 4;
@@ -1115,7 +1116,6 @@ impl PanelEntry {
             PanelEntry::Image(WeightImage::I16(pg)) => {
                 (TAG_I16, pg.a_max(), pg.b_max(), 2 * pg.panels().len())
             }
-            PanelEntry::Image(WeightImage::I32(rows)) => (TAG_I32, 0, 0, 4 * rows.len()),
         };
         let lut = match tag {
             TAG_F32 => None,
@@ -1142,9 +1142,6 @@ impl PanelEntry {
             }
             PanelEntry::Image(WeightImage::I16(pg)) => {
                 out.extend(pg.panels().iter().flat_map(|v| v.to_le_bytes()));
-            }
-            PanelEntry::Image(WeightImage::I32(rows)) => {
-                out.extend(rows.iter().flat_map(|v| v.to_le_bytes()));
             }
             PanelEntry::WoT(t) => out.extend(t.iter().flat_map(|v| v.to_bits().to_le_bytes())),
             PanelEntry::Absent => {}
@@ -1212,7 +1209,6 @@ fn images_match(a: &WeightImage, b: &WeightImage) -> bool {
     match (a, b) {
         (WeightImage::I8(x), WeightImage::I8(y)) => pg_eq(x, y),
         (WeightImage::I16(x), WeightImage::I16(y)) => pg_eq(x, y),
-        (WeightImage::I32(x), WeightImage::I32(y)) => x.as_slice() == y.as_slice(),
         _ => false,
     }
 }
@@ -1256,15 +1252,20 @@ fn parse_panel_section(
             )));
         }
         let mut entries = Vec::with_capacity(entry_count);
-        for _ in 0..entry_count {
-            entries.push(parse_panel_entry(&mut rd, payload)?);
+        for i in 0..entry_count {
+            entries.push(parse_panel_entry(&mut rd, payload, &record.name, i)?);
         }
         all.push(entries);
     }
     Ok((all, rd.copies))
 }
 
-fn parse_panel_entry(rd: &mut Rd<'_>, payload: &[u8]) -> Result<PanelEntry, ArtifactError> {
+fn parse_panel_entry(
+    rd: &mut Rd<'_>,
+    payload: &[u8],
+    layer: &str,
+    index: usize,
+) -> Result<PanelEntry, ArtifactError> {
     let tag = rd.u8()?;
     let n = rd.usize32()?;
     let k = rd.usize32()?;
@@ -1288,15 +1289,20 @@ fn parse_panel_entry(rd: &mut Rd<'_>, payload: &[u8]) -> Result<PanelEntry, Arti
     let elem = match tag {
         TAG_I8 => 1usize,
         TAG_I16 => 2,
-        TAG_I32 | TAG_F32 => 4,
+        TAG_F32 => 4,
+        TAG_I32 => {
+            return Err(rd.malformed(format!(
+                "layer '{layer}' panel entry {index} carries reserved tag {TAG_I32} (i32 rows)"
+            )))
+        }
         other => return Err(rd.malformed(format!("unknown panel tag {other}"))),
     };
     let elements = match tag {
-        TAG_I8 | TAG_I16 => n
+        TAG_F32 => n.checked_mul(k),
+        _ => n
             .div_ceil(NR)
             .checked_mul(k)
             .and_then(|v| v.checked_mul(NR)),
-        _ => n.checked_mul(k),
     }
     .ok_or_else(|| rd.malformed("panel extent overflows"))?;
     let expected_len = elements
@@ -1334,14 +1340,6 @@ fn parse_panel_entry(rd: &mut Rd<'_>, payload: &[u8]) -> Result<PanelEntry, Arti
             let pg = PanelGemm::from_store(store, n, k, a_max, b_max)
                 .ok_or_else(|| rd.malformed("panel store rejected"))?;
             PanelEntry::Image(WeightImage::I16(pg))
-        }
-        TAG_I32 => {
-            let store = rd.store(raw, |r| {
-                r.chunks_exact(4)
-                    .map(|c| i32::from_le_bytes(c.try_into().expect("4")))
-                    .collect()
-            });
-            PanelEntry::Image(WeightImage::I32(store))
         }
         _ => {
             let store = rd.store(raw, |r| {
@@ -2171,6 +2169,102 @@ mod tests {
             ModelArtifact::load(&[][..]),
             Err(ArtifactError::Truncated { .. })
         ));
+    }
+
+    /// A one-dense-layer artifact (`[3, 5]` weights reaching both lattice
+    /// extremes) under the given weight and activation types, serialized.
+    fn dense_bytes(w_dt: DataType, a_dt: DataType) -> Vec<u8> {
+        let codec = ant_core::Codec::new(w_dt).unwrap();
+        let max = codec.max_value();
+        let reals = (0..15).map(|i| [max, -max, 1.0, 0.0, -2.0][i % 5]);
+        let codes: Vec<u32> = reals.map(|v| codec.encode(v)).collect();
+        let record = LayerRecord {
+            name: "fc".to_string(),
+            kind: RecordKind::Dense,
+            weights: vec![WeightRecord {
+                granularity: Granularity::PerTensor,
+                codes: PackedTensor::pack_with_dims(w_dt, &codes, vec![0.01], &[3, 5]).unwrap(),
+            }],
+            bias: vec![0.0; 3],
+            act: Some(ActRecord {
+                dtype: a_dt,
+                scale: 0.5,
+            }),
+        };
+        let artifact = ModelArtifact {
+            layers: vec![record],
+            cache: Vec::new(),
+        };
+        let mut bytes = Vec::new();
+        artifact.save(&mut bytes).unwrap();
+        bytes
+    }
+
+    #[cfg(not(miri))]
+    #[test]
+    fn mapped_compile_checks_an_adopted_image_against_the_types() {
+        let int = |bits, signed| DataType::int(bits, signed).unwrap();
+        // The open is lazy (no CRC sweep), so a patched stream reaches
+        // `compile`, which must not adopt an image narrower than the
+        // activation lattice its MODL record declares: the quantized
+        // activations would wrap in release.
+        let compile = |bytes: &[u8], what: &str| {
+            let path = std::env::temp_dir().join(format!(
+                "ant-artifact-test-{}-adopt-{what}.antm",
+                std::process::id()
+            ));
+            std::fs::write(&path, bytes).unwrap();
+            let mapped = MappedArtifact::open(&path);
+            std::fs::remove_file(&path).ok();
+            mapped.expect("patched stream still parses").compile()
+        };
+        // (weights, activations, image tag, its a_max): one case per width.
+        for (w_dt, a_dt, tag, a_max) in [
+            (int(4, true), int(8, true), TAG_I8, 127i64),
+            (int(16, true), int(16, true), TAG_I16, 32767),
+        ] {
+            let what = format!("{a_dt}");
+            let bytes = dense_bytes(w_dt, a_dt);
+            let info = probe(&bytes[..]).unwrap();
+            let (modl, panl) = (&info.sections[0], &info.sections[1]);
+            assert_eq!((modl.id.as_str(), panl.id.as_str()), ("MODL", "PANL"));
+            // The record's trailing activation is dtype (tag, bits,
+            // signed) + f32 scale; the first PANL entry follows the u32
+            // layer count and u8 entry count: tag, n, k, a_max.
+            let signed_at = (modl.offset + modl.len) as usize - 5;
+            let tag_at = panl.offset as usize + 5;
+            let a_max_at = tag_at + 9..tag_at + 17;
+            assert_eq!((bytes[signed_at], bytes[tag_at]), (1, tag), "{what}");
+            assert_eq!(bytes[a_max_at.clone()], a_max.to_le_bytes(), "{what}");
+            compile(&bytes, &what).expect("the unpatched stream compiles");
+
+            // The image's recorded bound disagrees with the record's type.
+            let mut lying = bytes.clone();
+            lying[a_max_at.clone()].copy_from_slice(&(a_max - 1).to_le_bytes());
+            match compile(&lying, &what) {
+                Err(ArtifactError::Runtime(RuntimeError::Quant(_))) => {}
+                other => panic!("{what}: lying a_max must be refused, got {other:?}"),
+            }
+
+            // The record now declares the unsigned lattice (twice the
+            // reach) and the entry claims its width holds it.
+            let unsigned_max = 2 * a_max + 1;
+            let mut widened = bytes.clone();
+            widened[signed_at] = 0;
+            widened[a_max_at].copy_from_slice(&unsigned_max.to_le_bytes());
+            match compile(&widened, &what) {
+                // 255 fits `i16`, just not the adopted byte panels.
+                Err(ArtifactError::Runtime(RuntimeError::Quant(_))) if tag == TAG_I8 => {}
+                // 65535 fits no operand width: the type-level refusal.
+                Err(ArtifactError::Runtime(RuntimeError::UnsupportedLayer { layer, reason }))
+                    if tag == TAG_I16 =>
+                {
+                    assert_eq!(layer, "fc");
+                    assert!(reason.contains("int16u"), "{reason}");
+                }
+                other => panic!("{what}: a too-narrow image must be refused, got {other:?}"),
+            }
+        }
     }
 
     #[cfg(not(miri))]

@@ -224,7 +224,7 @@ unsafe fn tile<T: KernelOperand, const PAIRS: bool, const M: usize>(
 
 /// Where a tile's block sums go. Implementations hold a raw pointer to
 /// the *full* output; a region writes only the cells of its own rows ×
-/// panels, which is the disjointness the threaded driver's partitioning
+/// panels, which is the disjointness `PanelGemm::run`'s partitioning
 /// guarantees.
 pub(crate) trait Sink: Sync {
     /// Output offset of GEMM row `i`, column 0.

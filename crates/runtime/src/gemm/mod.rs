@@ -8,33 +8,36 @@
 //! grouped *and* of which kernel, tiling, or thread partitioning computed
 //! them.
 //!
-//! Three kernels share that contract:
+//! Two implementations share that contract — the oracle and the kernel:
 //!
-//! * [`int_gemm`] — the scalar `i32 × i32 → i64` reference: simple,
-//!   obviously correct, and the oracle every other path is tested against.
-//! * [`PanelGemm`] — the narrow microkernel: weights pre-packed once into
-//!   `NR`-interleaved `i8`/`i16` panels (decode-once, serve-many), a
-//!   register-blocked `mr×8` tile computed for exactly the `mr ∈ 1..=4`
-//!   rows a tile has, `i32` accumulation with a provably safe widening
-//!   cadence (see the `kernel` submodule docs for the bound), and — behind
-//!   runtime feature detection — one AVX2 `vpmaddwd` tile for both operand
-//!   widths that retires two `k`-steps per multiply. Packed layers call
+//! * [`int_gemm`] — the scalar `i32 × i32 → i64` reference: a plain safe
+//!   triple loop, obviously correct, and the oracle every kernel test
+//!   compares against. Nothing serves requests through it.
+//! * [`PanelGemm`] — the narrow microkernel behind every packed layer:
+//!   weights pre-packed once into `NR`-interleaved `i8`/`i16` panels
+//!   (decode-once, serve-many), a register-blocked `mr×8` tile computed
+//!   for exactly the `mr ∈ 1..=4` rows a tile has, `i32` accumulation
+//!   with a provably safe widening cadence (see the `kernel` submodule
+//!   docs for the bound), and — behind runtime feature detection — one
+//!   AVX2 `vpmaddwd` tile for both operand widths that retires two
+//!   `k`-steps per multiply. Packed layers call
 //!   [`PanelGemm::matmul_dequant`], which fuses the dequantizing
 //!   [`Epilogue`] into the tile writeback whenever the reduction is one
 //!   cadence block (always, for byte operands up to `k = 8192`) and
-//!   otherwise folds through the exact `i64` accumulator. This is the
-//!   serving hot path: ≤8-bit types stream at a quarter of the `i32`
-//!   memory traffic and run at narrow-integer MAC rate.
-//! * [`int_gemm_threaded`] — the threaded `i32` driver, now scheduled on
-//!   the persistent [`WorkerPool`] instead of spawning scoped threads per
-//!   call, and partitioned over output *columns* as well as rows — a
-//!   batch-1 request against a wide layer (`m = 1`, `n = 4096`) fans out
-//!   across the pool instead of running single-threaded.
+//!   otherwise folds through the exact `i64` accumulator. It is scheduled
+//!   on the persistent [`WorkerPool`] and partitioned over output
+//!   *columns* as well as rows ([`partition`]) — a batch-1 request
+//!   against a wide layer (`m = 1`, `n = 4096`) fans out across the pool
+//!   instead of running single-threaded.
+//!
+//! The two operand widths are the whole integer domain: a lattice that
+//! fits neither `i8` nor `i16` is refused at plan compilation, not run on
+//! a third path.
 //!
 //! The weight operand is kept in (or packed from) the `[n, k]`
 //! weight-stationary layout (rows contiguous), so each output channel is a
-//! dot product of two contiguous streams; [`im2row_i32`] lowers
-//! convolutions into the same layout.
+//! dot product of two contiguous streams; [`im2row`] lowers convolutions
+//! into the same layout.
 
 pub(crate) mod avx2;
 pub(crate) mod kernel;
@@ -49,10 +52,6 @@ pub use kernel::{Epilogue, KernelOperand};
 /// computed in groups of `NR` (one `i32×8` SIMD register per tile row).
 pub const NR: usize = 8;
 
-/// Row-block tile height of the scalar `i32` path: weight rows stay
-/// cache-hot across this many input rows.
-const TILE_M: usize = 8;
-
 /// Minimum multiply-accumulates per task before an extra worker pays for
 /// its dispatch. A persistent-pool dispatch costs on the order of a
 /// microsecond (one lock + wake), orders of magnitude below the thread
@@ -63,9 +62,9 @@ const MIN_WORK_PER_TASK: usize = 1 << 18;
 /// `out[m×n] = a[m×k] · bᵀ` where `b` is `[n, k]` row-major (the
 /// weight-stationary layout). Accumulation is exact in `i64`.
 ///
-/// This is the reference kernel: the narrow [`PanelGemm`] microkernel and
-/// the threaded driver are bit-identical to it by construction (integer
-/// arithmetic) and by test (`tests/microkernel.rs` proptests).
+/// This is the reference: the narrow [`PanelGemm`] microkernel is
+/// bit-identical to it by construction (integer arithmetic) and by test
+/// (`gemm::tests`, `tests/microkernel.rs` proptests).
 ///
 /// # Panics
 ///
@@ -74,50 +73,18 @@ pub fn int_gemm(a: &[i32], b: &[i32], m: usize, k: usize, n: usize, out: &mut [i
     assert_eq!(a.len(), m * k, "lhs length");
     assert_eq!(b.len(), n * k, "rhs length");
     assert_eq!(out.len(), m * n, "output length");
-    // SAFETY: full-range region over an exclusively borrowed output.
-    unsafe { i32_region(a, b, k, 0..m, 0..n, out.as_mut_ptr(), n) }
-}
-
-/// Computes rows × cols of the `i32` GEMM into `out` with row stride
-/// `ldc`.
-///
-/// # Safety
-///
-/// `out` must be valid for writes at `i·ldc + o` over the region, with no
-/// concurrent access to those cells.
-unsafe fn i32_region(
-    a: &[i32],
-    b: &[i32],
-    k: usize,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-    out: *mut i64,
-    ldc: usize,
-) {
-    let mut i0 = rows.start;
-    while i0 < rows.end {
-        let tile_rows = TILE_M.min(rows.end - i0);
-        for o in cols.clone() {
+    for (i, out_row) in out.chunks_exact_mut(n.max(1)).enumerate() {
+        let a_row = &a[i * k..(i + 1) * k];
+        for (o, dst) in out_row.iter_mut().enumerate() {
             let w_row = &b[o * k..(o + 1) * k];
-            for i in i0..i0 + tile_rows {
-                let a_row = &a[i * k..(i + 1) * k];
-                let mut acc = 0i64;
-                for (&av, &wv) in a_row.iter().zip(w_row) {
-                    acc += av as i64 * wv as i64;
-                }
-                out.add(i * ldc + o).write(acc);
-            }
+            *dst = a_row
+                .iter()
+                .zip(w_row)
+                .map(|(&av, &wv)| av as i64 * wv as i64)
+                .sum();
         }
-        i0 += tile_rows;
     }
 }
-
-/// A raw `*mut i64` that crosses thread boundaries; tasks write disjoint
-/// regions, which is what makes the shared mutable access sound.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut i64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 /// How a GEMM splits across pool workers: `(row_chunks, col_chunks)`
 /// output-grid partitioning for a problem of the given shape at the given
@@ -137,10 +104,9 @@ pub fn partition(m: usize, k: usize, n: usize, threads: usize) -> (usize, usize)
     (row_chunks, col_chunks)
 }
 
-/// Runs `body(row_range, col_unit_range)` over the partition grid, on the
+/// Runs `body(row_range, panel_range)` over the partition grid, on the
 /// pool when the grid has more than one cell. `col_units` is the number
-/// of independently splittable column units (output columns for the `i32`
-/// path, `NR`-wide panels for the microkernel).
+/// of independently splittable column units (`NR`-wide panels).
 fn run_partitioned(
     pool: &WorkerPool,
     threads: usize,
@@ -167,53 +133,6 @@ fn run_partitioned(
         if r0 < r1 && c0 < c1 {
             body(r0..r1, c0..c1);
         }
-    });
-}
-
-/// Multi-threaded [`int_gemm`] on the process-wide [`WorkerPool`]:
-/// partitions the output grid over rows *and* columns (see
-/// [`partition`]), so both batched and batch-1 shapes scale. Integer
-/// arithmetic is exact, so the partitioning cannot change the result.
-///
-/// # Panics
-///
-/// Panics when slice lengths disagree with the given dimensions.
-pub fn int_gemm_threaded(
-    a: &[i32],
-    b: &[i32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [i64],
-    threads: usize,
-) {
-    int_gemm_pooled(a, b, m, k, n, out, WorkerPool::global(), threads)
-}
-
-/// [`int_gemm_threaded`] against an explicit pool.
-///
-/// # Panics
-///
-/// Panics when slice lengths disagree with the given dimensions.
-#[allow(clippy::too_many_arguments)] // a GEMM's shape is its signature
-pub fn int_gemm_pooled(
-    a: &[i32],
-    b: &[i32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [i64],
-    pool: &WorkerPool,
-    threads: usize,
-) {
-    assert_eq!(a.len(), m * k, "lhs length");
-    assert_eq!(b.len(), n * k, "rhs length");
-    assert_eq!(out.len(), m * n, "output length");
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    run_partitioned(pool, threads, m, k, n, n, &|rows, cols| {
-        let dst = out_ptr; // capture the Send+Sync wrapper, not the field
-                           // SAFETY: partition cells are disjoint output regions.
-        unsafe { i32_region(a, b, k, rows, cols, dst.0, n) }
     });
 }
 
@@ -445,8 +364,7 @@ impl<T: KernelOperand> PanelGemm<T> {
 
 /// Dequantizes an exact `i64` accumulator (`[m, n]` row-major) into the
 /// layer output `epi` describes: the reference form of the fused
-/// writeback, and the path multi-block reductions and `i32`-row images
-/// take. Element for element `acc as f32 · deq[o] (+ bias[o])`, multiply
+/// writeback, and the path multi-block reductions take. Element for element `acc as f32 · deq[o] (+ bias[o])`, multiply
 /// and add rounded separately.
 ///
 /// # Panics
@@ -537,22 +455,6 @@ pub fn im2row<T: Copy + Default>(
             }
         }
     }
-}
-
-/// [`im2row`] at the `i32` width (the general-path entry point).
-///
-/// # Panics
-///
-/// As [`im2row`].
-pub fn im2row_i32(
-    sample: &[i32],
-    c: usize,
-    h: usize,
-    w: usize,
-    geo: ant_tensor::linalg::Conv2dGeometry,
-    out: &mut [i32],
-) {
-    im2row(sample, c, h, w, geo, out)
 }
 
 #[cfg(test)]
@@ -717,9 +619,12 @@ mod tests {
         let mut single = vec![0i64; m * n];
         int_gemm(&a, &b, m, k, n, &mut single);
         assert!(m * k * n >= 8 * MIN_WORK_PER_TASK, "test must thread");
+        let a8: Vec<i8> = a.iter().map(|&v| v as i8).collect();
+        let b8: Vec<i8> = b.iter().map(|&v| v as i8).collect();
+        let packed = PanelGemm::pack(&b8, n, k, 64);
         for threads in [1, 2, 3, 8, 64] {
-            let mut multi = vec![0i64; m * n];
-            int_gemm_threaded(&a, &b, m, k, n, &mut multi, threads);
+            let mut multi = vec![i64::MIN; m * n];
+            packed.matmul(&a8, m, &mut multi, WorkerPool::global(), threads);
             assert_eq!(multi, single, "threads={threads}");
         }
     }
@@ -768,7 +673,7 @@ mod tests {
             // Dirty buffer: proves every element is either overwritten or
             // cleared by the padding path.
             let mut rows = vec![i32::MIN; pixels * k];
-            im2row_i32(&ints, c, h, w, geo, &mut rows);
+            im2row::<i32>(&ints, c, h, w, geo, &mut rows);
             for p in 0..pixels {
                 for r in 0..k {
                     assert_eq!(
@@ -786,6 +691,6 @@ mod tests {
     fn im2row_rejects_bad_sample_length() {
         let geo = Conv2dGeometry::new(3, 3, 1, 1).unwrap();
         let mut out = vec![0i32; 9];
-        im2row_i32(&[1, 2, 3], 1, 3, 3, geo, &mut out);
+        im2row::<i32>(&[1, 2, 3], 1, 3, 3, geo, &mut out);
     }
 }

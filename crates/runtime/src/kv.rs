@@ -18,8 +18,8 @@
 //!   FIP-style combos is skipped — the KV path stays in the int-decodable
 //!   family, like the rest of the runtime);
 //! * wire codes are nibble-packed when [`KvQuantSpec::bits`] ≤ 4, one
-//!   byte per code otherwise, appended token-row-at-a-time into a
-//!   64-byte-aligned arena sized once at session-open time.
+//!   byte per code otherwise, appended token-row-at-a-time into a byte
+//!   arena sized once at session-open time.
 //!
 //! Quantize-and-store and decode-and-stream share one per-group encode
 //! path (`KvQuant::quant_group`), so a row read back out of the cache
@@ -36,8 +36,6 @@ use crate::error::RuntimeError;
 use crate::scratch::grab;
 use ant_core::select::PrimitiveCombo;
 use ant_core::{Codec, DataType, PrimitiveType};
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
-use std::ptr::NonNull;
 
 /// Configuration for M-ANT group-wise KV-cache quantization.
 ///
@@ -249,59 +247,18 @@ pub(crate) enum KvHalf {
     V,
 }
 
-/// A 64-byte-aligned, fixed-capacity byte arena. Sized once; never
-/// grows (the decode hot path must not touch the allocator).
-#[derive(Debug)]
-struct AlignedArena {
-    ptr: NonNull<u8>,
-    len: usize,
-}
-
-// SAFETY: the arena is plain owned bytes behind a unique pointer; all
-// access goes through &self/&mut self, so the usual borrow rules apply.
-unsafe impl Send for AlignedArena {}
-unsafe impl Sync for AlignedArena {}
-
-impl AlignedArena {
-    fn new(len: usize) -> AlignedArena {
-        let layout = Layout::from_size_align(len.max(1), 64).expect("kv arena layout");
-        // Zeroed so freshly opened sessions never expose stale bytes.
-        let raw = unsafe { alloc_zeroed(layout) };
-        let Some(ptr) = NonNull::new(raw) else {
-            handle_alloc_error(layout);
-        };
-        AlignedArena { ptr, len }
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        // SAFETY: ptr is valid for len bytes for the arena's lifetime.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [u8] {
-        // SAFETY: as above, plus &mut self guarantees uniqueness.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-impl Drop for AlignedArena {
-    fn drop(&mut self) {
-        let layout = Layout::from_size_align(self.len.max(1), 64).expect("kv arena layout");
-        // SAFETY: allocated in `new` with exactly this layout.
-        unsafe { dealloc(self.ptr.as_ptr(), layout) };
-    }
-}
-
 /// One causal-attention layer's packed K/V storage for one decode
 /// session.
 ///
 /// Layout: `[max_tokens` packed K rows `][max_tokens` packed V rows `]`
-/// in one 64-byte-aligned arena, with per-token per-group scales and
-/// type tags in side arrays whose capacity is reserved up front —
-/// [`KvCache::append`] therefore performs **zero allocations**.
+/// in one zeroed byte arena sized at construction (rows are only ever
+/// read and written a byte at a time, so it needs no alignment), with
+/// per-token per-group scales and type tags in side arrays whose capacity
+/// is reserved up front — [`KvCache::append`] therefore performs **zero
+/// allocations**.
 #[derive(Debug)]
 pub(crate) struct KvCache {
-    arena: AlignedArena,
+    arena: Vec<u8>,
     dim: usize,
     n_groups: usize,
     token_bytes: usize,
@@ -320,7 +277,7 @@ impl KvCache {
         let token_bytes = kv.token_bytes(dim);
         let n_groups = kv.groups_for(dim);
         KvCache {
-            arena: AlignedArena::new(2 * max_tokens * token_bytes),
+            arena: vec![0; 2 * max_tokens * token_bytes],
             dim,
             n_groups,
             token_bytes,
@@ -341,7 +298,7 @@ impl KvCache {
     /// Bytes this cache holds resident (arena plus scale/tag side
     /// arrays, at their reserved capacity).
     pub(crate) fn kv_bytes(&self) -> usize {
-        self.arena.len
+        self.arena.len()
             + (self.scales_k.capacity() + self.scales_v.capacity()) * std::mem::size_of::<f32>()
             + self.tags_k.capacity()
             + self.tags_v.capacity()
@@ -387,7 +344,7 @@ impl KvCache {
                 tags.push(tag);
             }
             let range = self.row_range(half, t);
-            kv.pack_row(scratch, &mut self.arena.as_mut_slice()[range]);
+            kv.pack_row(scratch, &mut self.arena[range]);
         }
         self.tokens = t + 1;
         Ok(t)
@@ -399,7 +356,7 @@ impl KvCache {
     pub(crate) fn decode_row(&self, kv: &KvQuant, half: KvHalf, t: usize, out: &mut [f32]) {
         debug_assert!(t < self.tokens, "decode of unwritten token row");
         debug_assert_eq!(out.len(), self.dim);
-        let packed = &self.arena.as_slice()[self.row_range(half, t)];
+        let packed = &self.arena[self.row_range(half, t)];
         let (scales, tags) = match half {
             KvHalf::K => (&self.scales_k, &self.tags_k),
             KvHalf::V => (&self.scales_v, &self.tags_v),
@@ -489,11 +446,11 @@ mod tests {
     }
 
     #[test]
-    fn arena_is_64_byte_aligned_and_zeroed() {
+    fn fresh_cache_bytes_are_zero() {
         let kv = KvQuant::new(KvQuantSpec::default()).unwrap();
         let cache = KvCache::new(96, 17, &kv);
-        assert_eq!(cache.arena.ptr.as_ptr() as usize % 64, 0);
-        assert!(cache.arena.as_slice().iter().all(|&b| b == 0));
+        assert_eq!(cache.arena.len(), 2 * 17 * kv.token_bytes(96));
+        assert!(cache.arena.iter().all(|&b| b == 0));
     }
 
     fn row(dim: usize, seed: u64) -> Vec<f32> {

@@ -4,11 +4,11 @@
 //! that streams K/V rows out of a packed cache.
 
 use super::matrix::{
-    act_bound, check_features, check_int_domain, decode_rows_f32, narrow_acts, transpose, ActQuant,
-    LayerCtx, PackedMatrix, WeightImage,
+    act_bound, check_features, check_int_domain, decode_rows_f32, transpose, ActQuant, LayerCtx,
+    PackedMatrix, WeightImage,
 };
 use crate::error::RuntimeError;
-use crate::gemm::Epilogue;
+use crate::gemm::{Epilogue, KernelOperand};
 use crate::kv::{DecodeSession, KvCache, KvHalf, KvQuant, KvQuantSpec};
 use crate::scratch::grab;
 use ant_core::pack::PackedTensor;
@@ -202,24 +202,18 @@ impl PackedAttn {
     /// Quantizes `x` (`[rows, dim]`) once and projects it to Q, K and V —
     /// three batch-wide integer GEMMs (the coalescing the engine batches
     /// requests for), each dequantized straight into the arena's
-    /// `q`/`k`/`v`. Returns the `i32` master quantization, which also
-    /// feeds the residual: it is taken out of the arena so the remaining
-    /// scratch stays independently borrowable (a pointer-sized swap, not
-    /// a copy); callers hand it back to `act_i32` when done.
-    fn project_qkv(&self, x: &[f32], rows: usize, ws: &mut LayerCtx<'_>) -> Vec<i32> {
+    /// `q`/`k`/`v`. The master quantization is left in `act_i16` (every
+    /// admissible activation lattice fits it), where it also feeds the
+    /// residual; byte-width projections read a copy narrowed once into
+    /// `act_i8`.
+    fn project_qkv(&self, x: &[f32], rows: usize, ws: &mut LayerCtx<'_>) {
         let b = &mut *ws.bufs;
-        // One master serves all projections, which may sit at different
-        // operand widths: narrow it once per width any of them needs (in
-        // the common case all three share one width: one pass).
         self.act_quant
-            .apply_all_into(x, self.act.scale(), self.act.codec(), &mut b.act_i32);
-        let master = std::mem::take(&mut b.act_i32);
-        let qkv = &self.projs[..3];
-        if qkv.iter().any(|p| matches!(p.image, WeightImage::I8(_))) {
-            narrow_acts(&master, &mut b.act_i8);
-        }
-        if qkv.iter().any(|p| matches!(p.image, WeightImage::I16(_))) {
-            narrow_acts(&master, &mut b.act_i16);
+            .apply_all_into(x, self.act.scale(), self.act.codec(), &mut b.act_i16);
+        if self.projs[..3].iter().any(|p| p.image.elem_bytes() == 1) {
+            b.act_i8.clear();
+            let narrowed = b.act_i16.iter().map(|&v| i8::from_i32(v as i32));
+            b.act_i8.extend(narrowed);
         }
         for (which, dst) in [&mut b.q, &mut b.k, &mut b.v].into_iter().enumerate() {
             let epi = Epilogue {
@@ -227,19 +221,17 @@ impl PackedAttn {
                 bias: None,
                 rows_per_sample: 1,
             };
-            self.projs[which].project(
-                &b.act_i8,
-                &b.act_i16,
-                &master,
-                rows,
-                &epi,
-                grab(dst, rows * self.dim, 0.0),
-                &mut b.acc,
-                ws.pool,
-                ws.threads,
-            );
+            let out = grab(dst, rows * self.dim, 0.0);
+            let (acc, pool, threads) = (&mut b.acc, ws.pool, ws.threads);
+            match &self.projs[which].image {
+                WeightImage::I8(pg) => {
+                    pg.matmul_dequant(&b.act_i8, rows, &epi, out, acc, pool, threads)
+                }
+                WeightImage::I16(pg) => {
+                    pg.matmul_dequant(&b.act_i16, rows, &epi, out, acc, pool, threads)
+                }
+            }
         }
-        master
     }
 
     /// Output projection plus residual for whole token rows: `ctx`,
@@ -250,10 +242,10 @@ impl PackedAttn {
     /// transposed weights: one [`axpy`] per context element, so each
     /// output's reduction sums in ascending `d` while the inner loop runs
     /// at vector width over outputs.
-    fn out_project(&self, ctx: &[f32], master: &[i32], out: &mut [f32]) {
+    fn out_project(&self, ctx: &[f32], master: &[i16], out: &mut [f32]) {
         let (dim, s_a) = (self.dim, self.act.scale());
         let (wo_t, w_scales) = (&self.wo_t_f32, &self.projs[3].w_scales);
-        for ((row_out, ctx), a32) in out
+        for ((row_out, ctx), a16) in out
             .chunks_exact_mut(dim)
             .zip(ctx.chunks_exact(dim))
             .zip(master.chunks_exact(dim))
@@ -263,7 +255,7 @@ impl PackedAttn {
                 axpy(row_out, c, w_row);
             }
             for (o, out_val) in row_out.iter_mut().enumerate() {
-                *out_val = a32[o] as f32 * s_a + *out_val * w_scales[o];
+                *out_val = a16[o] as f32 * s_a + *out_val * w_scales[o];
             }
         }
     }
@@ -307,7 +299,7 @@ impl PackedAttn {
         let seq = feat / dim;
         let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
         let rows = batch * seq;
-        let master = self.project_qkv(x, rows, ws);
+        self.project_qkv(x, rows, ws);
         let b = &mut *ws.bufs;
         // Move K and V into the quantized KV domain row by row — in
         // place when free-running, through the cache when prefilling
@@ -384,7 +376,7 @@ impl PackedAttn {
         });
         // Output projection, batch-wide, parallelized over output rows.
         let ov = grab(out, rows * dim, 0.0);
-        let ctx = &b.ctx;
+        let (ctx, master) = (&b.ctx, &b.act_i16);
         let out_ptr = ShareMut(ov.as_mut_ptr());
         let row_tasks = if rows * dim * dim >= 1 << 18 {
             ws.threads.min(ws.pool.width()).min(rows).max(1)
@@ -399,8 +391,6 @@ impl PackedAttn {
             let rows_out = unsafe { std::slice::from_raw_parts_mut(dst.0.add(at.start), at.len()) };
             self.out_project(&ctx[at.clone()], &master[at], rows_out);
         });
-        // Hand the master buffer (and its capacity) back to the arena.
-        b.act_i32 = master;
         Ok(())
     }
 
@@ -431,7 +421,7 @@ impl PackedAttn {
         check_features(x, rows, dim)?;
         let kvq = self.kv_codec()?;
         let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
-        let master = self.project_qkv(x, rows, ws);
+        self.project_qkv(x, rows, ws);
         let b = &mut *ws.bufs;
         // Fixed-stride score scratch — the largest capacity any session
         // in the batch can reach — so steady-state grabs never resize.
@@ -466,8 +456,7 @@ impl PackedAttn {
             }
         }
         // Serial: decode rows are few and small.
-        self.out_project(&b.ctx, &master, grab(out, rows * dim, 0.0));
-        b.act_i32 = master;
+        self.out_project(&b.ctx, &b.act_i16, grab(out, rows * dim, 0.0));
         Ok(())
     }
 }

@@ -5,7 +5,7 @@ use super::matrix::{
     act_bound, check_features, check_int_domain, ActQuant, LayerCtx, PackedMatrix, WeightImage,
 };
 use crate::error::RuntimeError;
-use crate::gemm::{im2row, Epilogue};
+use crate::gemm::{im2row, Epilogue, KernelOperand};
 use crate::scratch::grab;
 use ant_core::pack::PackedTensor;
 use ant_core::{DataType, Quantizer};
@@ -160,16 +160,6 @@ impl PackedConv {
         let (co, oh, ow) = self.out_shape;
         let pixels = oh * ow;
         let b = &mut *ws.bufs;
-        // One big GEMM over every output pixel of every sample: rows are
-        // receptive fields, so weight panels stream once per row tile.
-        // Quantization and the im2row lowering happen directly at the
-        // layer's operand width.
-        self.mat.quantize_acts(x, &self.act, &self.act_quant, b);
-        match &self.mat.image {
-            WeightImage::I8(_) => self.lower(&b.act_i8, batch, &mut b.rows_i8),
-            WeightImage::I16(_) => self.lower(&b.act_i16, batch, &mut b.rows_i16),
-            WeightImage::I32(_) => self.lower(&b.act_i32, batch, &mut b.rows_i32),
-        }
         // Dequantize + bias land straight in the [batch, co·oh·ow]
         // activation layout: each sample's `pixels` GEMM rows are written
         // channel-major by the epilogue, no separate scatter pass.
@@ -179,23 +169,35 @@ impl PackedConv {
             bias: Some(&self.bias),
             rows_per_sample: pixels,
         };
-        self.mat.project(
-            &b.rows_i8,
-            &b.rows_i16,
-            &b.rows_i32,
-            batch * pixels,
-            &epi,
-            ov,
-            &mut b.acc,
-            ws.pool,
-            ws.threads,
-        );
+        // One big GEMM over every output pixel of every sample: rows are
+        // receptive fields, so weight panels stream once per row tile.
+        // Quantization and the im2row lowering happen directly at the
+        // layer's operand width.
+        let m = batch * pixels;
+        match &self.mat.image {
+            WeightImage::I8(pg) => {
+                let rows = self.lower(x, batch, &mut b.act_i8, &mut b.rows_i8);
+                pg.matmul_dequant(rows, m, &epi, ov, &mut b.acc, ws.pool, ws.threads);
+            }
+            WeightImage::I16(pg) => {
+                let rows = self.lower(x, batch, &mut b.act_i16, &mut b.rows_i16);
+                pg.matmul_dequant(rows, m, &epi, ov, &mut b.acc, ws.pool, ws.threads);
+            }
+        }
         Ok(())
     }
 
-    /// im2row-lowers a batch of quantized samples (at any operand width)
-    /// into `rows`: `[batch · oh·ow, ci·kh·kw]`.
-    fn lower<T: Copy + Default>(&self, acts: &[T], batch: usize, rows: &mut Vec<T>) {
+    /// Quantizes a batch of samples at operand width `T` into `acts` and
+    /// im2row-lowers them into `rows`: `[batch · oh·ow, ci·kh·kw]`.
+    fn lower<'r, T: KernelOperand>(
+        &self,
+        x: &[f32],
+        batch: usize,
+        acts: &mut Vec<T>,
+        rows: &'r mut Vec<T>,
+    ) -> &'r [T] {
+        self.act_quant
+            .apply_all_into(x, self.act.scale(), self.act.codec(), acts);
         let (ci, h, w) = self.in_shape;
         let per_sample = self.out_shape.1 * self.out_shape.2 * self.mat.inp;
         let rows = grab(rows, batch * per_sample, T::default());
@@ -205,5 +207,6 @@ impl PackedConv {
         {
             im2row(sample, ci, h, w, self.geo, lowered);
         }
+        rows
     }
 }

@@ -101,16 +101,25 @@ impl PackedLinear {
     ) -> Result<(), RuntimeError> {
         check_features(x, batch, self.mat.inp)?;
         let b = &mut *ws.bufs;
-        self.mat.quantize_acts(x, &self.act, &self.act_quant, b);
         let out = grab(out, batch * self.mat.out, 0.0);
         let epi = Epilogue {
             deq: &self.deq,
             bias: Some(&self.bias),
             rows_per_sample: 1,
         };
-        self.mat.project(
-            &b.act_i8, &b.act_i16, &b.act_i32, batch, &epi, out, &mut b.acc, ws.pool, ws.threads,
-        );
+        let (q, s_a, codec) = (&self.act_quant, self.act.scale(), self.act.codec());
+        match &self.mat.image {
+            WeightImage::I8(pg) => {
+                q.apply_all_into(x, s_a, codec, &mut b.act_i8);
+                pg.matmul_dequant(&b.act_i8, batch, &epi, out, &mut b.acc, ws.pool, ws.threads);
+            }
+            WeightImage::I16(pg) => {
+                q.apply_all_into(x, s_a, codec, &mut b.act_i16);
+                pg.matmul_dequant(
+                    &b.act_i16, batch, &epi, out, &mut b.acc, ws.pool, ws.threads,
+                );
+            }
+        }
         Ok(())
     }
 }

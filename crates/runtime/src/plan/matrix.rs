@@ -3,11 +3,10 @@
 //! weight image, and the [`PackedMatrix`] that pairs wire codes with it.
 
 use crate::error::RuntimeError;
-use crate::gemm::{dequant_into, int_gemm_pooled, Epilogue, PanelGemm};
+use crate::gemm::{KernelOperand, PanelGemm};
 use crate::pool::WorkerPool;
-use crate::scratch::{grab, LayerBufs};
+use crate::scratch::LayerBufs;
 use ant_core::pack::PackedTensor;
-use ant_core::store::PackedStore;
 use ant_core::{DataType, PrimitiveType, Quantizer, TensorQuantizer};
 
 /// Specialized integer quantization of input activations. Every variant
@@ -91,7 +90,7 @@ impl ActQuant {
     /// of the element loop so the common `int` path is a straight
     /// divide/round/clamp stream the autovectorizer handles; every
     /// element computes exactly what [`ActQuant::apply`] computes.
-    pub(super) fn apply_all_into<T: ActInt>(
+    pub(super) fn apply_all_into<T: KernelOperand>(
         &self,
         x: &[f32],
         scale: f32,
@@ -100,7 +99,7 @@ impl ActQuant {
     ) {
         if out.len() != x.len() {
             out.clear();
-            out.resize(x.len(), T::from_act(0));
+            out.resize(x.len(), T::default());
         }
         match self {
             ActQuant::IntRound { lo, hi } => {
@@ -116,12 +115,12 @@ impl ActQuant {
                     return;
                 }
                 for (dst, &v) in out.iter_mut().zip(x) {
-                    *dst = T::from_act((v / scale).round().clamp(lo, hi) as i32);
+                    *dst = T::from_i32((v / scale).round().clamp(lo, hi) as i32);
                 }
             }
             _ => {
                 for (dst, &v) in out.iter_mut().zip(x) {
-                    *dst = T::from_act(self.apply(v / scale, codec));
+                    *dst = T::from_i32(self.apply(v / scale, codec));
                 }
             }
         }
@@ -133,66 +132,36 @@ impl ActQuant {
 /// scalar path in [`ActQuant::apply_all_into`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn int_round_all_avx2<T: ActInt>(x: &[f32], scale: f32, lo: f32, hi: f32, out: &mut [T]) {
+unsafe fn int_round_all_avx2<T: KernelOperand>(
+    x: &[f32],
+    scale: f32,
+    lo: f32,
+    hi: f32,
+    out: &mut [T],
+) {
     for (dst, &v) in out.iter_mut().zip(x) {
-        *dst = T::from_act((v / scale).round().clamp(lo, hi) as i32);
+        *dst = T::from_i32((v / scale).round().clamp(lo, hi) as i32);
     }
 }
 
-/// Integer widths activation buffers come in (the microkernel operand
-/// widths plus the general `i32`).
-pub(super) trait ActInt: Copy {
-    fn from_act(v: i32) -> Self;
-}
-
-impl ActInt for i8 {
-    #[inline(always)]
-    fn from_act(v: i32) -> i8 {
-        debug_assert!((i8::MIN as i32..=i8::MAX as i32).contains(&v));
-        v as i8
-    }
-}
-
-impl ActInt for i16 {
-    #[inline(always)]
-    fn from_act(v: i32) -> i16 {
-        debug_assert!((i16::MIN as i32..=i16::MAX as i32).contains(&v));
-        v as i16
-    }
-}
-
-impl ActInt for i32 {
-    #[inline(always)]
-    fn from_act(v: i32) -> i32 {
-        v
-    }
-}
-
-/// Narrow-copies an `i32` activation master buffer into operand width
-/// `T`, reusing capacity.
-pub(super) fn narrow_acts<T: ActInt>(src: &[i32], out: &mut Vec<T>) {
-    out.clear();
-    out.extend(src.iter().map(|&v| T::from_act(v)));
-}
-
-/// The decode-once integer image of a weight matrix, at the narrowest
-/// width its lattice (and the layer's activation lattice) permits.
+/// The decode-once integer image of a weight matrix, at the narrower of
+/// the two operand widths its lattice (and the layer's activation
+/// lattice) permits — the one place a layer's execution width is decided.
 ///
 /// `i8` covers every ≤8-bit paper type (Table I magnitudes top out at 64,
-/// `int8` at ±128); wide flint magnitudes (`flint8u` reaches 16384) take
-/// the `i16` panels; anything wider (`int15`/`int16`, `pot5`) executes on
-/// plain `i32` rows, once [`PackedMatrix::from_packed`] has proven their
-/// `i64` accumulator wide enough. Panel images are pre-packed for the
-/// microkernel at compile time (or borrowed verbatim from a mapped
-/// artifact's panel section), so serving never re-lays weights out.
+/// `int8` at ±128); anything wider that still fits a halfword (`flint8u`
+/// reaches 16384, `int15`/`int16`/`pot5` weights) takes the `i16` panels
+/// at whatever widening cadence the magnitudes leave (≥ 1). A lattice
+/// that fits neither has no execution and is refused at compilation.
+/// Panel images are pre-packed for the microkernel at compile time (or
+/// borrowed verbatim from a mapped artifact's panel section), so serving
+/// never re-lays weights out.
 #[derive(Debug, Clone)]
 pub(crate) enum WeightImage {
     /// Byte panels for the microkernel (quarter traffic, double lanes).
     I8(PanelGemm<i8>),
-    /// Halfword panels (wide flint magnitudes).
+    /// Halfword panels (wide magnitudes).
     I16(PanelGemm<i16>),
-    /// Plain `[out, in]` rows for the general kernel.
-    I32(PackedStore<i32>),
 }
 
 impl WeightImage {
@@ -202,7 +171,6 @@ impl WeightImage {
         match self {
             WeightImage::I8(pg) => pg.is_borrowed(),
             WeightImage::I16(pg) => pg.is_borrowed(),
-            WeightImage::I32(rows) => rows.is_borrowed(),
         }
     }
 
@@ -212,7 +180,6 @@ impl WeightImage {
         match self {
             WeightImage::I8(_) => 1,
             WeightImage::I16(_) => 2,
-            WeightImage::I32(_) => 4,
         }
     }
 }
@@ -286,14 +253,17 @@ fn unsupported(layer: &str, dtype: DataType) -> RuntimeError {
 }
 
 /// The layer's bound on quantized-activation magnitudes — what fixes the
-/// microkernel's widening cadence and qualifies the narrow operand
-/// widths — or the refusal for an activation lattice with no exact `i32`
-/// image (`float`, or PoT past `2^31`: `ActQuant::Snap` would saturate).
+/// microkernel's widening cadence and qualifies the byte width — or the
+/// refusal for an activation lattice no operand width holds: `float`, or
+/// one reaching past `i16` (16-bit unsigned `int`, 5-bit unsigned PoT).
+/// Derived from the type alone, so every image — decoded here or adopted
+/// from a mapped artifact — is checked against the same bound.
 pub(crate) fn act_bound(layer: &str, act: &Quantizer) -> Result<i64, RuntimeError> {
     let codec = act.codec();
+    let max = codec.max_value() as i64;
     match codec.decode_lut_int() {
-        Some(_) => Ok(codec.max_value() as i64),
-        None => Err(unsupported(layer, act.dtype())),
+        Some(_) if max <= i16::MAX as i64 => Ok(max),
+        _ => Err(unsupported(layer, act.dtype())),
     }
 }
 
@@ -315,9 +285,9 @@ impl PackedMatrix {
     /// # Errors
     ///
     /// [`RuntimeError::UnsupportedLayer`] when the weight lattice has no
-    /// exact `i32` image, or when the image takes the `i32` rows and
-    /// `act_max · b_max · inp` cannot be proven to fit their `i64`
-    /// accumulator.
+    /// exact image at either operand width; a shape error when an adopted
+    /// image disagrees with the wire codes' dims, with `act_max`, or is
+    /// narrower than `act_max` needs.
     pub(super) fn from_packed(
         layer: &str,
         weights: PackedTensor,
@@ -336,39 +306,19 @@ impl PackedMatrix {
         let image = match image {
             None => decode_image(layer, &weights, act_max)?,
             Some(image) => {
-                let (shape_ok, actual) = match &image {
-                    WeightImage::I8(pg) => (
-                        (pg.n(), pg.k()) == (out, inp)
-                            && pg.a_max() == act_max
-                            && act_max <= i8::MAX as i64,
-                        pg.n() * pg.k(),
-                    ),
-                    WeightImage::I16(pg) => (
-                        (pg.n(), pg.k()) == (out, inp) && pg.a_max() == act_max,
-                        pg.n() * pg.k(),
-                    ),
-                    WeightImage::I32(rows) => (rows.len() == out * inp, rows.len()),
+                let (n, k, a_max, width_max) = match &image {
+                    WeightImage::I8(pg) => (pg.n(), pg.k(), pg.a_max(), i8::MAX as i64),
+                    WeightImage::I16(pg) => (pg.n(), pg.k(), pg.a_max(), i16::MAX as i64),
                 };
-                if !shape_ok {
+                if (n, k, a_max) != (out, inp, act_max) || act_max > width_max {
                     return Err(RuntimeError::Quant(ant_core::QuantError::ChannelMismatch {
                         expected: out * inp,
-                        actual,
+                        actual: n * k,
                     }));
                 }
                 image
             }
         };
-        if matches!(image, WeightImage::I32(_)) {
-            // The general kernel has no widening cadence: `inp` products
-            // of at most `act_max · b_max` each go straight into an `i64`.
-            // The bound comes from the types, not the (trusted, possibly
-            // borrowed) image bytes.
-            let lut = ant_core::Codec::new(weights.dtype())?.decode_lut_int();
-            let b_max = lut.and_then(|l| l.iter().map(|v| v.unsigned_abs() as i64).max());
-            b_max
-                .and_then(|b| act_max.checked_mul(b)?.checked_mul(inp as i64))
-                .ok_or_else(|| unsupported(layer, weights.dtype()))?;
-        }
         Ok(PackedMatrix {
             weights,
             image,
@@ -384,54 +334,6 @@ impl PackedMatrix {
         self.weights.is_borrowed() && self.image.is_borrowed()
     }
 
-    /// Quantizes the f32 input onto the activation lattice at this
-    /// image's operand width, into the matching arena buffer.
-    pub(super) fn quantize_acts(
-        &self,
-        x: &[f32],
-        act: &Quantizer,
-        act_quant: &ActQuant,
-        bufs: &mut LayerBufs,
-    ) {
-        let (s_a, codec) = (act.scale(), act.codec());
-        match &self.image {
-            WeightImage::I8(_) => act_quant.apply_all_into(x, s_a, codec, &mut bufs.act_i8),
-            WeightImage::I16(_) => act_quant.apply_all_into(x, s_a, codec, &mut bufs.act_i16),
-            WeightImage::I32(_) => act_quant.apply_all_into(x, s_a, codec, &mut bufs.act_i32),
-        }
-    }
-
-    /// Integer GEMM `[m, inp] · selfᵀ` over already-quantized activations,
-    /// dequantized through `epi` into `out`. The caller supplies the
-    /// activations at every width it has (only this image's width is
-    /// read). Panel images fuse the epilogue into the microkernel's
-    /// writeback; `acc` is only grown for reductions longer than one
-    /// cadence block and for `i32`-row images. Buffers arrive as explicit
-    /// arguments so the caller can keep the rest of the arena borrowed.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn project(
-        &self,
-        a8: &[i8],
-        a16: &[i16],
-        a32: &[i32],
-        m: usize,
-        epi: &Epilogue<'_>,
-        out: &mut [f32],
-        acc: &mut Vec<i64>,
-        pool: &WorkerPool,
-        threads: usize,
-    ) {
-        match &self.image {
-            WeightImage::I8(pg) => pg.matmul_dequant(a8, m, epi, out, acc, pool, threads),
-            WeightImage::I16(pg) => pg.matmul_dequant(a16, m, epi, out, acc, pool, threads),
-            WeightImage::I32(rows) => {
-                let acc = grab(acc, m * self.out, 0);
-                int_gemm_pooled(a32, rows, m, self.inp, self.out, acc, pool, threads);
-                dequant_into(acc, m, epi, out);
-            }
-        }
-    }
-
     /// The combined per-output dequantization scales for a fixed
     /// activation scale: `deq[o] = a_scale · w_scales[o]`, precomputed
     /// once at plan compile time so the per-request dequant loop is a
@@ -442,17 +344,18 @@ impl PackedMatrix {
 }
 
 /// Decodes a packed tensor's wire codes into the plan-domain integer
-/// image at the narrowest operand width the weight *and* activation
-/// lattices allow, pre-packing microkernel panels for it. Shared by
-/// plan compilation and the artifact writer so the panel bytes the
-/// writer serializes are bit-identical to the ones a fresh compile
-/// would build.
+/// image and pre-packs microkernel panels for it: `i8` when the
+/// activation bound and every decoded weight fit a byte, else `i16` when
+/// both fit a halfword. Shared by plan compilation and the artifact
+/// writer so the panel bytes the writer serializes are bit-identical to
+/// the ones a fresh compile would build.
 ///
 /// # Errors
 ///
 /// [`RuntimeError::UnsupportedLayer`] when the weight lattice has no
-/// exact `i32` image: there is nothing to execute, and a rounded image
-/// would compute a different model.
+/// exact integer image or a decoded weight (or `act_max`) fits neither
+/// width: there is nothing to execute, and a rounded image would compute
+/// a different model.
 pub(crate) fn decode_image(
     layer: &str,
     weights: &PackedTensor,
@@ -466,30 +369,18 @@ pub(crate) fn decode_image(
         .ok_or_else(|| unsupported(layer, weights.dtype()))?;
     let w_int: Vec<i32> = weights.codes().iter().map(|&c| lut[c as usize]).collect();
     if act_max <= i8::MAX as i64 {
-        if let Some(w8) = w_int
-            .iter()
-            .map(|&v| i8::try_from(v).ok())
-            .collect::<Option<Vec<i8>>>()
-        {
+        let w8 = w_int.iter().map(|&v| i8::try_from(v).ok());
+        if let Some(w8) = w8.collect::<Option<Vec<_>>>() {
             return Ok(WeightImage::I8(PanelGemm::pack(&w8, out, inp, act_max)));
         }
     }
     if act_max <= i16::MAX as i64 {
-        if let Some(w16) = w_int
-            .iter()
-            .map(|&v| i16::try_from(v).ok())
-            .collect::<Option<Vec<i16>>>()
-        {
-            let b_max = w16.iter().map(|&v| (v as i64).abs()).max().unwrap_or(0);
-            // A cadence too short to amortize the widening fold means
-            // the magnitudes are effectively wide: take the general
-            // path instead.
-            if crate::gemm::k_block_for(act_max, b_max) >= 16 {
-                return Ok(WeightImage::I16(PanelGemm::pack(&w16, out, inp, act_max)));
-            }
+        let w16 = w_int.iter().map(|&v| i16::try_from(v).ok());
+        if let Some(w16) = w16.collect::<Option<Vec<_>>>() {
+            return Ok(WeightImage::I16(PanelGemm::pack(&w16, out, inp, act_max)));
         }
     }
-    Ok(WeightImage::I32(PackedStore::from_vec(w_int)))
+    Err(unsupported(layer, weights.dtype()))
 }
 
 /// Decodes a packed tensor's wire codes to f32 lattice values (exact,

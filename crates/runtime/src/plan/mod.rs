@@ -6,10 +6,11 @@
 //! ([`ant_core::pack::PackedTensor`], the paper's fixed-length aligned
 //! representation, Table I) together with a per-layer decode LUT and scales. At compile
 //! time each weight matrix is decoded **once** through the integer LUT
-//! ([`ant_core::Codec::decode_lut_int`]) into the narrowest operand image
-//! that holds its lattice — `i8` for every ≤8-bit paper type, `i16` for
-//! wide flint magnitudes, plain `i32` rows for `int15`/`int16`/`pot5` —
-//! and pre-packed into the microkernel panel layout
+//! ([`ant_core::Codec::decode_lut_int`]) into the narrower of the two
+//! operand images that holds its lattice — `i8` for every ≤8-bit paper
+//! type, `i16` for anything wider (wide flint magnitudes, `int15`/`int16`/
+//! `pot5` weights); a lattice that fits neither is refused — and
+//! pre-packed into the microkernel panel layout
 //! ([`crate::gemm::PanelGemm`]). Execution quantizes activations straight
 //! into the same narrow width and runs the register-blocked integer
 //! microkernel: the software mirror of the TypeFusion array's

@@ -66,15 +66,14 @@ pub struct LayerDesc<'a> {
 }
 
 impl LayerDesc<'_> {
-    /// The execution width (`i8`/`i16`/`i32`) of each packed weight
-    /// image, in projection order; empty for steps without wire codes.
+    /// The execution width (`i8`/`i16`) of each packed weight image, in
+    /// projection order; empty for steps without wire codes.
     pub fn image_widths(&self) -> Vec<&'static str> {
         self.mats
             .iter()
             .map(|m| match m.image.elem_bytes() {
                 1 => "i8",
-                2 => "i16",
-                _ => "i32",
+                _ => "i16",
             })
             .collect()
     }
@@ -92,14 +91,16 @@ impl LayerDesc<'_> {
     /// non-GEMM layers); bytes count the f32 activations read and written
     /// plus one streamed pass over the integer weight images (and the
     /// im2row lowering for convolutions) — the quantities `antc stats`
-    /// turns into GOPS and effective-bandwidth figures.
+    /// turns into GOPS and effective-bandwidth figures. Attention's
+    /// o-projection is streamed as `wo_t` only: its integer image is never
+    /// read, so it counts MACs but no image bytes.
     pub(super) fn work(&self, batch: usize, in_len: usize, out_len: usize) -> (u64, u64) {
         let b = batch as u64;
         let f32_bytes = std::mem::size_of::<f32>();
         let mut bytes = ((in_len + out_len + self.wo_t.map_or(0, |w| w.len())) * f32_bytes) as u64;
-        let mut weights = 0u64;
-        for m in self.mats {
-            weights += (m.out * m.inp) as u64;
+        let weights: u64 = self.mats.iter().map(|m| (m.out * m.inp) as u64).sum();
+        let streamed = self.mats.len() - usize::from(self.wo_t.is_some());
+        for m in &self.mats[..streamed] {
             bytes += (m.out * m.inp * m.image.elem_bytes()) as u64;
         }
         let macs = match self.gemm {

@@ -51,18 +51,13 @@ pub(crate) struct LayerBufs {
     pub(crate) act_i8: Vec<i8>,
     /// Quantized activations, `i16` width.
     pub(crate) act_i16: Vec<i16>,
-    /// Quantized activations, general `i32` width.
-    pub(crate) act_i32: Vec<i32>,
     /// im2row lowering, byte width.
     pub(crate) rows_i8: Vec<i8>,
     /// im2row lowering, `i16` width.
     pub(crate) rows_i16: Vec<i16>,
-    /// im2row lowering, general width.
-    pub(crate) rows_i32: Vec<i32>,
     /// The exact `i64` GEMM accumulator. Stays empty for panel images
     /// whose reduction fits one cadence block (the fused-writeback path
-    /// never touches it); grown only by longer reductions and `i32`-row
-    /// images.
+    /// never touches it); grown only by longer reductions.
     pub(crate) acc: Vec<i64>,
     /// Attention query projections (f32, post-dequant).
     pub(crate) q: Vec<f32>,

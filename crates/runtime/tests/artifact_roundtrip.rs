@@ -385,6 +385,71 @@ fn single_byte_flips_never_panic() {
     }
 }
 
+/// File offsets of every `PANL` entry's tag byte and `data_len` field,
+/// walking the section's meta region: u32 layer count, then per layer a
+/// u8 entry count and per entry tag, n, k, a_max, b_max, inline LUT, data
+/// offset, data length.
+fn panel_entry_offsets(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let info = probe(bytes).unwrap();
+    let panl = info.sections.iter().find(|s| s.id == "PANL").unwrap();
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = panl.offset as usize;
+    let layers = u32_at(at);
+    at += 4;
+    let mut found = Vec::new();
+    for _ in 0..layers {
+        let entries = bytes[at];
+        at += 1;
+        for _ in 0..entries {
+            let lut_len = u32_at(at + 1 + 4 + 4 + 8 + 8);
+            let len_at = at + 1 + 4 + 4 + 8 + 8 + 4 + 4 * lut_len + 8;
+            found.push((at, len_at));
+            at = len_at + 8;
+        }
+    }
+    found
+}
+
+#[test]
+fn reserved_panel_tag_is_a_structured_error_at_every_entry() {
+    // Tag 2 was the `i32`-row image: no writer emits it and no reader
+    // executes it. A stream carrying it is refused when the section is
+    // parsed, naming the entry — before its data extent is looked at.
+    let bytes = sample_bytes();
+    let entries = panel_entry_offsets(&bytes);
+    assert_eq!(
+        entries.len(),
+        3,
+        "one image per dense layer of mlp(8, 4, _)"
+    );
+    let path = std::env::temp_dir().join(format!(
+        "ant-roundtrip-{}-reserved-tag.antm",
+        std::process::id()
+    ));
+    for (i, &(tag_at, len_at)) in entries.iter().enumerate() {
+        assert!(bytes[tag_at] <= 1, "the writer emits i8/i16 images only");
+        let mut patched = bytes.clone();
+        patched[tag_at] = 2;
+        // Claim an extent far past the section too: it must not be read.
+        patched[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, &patched).unwrap();
+        match MappedArtifact::open(&path) {
+            Err(ArtifactError::Malformed { context, detail }) => {
+                assert_eq!(context, "PANL section");
+                assert!(
+                    detail.contains("reserved tag 2") && detail.contains("panel entry 0"),
+                    "entry {i}: {detail}"
+                );
+            }
+            other => panic!("entry {i}: expected Malformed, got {other:?}"),
+        }
+        // Owned loads never read PANL; verify refuses the stream.
+        ModelArtifact::load(&patched[..]).unwrap();
+        assert!(ModelArtifact::verify_bytes(&patched).is_err());
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn cache_section_corruption_is_detected_independently() {
     let mut model = mlp(8, 4, 19);

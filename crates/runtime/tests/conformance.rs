@@ -28,7 +28,7 @@ use ant_nn::model::{
 };
 use ant_nn::qat::{capture_layer_inputs, dequantize_layer, quantize_model, QuantSpec};
 use ant_nn::vmath;
-use ant_runtime::gemm::{im2row_i32, int_gemm};
+use ant_runtime::gemm::{im2row, int_gemm};
 use ant_runtime::{BatchPolicy, CompiledPlan, Engine, PlanLayer, Planner, RuntimeError};
 use ant_tensor::dist::{sample_tensor, Distribution};
 use ant_tensor::Tensor;
@@ -253,7 +253,7 @@ proptest! {
             let (_, oh, ow) = p.out_shape();
             let pixels = oh * ow;
             let mut rows = vec![0i32; pixels * k];
-            im2row_i32(&a_int, ci, h, w, p.geometry(), &mut rows);
+            im2row::<i32>(&a_int, ci, h, w, p.geometry(), &mut rows);
             // Runtime GEMM.
             let mut acc = vec![0i64; pixels * co];
             int_gemm(&rows, &w_int, pixels, k, co, &mut acc);

@@ -9,7 +9,7 @@
 //! magnitudes where the cadence is the only thing standing between the
 //! `i32` block accumulator and wraparound.
 
-use ant_runtime::gemm::{im2row, int_gemm, int_gemm_threaded, partition, PanelGemm, NR};
+use ant_runtime::gemm::{im2row, int_gemm, partition, PanelGemm, NR};
 use ant_runtime::WorkerPool;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -83,21 +83,41 @@ proptest! {
         prop_assert_eq!(out, reference(&a32, &b32, m, k, n));
     }
 
-    /// The threaded i32 driver is bit-identical to the scalar reference
-    /// for every partitioning the thread budget can induce.
+    /// i16 microkernel == `int_gemm` at magnitudes that force the short
+    /// cadences `int15`/`int16`/`pot5` layers are served at: the bounds
+    /// are pinned so `k_block` is exactly 1, 2, 3, 7, 8 or 15 (odd blocks
+    /// end on a zero-partner pair; 1 takes the scalar tile), and both are
+    /// reached. A wrapped block panics in debug and is silent in release,
+    /// so CI runs this suite in both profiles.
     #[test]
-    fn threaded_i32_bit_identical_to_reference(
-        mi in 0usize..19, ki in 0usize..19, ni in 0usize..19,
-        seed in 0u32..10_000, threads in 1usize..17,
+    fn panel_i16_short_cadences_bit_identical_to_int_gemm(
+        mi in 0usize..19, ki in 0usize..19, ni in 0usize..19, ci in 0usize..6,
+        seed in 0u32..10_000, threads in 1usize..9,
     ) {
         let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
-        let a = lcg(m * k, seed, 129);
-        let b = lcg(n * k, seed.wrapping_add(1), 129);
+        // (a_max, b_max) → cadence ⌊i32::MAX / (a_max · b_max)⌋.
+        let (a_max, b_max, cadence) = [
+            (32768, 32768, 1usize),
+            (32767, 32767, 2),
+            (32767, 21846, 3),
+            (32767, 9362, 7),
+            (32767, 8192, 8),
+            (32767, 4369, 15),
+        ][ci];
+        // Values in [−max, max − 1], with −max pinned on both sides.
+        let mut a32 = lcg(m * k, seed, 2 * a_max);
+        let mut b32 = lcg(n * k, seed.wrapping_add(1), 2 * b_max);
+        a32[0] = -a_max;
+        b32[0] = -b_max;
+        let a16: Vec<i16> = a32.iter().map(|&v| v as i16).collect();
+        let b16: Vec<i16> = b32.iter().map(|&v| v as i16).collect();
+        let packed = PanelGemm::pack(&b16, n, k, a_max as i64);
+        prop_assert_eq!(packed.k_block(), cadence);
+        let mut out = vec![i64::MIN; m * n];
+        packed.matmul(&a16, m, &mut out, WorkerPool::global(), threads);
         let mut expect = vec![0i64; m * n];
-        int_gemm(&a, &b, m, k, n, &mut expect);
-        let mut got = vec![0i64; m * n];
-        int_gemm_threaded(&a, &b, m, k, n, &mut got, threads);
-        prop_assert_eq!(got, expect);
+        int_gemm(&a32, &b32, m, k, n, &mut expect);
+        prop_assert_eq!(out, expect);
     }
 }
 
@@ -184,9 +204,6 @@ fn batch_one_wide_gemm_parallelizes() {
     let mut got = vec![0i64; m * n];
     packed.matmul(&a8, m, &mut got, &pool, 4);
     assert_eq!(got, expect);
-    let mut got32 = vec![0i64; m * n];
-    int_gemm_threaded(&a, &b, m, k, n, &mut got32, 4);
-    assert_eq!(got32, expect);
 }
 
 /// Panel packing handles every tail: n not a multiple of NR leaves a

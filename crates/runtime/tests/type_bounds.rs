@@ -5,10 +5,12 @@
 //! refused with a structured error — never lowered to arithmetic that
 //! saturates an activation or wraps an accumulator — and every type that
 //! is accepted matches the fake-quantized reference within the
-//! conformance tolerance. The sweep also pins which execution image width
-//! (`i8` / `i16` / `i32`) each type compiles to, which is the evidence for
-//! keeping the general `i32` path: nothing at ≤ 8 bits reaches it, but
-//! `int15`, `int16` and `pot5` do, and are exact there.
+//! conformance tolerance. The sweep also pins which of the two execution
+//! image widths (`i8` / `i16`) each type compiles to. There is no third
+//! width: `int15`, signed-activation `int16` and `pot5` run exactly on
+//! `i16` panels at widening cadences as short as 2, and an activation
+//! lattice that does not fit `i16` (`int16` / `pot5` unsigned) is refused
+//! like `float` and `pot6` are.
 //!
 //! Runs in both profiles in CI: the overflow this guards against panics
 //! in debug builds and silently wraps in release builds.
@@ -151,10 +153,18 @@ fn every_type_is_refused_or_matches_the_reference() {
             }
         }
     }
-    // int2..=16 always lowers; the only refusals are PoT lattices whose
-    // products outgrow the exact integer domain.
-    assert!(accepted >= 2 * 15, "only {accepted} cases compiled");
-    assert_eq!(refused, ["Pot6 Signed", "Pot6 Unsigned"]);
+    // int2..=15 always lowers; the only refusals are activation lattices
+    // that do not fit `i16` and the PoT lattice that fits no width at all.
+    assert!(accepted >= 2 * 14, "only {accepted} cases compiled");
+    assert_eq!(
+        refused,
+        [
+            "Int16 Unsigned",
+            "Pot5 Unsigned",
+            "Pot6 Signed",
+            "Pot6 Unsigned"
+        ]
+    );
 }
 
 /// The `(layer, reason)` of a refusal, from whichever error type the
@@ -174,7 +184,9 @@ fn refusal<T: std::fmt::Debug, E: Into<ArtifactError>>(
 #[test]
 fn every_entry_point_refuses_float_and_pot6_with_the_same_error() {
     // There is one road to a plan, so a selection the integer domain
-    // cannot execute is the same error whichever door it came through.
+    // cannot execute — a float, a lattice no operand width holds, or a
+    // 16-bit unsigned activation lattice behind weights that would fit —
+    // is the same error whichever door it came through.
     let calib = gaussian(&[32, 6], 29);
     let spec = QuantSpec::default();
     let mut selected = Planner::new();
@@ -183,13 +195,16 @@ fn every_entry_point_refuses_float_and_pot6_with_the_same_error() {
         .expect("default selection compiles");
     let float4 = DataType::float(4, true).unwrap();
     let pot6 = DataType::pot(6, true).unwrap();
-    for dtype in [float4, pot6] {
-        // Replay the memoized selection with every type forced to
-        // `dtype`: the planner's own route to a refused model.
+    let int16 = DataType::int(16, true).unwrap();
+    let int16u = DataType::int(16, false).unwrap();
+    // (weight type, activation type, the type the refusal names).
+    for (w_dtype, dtype) in [(float4, float4), (pot6, pot6), (int16, int16u)] {
+        // Replay the memoized selection with every type forced: the
+        // planner's own route to a refused model.
         let mut forced = selected.cache().export();
         for decision in forced.iter_mut().flat_map(|(_, ds)| ds.iter_mut()) {
             decision.activation.0 = dtype;
-            decision.weights.iter_mut().for_each(|w| w.0 = dtype);
+            decision.weights.iter_mut().for_each(|w| w.0 = w_dtype);
         }
         let mut model = mlp(6, 3, 1);
         let planner = || Planner::with_cache(forced.clone());
@@ -254,21 +269,21 @@ fn image_width_table_is_pinned() {
     let narrow = ["i8", "i8", "i8"];
     let mixed = ["i8", "i16", "i16"];
     let half = ["i16", "i16", "i16"];
-    let wide = ["i32", "i32", "i32"];
     let mut expected: Vec<(String, Vec<&str>)> = Vec::new();
     let mut row = |name: String, widths: [&'static str; 3]| expected.push((name, widths.to_vec()));
-    for bits in 2..=16 {
+    // int16 and pot5 are absent: their unsigned post-ReLU activation
+    // lattices (65535, 2³⁰) fit no operand width.
+    for bits in 2..=15 {
         row(
             format!("int{bits}"),
             match bits {
                 2..=7 => narrow,
                 8 => mixed,
-                9..=14 => half,
-                _ => wide,
+                _ => half,
             },
         );
     }
-    for (bits, widths) in [(2, narrow), (3, narrow), (4, mixed), (5, wide)] {
+    for (bits, widths) in [(2, narrow), (3, narrow), (4, mixed)] {
         row(format!("pot{bits}"), widths);
     }
     for (bits, widths) in [(4, narrow), (5, mixed), (6, half), (7, half), (8, half)] {

@@ -7,7 +7,9 @@
 //! * every entry point accounts itself exactly once — one forward sample
 //!   and one per-layer record per plan layer;
 //! * `decode_steps` on a plan that cannot decode returns the structured
-//!   decode error.
+//!   decode error;
+//! * attention's byte accounting counts the images a forward streams
+//!   (q/k/v and the f32 o-operand), not the o-projection's unread image.
 //!
 //! The telemetry registry is process-wide and one test counts its records
 //! exactly, so every test here runs its forwards holding [`forwards`].
@@ -126,6 +128,29 @@ fn every_phase_records_one_forward_and_one_record_per_layer() {
         plan.decode_steps(&mut [&mut sess], &x[..dim], &mut out)
             .unwrap()
     });
+}
+
+#[test]
+fn attention_bytes_count_only_the_images_a_forward_streams() {
+    let (seq, dim) = (5, 16);
+    let mut plan = decoder_plan(seq, dim, 1, 29);
+    let widths = |l: &ant_runtime::PlanLayer| l.describe().image_widths();
+    let widths: Vec<_> = plan.layers().iter().flat_map(widths).collect();
+    assert_eq!(widths, ["i8"; 4], "default 4-bit selection packs bytes");
+    let x = gaussian(&[1, seq * dim], 7);
+    let mut out = Vec::new();
+    let _forwards = forwards();
+    let before = ant_obs::global().snapshot();
+    plan.forward_rows(&x, 1, &mut out).unwrap();
+    let delta = ant_obs::global().snapshot().delta_since(&before);
+    let series = delta.get("ant_layer_bytes_total", Some("packed_attn"));
+    // f32 in + out rows and the transposed o-operand, plus the q/k/v byte
+    // images; the o-projection's own byte image is never read.
+    let want = (2 * seq * dim + dim * dim) * 4 + 3 * dim * dim;
+    match series.map(|s| &s.value) {
+        Some(ant_obs::Value::Counter(got)) => assert_eq!(*got, want as u64),
+        other => panic!("ant_layer_bytes_total{{packed_attn}}: {other:?}"),
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use ant_bench::antc::{parse_combo, run, CliError, ModelKind};
 use ant_bench::json::Json;
 use ant_core::select::PrimitiveCombo;
-use ant_runtime::{ArtifactError, ModelArtifact, RuntimeError};
+use ant_runtime::{ArtifactError, ModelArtifact, RuntimeError, FORMAT_VERSION};
 use std::path::PathBuf;
 
 fn temp_artifact(name: &str) -> PathBuf {
@@ -36,7 +36,7 @@ fn quantize_inspect_serve_roundtrip() {
     assert!(path.exists());
 
     let inspect = run(&args(&["inspect", path_str])).unwrap();
-    assert!(inspect.contains(".antm version 2"), "{inspect}");
+    assert!(inspect.contains(".antm version 3"), "{inspect}");
     assert!(inspect.contains("section MODL"), "{inspect}");
     assert!(inspect.contains("section PANL"), "{inspect}");
     assert!(inspect.contains("section CACH"), "{inspect}");
@@ -489,7 +489,7 @@ fn inspect_refuses_version_1_and_0_streams_with_unsupported_version() {
             match run(&args(&[cmd, path_str])) {
                 Err(CliError::Artifact(ArtifactError::UnsupportedVersion {
                     found: f,
-                    supported: 2,
+                    supported: FORMAT_VERSION,
                 })) => assert_eq!(f, found, "{cmd}"),
                 other => {
                     panic!("{cmd}, version {found}: expected UnsupportedVersion, got {other:?}")
@@ -516,7 +516,7 @@ fn verify_reports_ok_and_catches_what_lazy_load_skips() {
     assert!(report.contains("PANL images match"), "{report}");
 
     // Corrupt the tail of the file (PANL/CACH payload territory): the
-    // lazy v2 load may not notice, verify must.
+    // lazy load may not notice, verify must.
     let mut bytes = std::fs::read(&path).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0x40;

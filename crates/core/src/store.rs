@@ -57,22 +57,16 @@ pub const STORE_ALIGN: usize = 64;
 /// bit patterns, and meaningful under byte-level reinterpretation (the
 /// borrowed constructor casts raw little-endian file bytes to `[T]`).
 /// The provided implementations cover exactly the widths the runtime
-/// serializes.
+/// serializes: `u8` wire codes and `i8`/`i16` panel images.
 pub unsafe trait StorePod: Copy + Send + Sync + 'static {}
 
-// SAFETY: fixed-width primitive integers/floats have no padding and
-// accept every bit pattern.
+// SAFETY: fixed-width primitive integers have no padding and accept
+// every bit pattern.
 unsafe impl StorePod for u8 {}
 // SAFETY: as above.
 unsafe impl StorePod for i8 {}
 // SAFETY: as above.
 unsafe impl StorePod for i16 {}
-// SAFETY: as above.
-unsafe impl StorePod for i32 {}
-// SAFETY: as above.
-unsafe impl StorePod for i64 {}
-// SAFETY: as above.
-unsafe impl StorePod for f32 {}
 
 /// Packed element storage that is either owned (64-byte-aligned
 /// allocation) or borrowed from an `Arc`-kept owner such as a file
@@ -322,11 +316,11 @@ mod tests {
 
     #[test]
     fn owned_clone_copies_and_compares_by_content() {
-        let a: PackedStore<i32> = PackedStore::from_vec(vec![1, 2, 3]);
+        let a: PackedStore<i16> = PackedStore::from_vec(vec![1, 2, 3]);
         let b = a.clone();
         assert_eq!(a, b);
         assert_ne!(a.as_ptr(), b.as_ptr(), "owned clone must not alias");
-        let c: PackedStore<i32> = vec![1, 2, 4].into();
+        let c: PackedStore<i16> = vec![1, 2, 4].into();
         assert_ne!(a, c);
     }
 
@@ -363,7 +357,7 @@ mod tests {
         assert!(ragged.is_none());
         // An empty aligned range is fine.
         let empty = unsafe {
-            PackedStore::<i32>::borrowed(&owner.as_slice()[..0], owner.clone()).expect("empty ok")
+            PackedStore::<i16>::borrowed(&owner.as_slice()[..0], owner.clone()).expect("empty ok")
         };
         assert!(empty.is_empty());
         assert_eq!(empty.as_ptr() as usize % STORE_ALIGN, 0);

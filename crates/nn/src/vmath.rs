@@ -1,8 +1,9 @@
 //! The f32 boundary at vector width: the one `exp` behind GELU and
-//! softmax and the one `dot`/`axpy` behind the attention core, shared by
+//! softmax, the one `dot`/`axpy` behind the attention core, shared by
 //! the fake-quant reference ([`crate::gelu`], [`crate::attention`]) and the
 //! packed runtime (Sec. IV-C / Fig. 4: softmax and GELU "require
-//! high-precision numbers" between the quantized GEMMs).
+//! high-precision numbers" between the quantized GEMMs), and the panel
+//! walk that runs attention's output projection on its integer image.
 //!
 //! Everything here is plain IEEE `+ − × ÷`, `clamp`, a select and
 //! `to_bits`/`from_bits` — no FMA, no intrinsics, no libm — so one Rust
@@ -32,6 +33,10 @@
 //! * **`dot`** sums lane `i mod 8` in ascending `i`, then reduces the
 //!   eight lanes by one fixed tree; **`axpy`** is element-wise, so a
 //!   chain of them keeps each output's additions in call order.
+//! * **`panel_matvec`** adds each output's products in ascending `d`
+//!   from `+0.0`: bit for bit the chain of `axpy`s over the transposed
+//!   f32 matrix, `-0.0` lattice entries included (an accumulator that
+//!   starts at `+0.0` never holds `-0.0`, so a signed zero adds nothing).
 
 const LOG2E: f32 = std::f32::consts::LOG2_E;
 /// `ln 2` split so `n · LN2_HI` is exact for `|n| ≤ 128` (Cody–Waite).
@@ -141,16 +146,35 @@ fn axpy_body(y: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
+#[inline(always)]
+fn panel_matvec_body<T: Copy + Into<f32>>(x: &[f32], panels: &[T], out: &mut [f32]) {
+    let (k, groups) = (x.len(), out.len().div_ceil(8));
+    assert_eq!(panels.len(), groups * k * 8, "panel_matvec operands");
+    let (rows, _) = panels.as_chunks::<8>();
+    for (p, out) in out.chunks_mut(8).enumerate() {
+        let mut acc = [0f32; 8];
+        for (&a, w) in x.iter().zip(&rows[p * k..]) {
+            for l in 0..8 {
+                let wl: f32 = w[l].into();
+                acc[l] += a * wl;
+            }
+        }
+        // A ragged last group computes its padded lanes and drops them.
+        out.copy_from_slice(&acc[..out.len()]);
+    }
+}
+
 /// Defines `$name` as `$body` compiled for AVX2 where the CPU has it and
 /// for the baseline target otherwise — the same source, hence the same bits.
 macro_rules! isa_dispatch {
-    ($(#[$doc:meta])* $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? => $body:ident) => {
+    ($(#[$doc:meta])* $name:ident $(<$t:ident: $b0:ident + $b1:path>)?
+        ($($arg:ident: $ty:ty),*) $(-> $ret:ty)? => $body:ident) => {
         $(#[$doc])*
-        pub fn $name($($arg: $ty),*) $(-> $ret)? {
+        pub fn $name $(<$t: $b0 + $b1>)? ($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
                 #[target_feature(enable = "avx2")]
-                unsafe fn wide($($arg: $ty),*) $(-> $ret)? {
+                unsafe fn wide $(<$t: $b0 + $b1>)? ($($arg: $ty),*) $(-> $ret)? {
                     $body($($arg),*)
                 }
                 if std::is_x86_feature_detected!("avx2") {
@@ -179,6 +203,12 @@ isa_dispatch! {
 isa_dispatch! {
     /// `y[i] += a·x[i]`.
     axpy(y: &mut [f32], a: f32, x: &[f32]) => axpy_body
+}
+isa_dispatch! {
+    /// `out[8p + l] = Σ_d x[d]·panels[p][d][l]` over `⌈out.len()/8⌉`
+    /// `[x.len()][8]` integer panels (`PanelGemm`'s weight layout): each
+    /// output sums `x[d]·(w as f32)` from `+0.0` in ascending `d`.
+    panel_matvec<T: Copy + Into<f32>>(x: &[f32], panels: &[T], out: &mut [f32]) => panel_matvec_body
 }
 
 #[cfg(test)]
@@ -407,5 +437,60 @@ mod tests {
         let seq = (0..21).fold(0f32, |s, i| s + p(i));
         assert_ne!(dot(&a, &b).to_bits(), seq.to_bits());
         assert_eq!(dot(&[], &[]), 0.0);
+    }
+
+    /// `panel_matvec` on `[n, k]` weights over the lattice `min..=max`
+    /// (every seventh weight zero, both extremes present) against its
+    /// single-lane definition, its portable body, and the chain of
+    /// `axpy`s over the transposed f32 matrix whose zeros are `-0.0`.
+    fn panel_matvec_agrees<T: Copy + Into<f32> + TryFrom<i32>>(min: i32, max: i32) {
+        let of = |v: i32| T::try_from(v).ok().expect("in the lattice");
+        for n in 1..=17 {
+            for k in 0..=40 {
+                let x = ramp(k, (n * 41 + k) as u32);
+                let w: Vec<i32> = (0..n * k)
+                    .map(|i| match i % 7 {
+                        0 => 0,
+                        1 => min,
+                        2 => max,
+                        _ => {
+                            let h = (i as u32).wrapping_mul(2_654_435_761) >> 8;
+                            min + (i64::from(h) % (i64::from(max) - i64::from(min) + 1)) as i32
+                        }
+                    })
+                    .collect();
+                // Padded lanes hold garbage: a ragged group must drop them.
+                let mut panels = vec![of(max); n.div_ceil(8) * k * 8];
+                let mut wt = vec![0f32; k * n];
+                for o in 0..n {
+                    for d in 0..k {
+                        let v = w[o * k + d];
+                        panels[((o / 8) * k + d) * 8 + o % 8] = of(v);
+                        wt[d * n + o] = if v == 0 { -0.0 } else { v as f32 };
+                    }
+                }
+                let lane: Vec<f32> = (0..n)
+                    .map(|o| (0..k).fold(0f32, |s, d| s + x[d] * w[o * k + d] as f32))
+                    .collect();
+                let mut chain = vec![0f32; n];
+                for (d, &a) in x.iter().enumerate() {
+                    axpy(&mut chain, a, &wt[d * n..(d + 1) * n]);
+                }
+                let (mut got, mut body) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+                panel_matvec(&x, &panels, &mut got);
+                panel_matvec_body(&x, &panels, &mut body);
+                assert_eq!(
+                    (bits(&got), bits(&body), bits(&chain)),
+                    (bits(&lane), bits(&lane), bits(&lane)),
+                    "n={n} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn panel_matvec_is_the_axpy_chain_over_the_transposed_matrix() {
+        panel_matvec_agrees::<i8>(i8::MIN.into(), i8::MAX.into());
+        panel_matvec_agrees::<i16>(i16::MIN.into(), i16::MAX.into());
     }
 }

@@ -30,10 +30,9 @@
 //!   aligned [`TensorBytes`] borrows;
 //! * a `PANL` section stores every packed layer's LUT-decoded `i8`/`i16`
 //!   execution image **already in the microkernel's `NR`-interleaved
-//!   panel layout** (plus attention's transposed f32 output-projection
-//!   operand and each weight's integer decode LUT), each data chunk
-//!   64-byte aligned, so a mapped load performs no LUT decode and no
-//!   panel re-packing;
+//!   panel layout** (plus each weight's integer decode LUT), each data
+//!   chunk 64-byte aligned, so a mapped load performs no LUT decode and
+//!   no panel re-packing;
 //! * section CRCs are **lazy**: loading validates structure only, and
 //!   [`ModelArtifact::verify_bytes`] (the `antc verify` engine) performs
 //!   the full checksum audit plus a recompute-and-compare of every panel
@@ -91,8 +90,8 @@ use crate::error::RuntimeError;
 use crate::gemm::{KernelOperand, PanelGemm, NR};
 use crate::mmap::Mmap;
 use crate::plan::{
-    act_bound, decode_image, decode_rows_f32, pack_weight_tensor, transpose, CompiledPlan,
-    PackedAttn, PackedConv, PackedLinear, PlanLayer, PlanNorm, WeightImage,
+    act_bound, decode_image, pack_weight_tensor, CompiledPlan, PackedAttn, PackedConv,
+    PackedLinear, PlanLayer, PlanNorm, WeightImage,
 };
 use ant_core::minifloat::FloatFormat;
 use ant_core::pack::PackedTensor;
@@ -111,7 +110,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 4] = *b"ANTM";
 
 /// The one format version this build writes and reads.
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 const SECTION_MODEL: [u8; 4] = *b"MODL";
 const SECTION_PANEL: [u8; 4] = *b"PANL";
@@ -390,12 +389,6 @@ impl RecordKind {
 }
 
 impl LayerRecord {
-    /// Number of `PANL` entries this layer owns: one image per weight,
-    /// plus attention's transposed o-projection operand.
-    fn panel_entry_count(&self) -> usize {
-        self.weights.len() + usize::from(matches!(self.kind, RecordKind::Attn { .. }))
-    }
-
     /// Captures one quantized layer: compute layers' weights are encoded
     /// onto wire codes under their attached quantizers.
     ///
@@ -481,7 +474,8 @@ impl LayerRecord {
 
     /// Lowers the record to its plan step, straight from the wire codes
     /// (no float is re-encoded). `entries` are this layer's pre-parsed
-    /// `PANL` images, adopted verbatim when present (the mapped path);
+    /// `PANL` entries (one per weight), whose images are adopted verbatim
+    /// when present (the mapped path);
     /// otherwise each packed layer LUT-decodes and panel-packs its own.
     ///
     /// This is the only road to a plan, so it is also where a record is
@@ -503,10 +497,7 @@ impl LayerRecord {
             let act = self.act.as_ref().ok_or_else(|| not_quantized(name))?;
             Ok::<_, RuntimeError>(act.quantizer()?)
         };
-        let image = || match entries.first() {
-            Some(PanelEntry::Image(img)) => Some(img.clone()),
-            _ => None,
-        };
+        let image = || entries.first().cloned().flatten();
         match &self.kind {
             RecordKind::Dense => {
                 let [w] = self.codes();
@@ -520,8 +511,8 @@ impl LayerRecord {
             }
             RecordKind::Attn { seq, dim, causal } => {
                 let prebuilt = match entries {
-                    [PanelEntry::Image(q), PanelEntry::Image(k), PanelEntry::Image(v), PanelEntry::Image(o), PanelEntry::WoT(wo_t)] => {
-                        Some(([q.clone(), k.clone(), v.clone(), o.clone()], wo_t.clone()))
+                    [Some(q), Some(k), Some(v), Some(o)] => {
+                        Some([q.clone(), k.clone(), v.clone(), o.clone()])
                     }
                     _ => None,
                 };
@@ -928,21 +919,16 @@ impl ModelArtifact {
     /// Builds the `PANL` payload: a meta region (per-layer entry
     /// descriptors with inline decode LUTs and section-relative data
     /// offsets) followed by a 64-byte-aligned data area holding the raw
-    /// panel/row/transpose images, each chunk on its own 64-byte
-    /// boundary. The entries are the ones [`expected_entries`] builds —
-    /// what `verify` compares a parsed section against — streamed out of
-    /// the images without an intermediate copy.
+    /// panel images, each chunk on its own 64-byte boundary. The entries
+    /// are the ones [`expected_entries`] builds — what `verify` compares
+    /// a parsed section against — streamed out of the images without an
+    /// intermediate copy.
     fn panel_payload(&self) -> Result<Vec<u8>, ArtifactError> {
         let mut layers = Vec::with_capacity(self.layers.len());
         for record in &self.layers {
-            // Attention's trailing `WoT` rides on its o-projection record.
-            let ws = &record.weights;
-            let mut entries = Vec::with_capacity(record.panel_entry_count());
-            for (entry, w) in expected_entries(record)?
-                .into_iter()
-                .zip(ws.iter().chain(ws.last()))
-            {
-                entries.push((entry.raw(w)?, entry));
+            let mut entries = Vec::with_capacity(record.weights.len());
+            for (entry, w) in expected_entries(record)?.into_iter().zip(&record.weights) {
+                entries.push((RawEntry::of(entry.as_ref(), w)?, entry));
             }
             layers.push(entries);
         }
@@ -977,7 +963,13 @@ impl ModelArtifact {
         debug_assert_eq!(out.len(), meta_len, "PANL meta length bookkeeping");
         for (raw, entry) in layers.iter().flatten().filter(|(raw, _)| raw.len != 0) {
             out.resize(raw.off, 0);
-            entry.write_data(&mut out);
+            match entry {
+                Some(WeightImage::I8(pg)) => out.extend(pg.panels().iter().map(|&v| v as u8)),
+                Some(WeightImage::I16(pg)) => {
+                    out.extend(pg.panels().iter().flat_map(|v| v.to_le_bytes()))
+                }
+                None => {}
+            }
         }
         out.resize(total, 0);
         Ok(out)
@@ -1047,34 +1039,15 @@ fn find_section(info: &ArtifactInfo, id: [u8; 4]) -> Option<usize> {
 
 const TAG_I8: u8 = 0;
 const TAG_I16: u8 = 1;
-/// Reserved: was plain `i32` rows. Never written; no reader accepts it.
-const TAG_I32: u8 = 2;
-const TAG_F32: u8 = 3;
+/// Reserved: 2 was plain `i32` rows, 3 attention's transposed f32
+/// o-projection operand (format v2). Never written; no reader accepts them.
+const TAG_RESERVED: std::ops::RangeInclusive<u8> = 2..=3;
 const TAG_ABSENT: u8 = 4;
 
-/// One parsed `PANL` entry: a ready-to-adopt execution image, the
-/// attention output-projection operand, or nothing (the layer decodes
-/// its image at compile, or compilation refuses it).
-#[derive(Debug)]
-pub(crate) enum PanelEntry {
-    /// A dense/conv/attn-projection execution image in microkernel
-    /// layout.
-    Image(WeightImage),
-    /// Attention's transposed f32 output-projection operand.
-    WoT(PackedStore<f32>),
-    /// No image serialized (a layer the integer domain refuses).
-    Absent,
-}
-
-impl PanelEntry {
-    fn is_borrowed(&self) -> bool {
-        match self {
-            PanelEntry::Image(img) => img.is_borrowed(),
-            PanelEntry::WoT(s) => s.is_borrowed(),
-            PanelEntry::Absent => true,
-        }
-    }
-}
+/// One parsed `PANL` entry: a ready-to-adopt execution image in
+/// microkernel layout, or `None` — no image serialized (the layer
+/// decodes its image at compile, or compilation refuses it).
+pub(crate) type PanelEntry = Option<WeightImage>;
 
 /// The descriptor the writer emits for one `PANL` entry; the
 /// section-relative data offset is assigned once every entry is known.
@@ -1091,35 +1064,19 @@ struct RawEntry {
 }
 
 impl RawEntry {
-    /// Serialized descriptor size: tag + n + k + a_max + b_max + lut_len
-    /// + inline LUT + data_off + data_len.
-    fn meta_len(&self) -> usize {
-        1 + 4 + 4 + 8 + 8 + 4 + 4 * self.lut.len() + 8 + 8
-    }
-}
-
-impl PanelEntry {
-    /// This entry's descriptor, for the weight `w` it images: the shape
-    /// comes from the wire codes' dims, the inline LUT from their type.
-    fn raw(&self, w: &WeightRecord) -> Result<RawEntry, ArtifactError> {
-        let (tag, a_max, b_max, len) = match self {
-            PanelEntry::Absent => {
+    /// The descriptor of `image` (absent when `None`) for the weight `w`
+    /// it images: the shape comes from the wire codes' dims, the inline
+    /// LUT from their type.
+    fn of(image: Option<&WeightImage>, w: &WeightRecord) -> Result<RawEntry, ArtifactError> {
+        let (tag, a_max, b_max, len) = match image {
+            None => {
                 return Ok(RawEntry {
                     tag: TAG_ABSENT,
                     ..RawEntry::default()
                 })
             }
-            PanelEntry::WoT(t) => (TAG_F32, 0, 0, 4 * t.len()),
-            PanelEntry::Image(WeightImage::I8(pg)) => {
-                (TAG_I8, pg.a_max(), pg.b_max(), pg.panels().len())
-            }
-            PanelEntry::Image(WeightImage::I16(pg)) => {
-                (TAG_I16, pg.a_max(), pg.b_max(), 2 * pg.panels().len())
-            }
-        };
-        let lut = match tag {
-            TAG_F32 => None,
-            _ => ant_core::Codec::new(w.codes.dtype())?.decode_lut_int(),
+            Some(WeightImage::I8(pg)) => (TAG_I8, pg.a_max(), pg.b_max(), pg.panels().len()),
+            Some(WeightImage::I16(pg)) => (TAG_I16, pg.a_max(), pg.b_max(), 2 * pg.panels().len()),
         };
         let dims = w.codes.dims();
         Ok(RawEntry {
@@ -1128,24 +1085,18 @@ impl PanelEntry {
             k: dims[1..].iter().product::<usize>() as u32,
             a_max,
             b_max,
-            lut: lut.unwrap_or_default(),
+            lut: ant_core::Codec::new(w.codes.dtype())?
+                .decode_lut_int()
+                .unwrap_or_default(),
             len,
             off: 0,
         })
     }
 
-    /// Appends this entry's data chunk, little-endian.
-    fn write_data(&self, out: &mut Vec<u8>) {
-        match self {
-            PanelEntry::Image(WeightImage::I8(pg)) => {
-                out.extend(pg.panels().iter().map(|&v| v as u8));
-            }
-            PanelEntry::Image(WeightImage::I16(pg)) => {
-                out.extend(pg.panels().iter().flat_map(|v| v.to_le_bytes()));
-            }
-            PanelEntry::WoT(t) => out.extend(t.iter().flat_map(|v| v.to_bits().to_le_bytes())),
-            PanelEntry::Absent => {}
-        }
+    /// Serialized descriptor size: tag + n + k + a_max + b_max + lut_len
+    /// + inline LUT + data_off + data_len.
+    fn meta_len(&self) -> usize {
+        1 + 4 + 4 + 8 + 8 + 4 + 4 * self.lut.len() + 8 + 8
     }
 }
 
@@ -1153,7 +1104,7 @@ impl PanelEntry {
 /// exact decode-and-pack path plan compilation uses: what the writer
 /// serializes, and what [`ModelArtifact::verify_bytes`] compares a parsed
 /// section against bit-for-bit. A layer the integer domain refuses, or
-/// whose codes are not shaped consistently enough to image, gets `Absent`
+/// whose codes are not shaped consistently enough to image, gets absent
 /// entries (all of them — attention adopts its images as a set): the
 /// file still saves, loads and verifies, and compiling it reports the
 /// refusal.
@@ -1161,7 +1112,7 @@ fn expected_entries(record: &LayerRecord) -> Result<Vec<PanelEntry>, ArtifactErr
     let (weights, Some(act)) = (&record.weights, &record.act) else {
         return Ok(Vec::new());
     };
-    let absent = || (0..record.panel_entry_count()).map(|_| PanelEntry::Absent);
+    let absent = || vec![None; weights.len()];
     let float = |dt: DataType| dt.primitive() == PrimitiveType::Float;
     let shaped = |w: &WeightRecord| {
         let dims = w.codes.dims();
@@ -1172,43 +1123,25 @@ fn expected_entries(record: &LayerRecord) -> Result<Vec<PanelEntry>, ArtifactErr
         square && dims.len() >= 2 && dims.iter().product::<usize>() == w.codes.len()
     };
     if float(act.dtype) || !weights.iter().all(|w| shaped(w) && !float(w.codes.dtype())) {
-        return Ok(absent().collect());
+        return Ok(absent());
     }
     let name = &record.name;
     let images = act_bound(name, &act.quantizer()?).and_then(|bound| {
         let image = |w: &WeightRecord| decode_image(name, &w.codes, bound);
         weights.iter().map(image).collect::<Result<Vec<_>, _>>()
     });
-    let mut entries: Vec<PanelEntry> = match images {
-        Ok(images) => images.into_iter().map(PanelEntry::Image).collect(),
-        Err(RuntimeError::UnsupportedLayer { .. }) => return Ok(absent().collect()),
-        Err(e) => return Err(e.into()),
-    };
-    if let RecordKind::Attn { dim, .. } = record.kind {
-        let wo_t = transpose(&decode_rows_f32(&weights[3].codes), dim);
-        entries.push(PanelEntry::WoT(PackedStore::from_vec(wo_t)));
+    match images {
+        Ok(images) => Ok(images.into_iter().map(Some).collect()),
+        Err(RuntimeError::UnsupportedLayer { .. }) => Ok(absent()),
+        Err(e) => Err(e.into()),
     }
-    Ok(entries)
 }
 
 fn entries_match(parsed: &PanelEntry, expected: &PanelEntry) -> bool {
     match (parsed, expected) {
-        (PanelEntry::Image(a), PanelEntry::Image(b)) => images_match(a, b),
-        (PanelEntry::WoT(a), PanelEntry::WoT(b)) => {
-            a.len() == b.len()
-                && a.iter()
-                    .zip(b.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits())
-        }
-        (PanelEntry::Absent, PanelEntry::Absent) => true,
-        _ => false,
-    }
-}
-
-fn images_match(a: &WeightImage, b: &WeightImage) -> bool {
-    match (a, b) {
-        (WeightImage::I8(x), WeightImage::I8(y)) => pg_eq(x, y),
-        (WeightImage::I16(x), WeightImage::I16(y)) => pg_eq(x, y),
+        (Some(WeightImage::I8(x)), Some(WeightImage::I8(y))) => pg_eq(x, y),
+        (Some(WeightImage::I16(x)), Some(WeightImage::I16(y))) => pg_eq(x, y),
+        (None, None) => true,
         _ => false,
     }
 }
@@ -1244,11 +1177,11 @@ fn parse_panel_section(
     let mut all = Vec::with_capacity(count);
     for record in layers {
         let entry_count = rd.u8()? as usize;
-        if entry_count != record.panel_entry_count() {
+        if entry_count != record.weights.len() {
             return Err(rd.malformed(format!(
                 "layer '{}' has {entry_count} panel entries, expected {}",
                 record.name,
-                record.panel_entry_count()
+                record.weights.len()
             )));
         }
         let mut entries = Vec::with_capacity(entry_count);
@@ -1284,29 +1217,22 @@ fn parse_panel_entry(
         if len != 0 {
             return Err(rd.malformed("absent panel entry carries data"));
         }
-        return Ok(PanelEntry::Absent);
+        return Ok(None);
     }
     let elem = match tag {
         TAG_I8 => 1usize,
         TAG_I16 => 2,
-        TAG_F32 => 4,
-        TAG_I32 => {
+        _ if TAG_RESERVED.contains(&tag) => {
             return Err(rd.malformed(format!(
-                "layer '{layer}' panel entry {index} carries reserved tag {TAG_I32} (i32 rows)"
+                "layer '{layer}' panel entry {index} carries reserved tag {tag}"
             )))
         }
         other => return Err(rd.malformed(format!("unknown panel tag {other}"))),
     };
-    let elements = match tag {
-        TAG_F32 => n.checked_mul(k),
-        _ => n
-            .div_ceil(NR)
-            .checked_mul(k)
-            .and_then(|v| v.checked_mul(NR)),
-    }
-    .ok_or_else(|| rd.malformed("panel extent overflows"))?;
-    let expected_len = elements
-        .checked_mul(elem)
+    let expected_len = n
+        .div_ceil(NR)
+        .checked_mul(k)
+        .and_then(|v| v.checked_mul(NR * elem))
         .ok_or_else(|| rd.malformed("panel extent overflows"))?;
     if len != expected_len {
         return Err(rd.malformed(format!(
@@ -1324,32 +1250,20 @@ fn parse_panel_entry(
         });
     }
     let raw = &payload[off..off + len];
-    Ok(match tag {
-        TAG_I8 => {
-            let store = rd.store(raw, |r| r.iter().map(|&b| b as i8).collect());
-            let pg = PanelGemm::from_store(store, n, k, a_max, b_max)
-                .ok_or_else(|| rd.malformed("panel store rejected"))?;
-            PanelEntry::Image(WeightImage::I8(pg))
-        }
-        TAG_I16 => {
-            let store = rd.store(raw, |r| {
-                r.chunks_exact(2)
-                    .map(|c| i16::from_le_bytes(c.try_into().expect("2")))
-                    .collect()
-            });
-            let pg = PanelGemm::from_store(store, n, k, a_max, b_max)
-                .ok_or_else(|| rd.malformed("panel store rejected"))?;
-            PanelEntry::Image(WeightImage::I16(pg))
-        }
-        _ => {
-            let store = rd.store(raw, |r| {
-                r.chunks_exact(4)
-                    .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4"))))
-                    .collect()
-            });
-            PanelEntry::WoT(store)
-        }
-    })
+    let image = if tag == TAG_I8 {
+        let store = rd.store(raw, |r| r.iter().map(|&b| b as i8).collect());
+        PanelGemm::from_store(store, n, k, a_max, b_max).map(WeightImage::I8)
+    } else {
+        let store = rd.store(raw, |r| {
+            r.chunks_exact(2)
+                .map(|c| i16::from_le_bytes(c.try_into().expect("2")))
+                .collect()
+        });
+        PanelGemm::from_store(store, n, k, a_max, b_max).map(WeightImage::I16)
+    };
+    image
+        .ok_or_else(|| rd.malformed("panel store rejected"))
+        .map(Some)
 }
 
 // ---------------------------------------------------------------------------
@@ -1467,7 +1381,7 @@ impl MappedArtifact {
             && self
                 .images
                 .as_ref()
-                .is_some_and(|im| im.iter().flatten().all(PanelEntry::is_borrowed))
+                .is_some_and(|im| im.iter().flatten().flatten().all(WeightImage::is_borrowed))
     }
 
     /// Compiles a plan that adopts the mapped panel images verbatim:
@@ -2031,7 +1945,7 @@ mod tests {
 
     #[test]
     fn other_version_fields_are_unsupported_by_every_reader() {
-        for found in [1u16, 0] {
+        for found in [2u16, 1, 0] {
             let mut bytes = saved_bytes();
             bytes[4..6].copy_from_slice(&found.to_le_bytes());
             let refused = |r: Result<(), ArtifactError>| match r {
@@ -2039,7 +1953,7 @@ mod tests {
                     found: f,
                     supported,
                 }) => {
-                    assert_eq!((f, supported), (found, 2));
+                    assert_eq!((f, supported), (found, FORMAT_VERSION));
                 }
                 other => panic!("version {found}: expected UnsupportedVersion, got {other:?}"),
             };

@@ -1,21 +1,20 @@
 //! [`PackedAttn`]: attention with integer Q/K/V projections, an f32
-//! score/softmax/context core and a mixed-domain output projection — one
-//! full-sequence body for encoder and causal blocks, plus the decode step
-//! that streams K/V rows out of a packed cache.
+//! score/softmax/context core and an output projection that walks the
+//! o-weights' integer panels with the f32 context — one full-sequence
+//! body for encoder and causal blocks, plus the decode step that streams
+//! K/V rows out of a packed cache.
 
 use super::matrix::{
-    act_bound, check_features, check_int_domain, decode_rows_f32, transpose, ActQuant, LayerCtx,
-    PackedMatrix, WeightImage,
+    act_bound, check_features, check_int_domain, ActQuant, LayerCtx, PackedMatrix, WeightImage,
 };
 use crate::error::RuntimeError;
-use crate::gemm::{Epilogue, KernelOperand};
+use crate::gemm::{partition, Epilogue, KernelOperand};
 use crate::kv::{DecodeSession, KvCache, KvHalf, KvQuant, KvQuantSpec};
 use crate::scratch::grab;
 use ant_core::pack::PackedTensor;
-use ant_core::store::PackedStore;
 use ant_core::Quantizer;
 use ant_nn::attention::softmax_rows_in_place;
-use ant_nn::vmath::{axpy, dot};
+use ant_nn::vmath::{axpy, dot, panel_matvec};
 
 /// A raw `*mut f32` crossing into pool tasks; tasks write disjoint
 /// regions, which is what makes the shared mutable access sound.
@@ -31,9 +30,10 @@ unsafe impl Sync for ShareMut {}
 /// projections consume the quantized input as integer GEMMs; scores,
 /// softmax and the context product stay f32 (softmax outputs are
 /// activations that "require high-precision numbers", Sec. IV-C); the
-/// output projection runs as a mixed-domain GEMM — f32 context against
-/// the LUT-decoded weights, scale applied per output channel at the
-/// boundary — so all four projection weights live as packed wire codes.
+/// output projection multiplies that f32 context into the o-weights'
+/// integer panel image, scale applied per output channel at the
+/// boundary. Each projection weight is its wire codes plus one decoded
+/// image, which is what executes.
 #[derive(Debug, Clone)]
 pub struct PackedAttn {
     name: String,
@@ -43,15 +43,6 @@ pub struct PackedAttn {
     pub(super) projs: [PackedMatrix; 4],
     /// Precomputed `act.scale() · w_scales` for the q/k/v dequants.
     deq_qkv: [Vec<f32>; 3],
-    /// The o-projection's decoded lattice values as f32, **transposed**
-    /// (`[in, out]`): its GEMM operand is the f32 context, so the decode
-    /// happens once at compile time, and the transposed layout lets the
-    /// mixed-domain product run output-major — the per-output reduction
-    /// keeps its ascending-`d` addition order while the inner loop is an
-    /// `axpy` over outputs.
-    /// Owned on compile; borrowed from the panel section of a mapped
-    /// v2 artifact on the zero-copy reload path.
-    pub(super) wo_t_f32: PackedStore<f32>,
     act: Quantizer,
     act_quant: ActQuant,
     /// The KV-cache group codec — `Some` iff this is a causal
@@ -64,15 +55,15 @@ pub struct PackedAttn {
 impl PackedAttn {
     /// Builds the attention block from wire codes: each projection must
     /// be a `[dim, dim]`-shaped pack. `prebuilt` carries the q/k/v/o
-    /// weight images and the transposed f32 o-projection operand
-    /// (borrowed from a mapped v2 artifact); `None` decodes them.
+    /// weight images (borrowed from a mapped artifact); `None` decodes
+    /// them.
     pub(crate) fn from_parts(
         name: String,
         seq: usize,
         dim: usize,
         projections: [PackedTensor; 4],
         act: Quantizer,
-        prebuilt: Option<([WeightImage; 4], PackedStore<f32>)>,
+        prebuilt: Option<[WeightImage; 4]>,
     ) -> Result<Self, RuntimeError> {
         let mut dtypes = vec![act.dtype()];
         dtypes.extend(projections.iter().map(|p| p.dtype()));
@@ -85,10 +76,7 @@ impl PackedAttn {
                 });
             }
         }
-        let ([qi, ki, vi, oi], wo_t) = match prebuilt {
-            Some((images, wo_t)) => (images.map(Some), Some(wo_t)),
-            None => Default::default(),
-        };
+        let [qi, ki, vi, oi] = prebuilt.map_or(Default::default(), |images| images.map(Some));
         let bound = act_bound(&name, &act)?;
         let [q, k, v, o] = projections;
         let projs = [
@@ -97,16 +85,6 @@ impl PackedAttn {
             PackedMatrix::from_packed(&name, v, bound, vi)?,
             PackedMatrix::from_packed(&name, o, bound, oi)?,
         ];
-        let wo_t_f32 = match wo_t {
-            Some(wo_t) if wo_t.len() != dim * dim => {
-                return Err(RuntimeError::ShapeMismatch {
-                    expected: dim * dim,
-                    actual: wo_t.len(),
-                })
-            }
-            Some(wo_t) => wo_t,
-            None => PackedStore::from_vec(transpose(&decode_rows_f32(&projs[3].weights), dim)),
-        };
         let deq_qkv = std::array::from_fn(|i| projs[i].deq_scales(act.scale()));
         Ok(PackedAttn {
             name,
@@ -114,7 +92,6 @@ impl PackedAttn {
             dim,
             projs,
             deq_qkv,
-            wo_t_f32,
             act_quant: ActQuant::for_quantizer(&act),
             act,
             kv: None,
@@ -167,11 +144,10 @@ impl PackedAttn {
         std::array::from_fn(|i| &self.projs[i].weights)
     }
 
-    /// Whether every projection's wire codes and integer image — plus
-    /// the transposed f32 o-operand — are borrowed from a mapped
-    /// artifact (the v2 zero-copy load path).
+    /// Whether every projection's wire codes and integer image are
+    /// borrowed from a mapped artifact (the zero-copy load path).
     pub fn weights_borrowed(&self) -> bool {
-        self.projs.iter().all(PackedMatrix::is_borrowed) && self.wo_t_f32.is_borrowed()
+        self.projs.iter().all(PackedMatrix::is_borrowed)
     }
 
     /// The activation quantizer.
@@ -236,23 +212,21 @@ impl PackedAttn {
 
     /// Output projection plus residual for whole token rows: `ctx`,
     /// `master` and `out` are the same rows of the context, the quantized
-    /// input and the output. Mixed-domain GEMM of the f32 context against
-    /// the decoded lattice weights, scale at the boundary, plus the
-    /// residual on the quantized input. Output-major against the
-    /// transposed weights: one [`axpy`] per context element, so each
-    /// output's reduction sums in ascending `d` while the inner loop runs
-    /// at vector width over outputs.
+    /// input and the output. Each row is one [`panel_matvec`] of the f32
+    /// context over the o-weights' `i8`/`i16` panels (every output sums
+    /// in ascending `d`), then the per-channel scale at the boundary plus
+    /// the residual on the quantized input.
     fn out_project(&self, ctx: &[f32], master: &[i16], out: &mut [f32]) {
         let (dim, s_a) = (self.dim, self.act.scale());
-        let (wo_t, w_scales) = (&self.wo_t_f32, &self.projs[3].w_scales);
+        let (image, w_scales) = (&self.projs[3].image, &self.projs[3].w_scales);
         for ((row_out, ctx), a16) in out
             .chunks_exact_mut(dim)
             .zip(ctx.chunks_exact(dim))
             .zip(master.chunks_exact(dim))
         {
-            row_out.fill(0.0);
-            for (&c, w_row) in ctx.iter().zip(wo_t.chunks_exact(dim)) {
-                axpy(row_out, c, w_row);
+            match image {
+                WeightImage::I8(pg) => panel_matvec(ctx, pg.panels(), row_out),
+                WeightImage::I16(pg) => panel_matvec(ctx, pg.panels(), row_out),
             }
             for (o, out_val) in row_out.iter_mut().enumerate() {
                 *out_val = a16[o] as f32 * s_a + *out_val * w_scales[o];
@@ -378,11 +352,7 @@ impl PackedAttn {
         let ov = grab(out, rows * dim, 0.0);
         let (ctx, master) = (&b.ctx, &b.act_i16);
         let out_ptr = ShareMut(ov.as_mut_ptr());
-        let row_tasks = if rows * dim * dim >= 1 << 18 {
-            ws.threads.min(ws.pool.width()).min(rows).max(1)
-        } else {
-            1
-        };
+        let row_tasks = partition(rows, dim, dim, ws.threads.min(ws.pool.width())).0;
         let rows_per = rows.div_ceil(row_tasks);
         ws.pool.run(row_tasks, &|t| {
             let dst = out_ptr;

@@ -35,7 +35,7 @@ impl PackedConv {
     /// Builds the convolution from wire codes: `weights` must be a
     /// `[co, ci, kh, kw]`-shaped pack consistent with `in_shape` and
     /// `geo`. `image` is a pre-built weight image (borrowed from a mapped
-    /// v2 artifact); `None` decodes one.
+    /// artifact); `None` decodes one.
     pub(crate) fn from_parts(
         name: String,
         weights: PackedTensor,
@@ -103,7 +103,7 @@ impl PackedConv {
     }
 
     /// Whether the wire codes and the integer image are both borrowed
-    /// from a mapped artifact (the v2 zero-copy load path).
+    /// from a mapped artifact (the zero-copy load path).
     pub fn weights_borrowed(&self) -> bool {
         self.mat.is_borrowed()
     }

@@ -65,7 +65,7 @@ impl PackedLinear {
     }
 
     /// Whether the wire codes and the integer image are both borrowed
-    /// from a mapped artifact (the v2 zero-copy load path).
+    /// from a mapped artifact (the zero-copy load path).
     pub fn weights_borrowed(&self) -> bool {
         self.mat.is_borrowed()
     }

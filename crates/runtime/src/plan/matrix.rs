@@ -383,27 +383,6 @@ pub(crate) fn decode_image(
     Err(unsupported(layer, weights.dtype()))
 }
 
-/// Decodes a packed tensor's wire codes to f32 lattice values (exact,
-/// independent of the execution image width). Shared by attention's
-/// output projection and the v2 artifact writer.
-pub(crate) fn decode_rows_f32(weights: &PackedTensor) -> Vec<f32> {
-    let lut = ant_core::Codec::new(weights.dtype())
-        .expect("codec validated at construction")
-        .decode_lut();
-    weights.codes().iter().map(|&c| lut[c as usize]).collect()
-}
-
-/// Transposes a square `[n, n]` row-major matrix.
-pub(crate) fn transpose(m: &[f32], n: usize) -> Vec<f32> {
-    let mut t = vec![0f32; n * n];
-    for r in 0..n {
-        for c in 0..n {
-            t[c * n + r] = m[r * n + c];
-        }
-    }
-    t
-}
-
 /// What a layer executes with for one step: the scheduling context plus
 /// the arena's per-layer buffers, lent whole by the plan's layer walk
 /// (which keeps the ping/pong pipeline buffers to itself).

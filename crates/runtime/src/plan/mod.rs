@@ -45,8 +45,8 @@
 //! * [`PackedAttn`] — attention blocks: Q/K/V projections as integer
 //!   GEMMs, then scores → softmax → context in f32 (attention scores are
 //!   *activations* and "require high-precision numbers", Sec. IV-C /
-//!   Fig. 4), and the output projection as a mixed-domain GEMM over the
-//!   LUT-decoded weights with the scale applied at the boundary.
+//!   Fig. 4), and the output projection as the f32 context walked over
+//!   the o-weights' integer panels with the scale applied at the boundary.
 //!
 //! Shape-polymorphic layers (ReLU, GELU, max-pool, layer norm) carry no
 //! wire codes and execute the same arithmetic as their reference
@@ -78,9 +78,7 @@ pub use linear::PackedLinear;
 pub use norm::PlanNorm;
 pub use walk::LayerDesc;
 
-pub(crate) use matrix::{
-    act_bound, decode_image, decode_rows_f32, pack_weight_tensor, transpose, WeightImage,
-};
+pub(crate) use matrix::{act_bound, decode_image, pack_weight_tensor, WeightImage};
 pub(crate) use walk::{no_causal_err, SessionFactory};
 
 use crate::artifact::LayerRecord;
@@ -251,8 +249,8 @@ impl CompiledPlan {
 
     /// Number of packed compute layers whose wire codes *and* integer
     /// weight images are all borrowed from a mapped artifact rather than
-    /// owned by the plan — `packed_layer_count()` for a v2 zero-copy
-    /// load, `0` for a compiled or v1-loaded plan.
+    /// owned by the plan — `packed_layer_count()` for a zero-copy
+    /// load, `0` for a compiled or owned-loaded plan.
     pub fn borrowed_layer_count(&self) -> usize {
         let borrowed = |l: &&PlanLayer| l.describe().borrowed();
         self.layers.iter().filter(borrowed).count()

@@ -11,7 +11,6 @@ use crate::error::RuntimeError;
 use crate::kv::{DecodeSession, KvCache, KvQuant};
 use crate::obs::{self, LayerKind};
 use crate::scratch::{grab, Scratch};
-use ant_core::store::PackedStore;
 use ant_nn::vmath::gelu_slice;
 
 /// Which entry point a walk serves — the only thing that differs between
@@ -49,9 +48,8 @@ enum GemmRows {
     PerToken(usize),
 }
 
-/// What one plan step is, what it pins and what it costs. All of it is
-/// already-resident struct fields; with telemetry compiled out the no-op
-/// consumer lets the hot-path use fold away.
+/// What one plan step is, what it pins and what it costs, read from
+/// already-resident struct fields: building one allocates nothing.
 pub struct LayerDesc<'a> {
     pub(super) kind: LayerKind,
     name: &'a str,
@@ -59,8 +57,6 @@ pub struct LayerDesc<'a> {
     pub(super) in_features: Option<usize>,
     /// The packed weight matrices (empty for steps without wire codes).
     pub(super) mats: &'a [PackedMatrix],
-    /// Attention's transposed f32 o-projection operand.
-    wo_t: Option<&'a PackedStore<f32>>,
     gemm: GemmRows,
     pub(super) decode: DecodeRole<'a>,
 }
@@ -78,12 +74,10 @@ impl LayerDesc<'_> {
             .collect()
     }
 
-    /// Whether the step carries wire codes and all of them, their images
-    /// and any f32 operand are borrowed from a mapped artifact.
+    /// Whether the step carries wire codes and all of them and their
+    /// images are borrowed from a mapped artifact.
     pub(super) fn borrowed(&self) -> bool {
-        !self.mats.is_empty()
-            && self.mats.iter().all(PackedMatrix::is_borrowed)
-            && self.wo_t.is_none_or(|w| w.is_borrowed())
+        !self.mats.is_empty() && self.mats.iter().all(PackedMatrix::is_borrowed)
     }
 
     /// `(MACs, bytes touched)` for `batch` rows with `in_len`/`out_len`
@@ -91,16 +85,12 @@ impl LayerDesc<'_> {
     /// non-GEMM layers); bytes count the f32 activations read and written
     /// plus one streamed pass over the integer weight images (and the
     /// im2row lowering for convolutions) — the quantities `antc stats`
-    /// turns into GOPS and effective-bandwidth figures. Attention's
-    /// o-projection is streamed as `wo_t` only: its integer image is never
-    /// read, so it counts MACs but no image bytes.
+    /// turns into GOPS and effective-bandwidth figures.
     pub(super) fn work(&self, batch: usize, in_len: usize, out_len: usize) -> (u64, u64) {
         let b = batch as u64;
-        let f32_bytes = std::mem::size_of::<f32>();
-        let mut bytes = ((in_len + out_len + self.wo_t.map_or(0, |w| w.len())) * f32_bytes) as u64;
+        let mut bytes = ((in_len + out_len) * std::mem::size_of::<f32>()) as u64;
         let weights: u64 = self.mats.iter().map(|m| (m.out * m.inp) as u64).sum();
-        let streamed = self.mats.len() - usize::from(self.wo_t.is_some());
-        for m in &self.mats[..streamed] {
+        for m in self.mats {
             bytes += (m.out * m.inp * m.image.elem_bytes()) as u64;
         }
         let macs = match self.gemm {
@@ -141,7 +131,6 @@ impl PlanLayer {
             name: "relu",
             in_features: None,
             mats: &[],
-            wo_t: None,
             gemm: GemmRows::One,
             decode: DecodeRole::TokenLocal,
         };
@@ -160,7 +149,6 @@ impl PlanLayer {
                 mats: std::slice::from_ref(&p.mat),
                 gemm: GemmRows::Lowered(p.out_shape.1 * p.out_shape.2),
                 decode: DecodeRole::No("(convolution) is not token-local"),
-                ..base
             },
             PlanLayer::PackedAttn(p) | PlanLayer::PackedCausalAttn(p) => LayerDesc {
                 kind: LayerKind::PackedAttn,
@@ -169,7 +157,6 @@ impl PlanLayer {
                 // a token width, not an input width.
                 in_features: (!p.causal()).then(|| p.in_features()),
                 mats: &p.projs,
-                wo_t: Some(&p.wo_t_f32),
                 gemm: GemmRows::PerToken(p.dim),
                 decode: if p.causal() {
                     DecodeRole::Causal(p)

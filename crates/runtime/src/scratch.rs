@@ -20,7 +20,7 @@
 //!
 //! The arena is also the *mutable* half of the plan's storage split:
 //! weight images may be borrowed read-only straight out of a mapped
-//! `.antm` v2 file ([`crate::MappedArtifact`], owned-or-borrowed
+//! `.antm` file ([`crate::MappedArtifact`], owned-or-borrowed
 //! [`ant_core::store::PackedStore`]), but scratch is always per-plan
 //! owned heap memory — execution never writes anywhere near the
 //! mapping, so borrowed weights cannot alias a store.

@@ -304,7 +304,7 @@ fn payload_corruption_is_a_checksum_mismatch_under_verify() {
     let bytes = sample_bytes();
     let info = probe(&bytes[..]).unwrap();
     assert_eq!(info.sections[0].id, "MODL");
-    // Flip one byte in the middle of the MODL payload. v2 load is lazy
+    // Flip one byte in the middle of the MODL payload. Load is lazy
     // (no CRC sweep), so detection is `verify`'s job; load itself must
     // still fail structurally or succeed, never panic.
     let payload_start = info.sections[0].offset as usize;
@@ -335,7 +335,7 @@ fn version_1_and_0_streams_are_unsupported_at_load_open_and_verify() {
             Err(ArtifactError::UnsupportedVersion {
                 found: f,
                 supported,
-            }) => assert_eq!((f, supported), (found, 2), "{what}"),
+            }) => assert_eq!((f, supported), (found, FORMAT_VERSION), "{what}"),
             other => panic!("{what}, version {found}: expected UnsupportedVersion, got {other:?}"),
         };
         refused("load", ModelArtifact::load(&bytes[..]).map(drop));
@@ -412,9 +412,10 @@ fn panel_entry_offsets(bytes: &[u8]) -> Vec<(usize, usize)> {
 
 #[test]
 fn reserved_panel_tag_is_a_structured_error_at_every_entry() {
-    // Tag 2 was the `i32`-row image: no writer emits it and no reader
-    // executes it. A stream carrying it is refused when the section is
-    // parsed, naming the entry — before its data extent is looked at.
+    // Tag 2 was the `i32`-row image and tag 3 attention's transposed f32
+    // o-operand: no writer emits them and no reader executes them. A
+    // stream carrying one is refused when the section is parsed, naming
+    // the entry — before its data extent is looked at.
     let bytes = sample_bytes();
     let entries = panel_entry_offsets(&bytes);
     assert_eq!(
@@ -428,24 +429,27 @@ fn reserved_panel_tag_is_a_structured_error_at_every_entry() {
     ));
     for (i, &(tag_at, len_at)) in entries.iter().enumerate() {
         assert!(bytes[tag_at] <= 1, "the writer emits i8/i16 images only");
-        let mut patched = bytes.clone();
-        patched[tag_at] = 2;
-        // Claim an extent far past the section too: it must not be read.
-        patched[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        std::fs::write(&path, &patched).unwrap();
-        match MappedArtifact::open(&path) {
-            Err(ArtifactError::Malformed { context, detail }) => {
-                assert_eq!(context, "PANL section");
-                assert!(
-                    detail.contains("reserved tag 2") && detail.contains("panel entry 0"),
-                    "entry {i}: {detail}"
-                );
+        for tag in [2u8, 3] {
+            let mut patched = bytes.clone();
+            patched[tag_at] = tag;
+            // Claim an extent far past the section too: it must not be read.
+            patched[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            std::fs::write(&path, &patched).unwrap();
+            match MappedArtifact::open(&path) {
+                Err(ArtifactError::Malformed { context, detail }) => {
+                    assert_eq!(context, "PANL section");
+                    assert!(
+                        detail.contains(&format!("reserved tag {tag}"))
+                            && detail.contains("panel entry 0"),
+                        "entry {i}: {detail}"
+                    );
+                }
+                other => panic!("entry {i}, tag {tag}: expected Malformed, got {other:?}"),
             }
-            other => panic!("entry {i}: expected Malformed, got {other:?}"),
+            // Owned loads never read PANL; verify refuses the stream.
+            ModelArtifact::load(&patched[..]).unwrap();
+            assert!(ModelArtifact::verify_bytes(&patched).is_err());
         }
-        // Owned loads never read PANL; verify refuses the stream.
-        ModelArtifact::load(&patched[..]).unwrap();
-        assert!(ModelArtifact::verify_bytes(&patched).is_err());
     }
     std::fs::remove_file(&path).ok();
 }

@@ -1,4 +1,4 @@
-//! Lifetime and sharing guarantees of the mmap-borrowed `.antm` v2 path.
+//! Lifetime and sharing guarantees of the mmap-borrowed `.antm` path.
 //!
 //! The ownership contract under test: a [`MappedArtifact`]'s pages are
 //! kept alive by *whoever borrows them* (the `Arc<Mmap>` owner threaded
@@ -33,7 +33,7 @@ fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ant-mapped-{}-{name}.antm", std::process::id()))
 }
 
-/// Quantizes a small CNN and saves it as a v2 artifact at `path`.
+/// Quantizes a small CNN and saves it as an artifact at `path`.
 fn write_cnn_artifact(path: &PathBuf, seed: u64) {
     let mut model = small_cnn(4, seed);
     let calib = gaussian(&[24, 144], seed.wrapping_add(1));
@@ -68,8 +68,8 @@ fn plan_outlives_the_artifact_handle() {
 #[test]
 fn concurrent_plans_share_one_mapping() {
     let path = temp_path("share");
-    // Attention exercises all five PANL entry kinds (4 projections +
-    // the transposed f32 output operand).
+    // Attention's PANL list is its four projection images (q, k, v, o),
+    // all of them executed.
     let mut model = transformer_block(4, 8, 3, 21);
     let calib = gaussian(&[24, 32], 11);
     quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();

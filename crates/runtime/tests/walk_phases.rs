@@ -8,8 +8,8 @@
 //!   and one per-layer record per plan layer;
 //! * `decode_steps` on a plan that cannot decode returns the structured
 //!   decode error;
-//! * attention's byte accounting counts the images a forward streams
-//!   (q/k/v and the f32 o-operand), not the o-projection's unread image.
+//! * attention's byte accounting counts the images a forward streams:
+//!   all four projection images, the o-projection's included.
 //!
 //! The telemetry registry is process-wide and one test counts its records
 //! exactly, so every test here runs its forwards holding [`forwards`].
@@ -144,9 +144,9 @@ fn attention_bytes_count_only_the_images_a_forward_streams() {
     plan.forward_rows(&x, 1, &mut out).unwrap();
     let delta = ant_obs::global().snapshot().delta_since(&before);
     let series = delta.get("ant_layer_bytes_total", Some("packed_attn"));
-    // f32 in + out rows and the transposed o-operand, plus the q/k/v byte
-    // images; the o-projection's own byte image is never read.
-    let want = (2 * seq * dim + dim * dim) * 4 + 3 * dim * dim;
+    // f32 in + out rows, plus the q/k/v/o byte images: the o-projection
+    // streams its own image like the other three.
+    let want = 2 * seq * dim * 4 + 4 * dim * dim;
     match series.map(|s| &s.value) {
         Some(ant_obs::Value::Counter(got)) => assert_eq!(*got, want as u64),
         other => panic!("ant_layer_bytes_total{{packed_attn}}: {other:?}"),

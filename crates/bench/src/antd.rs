@@ -7,8 +7,10 @@
 //! unavailable, so HTTP is the hand-rolled [`crate::http`] module), one
 //! OS thread per connection, and every inference request funneled into
 //! a per-model [`Engine`] — so *continuous batching happens across
-//! connections*: concurrent users land in the same gather window and
-//! share one LUT-decode + GEMM pass per layer.
+//! connections*: requests from concurrent users that queue together
+//! share one batch, one LUT-decode + GEMM pass per layer. A lone
+//! request does not wait for company: the engine dispatches a batch as
+//! soon as it stops growing (see [`BatchPolicy::max_wait`]).
 //!
 //! Serving policies the daemon adds on top of the engine:
 //!

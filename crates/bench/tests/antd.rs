@@ -204,9 +204,10 @@ fn serves_concurrent_clients_with_metrics_reload_and_drain() {
 #[test]
 fn overload_sheds_with_429_and_retry_after_then_recovers() {
     let path = artifact("overload");
-    // A tiny queue behind an unreachable batch size: the engine gathers
-    // for 500ms while requests pile up, so concurrent clients overflow
-    // the 2-deep queue deterministically.
+    // A tiny queue behind an unreachable batch size. A fresh engine has
+    // no service time to poll by, so its first batch gathers for the
+    // whole 500ms cap while requests pile up, and concurrent clients
+    // overflow the 2-deep queue.
     let daemon = Daemon::start(DaemonConfig {
         addr: "127.0.0.1:0".to_string(),
         models: vec![("mlp".to_string(), path.clone())],
@@ -434,8 +435,9 @@ fn generate_streams_tokens_and_drains_cleanly() {
 #[test]
 fn request_deadline_maps_to_504_not_a_hang() {
     let path = artifact("deadline");
-    // The engine holds its gather window open for 2s; a 50ms request
-    // deadline expires first and must surface as 504.
+    // A fresh engine's first batch gathers for the whole 2s cap (no
+    // service time to poll by yet); a 50ms request deadline expires
+    // first and must surface as 504.
     let daemon = Daemon::start(DaemonConfig {
         addr: "127.0.0.1:0".to_string(),
         models: vec![("mlp".to_string(), path.clone())],

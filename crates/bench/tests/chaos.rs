@@ -114,8 +114,11 @@ fn poison_request_fails_422_and_batchmates_complete() {
         addr: "127.0.0.1:0".to_string(),
         models: vec![("mlp".to_string(), path.clone())],
         policy: BatchPolicy {
-            // Unreachable max_batch + generous gather window: the four
-            // concurrent requests below coalesce into one batch.
+            // Unreachable max_batch, and a fresh engine has no service
+            // time to poll by, so its first batch gathers for the whole
+            // cap: the four concurrent requests below coalesce into it.
+            // The assertions hold either way — a poisoned request alone
+            // in its batch is isolated the same.
             max_batch: 64,
             max_wait: Duration::from_millis(300),
             ..BatchPolicy::default()
@@ -128,7 +131,7 @@ fn poison_request_fails_422_and_batchmates_complete() {
     let addr = daemon.local_addr();
 
     // Three innocents and one poison, fired together so they share the
-    // gather window.
+    // first batch.
     let barrier = Arc::new(Barrier::new(4));
     let workers: Vec<_> = (0..4)
         .map(|t| {

@@ -16,7 +16,8 @@ use ant_obs::export::{chrome_trace, prometheus_text};
 use ant_obs::{Registry, SpanEvent};
 
 /// A fixed registry: every value type, labeled and unlabeled series,
-/// and a label value that needs escaping.
+/// a label value that needs escaping, and a second label key (the
+/// engine's batch-close `reason`).
 fn sample_registry() -> Registry {
     let r = Registry::new();
     r.counter("ant_requests_total", "Requests served").add(1234);
@@ -28,6 +29,15 @@ fn sample_registry() -> Registry {
     for (kind, n) in [("packed_linear", 21), ("relu", 7), ("quo\"ted", 1)] {
         r.counter_with("ant_layer_calls_total", "kind", kind, "Per-kind calls")
             .add(n);
+    }
+    for (reason, n) in [("full", 12), ("quiet", 40), ("cap", 2)] {
+        r.counter_with(
+            "ant_engine_batch_close_total",
+            "reason",
+            reason,
+            "Batches dispatched, by why the gather loop closed them",
+        )
+        .add(n);
     }
     let hl = r.histogram_with(
         "ant_layer_time_ns",
@@ -82,6 +92,10 @@ fn prometheus_exposition_parses_cleanly() {
     assert_eq!(get("ant_latency_ns_sum", ""), 203106.0);
     assert_eq!(get("ant_layer_calls_total", "{kind=\"relu\"}"), 7.0);
     assert_eq!(get("ant_layer_calls_total", "{kind=\"quo\\\"ted\"}"), 1.0);
+    assert_eq!(
+        get("ant_engine_batch_close_total", "{reason=\"quiet\"}"),
+        40.0
+    );
     assert_eq!(
         get("ant_layer_time_ns_count", "{kind=\"packed_linear\"}"),
         2.0
@@ -221,6 +235,12 @@ fn live_decode_series_parse_cleanly() {
     assert!(get("ant_engine_decode_batch_size_count") >= 1.0);
     assert!(get("ant_engine_decode_step_ns_count") >= 1.0);
     assert!(get("ant_engine_decode_tokens_total") >= 3.0);
+    let prefill_closes = samples
+        .iter()
+        .find(|s| s.name == "ant_engine_batch_close_total" && s.labels == "{reason=\"prefill\"}")
+        .expect("batch-close series missing from the live exposition")
+        .value;
+    assert!(prefill_closes >= 3.0, "{prefill_closes}");
     assert_eq!(
         get("ant_kv_cache_bytes"),
         0.0,

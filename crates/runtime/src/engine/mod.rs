@@ -4,9 +4,9 @@
 //! most efficient on batches: one LUT decode + GEMM pass per layer
 //! amortizes per-call overhead across every queued request. [`Engine`]
 //! owns a worker thread that coalesces submissions into batches under a
-//! [`BatchPolicy`] (close a batch at `max_batch` requests, or after
-//! `max_wait` once the first request of a batch arrives) — the standard
-//! max-batch/max-latency serving trade-off.
+//! [`BatchPolicy`]: a batch closes at `max_batch` requests, as soon as
+//! waiting could not grow it, and at the latest `max_wait` after its
+//! first request was submitted.
 //!
 //! Because the packed layers compute in exact integer arithmetic, results
 //! are bit-identical no matter how requests are grouped; batching is
@@ -37,14 +37,21 @@
 //! (the continuous-batching shape — one step, many sequences), while a
 //! prefill executes as its own batch.
 //!
-//! The same `max_wait` bound applies to every gather window, and only an
-//! *open* run waits at all. The run at the queue head is **closed** —
-//! dispatched at once — when it is full, is a prefill, or is followed in
-//! the FIFO by a request that could not join it (another kind of work, or
-//! a second step of a session already in the run): order forbids
-//! overtaking, so no later arrival could join it either, and waiting
-//! would only delay the run and everything queued behind it. A run with
-//! nothing behind it stays open for company until `max_wait` is spent.
+//! Only an *open* run waits at all. The run at the queue head is
+//! **closed** — dispatched at once — when it is full, is a prefill, is
+//! followed in the FIFO by a request that could not join it (another
+//! kind of work, or a second step of a session already in the run:
+//! order forbids overtaking, so no later arrival could join it either),
+//! or is a decode run holding a step from every open session (no session
+//! is left that could join it). An open run waits for company one
+//! **quiet poll** at a time — the wall time of the worker's previous
+//! batch execution — and dispatches as soon as it has not grown for one
+//! poll (each arrival starts a fresh one): waiting longer than one
+//! service time costs the head more than dispatching now costs a late
+//! companion, which waits at most one service time behind it.
+//! `max_wait`, counted from the head request's submit, is only the cap.
+//! Before the first batch has run there is no service time to go by, so
+//! the first poll is the cap.
 //!
 //! Sessions are freed *eagerly*: [`Engine::close_session`] releases the
 //! KV cache immediately when the session is idle, and at the executing
@@ -68,7 +75,11 @@ use supervisor::Supervisor;
 pub struct BatchPolicy {
     /// Maximum requests per batch.
     pub max_batch: usize,
-    /// Maximum time the first request of a batch waits for company.
+    /// The cap on how long the first request of a batch waits for
+    /// company, counted from its submit. A batch usually closes sooner:
+    /// as soon as it has not grown for one quiet poll (the previous
+    /// batch's execution time) or waiting could not grow it at all —
+    /// see the [module docs](crate::engine).
     pub max_wait: Duration,
     /// Maximum requests the submit queue will hold before
     /// [`Engine::submit`] rejects with [`RuntimeError::Overloaded`].
@@ -663,6 +674,18 @@ mod tests {
         })
     }
 
+    /// Blocks until the worker has drained the queue into a batch — with
+    /// a gated executor, until it is parked on the gate.
+    fn until_dispatched(engine: &Engine) {
+        for _ in 0..5000 {
+            if engine.queue_depth() == 0 {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("worker never picked up the queued requests");
+    }
+
     #[test]
     fn full_queue_rejects_with_overloaded_and_recovers() {
         let (p, calib) = plan();
@@ -681,13 +704,7 @@ mod tests {
         // First request is taken by the worker immediately (max_batch 1)
         // and parks on the gate; wait until it has left the queue.
         let a = engine.submit(row).unwrap();
-        for _ in 0..5000 {
-            if engine.queue_depth() == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(engine.queue_depth(), 0, "worker never picked up request");
+        until_dispatched(&engine);
         // Fill the bounded queue behind the stuck batch...
         let b = engine.submit(row).unwrap();
         let c = engine.submit(row).unwrap();
@@ -765,20 +782,30 @@ mod tests {
     fn supervisor_quarantines_poison_and_keeps_serving() {
         let (p, calib) = plan();
         let mut reference = p.clone();
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let mut exec = poison_sensitive_exec();
+        let mut first = true;
         let engine = Engine::with_exec(
             p,
             BatchPolicy {
                 max_batch: 8,
-                // Generous gather window so all requests below land in
-                // one batch (the gather-window trick).
-                max_wait: Duration::from_millis(300),
+                max_wait: Duration::from_millis(1),
                 max_queue: 64,
                 max_restarts: 3,
                 restart_backoff: Duration::ZERO,
             },
-            poison_sensitive_exec(),
+            // The first batch parks on the gate, so the requests below
+            // pile up behind it and dispatch as one batch.
+            Box::new(move |plan, x, batch, out| {
+                if std::mem::replace(&mut first, false) {
+                    let _ = gate_rx.recv();
+                }
+                exec(plan, x, batch, out)
+            }),
         );
         let f = 8;
+        let held = engine.submit(&calib.as_slice()[..f]).unwrap();
+        until_dispatched(&engine);
         let mut poison_row = calib.as_slice()[..f].to_vec();
         poison_row[0] = POISON;
         // One poisoned request sandwiched between innocents.
@@ -786,6 +813,8 @@ mod tests {
         let bad = engine.submit(&poison_row).unwrap();
         let b = engine.submit(&calib.as_slice()[f..2 * f]).unwrap();
         let c = engine.submit(&calib.as_slice()[2 * f..3 * f]).unwrap();
+        drop(gate_tx);
+        assert!(engine.wait(held).is_ok());
         // The offender is isolated and fails as PoisonedRequest...
         let err = engine.wait(bad).unwrap_err();
         assert!(
@@ -948,12 +977,7 @@ mod tests {
         );
         let row = &calib.as_slice()[..8];
         let executing = engine.submit(row).unwrap();
-        for _ in 0..5000 {
-            if engine.queue_depth() == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        until_dispatched(&engine);
         let queued = engine.submit(row).unwrap();
         // Queued: removed before execution; cancel is idempotent.
         assert!(engine.cancel(queued));
@@ -986,6 +1010,92 @@ mod tests {
         assert!(engine.poll(done).is_none());
         // Unknown ids are a no-op.
         assert!(!engine.cancel(RequestId(9_999_999)));
+    }
+
+    #[test]
+    fn lone_request_on_an_idle_engine_does_not_wait_out_max_wait() {
+        let (p, calib) = plan();
+        let engine = Engine::new(
+            p,
+            BatchPolicy {
+                max_batch: 4,
+                max_wait: Duration::from_secs(5),
+                ..BatchPolicy::default()
+            },
+        );
+        let row = |i: usize| &calib.as_slice()[i * 8..(i + 1) * 8];
+        // A full first batch closes at once and gives the worker a
+        // service time to poll by; until then its poll is the cap.
+        let ids: Vec<RequestId> = (0..4).map(|i| engine.submit(row(i)).unwrap()).collect();
+        for id in ids {
+            assert!(engine.wait(id).is_ok());
+        }
+        let start = Instant::now();
+        let id = engine.submit(row(4)).unwrap();
+        assert!(engine.wait(id).is_ok());
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "a lone request waited for company that never came: {took:?}"
+        );
+        assert_eq!(engine.stats().batches, 2);
+    }
+
+    #[test]
+    fn max_wait_counts_from_the_head_request_submit() {
+        // Batch 1 is held for longer than `max_wait`; the request queued
+        // behind it has used its whole budget by then, so it dispatches
+        // as soon as the worker is free instead of opening a new window.
+        let (p, calib) = plan();
+        let max_wait = Duration::from_millis(400);
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel();
+        let engine = Engine::with_exec(
+            p,
+            BatchPolicy {
+                max_batch: 2,
+                max_wait,
+                ..BatchPolicy::default()
+            },
+            gated_exec(gate_rx),
+        );
+        let row = &calib.as_slice()[..8];
+        let held: Vec<RequestId> = (0..2).map(|_| engine.submit(row).unwrap()).collect();
+        until_dispatched(&engine);
+        let behind = engine.submit(row).unwrap();
+        std::thread::sleep(max_wait + Duration::from_millis(100));
+        drop(gate_tx);
+        let released = Instant::now();
+        assert_eq!(engine.wait(behind).unwrap(), vec![0.0]);
+        let took = released.elapsed();
+        assert!(
+            took < max_wait / 2,
+            "the queued request waited a second window: {took:?}"
+        );
+        for id in held {
+            assert!(engine.wait(id).is_ok());
+        }
+        assert_eq!(engine.stats().batches, 2);
+    }
+
+    #[test]
+    fn burst_behind_a_held_batch_dispatches_as_one_full_batch() {
+        // The engine_wave shape: `max_batch` rows queued at once.
+        let (p, calib) = plan();
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel();
+        let engine = Engine::with_exec(p, BatchPolicy::default(), gated_exec(gate_rx));
+        let wave = BatchPolicy::default().max_batch;
+        let row = &calib.as_slice()[..8];
+        let held = engine.submit(row).unwrap();
+        until_dispatched(&engine);
+        let ids: Vec<RequestId> = (0..wave).map(|_| engine.submit(row).unwrap()).collect();
+        drop(gate_tx);
+        assert!(engine.wait(held).is_ok());
+        for id in ids {
+            assert!(engine.wait(id).is_ok());
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.batches, 2, "{stats:?}");
+        assert_eq!(stats.largest_batch, wave, "{stats:?}");
     }
 
     fn decoder_plan(seq: usize, dim: usize) -> CompiledPlan {
@@ -1063,29 +1173,56 @@ mod tests {
         assert_eq!(engine.session_count(), 0);
     }
 
+    /// A step gate that parks the first prefill/decode batch until the
+    /// test sends (or drops the sender), and lets every later one pass.
+    fn hold_first(gate: std::sync::mpsc::Receiver<()>) -> StepGate {
+        let mut first = true;
+        Box::new(move || {
+            if std::mem::replace(&mut first, false) {
+                let _ = gate.recv();
+            }
+        })
+    }
+
     #[test]
     fn decode_steps_from_many_sessions_coalesce() {
+        // The steps pile up behind a prefill held for `hold`, so the
+        // worker's quiet poll is `hold` long. A step from every open
+        // session closes the run, so it dispatches without that poll.
         let (seq, dim) = (6, 16);
-        let engine = Engine::new(
+        let hold = Duration::from_millis(500);
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel();
+        let engine = Engine::with_hooks(
             decoder_plan(seq, dim),
             BatchPolicy {
                 max_batch: 64,
-                max_wait: Duration::from_millis(300),
+                max_wait: Duration::from_secs(5),
                 ..BatchPolicy::default()
             },
+            Box::new(|plan, x, batch, out| plan.forward_rows(x, batch, out)),
+            Some(hold_first(gate_rx)),
         );
-        // Gather-window trick: the first submission opens a generous
-        // window, so every step below lands in one coalesced batch.
         let n = 5;
         let sids: Vec<SessionId> = (0..n).map(|_| engine.open_session(seq).unwrap()).collect();
+        let prefill = engine.submit_prefill(sids[0], &token(dim, 99)).unwrap();
+        until_dispatched(&engine);
         let ids: Vec<RequestId> = sids
             .iter()
             .enumerate()
             .map(|(i, sid)| engine.submit_decode(*sid, &token(dim, i as u64)).unwrap())
             .collect();
+        std::thread::sleep(hold);
+        gate_tx.send(()).unwrap();
+        let released = Instant::now();
+        assert_eq!(engine.wait(prefill).unwrap().len(), dim);
         for id in ids {
             assert_eq!(engine.wait(id).unwrap().len(), dim);
         }
+        let took = released.elapsed();
+        assert!(
+            took < hold / 2,
+            "a step from every session waited for company: {took:?}"
+        );
         let stats = engine.stats();
         assert_eq!(stats.decode_tokens, n as u64);
         assert_eq!(
@@ -1158,7 +1295,6 @@ mod tests {
         // no further caller involvement.
         let (seq, dim) = (6, 16);
         let (gate_tx, gate_rx) = std::sync::mpsc::channel();
-        let mut opened = false;
         let engine = Engine::with_hooks(
             decoder_plan(seq, dim),
             BatchPolicy {
@@ -1168,11 +1304,7 @@ mod tests {
                 ..BatchPolicy::default()
             },
             Box::new(|plan, x, batch, out| plan.forward_rows(x, batch, out)),
-            Some(Box::new(move || {
-                if !std::mem::replace(&mut opened, true) {
-                    let _ = gate_rx.recv();
-                }
-            })),
+            Some(hold_first(gate_rx)),
         );
         let sid = engine.open_session(seq).unwrap();
         let bytes = engine.kv_bytes();
@@ -1180,12 +1312,7 @@ mod tests {
         let id = engine.submit_decode(sid, &token(dim, 7)).unwrap();
         // The worker picks up the step and parks inside the gate with
         // the session claimed.
-        for _ in 0..5000 {
-            if engine.queue_depth() == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        until_dispatched(&engine);
         // Caller gives up: deadline expires, cancel + close.
         assert!(matches!(
             engine.wait_timeout(id, Duration::from_millis(10)),
@@ -1231,12 +1358,7 @@ mod tests {
         let b = engine.open_session(seq).unwrap();
         // First step occupies the worker (parked in the gate)...
         let running = engine.submit_decode(a, &token(dim, 1)).unwrap();
-        for _ in 0..5000 {
-            if engine.queue_depth() == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        until_dispatched(&engine);
         // ...so b's step is still queued when b closes.
         let queued = engine.submit_decode(b, &token(dim, 2)).unwrap();
         assert!(engine.close_session(b));

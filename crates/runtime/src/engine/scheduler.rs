@@ -13,11 +13,11 @@ use super::supervisor::{Episode, Supervisor};
 use super::{BatchExec, BatchPolicy, EngineStats, RequestId, SessionId, StepGate};
 use crate::error::RuntimeError;
 use crate::kv::DecodeSession;
-use crate::obs;
+use crate::obs::{self, BatchClose};
 use crate::plan::CompiledPlan;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What a queued request asks the worker to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,8 @@ pub(super) struct Queued {
     pub(super) id: u64,
     pub(super) work: Work,
     pub(super) input: Vec<f32>,
-    /// Submit timestamp (telemetry).
+    /// Submit timestamp ([`obs::now`]): telemetry, and where the
+    /// `max_wait` cap of the batch this request heads starts.
     pub(super) submitted: u64,
 }
 
@@ -358,29 +359,42 @@ impl Scheduler {
     /// **under supervision**, publish, repeat. Queued work is drained
     /// even during shutdown so submitted requests are never silently
     /// dropped. The engine dies only when the supervisor gives up.
+    ///
+    /// The wall time of each execution, capped at `max_wait`, is the
+    /// next gather's quiet poll ([`Self::next_batch`]). Until a batch has
+    /// run there is no service time to go by, so the first poll is the
+    /// cap.
     pub(super) fn work(&self, mut runner: Runner, mut supervisor: Supervisor) {
         let m = obs::metrics();
-        while let Some(batch) = self.next_batch() {
+        let mut quiet = self.policy.max_wait;
+        while let Some(batch) = self.next_batch(quiet) {
             let dispatch = obs::now();
             for q in &batch {
                 m.engine_request_wait(dispatch.saturating_sub(q.submitted));
             }
             // Only stateless work can be re-run to isolate an offender.
             let rerunnable = batch[0].work == Work::Infer;
-            match supervisor.execute(&batch, rerunnable, &mut |b| runner.run(self, b)) {
-                Ok(episode) => self.publish(&batch, dispatch, episode),
+            let episode = supervisor.execute(&batch, rerunnable, &mut |b| runner.run(self, b));
+            let service = obs::now().saturating_sub(dispatch);
+            quiet = Duration::from_nanos(service).min(self.policy.max_wait);
+            match episode {
+                Ok(episode) => self.publish(&batch, dispatch, service, episode),
                 Err(msg) => return self.fail_after_worker_panic(&msg),
             }
             std::thread::sleep(supervisor.backoff());
         }
     }
 
-    /// Blocks for work, then holds the batch open for company while the
-    /// run at the queue head is *open* ([`gatherable`]) and the
-    /// `max_wait` budget lasts. A closed run dispatches at once: waiting
-    /// could not grow it, and would only delay it and whatever is queued
+    /// Blocks for work, then gathers the run at the queue head while it
+    /// is *open* ([`gatherable`]). The run dispatches as soon as it has
+    /// not grown for one `quiet` poll, or once `max_wait` has passed
+    /// since its head request was submitted — not since gathering began,
+    /// so a request that queued behind a long batch does not wait a
+    /// second window. A closed run dispatches at once. Holding a run for
+    /// longer than one service time costs its head more than dispatching
+    /// now costs a late companion, which waits at most one service time
     /// behind it. `None` once the engine shut down and the queue drained.
-    fn next_batch(&self) -> Option<Vec<Queued>> {
+    fn next_batch(&self, quiet: Duration) -> Option<Vec<Queued>> {
         let mut state = self.lock();
         loop {
             while state.queue.is_empty() && !state.shutdown {
@@ -392,27 +406,50 @@ impl Scheduler {
             if state.queue.is_empty() {
                 return None;
             }
-            let deadline = Instant::now() + self.policy.max_wait;
-            let take = loop {
-                let (take, open) = gatherable(&state.queue, self.policy.max_batch);
-                let left = deadline.saturating_duration_since(Instant::now());
-                if !open || left.is_zero() || state.shutdown {
-                    break take;
+            // The run's longest length so far, and when it reached it.
+            // Timing the poll from there, not from the last wake-up,
+            // keeps a wake-up that brought nothing new (a notify for an
+            // arrival already counted) from closing the run early.
+            let (mut longest, mut grew) = (0, 0);
+            let (take, why) = loop {
+                let (take, close) =
+                    gatherable(&state.queue, self.policy.max_batch, state.sessions.len());
+                if let Some(why) = close {
+                    break (take, why);
+                }
+                let Some(head) = state.queue.front() else {
+                    break (0, BatchClose::Quiet);
+                };
+                let now = obs::now();
+                let since = |t: u64| Duration::from_nanos(now.saturating_sub(t));
+                let left = self.policy.max_wait.saturating_sub(since(head.submitted));
+                if left.is_zero() {
+                    break (take, BatchClose::Cap);
+                }
+                if take > longest {
+                    (longest, grew) = (take, now);
+                }
+                let poll = quiet.saturating_sub(since(grew));
+                // After shutdown nothing can be admitted to grow the run.
+                if state.shutdown || poll.is_zero() {
+                    break (take, BatchClose::Quiet);
                 }
                 state = self
                     .work_cv
-                    .wait_timeout(state, left)
+                    .wait_timeout(state, poll.min(left))
                     .unwrap_or_else(PoisonError::into_inner)
                     .0;
             };
             // take == 0: every gathered request was cancelled out of the
-            // queue while the batch window was open; nothing to run.
+            // queue while the run was gathering; nothing to run.
             if take > 0 {
                 let batch: Vec<Queued> = state.queue.drain(..take).collect();
                 for q in &batch {
                     state.flights.insert(q.id, Flight::Executing);
                 }
-                obs::metrics().engine_queue_depth(state.queue.len());
+                let m = obs::metrics();
+                m.engine_queue_depth(state.queue.len());
+                m.engine_batch_close(why);
                 return Some(batch);
             }
         }
@@ -425,13 +462,12 @@ impl Scheduler {
     /// batch's sessions are closed and freed here: their KV state is
     /// unknowable after a partial append (and the claimed caches went
     /// with the unwind), so the byte/session gauges drain.
-    fn publish(&self, batch: &[Queued], dispatch: u64, episode: Episode) {
+    fn publish(&self, batch: &[Queued], dispatch: u64, dur: u64, episode: Episode) {
         let decode_steps = match batch[0].work {
             Work::Decode { .. } => episode.step_count,
             _ => 0,
         };
         let m = obs::metrics();
-        let dur = obs::now().saturating_sub(dispatch);
         if decode_steps > 0 {
             m.engine_decode_batch(dispatch, dur, decode_steps);
         } else {
@@ -526,17 +562,23 @@ impl Scheduler {
     }
 }
 
-/// The executable same-kind run at the queue head, and whether it is
-/// still *open* — whether waiting could grow it. Infer requests batch
-/// with infer requests, decode steps with decode steps **from distinct
-/// sessions** (a session advances at most one token per batch — steps
-/// are sequentially dependent), and a prefill always runs alone. A run
-/// is *closed* once it is full, is a prefill, or is followed in the FIFO
-/// by a request that could not join it: order forbids overtaking, so no
-/// later arrival can join either.
-fn gatherable(queue: &VecDeque<Queued>, max_batch: usize) -> (usize, bool) {
+/// The executable same-kind run at the queue head, and why it is
+/// *closed* — `None` while it is open, that is while waiting could grow
+/// it. Infer requests batch with infer requests, decode steps with
+/// decode steps **from distinct sessions** (a session advances at most
+/// one token per batch — steps are sequentially dependent), and a
+/// prefill always runs alone. A run is closed once it is a prefill, is
+/// full, or is followed in the FIFO by a request that could not join it
+/// (order forbids overtaking, so no later arrival can join either), and
+/// a decode run once it holds a step from every one of the `sessions`
+/// open sessions: no session is left that could join it.
+fn gatherable(
+    queue: &VecDeque<Queued>,
+    max_batch: usize,
+    sessions: usize,
+) -> (usize, Option<BatchClose>) {
     let Some(head) = queue.front() else {
-        return (0, true);
+        return (0, None);
     };
     let run = queue.iter().take(max_batch);
     let take = match head.work {
@@ -548,9 +590,14 @@ fn gatherable(queue: &VecDeque<Queued>, max_batch: usize) -> (usize, bool) {
                 .count()
         }
     };
-    let closed =
-        take == max_batch || take < queue.len() || matches!(head.work, Work::Prefill { .. });
-    (take, !closed)
+    let close = match head.work {
+        Work::Prefill { .. } => Some(BatchClose::Prefill),
+        _ if take == max_batch => Some(BatchClose::Full),
+        _ if take < queue.len() => Some(BatchClose::Blocked),
+        Work::Decode { .. } if take >= sessions => Some(BatchClose::Sessions),
+        _ => None,
+    };
+    (take, close)
 }
 
 /// The worker's executor: the plan, the injected seams, and the
@@ -693,58 +740,118 @@ mod tests {
 
     #[test]
     fn gatherable_takes_the_head_run_and_says_whether_waiting_could_grow_it() {
-        // (case, queue, max_batch, (take, open))
-        type Case<'a> = (&'a str, &'a [Work], usize, (usize, bool));
+        use BatchClose::{Blocked, Full, Prefill, Sessions};
+        // (case, queue, max_batch, open sessions, (take, close))
+        type Case<'a> = (
+            &'a str,
+            &'a [Work],
+            usize,
+            usize,
+            (usize, Option<BatchClose>),
+        );
         let cases: &[Case<'_>] = &[
-            ("empty queue", &[], 4, (0, true)),
-            ("infer run under max_batch", &[I, I, I], 4, (3, true)),
-            ("infer run at max_batch", &[I, I, I, I], 4, (4, false)),
+            ("empty queue", &[], 4, 0, (0, None)),
+            ("infer run under max_batch", &[I, I, I], 4, 0, (3, None)),
+            (
+                "infer run at max_batch",
+                &[I, I, I, I],
+                4,
+                0,
+                (4, Some(Full)),
+            ),
             (
                 "infer run past max_batch",
                 &[I, I, I, I, I, I],
                 4,
-                (4, false),
+                0,
+                (4, Some(Full)),
             ),
             (
-                "decode steps of distinct sessions",
+                "decode steps of distinct sessions, one session missing",
                 &[d(1), d(2), d(3)],
                 4,
-                (3, true),
+                4,
+                (3, None),
+            ),
+            (
+                "a step from every open session closes the run",
+                &[d(1), d(2), d(3)],
+                4,
+                3,
+                (3, Some(Sessions)),
+            ),
+            (
+                "a full run is full before it is every session",
+                &[d(1), d(2), d(3), d(4)],
+                4,
+                4,
+                (4, Some(Full)),
             ),
             (
                 "a repeated session closes the run",
                 &[d(1), d(2), d(1), d(3)],
                 8,
-                (2, false),
+                3,
+                (2, Some(Blocked)),
             ),
-            ("a lone decode step stays open", &[d(1)], 4, (1, true)),
-            ("a prefill alone is closed", &[p(1)], 4, (1, false)),
+            (
+                "a lone step of one of two sessions stays open",
+                &[d(1)],
+                4,
+                2,
+                (1, None),
+            ),
+            (
+                "a lone step of the only session is closed",
+                &[d(1)],
+                4,
+                1,
+                (1, Some(Sessions)),
+            ),
+            (
+                "a prefill alone is closed",
+                &[p(1)],
+                4,
+                1,
+                (1, Some(Prefill)),
+            ),
             (
                 "a prefill takes nothing with it",
                 &[p(1), p(2), d(3)],
                 4,
-                (1, false),
+                3,
+                (1, Some(Prefill)),
             ),
             (
                 "infer run closed by a decode step",
                 &[I, I, d(1)],
                 4,
-                (2, false),
+                1,
+                (2, Some(Blocked)),
+            ),
+            (
+                "infer runs ignore the session count",
+                &[I, I],
+                4,
+                2,
+                (2, None),
             ),
             (
                 "decode run closed by a prefill",
                 &[d(1), p(2)],
                 4,
-                (1, false),
+                2,
+                (1, Some(Blocked)),
             ),
             (
                 "decode run closed by an infer",
                 &[d(1), d(2), I, d(3)],
                 4,
-                (2, false),
+                3,
+                (2, Some(Blocked)),
             ),
         ];
-        for (name, works, max_batch, want) in cases {
+        for (name, works, max_batch, sessions, want) in cases {
             let queue: VecDeque<Queued> = works
                 .iter()
                 .zip(0..)
@@ -755,7 +862,7 @@ mod tests {
                     submitted: 0,
                 })
                 .collect();
-            assert_eq!(gatherable(&queue, *max_batch), *want, "{name}");
+            assert_eq!(gatherable(&queue, *max_batch, *sessions), *want, "{name}");
         }
     }
 }

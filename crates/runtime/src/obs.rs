@@ -93,6 +93,58 @@ impl LayerKind {
     }
 }
 
+/// Why the engine's gather loop dispatched a batch: one `reason` label
+/// value of `ant_engine_batch_close_total` per variant. The discriminant
+/// indexes the per-reason counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchClose {
+    /// `max_batch` requests gathered.
+    Full,
+    /// Followed in the queue by a request that could not join the run.
+    Blocked,
+    /// A prefill, which always runs alone.
+    Prefill,
+    /// Every open decode session has a step in the run.
+    Sessions,
+    /// The run did not grow for one quiet poll.
+    Quiet,
+    /// `max_wait` since the head request's submit was spent.
+    Cap,
+}
+
+/// Every close reason, in discriminant order.
+const BATCH_CLOSES: [BatchClose; 6] = [
+    BatchClose::Full,
+    BatchClose::Blocked,
+    BatchClose::Prefill,
+    BatchClose::Sessions,
+    BatchClose::Quiet,
+    BatchClose::Cap,
+];
+
+const _: () = {
+    let mut i = 0;
+    while i < BATCH_CLOSES.len() {
+        assert!(BATCH_CLOSES[i] as usize == i);
+        i += 1;
+    }
+};
+
+impl BatchClose {
+    /// The stable `reason` label value (pinned by the catalog in
+    /// `docs/observability.md`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            BatchClose::Full => "full",
+            BatchClose::Blocked => "blocked",
+            BatchClose::Prefill => "prefill",
+            BatchClose::Sessions => "sessions",
+            BatchClose::Quiet => "quiet",
+            BatchClose::Cap => "cap",
+        }
+    }
+}
+
 /// Nanoseconds since the process-local telemetry epoch.
 #[inline]
 pub fn now() -> u64 {
@@ -120,6 +172,7 @@ pub struct RuntimeMetrics {
     engine_service: Arc<Histogram>,
     engine_requests: Arc<Counter>,
     engine_batches: Arc<Counter>,
+    engine_batch_close: [Arc<Counter>; BATCH_CLOSES.len()],
     engine_decode_batch: Arc<Histogram>,
     engine_decode_step: Arc<Histogram>,
     engine_decode_tokens: Arc<Counter>,
@@ -200,6 +253,14 @@ impl RuntimeMetrics {
                 "Requests accepted by Engine::submit",
             ),
             engine_batches: r.counter("ant_engine_batches_total", "Batches executed"),
+            engine_batch_close: BATCH_CLOSES.map(|why| {
+                r.counter_with(
+                    "ant_engine_batch_close_total",
+                    "reason",
+                    why.as_str(),
+                    "Batches dispatched, by why the gather loop closed them",
+                )
+            }),
             engine_decode_batch: r.histogram(
                 "ant_engine_decode_batch_size",
                 "Sessions coalesced per executed decode step batch",
@@ -296,6 +357,12 @@ impl RuntimeMetrics {
         self.engine_batch_size.record(batch as u64);
         self.engine_service.record(dur_ns);
         ant_obs::record_span(self.span_batch, start_ns, dur_ns);
+    }
+
+    /// Counts one batch the gather loop closed, by why it closed.
+    #[inline]
+    pub fn engine_batch_close(&self, why: BatchClose) {
+        self.engine_batch_close[why as usize].inc();
     }
 
     /// Records one executed decode step batch: `batch` sessions each

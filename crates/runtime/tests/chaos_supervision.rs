@@ -16,6 +16,7 @@ use ant_runtime::{BatchExec, BatchPolicy, CompiledPlan, Engine, RuntimeError};
 use ant_tensor::dist::{sample_tensor, Distribution};
 use ant_tensor::Tensor;
 use proptest::prelude::*;
+use std::sync::mpsc::{channel, Receiver};
 use std::time::Duration;
 
 const FEATURES: usize = 8;
@@ -40,9 +41,15 @@ fn plan() -> CompiledPlan {
 
 /// An executor that panics whenever any row of the batch is poisoned —
 /// the whole batch dies, exactly like a poison request crashing a
-/// shared forward pass.
-fn poison_sensitive_exec() -> BatchExec {
-    Box::new(|plan, x, batch, out| {
+/// shared forward pass. Its first batch parks until `gate` sends or
+/// drops, so the requests submitted meanwhile pile up behind it and
+/// dispatch as one batch.
+fn poison_sensitive_exec(gate: Receiver<()>) -> BatchExec {
+    let mut first = true;
+    Box::new(move |plan, x, batch, out| {
+        if std::mem::replace(&mut first, false) {
+            let _ = gate.recv();
+        }
         let per = x.len() / batch;
         for row in x.chunks(per) {
             assert!(row[0] != POISON, "poisoned row reached the plan");
@@ -84,20 +91,22 @@ proptest! {
     ) {
         let p = plan();
         let mut reference = p.clone();
+        let (gate, held) = channel();
         let engine = Engine::with_exec(
             p,
             BatchPolicy {
-                // Unreachable max_batch + a generous gather window: all
-                // n submits below land in ONE batch deterministically.
+                // Unreachable max_batch: the n submits below pile up
+                // behind the held first batch and land in ONE batch,
+                // however short the gather window.
                 max_batch: 64,
-                max_wait: Duration::from_millis(300),
+                max_wait: Duration::from_millis(1),
                 max_queue: 64,
                 // Room for k panics in a row even if every probe of a
                 // bisection level is all-poison.
                 max_restarts: 16,
                 restart_backoff: Duration::ZERO,
             },
-            poison_sensitive_exec(),
+            poison_sensitive_exec(held),
         );
         let inputs = sample_tensor(
             Distribution::Gaussian { mean: 0.0, std: 1.0 },
@@ -105,6 +114,10 @@ proptest! {
             seed,
         );
         let poisoned = poisoned_indices(n, k, seed.wrapping_mul(31).wrapping_add(7));
+        let first = engine.submit(&inputs.as_slice()[..FEATURES]).unwrap();
+        while engine.queue_depth() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let mut ids = Vec::with_capacity(n);
         for i in 0..n {
             let mut row = inputs.as_slice()[i * FEATURES..(i + 1) * FEATURES].to_vec();
@@ -113,6 +126,8 @@ proptest! {
             }
             ids.push(engine.submit(&row).unwrap());
         }
+        drop(gate);
+        prop_assert!(engine.wait(first).is_ok());
         for (i, id) in ids.into_iter().enumerate() {
             if poisoned.contains(&i) {
                 // Exactly the poisoned requests fail, and as
@@ -147,6 +162,7 @@ proptest! {
             .unwrap();
         prop_assert!(engine.wait(id).is_ok());
         let stats = engine.stats();
+        prop_assert_eq!(stats.largest_batch, n, "stats: {:?}", stats);
         prop_assert_eq!(stats.poisoned, k as u64, "stats: {:?}", stats);
         prop_assert!(stats.restarts >= 1, "stats: {:?}", stats);
     }

@@ -1,20 +1,25 @@
 //! Liveness and backpressure contracts of the public `Engine` API.
 //!
-//! These pin the two serving-critical behaviors from the outside, with
-//! no test hooks: a full submit queue sheds load with
-//! [`RuntimeError::Overloaded`] (and recovers once drained), and
-//! deadline-bounded waits expire instead of trusting worker liveness.
+//! These pin the serving-critical behaviors from the outside: a full
+//! submit queue sheds load with [`RuntimeError::Overloaded`] (and
+//! recovers once drained), deadline-bounded waits expire instead of
+//! trusting worker liveness, decode steps coalesce across sessions, and
+//! closed sessions release their KV cache.
 //!
-//! Determinism on one core: the worker's gather loop holds the first
-//! batch open for `max_wait` *without draining the queue* (the drain
-//! happens when the batch closes), so with a large `max_batch` and a
-//! generous `max_wait`, quick submits pile into the bounded queue and
-//! the `max_queue + 1`-th is rejected — no sleeps, no racing.
+//! Determinism on any core count: the gather window adapts — a run
+//! dispatches once it has not grown for one quiet poll, and at once
+//! when waiting could not grow it — so no test here relies on the window
+//! to hold requests back. Instead the worker is *held*: an executor
+//! ([`Engine::with_exec`]) or step gate ([`Engine::with_hooks`]) parks
+//! the first batch until the test releases it, and whatever the test
+//! submits meanwhile piles up in the queue behind it — no sleeps, no
+//! racing.
 
 use ant_nn::model::{decoder_block, mlp};
 use ant_nn::qat::{quantize_model, QuantSpec};
-use ant_runtime::{BatchPolicy, CompiledPlan, Engine, RuntimeError};
+use ant_runtime::{BatchExec, BatchPolicy, CompiledPlan, Engine, RuntimeError, StepGate};
 use ant_tensor::dist::{sample_tensor, Distribution};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 fn plan() -> CompiledPlan {
@@ -63,20 +68,73 @@ fn token(seed: u64) -> Vec<f32> {
     .to_vec()
 }
 
+/// An infer executor that parks the first batch until the test sends
+/// (or drops the sender), then forwards every batch through the plan.
+fn hold_first_batch(gate: Receiver<()>) -> BatchExec {
+    let mut first = true;
+    Box::new(move |plan, x, batch, out| {
+        if std::mem::replace(&mut first, false) {
+            let _ = gate.recv();
+        }
+        plan.forward_rows(x, batch, out)
+    })
+}
+
+/// The same hold for the first prefill/decode batch.
+fn hold_first_step(gate: Receiver<()>) -> StepGate {
+    let mut first = true;
+    Box::new(move || {
+        if std::mem::replace(&mut first, false) {
+            let _ = gate.recv();
+        }
+    })
+}
+
+/// An MLP engine whose first batch is held until the returned sender
+/// sends or drops.
+fn held_engine(policy: BatchPolicy) -> (Engine, Sender<()>) {
+    let (gate_tx, gate_rx) = channel();
+    (
+        Engine::with_exec(plan(), policy, hold_first_batch(gate_rx)),
+        gate_tx,
+    )
+}
+
+/// A decoder engine whose first prefill/decode batch is held.
+fn held_decoder(policy: BatchPolicy) -> (Engine, Sender<()>) {
+    let (gate_tx, gate_rx) = channel();
+    let engine = Engine::with_hooks(
+        decoder_plan(),
+        policy,
+        Box::new(|plan, x, batch, out| plan.forward_rows(x, batch, out)),
+        Some(hold_first_step(gate_rx)),
+    );
+    (engine, gate_tx)
+}
+
+/// Blocks until the worker has drained the queue into its (held) batch.
+fn until_dispatched(engine: &Engine) {
+    for _ in 0..5000 {
+        if engine.queue_depth() == 0 {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    panic!("worker never picked up the queued requests");
+}
+
 #[test]
 fn bounded_queue_sheds_load_and_recovers() {
-    // max_batch is unreachable, so the worker holds its gather window
-    // open for the full max_wait while our submits land in the queue.
-    let engine = Engine::new(
-        plan(),
-        BatchPolicy {
-            max_batch: 64,
-            max_wait: Duration::from_millis(500),
-            max_queue: 4,
-            ..BatchPolicy::default()
-        },
-    );
+    let (engine, gate) = held_engine(BatchPolicy {
+        max_batch: 64,
+        max_wait: Duration::from_millis(500),
+        max_queue: 4,
+        ..BatchPolicy::default()
+    });
     let row = [0.5_f32; 8];
+    let held = engine.submit(&row).unwrap();
+    until_dispatched(&engine);
+    // The worker is parked: submits pile into the bounded queue.
     let ids: Vec<_> = (0..4).map(|_| engine.submit(&row).unwrap()).collect();
     let err = engine.submit(&row).unwrap_err();
     match err {
@@ -87,6 +145,8 @@ fn bounded_queue_sheds_load_and_recovers() {
         other => panic!("expected Overloaded, got: {other}"),
     }
     // Everything admitted completes; nothing admitted was lost.
+    drop(gate);
+    assert_eq!(engine.wait(held).unwrap().len(), 4);
     for id in ids {
         assert_eq!(engine.wait(id).unwrap().len(), 4);
     }
@@ -95,45 +155,39 @@ fn bounded_queue_sheds_load_and_recovers() {
     let id = engine.submit(&row).unwrap();
     assert_eq!(engine.wait(id).unwrap().len(), 4);
     let stats = engine.stats();
-    assert_eq!(stats.submitted, 5, "the shed request must not be counted");
-    assert_eq!(stats.completed, 5);
+    assert_eq!(stats.submitted, 6, "the shed request must not be counted");
+    assert_eq!(stats.completed, 6);
 }
 
 #[test]
 fn wait_timeout_expires_while_batch_is_held_open() {
-    let engine = Engine::new(
-        plan(),
-        BatchPolicy {
-            max_batch: 64,
-            max_wait: Duration::from_millis(500),
-            max_queue: 64,
-            ..BatchPolicy::default()
-        },
-    );
+    let (engine, gate) = held_engine(BatchPolicy {
+        max_batch: 64,
+        max_wait: Duration::from_millis(500),
+        max_queue: 64,
+        ..BatchPolicy::default()
+    });
     let id = engine.submit(&[0.5; 8]).unwrap();
-    // The batch is held open for ~500ms; a 20ms deadline expires first.
-    let start = Instant::now();
+    until_dispatched(&engine);
+    // The batch is held until the gate opens; a 20ms deadline expires
+    // first, with the request still in flight.
     let got = engine.wait_timeout(id, Duration::from_millis(20)).unwrap();
     assert!(got.is_none(), "deadline cannot have been met");
-    assert!(
-        start.elapsed() < Duration::from_millis(450),
-        "expiry returned only after the batch closed"
-    );
     // The request was not lost: an unbounded wait still delivers it.
+    drop(gate);
     assert_eq!(engine.wait(id).unwrap().len(), 4);
 }
 
 #[test]
 fn cancel_after_timeout_drops_the_result() {
-    let engine = Engine::new(
-        plan(),
-        BatchPolicy {
-            max_batch: 64,
-            max_wait: Duration::from_millis(200),
-            max_queue: 64,
-            ..BatchPolicy::default()
-        },
-    );
+    let (engine, gate) = held_engine(BatchPolicy {
+        max_batch: 64,
+        max_wait: Duration::from_millis(200),
+        max_queue: 64,
+        ..BatchPolicy::default()
+    });
+    let held = engine.submit(&[0.25; 8]).unwrap();
+    until_dispatched(&engine);
     let id = engine.submit(&[0.5; 8]).unwrap();
     assert!(engine
         .wait_timeout(id, Duration::from_millis(10))
@@ -141,39 +195,43 @@ fn cancel_after_timeout_drops_the_result() {
         .is_none());
     // Deadline handling à la antd: give up and cancel so the eventual
     // result is dropped instead of parking in the engine forever. The
-    // request was still queued, so cancel removes it outright.
+    // request is queued behind the held batch, so cancel removes it
+    // outright.
     assert!(engine.cancel(id));
     assert_eq!(engine.queue_depth(), 0);
-    // The worker survives its now-empty batch window: a fresh request
-    // still completes, and the cancelled id is gone, not parked.
+    drop(gate);
+    assert_eq!(engine.wait(held).unwrap().len(), 4);
+    // The worker carries on: a fresh request still completes, and the
+    // cancelled id is gone, not parked — it never ran.
     let fresh = engine.submit(&[0.25; 8]).unwrap();
     assert_eq!(engine.wait(fresh).unwrap().len(), 4);
     assert!(matches!(engine.wait(id), Err(RuntimeError::Engine(_))));
+    assert_eq!(engine.stats().completed, 2);
 }
 
 #[test]
 fn decode_steps_from_many_sessions_coalesce_into_one_batch() {
-    // Gather-window determinism trick: max_batch is unreachable, so the
-    // first decode step holds the window open for the full max_wait
-    // while the other sessions' steps pile in behind it — the batch
-    // that finally closes must contain every one of them.
-    let engine = Engine::new(
-        decoder_plan(),
-        BatchPolicy {
-            max_batch: 64,
-            max_wait: Duration::from_millis(500),
-            max_queue: 64,
-            ..BatchPolicy::default()
-        },
-    );
+    // The first session's prefill is held; one step from each of the six
+    // sessions piles up behind it. Released, they form a run holding a
+    // step from every open session, which dispatches as one batch.
+    let (engine, gate) = held_decoder(BatchPolicy {
+        max_batch: 64,
+        max_wait: Duration::from_millis(500),
+        max_queue: 64,
+        ..BatchPolicy::default()
+    });
     let sids: Vec<_> = (0..6).map(|_| engine.open_session(SEQ).unwrap()).collect();
     assert_eq!(engine.session_count(), 6);
     assert!(engine.kv_bytes() > 0);
+    let prefill = engine.submit_prefill(sids[0], &token(99)).unwrap();
+    until_dispatched(&engine);
     let ids: Vec<_> = sids
         .iter()
         .enumerate()
         .map(|(i, sid)| engine.submit_decode(*sid, &token(i as u64)).unwrap())
         .collect();
+    drop(gate);
+    assert_eq!(engine.wait(prefill).unwrap().len(), DIM);
     for id in &ids {
         assert_eq!(engine.wait(*id).unwrap().len(), DIM);
     }
@@ -189,10 +247,10 @@ fn decode_steps_from_many_sessions_coalesce_into_one_batch() {
 
 #[test]
 fn prefill_does_not_starve_queued_decode_steps_past_max_wait() {
-    // A prefill at the queue head closes its gather window immediately
-    // (it always runs alone), so decode steps queued behind a prefill
-    // are dispatched right after it rather than waiting out a second
-    // max_wait-long gather window.
+    // A prefill at the queue head closes its run immediately (it always
+    // runs alone), so a decode step queued behind a prefill is
+    // dispatched right after it, at most one quiet poll later — never
+    // after a second max_wait-long window.
     let max_wait = Duration::from_millis(400);
     let engine = Engine::new(
         decoder_plan(),
@@ -217,8 +275,6 @@ fn prefill_does_not_starve_queued_decode_steps_past_max_wait() {
     assert_eq!(engine.wait(p).unwrap().len(), DIM);
     assert_eq!(engine.wait(d).unwrap().len(), DIM);
     let elapsed = start.elapsed();
-    // The decode step rides out at most ONE gather window (its own),
-    // never the prefill's: well under 2×max_wait total.
     assert!(
         elapsed < 2 * max_wait,
         "decode step starved behind prefill: {elapsed:?}"
@@ -276,19 +332,18 @@ fn session_close_frees_kv_even_with_requests_in_flight() {
     // Public-API variant of the eager-release regression: a caller that
     // times out, cancels, and closes its session must leave no KV bytes
     // pinned once the engine quiesces — with no further caller action.
-    let engine = Engine::new(
-        decoder_plan(),
-        BatchPolicy {
-            max_batch: 64,
-            max_wait: Duration::from_millis(300),
-            max_queue: 64,
-            ..BatchPolicy::default()
-        },
-    );
+    let (engine, gate) = held_decoder(BatchPolicy {
+        max_batch: 64,
+        max_wait: Duration::from_millis(300),
+        max_queue: 64,
+        ..BatchPolicy::default()
+    });
     let sid = engine.open_session(SEQ).unwrap();
     assert!(engine.kv_bytes() > 0);
     let id = engine.submit_decode(sid, &token(3)).unwrap();
-    // Expire a deadline shorter than the gather window, then abandon.
+    // The step of the only open session dispatches at once and parks in
+    // the gate with the session claimed: expire a deadline, then abandon.
+    until_dispatched(&engine);
     assert!(engine
         .wait_timeout(id, Duration::from_millis(10))
         .unwrap()
@@ -296,9 +351,10 @@ fn session_close_frees_kv_even_with_requests_in_flight() {
     assert!(engine.cancel(id));
     assert!(engine.close_session(sid));
     assert!(!engine.close_session(sid), "close is idempotent");
-    // Whether the step was still queued (dropped by cancel) or already
-    // claimed by the worker (dropped at the batch boundary), the cache
-    // is released without the caller reaping anything.
+    // The worker still holds the session; it drops the cache at the
+    // batch boundary without the caller reaping anything.
+    assert_eq!(engine.session_count(), 1);
+    drop(gate);
     let mut freed = false;
     for _ in 0..5000 {
         if engine.kv_bytes() == 0 && engine.session_count() == 0 {
@@ -308,6 +364,7 @@ fn session_close_frees_kv_even_with_requests_in_flight() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert!(freed, "closed session left KV bytes pinned");
+    assert!(engine.poll(id).is_none());
     // The engine stays live for other traffic.
     let sid2 = engine.open_session(SEQ).unwrap();
     let id2 = engine.submit_decode(sid2, &token(4)).unwrap();

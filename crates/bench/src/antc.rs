@@ -1454,13 +1454,14 @@ fn compare_baseline(
             ]))
         })
         .collect();
-    let decode_rate = doc.get("decode").and_then(|d| d.get("tokens_per_sec"));
+    let decode = |key: &str| doc.get("decode").and_then(|d| d.get(key));
     report.before = Some(obj(vec![
         (
             "gemm_speedup_i8_vs_i32",
             number(doc.get("gemm_speedup_i8_vs_i32")),
         ),
-        ("decode_tokens_per_sec", number(decode_rate)),
+        ("decode_tokens_per_sec", number(decode("tokens_per_sec"))),
+        ("decode_step_p50_us", number(decode("step_p50_us"))),
         ("workloads", Json::Arr(before_rows)),
     ]));
     let mut out = format!(

@@ -16,8 +16,15 @@ use crate::kv::DecodeSession;
 use crate::obs::{self, BatchClose};
 use crate::plan::CompiledPlan;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{atomic::AtomicU64, atomic::Ordering, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The shortest quiet poll the gather loop sleeps out on the condvar.
+/// A timed wait oversleeps by the kernel's timer slack — 50 µs by
+/// default for a normal Linux thread — so a 3 µs poll slept out returns
+/// after ~55 µs. A shorter poll is spun out instead, with the lock
+/// released ([`spins`]).
+const MIN_SLEEP: Duration = Duration::from_micros(50);
 
 /// What a queued request asks the worker to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,20 +154,24 @@ impl State {
 }
 
 /// The state every [`super::Engine`] handle and the worker share.
+#[derive(Default)]
 pub(super) struct Scheduler {
     state: Mutex<State>,
     work_cv: Condvar,
     done_cv: Condvar,
+    /// Requests ever admitted, bumped by [`Self::submit`] under the
+    /// lock: what a spinning quiet poll watches for growth. `Relaxed`
+    /// throughout — it publishes nothing; the queue it hints at is read
+    /// under the lock.
+    arrivals: AtomicU64,
     policy: BatchPolicy,
 }
 
 impl Scheduler {
     pub(super) fn new(policy: BatchPolicy) -> Self {
         Scheduler {
-            state: Mutex::default(),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
             policy,
+            ..Scheduler::default()
         }
     }
 
@@ -200,6 +211,7 @@ impl Scheduler {
             input: input.to_vec(),
             submitted: obs::now(),
         });
+        self.arrivals.fetch_add(1, Ordering::Relaxed);
         let m = obs::metrics();
         m.engine_submit();
         m.engine_queue_depth(state.queue.len());
@@ -393,7 +405,10 @@ impl Scheduler {
     /// second window. A closed run dispatches at once. Holding a run for
     /// longer than one service time costs its head more than dispatching
     /// now costs a late companion, which waits at most one service time
-    /// behind it. `None` once the engine shut down and the queue drained.
+    /// behind it. A poll shorter than [`MIN_SLEEP`] is spun out with the
+    /// lock released, watching the arrival counter, because a condvar
+    /// wait that short oversleeps by the timer slack. `None` once the
+    /// engine shut down and the queue drained.
     fn next_batch(&self, quiet: Duration) -> Option<Vec<Queued>> {
         let mut state = self.lock();
         loop {
@@ -434,11 +449,19 @@ impl Scheduler {
                 if state.shutdown || poll.is_zero() {
                     break (take, BatchClose::Quiet);
                 }
-                state = self
-                    .work_cv
-                    .wait_timeout(state, poll.min(left))
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+                let wait = poll.min(left);
+                if !spins(wait, MIN_SLEEP) {
+                    let woke = self.work_cv.wait_timeout(state, wait);
+                    state = woke.unwrap_or_else(PoisonError::into_inner).0;
+                    continue;
+                }
+                // `seen` is read under the lock: any later submit changes it.
+                let (seen, until) = (self.arrivals.load(Ordering::Relaxed), Instant::now() + wait);
+                drop(state);
+                while self.arrivals.load(Ordering::Relaxed) == seen && Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+                state = self.lock();
             };
             // take == 0: every gathered request was cancelled out of the
             // queue while the run was gathering; nothing to run.
@@ -598,6 +621,13 @@ fn gatherable(
         _ => None,
     };
     (take, close)
+}
+
+/// Whether the gather loop spins out a quiet `poll` rather than sleeping
+/// on the condvar: a timed wait shorter than `min_sleep` would oversleep
+/// by the kernel's timer slack.
+fn spins(poll: Duration, min_sleep: Duration) -> bool {
+    poll < min_sleep
 }
 
 /// The worker's executor: the plan, the injected seams, and the
@@ -863,6 +893,23 @@ mod tests {
                 })
                 .collect();
             assert_eq!(gatherable(&queue, *max_batch, *sessions), *want, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_poll_shorter_than_the_minimum_sleep_spins_and_any_other_sleeps() {
+        let us = Duration::from_micros;
+        // (poll, min_sleep, spins)
+        let cases = [
+            (us(3), MIN_SLEEP, true),
+            (MIN_SLEEP - Duration::from_nanos(1), MIN_SLEEP, true),
+            (MIN_SLEEP, MIN_SLEEP, false),
+            (us(800), MIN_SLEEP, false),
+            (us(3), us(0), false),
+            (us(0), us(1), true),
+        ];
+        for (poll, min_sleep, want) in cases {
+            assert_eq!(spins(poll, min_sleep), want, "{poll:?} vs {min_sleep:?}");
         }
     }
 }

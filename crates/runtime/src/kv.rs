@@ -24,9 +24,16 @@
 //! Quantize-and-store and decode-and-stream share one per-group encode
 //! path (`KvQuant::quant_group`), so a row read back out of the cache
 //! is **bit-identical** to the quantize-dequantize a full-sequence causal
-//! forward applies in place. That identity is what lets
-//! `decode_conformance.rs` hold incremental decode to full-sequence
-//! execution at ≤1e-4 (in practice: exactly).
+//! forward applies in place — and `KvCache::append` hands the caller
+//! that dequantized row in the same pass, so a prefill never reads back
+//! what it just wrote. `KvCache::read_row` streams a cached row out a
+//! group at a time: layout, type and scale are resolved once per group,
+//! then one branch-free loop converts its codes — an `int` group by sign
+//! extension (its table entry *is* the sign-extended code), any other
+//! type through a 256-entry table a `u8` code indexes without a bounds
+//! check. Every element is still `scale · lut[code]`, one rounding, so
+//! `decode_conformance.rs` holds incremental decode to full-sequence
+//! execution bit for bit.
 //!
 //! Nothing here allocates on the decode hot path: the arena and the
 //! scale/tag side arrays are sized at `KvCache::new` time and appends
@@ -67,13 +74,14 @@ impl Default for KvQuantSpec {
     }
 }
 
-/// One per-group type candidate: a constructed codec plus its decode LUT
-/// and max representable magnitude, cached so group selection never
-/// re-derives them.
+/// One per-group type candidate: a constructed codec, its decode LUT
+/// padded to the 256 codes a byte holds (entries past `2^bits` are never
+/// read) and its max representable magnitude, cached so group selection
+/// never re-derives them.
 #[derive(Debug, Clone)]
 struct Candidate {
     codec: Codec,
-    lut: Vec<f32>,
+    lut: [f32; 256],
     max: f32,
 }
 
@@ -111,7 +119,9 @@ impl KvQuant {
                 // the runtime; the KV path keeps that invariant.
                 if dt.primitive() != PrimitiveType::Float {
                     if let Ok(codec) = Codec::new(dt) {
-                        let lut = codec.decode_lut();
+                        let mut lut = [0f32; 256];
+                        let table = codec.decode_lut();
+                        lut[..table.len()].copy_from_slice(&table);
                         let max = codec.max_value();
                         cands.push(Candidate { codec, lut, max });
                     }
@@ -163,13 +173,14 @@ impl KvQuant {
         }
     }
 
-    /// Quantizes one group: evaluates every candidate at the group's
-    /// amax scale, keeps the one with least squared reconstruction
-    /// error, writes its wire codes into `codes[..g.len()]` (one byte
-    /// per element, unpacked) and returns `(type tag, scale)`.
-    fn quant_group(&self, g: &[f32], codes: &mut [u8]) -> (u8, f32) {
+    /// Quantize-dequantizes one group in place: evaluates every candidate
+    /// at the group's amax scale, keeps the one with least squared
+    /// reconstruction error, writes its wire codes into `codes[..g.len()]`
+    /// (one byte per element, unpacked), replaces `g` with
+    /// `scale · lut[code]` and returns `(type tag, scale)`.
+    fn quant_group(&self, g: &mut [f32], codes: &mut [u8]) -> (u8, f32) {
         let mut amax = 0f32;
-        for &x in g {
+        for &x in g.iter() {
             amax = amax.max(x.abs());
         }
         let mut best = 0usize;
@@ -178,7 +189,7 @@ impl KvQuant {
         for (ci, c) in self.cands.iter().enumerate() {
             let scale = if amax > 0.0 { amax / c.max } else { 1.0 };
             let mut err = 0f32;
-            for &x in g {
+            for &x in g.iter() {
                 let code = c.codec.encode(x / scale);
                 let d = scale * c.lut[code as usize] - x;
                 err += d * d;
@@ -190,8 +201,9 @@ impl KvQuant {
             }
         }
         let c = &self.cands[best];
-        for (slot, &x) in codes.iter_mut().zip(g.iter()) {
-            *slot = c.codec.encode(x / best_scale) as u8;
+        for (slot, x) in codes.iter_mut().zip(g.iter_mut()) {
+            *slot = c.codec.encode(*x / best_scale) as u8;
+            *x = best_scale * c.lut[*slot as usize];
         }
         (best as u8, best_scale)
     }
@@ -201,16 +213,9 @@ impl KvQuant {
     /// is reusable scratch (grown once to `row.len()`).
     pub(crate) fn quant_dequant_row(&self, row: &mut [f32], codes: &mut Vec<u8>) {
         let scratch = grab(codes, row.len(), 0);
-        for (chunk, cbuf) in row
-            .chunks_mut(self.spec.group)
-            .zip(scratch.chunks_mut(self.spec.group))
-        {
-            let cbuf = &mut cbuf[..chunk.len()];
-            let (tag, scale) = self.quant_group(chunk, cbuf);
-            let lut = &self.cands[tag as usize].lut;
-            for (x, &code) in chunk.iter_mut().zip(cbuf.iter()) {
-                *x = scale * lut[code as usize];
-            }
+        let group = self.spec.group;
+        for (chunk, cbuf) in row.chunks_mut(group).zip(scratch.chunks_mut(group)) {
+            self.quant_group(chunk, &mut cbuf[..chunk.len()]);
         }
     }
 
@@ -226,15 +231,39 @@ impl KvQuant {
             dst.copy_from_slice(codes);
         }
     }
+}
 
-    /// Reads element `d`'s wire code back out of a packed row.
-    #[inline]
-    fn unpack_code(&self, packed: &[u8], d: usize) -> u8 {
-        if self.spec.bits <= 4 {
-            (packed[d / 2] >> ((d % 2) * 4)) & 0x0F
-        } else {
-            packed[d]
+/// The value of a signed `int` wire code whose sign bit is `sign`
+/// (`1 << (bits − 1)`): the code sign-extended — exactly its
+/// `decode_lut` entry — in `i32` lanes, which vectorize at any width.
+#[inline(always)]
+fn int_value(code: u8, sign: i32) -> f32 {
+    ((i32::from(code) ^ sign) - sign) as f32
+}
+
+/// Converts one group's codes, which start at element `at` of a packed
+/// row, into `out` through `value`: one code per byte, or two per byte
+/// low nibble first (a group starting on an odd element takes its first
+/// code from a high nibble).
+#[inline(always)]
+fn read_group(out: &mut [f32], packed: &[u8], at: usize, nibbles: bool, value: impl Fn(u8) -> f32) {
+    if !nibbles {
+        for (o, &c) in out.iter_mut().zip(&packed[at..]) {
+            *o = value(c);
         }
+        return;
+    }
+    let (head, out) = out.split_at_mut(at % 2);
+    for o in head {
+        *o = value(packed[at / 2] >> 4);
+    }
+    let bytes = &packed[at.div_ceil(2)..];
+    let (pairs, tail) = out.as_chunks_mut::<2>();
+    for (pair, &b) in pairs.iter_mut().zip(bytes) {
+        *pair = [value(b & 0x0F), value(b >> 4)];
+    }
+    for (o, &b) in tail.iter_mut().zip(&bytes[pairs.len()..]) {
+        *o = value(b & 0x0F);
     }
 }
 
@@ -313,14 +342,15 @@ impl KvCache {
     }
 
     /// Quantizes and appends one K row and one V row (the next token's),
-    /// returning the token's index. `codes` is reusable unpacked-code
-    /// scratch (grown once to `dim`). Fails with
-    /// [`RuntimeError::KvCacheFull`] at capacity.
+    /// returning the token's index, and leaves each row dequantized in
+    /// place — the values [`Self::read_row`] will hand back. `codes` is
+    /// reusable unpacked-code scratch (grown once to `dim`). Fails with
+    /// [`RuntimeError::KvCacheFull`] at capacity, rows untouched.
     pub(crate) fn append(
         &mut self,
         kv: &KvQuant,
-        k_row: &[f32],
-        v_row: &[f32],
+        k_row: &mut [f32],
+        v_row: &mut [f32],
         codes: &mut Vec<u8>,
     ) -> Result<usize, RuntimeError> {
         debug_assert_eq!(k_row.len(), self.dim);
@@ -338,7 +368,7 @@ impl KvCache {
                 KvHalf::K => (&mut self.scales_k, &mut self.tags_k),
                 KvHalf::V => (&mut self.scales_v, &mut self.tags_v),
             };
-            for (chunk, cbuf) in row.chunks(group).zip(scratch.chunks_mut(group)) {
+            for (chunk, cbuf) in row.chunks_mut(group).zip(scratch.chunks_mut(group)) {
                 let (tag, scale) = kv.quant_group(chunk, &mut cbuf[..chunk.len()]);
                 scales.push(scale);
                 tags.push(tag);
@@ -350,26 +380,41 @@ impl KvCache {
         Ok(t)
     }
 
-    /// Decodes token `t`'s row from packed codes into `out` — exactly
-    /// the values [`KvQuant::quant_dequant_row`] would have produced for
-    /// the original row (shared encode path, lossless packing).
-    pub(crate) fn decode_row(&self, kv: &KvQuant, half: KvHalf, t: usize, out: &mut [f32]) {
-        debug_assert!(t < self.tokens, "decode of unwritten token row");
-        debug_assert_eq!(out.len(), self.dim);
-        let packed = &self.arena[self.row_range(half, t)];
+    /// Token `t`'s packed `half` row with its per-group scales and tags.
+    fn row(&self, half: KvHalf, t: usize) -> (&[u8], &[f32], &[u8]) {
         let (scales, tags) = match half {
             KvHalf::K => (&self.scales_k, &self.tags_k),
             KvHalf::V => (&self.scales_v, &self.tags_v),
         };
         let meta = t * self.n_groups..(t + 1) * self.n_groups;
-        let (scales, tags) = (&scales[meta.clone()], &tags[meta]);
-        let group = kv.spec.group;
-        for (g, chunk) in out.chunks_mut(group).enumerate() {
-            let scale = scales[g];
-            let lut = &kv.cands[tags[g] as usize].lut;
-            let base = g * group;
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = scale * lut[kv.unpack_code(packed, base + i) as usize];
+        (
+            &self.arena[self.row_range(half, t)],
+            &scales[meta.clone()],
+            &tags[meta],
+        )
+    }
+
+    /// Decodes token `t`'s row into `out` a group at a time — exactly the
+    /// values [`KvQuant::quant_dequant_row`] produces for the original
+    /// row (shared encode path, lossless packing). Code layout, type and
+    /// scale are resolved once per group; its element loop is branch-
+    /// and bounds-check-free.
+    pub(crate) fn read_row(&self, kv: &KvQuant, half: KvHalf, t: usize, out: &mut [f32]) {
+        debug_assert!(t < self.tokens, "read of unwritten token row");
+        debug_assert_eq!(out.len(), self.dim);
+        let (packed, scales, tags) = self.row(half, t);
+        let (group, nibbles, sign) = (kv.spec.group, kv.spec.bits <= 4, 1 << (kv.spec.bits - 1));
+        let groups = out.chunks_mut(group).zip(scales).zip(tags);
+        for (g, ((chunk, &scale), &tag)) in groups.enumerate() {
+            let c = &kv.cands[tag as usize];
+            if c.codec.dtype().primitive() == PrimitiveType::Int {
+                read_group(chunk, packed, g * group, nibbles, |code| {
+                    scale * int_value(code, sign)
+                });
+            } else {
+                read_group(chunk, packed, g * group, nibbles, |code| {
+                    scale * c.lut[code as usize]
+                });
             }
         }
     }
@@ -420,6 +465,30 @@ mod tests {
         KvQuantSpec { bits, group, combo }
     }
 
+    /// The per-element oracle for [`KvCache::read_row`]: each code
+    /// unpacked by its own width test, then one bounds-checked load from
+    /// the codec's own `decode_lut`, then the scale.
+    fn decode_row(cache: &KvCache, kv: &KvQuant, half: KvHalf, t: usize, out: &mut [f32]) {
+        let (packed, scales, tags) = cache.row(half, t);
+        for (d, o) in out.iter_mut().enumerate() {
+            let code = if kv.spec.bits <= 4 {
+                (packed[d / 2] >> ((d % 2) * 4)) & 0x0F
+            } else {
+                packed[d]
+            };
+            let g = d / kv.spec.group;
+            let lut = kv.cands[tags[g] as usize].codec.decode_lut();
+            *o = scales[g] * lut[code as usize];
+        }
+    }
+
+    /// Appends `(k, v)` and returns the rows as `append` left them.
+    fn append(cache: &mut KvCache, kv: &KvQuant, k: &[f32], v: &[f32]) -> [Vec<f32>; 2] {
+        let (mut k, mut v) = (k.to_vec(), v.to_vec());
+        cache.append(kv, &mut k, &mut v, &mut Vec::new()).unwrap();
+        [k, v]
+    }
+
     #[test]
     fn spec_validation() {
         for bad_bits in [0, 1, 9, 16] {
@@ -466,6 +535,11 @@ mod tests {
             .collect()
     }
 
+    /// Bit patterns, so `-0.0` and `0.0` differ.
+    fn f32_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn append_then_decode_matches_in_place_quant_dequant_bitwise() {
         for combo in [
@@ -481,24 +555,87 @@ mod tests {
                     let mut codes = Vec::new();
                     let mut rows = Vec::new();
                     for t in 0..5u64 {
-                        let k = row(dim, 2 * t + 1);
-                        let v = row(dim, 2 * t + 2);
-                        cache.append(&kv, &k, &v, &mut codes).unwrap();
-                        rows.push((k, v));
+                        let (k, v) = (row(dim, 2 * t + 1), row(dim, 2 * t + 2));
+                        let written = append(&mut cache, &kv, &k, &v);
+                        rows.push(([k, v], written));
                     }
                     let mut got = vec![0f32; dim];
-                    for (t, (k, v)) in rows.iter().enumerate() {
-                        for (half, src) in [(KvHalf::K, k), (KvHalf::V, v)] {
-                            let mut reference = src.clone();
+                    for (t, (srcs, written)) in rows.iter().enumerate() {
+                        for (i, half) in [KvHalf::K, KvHalf::V].into_iter().enumerate() {
+                            let mut reference = srcs[i].clone();
                             kv.quant_dequant_row(&mut reference, &mut codes);
-                            cache.decode_row(&kv, half, t, &mut got);
+                            cache.read_row(&kv, half, t, &mut got);
+                            let what =
+                                format!("{combo:?} bits {bits} group {group} token {t} {half:?}");
+                            assert_eq!(f32_bits(&got), f32_bits(&reference), "{what}");
                             assert_eq!(
-                                got, reference,
-                                "combo {combo:?} bits {bits} group {group} token {t} {half:?}"
+                                f32_bits(&written[i]),
+                                f32_bits(&reference),
+                                "{what}: written back"
                             );
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn group_reader_equals_the_per_element_oracle_at_every_width_and_group() {
+        let (mut int_groups, mut lut_groups) = (0, 0);
+        for combo in [PrimitiveCombo::Int, PrimitiveCombo::IntPotFlint] {
+            for bits in 2..=8 {
+                for group in 1..40 {
+                    let kv = KvQuant::new(spec(bits, group, combo)).unwrap();
+                    // Odd dims: never a multiple of 8, rarely of the group,
+                    // and nibble groups that start on a high nibble.
+                    for dim in [7, 37, 79] {
+                        let mut cache = KvCache::new(dim, 3, &kv);
+                        for t in 0..3 {
+                            let mut k = row(dim, (bits as u64) << 20 | (group as u64) << 8 | t);
+                            k[dim / 2] = 0.0; // a zero inside some group
+                            append(&mut cache, &kv, &k, &row(dim, !t ^ group as u64));
+                        }
+                        let (mut got, mut want) = (vec![f32::NAN; dim], vec![0f32; dim]);
+                        for t in 0..3 {
+                            for half in [KvHalf::K, KvHalf::V] {
+                                cache.read_row(&kv, half, t, &mut got);
+                                decode_row(&cache, &kv, half, t, &mut want);
+                                assert_eq!(
+                                    f32_bits(&got),
+                                    f32_bits(&want),
+                                    "{combo:?} bits {bits} group {group} dim {dim} token {t} {half:?}"
+                                );
+                                for &tag in cache.row(half, t).2 {
+                                    if kv.cands[tag as usize].codec.dtype().primitive()
+                                        == PrimitiveType::Int
+                                    {
+                                        int_groups += 1;
+                                    } else {
+                                        lut_groups += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            int_groups > 0 && lut_groups > 0,
+            "{int_groups} int, {lut_groups} table groups"
+        );
+    }
+
+    #[test]
+    fn int_codes_convert_to_their_decode_lut_entries() {
+        for bits in 2..=8 {
+            let codec = Codec::new(DataType::int(bits, true).unwrap()).unwrap();
+            let lut = codec.decode_lut();
+            assert_eq!(lut.len(), 1 << bits);
+            for (code, want) in lut.iter().enumerate() {
+                let got = int_value(code as u8, 1 << (bits - 1));
+                assert_eq!(got.to_bits(), want.to_bits(), "int{bits} code {code}");
             }
         }
     }
@@ -520,12 +657,12 @@ mod tests {
     fn zero_group_round_trips_exactly() {
         let kv = KvQuant::new(KvQuantSpec::default()).unwrap();
         let mut cache = KvCache::new(64, 2, &kv);
-        let mut codes = Vec::new();
         let zeros = vec![0f32; 64];
-        cache.append(&kv, &zeros, &zeros, &mut codes).unwrap();
+        let written = append(&mut cache, &kv, &zeros, &zeros);
         let mut got = vec![1f32; 64];
-        cache.decode_row(&kv, KvHalf::K, 0, &mut got);
-        assert_eq!(got, zeros);
+        cache.read_row(&kv, KvHalf::K, 0, &mut got);
+        assert_eq!(f32_bits(&got), f32_bits(&zeros));
+        assert_eq!(f32_bits(&written[0]), f32_bits(&zeros));
     }
 
     #[test]
@@ -533,15 +670,15 @@ mod tests {
         let kv = KvQuant::new(KvQuantSpec::default()).unwrap();
         let mut cache = KvCache::new(32, 3, &kv);
         let mut codes = vec![0u8; 32];
-        let (k, v) = (row(32, 1), row(32, 2));
+        let (mut k, mut v) = (row(32, 1), row(32, 2));
         let cap = cache.scales_k.capacity();
         let ptr = cache.scales_k.as_ptr();
         for t in 0..3 {
-            assert_eq!(cache.append(&kv, &k, &v, &mut codes).unwrap(), t);
+            assert_eq!(cache.append(&kv, &mut k, &mut v, &mut codes).unwrap(), t);
         }
         assert_eq!(cache.scales_k.capacity(), cap, "side array reallocated");
         assert_eq!(cache.scales_k.as_ptr(), ptr, "side array moved");
-        match cache.append(&kv, &k, &v, &mut codes) {
+        match cache.append(&kv, &mut k, &mut v, &mut codes) {
             Err(RuntimeError::KvCacheFull { capacity: 3 }) => {}
             other => panic!("expected KvCacheFull, got {other:?}"),
         }
@@ -569,9 +706,10 @@ mod tests {
         let mut best: Option<(f32, Vec<f32>)> = None;
         for c in &kv.cands {
             let scale = if amax > 0.0 { amax / c.max } else { 1.0 };
+            let lut = c.codec.decode_lut();
             let deq: Vec<f32> = g
                 .iter()
-                .map(|&x| scale * c.lut[c.codec.encode(x / scale) as usize])
+                .map(|&x| scale * lut[c.codec.encode(x / scale) as usize])
                 .collect();
             let err: f32 = deq.iter().zip(g).map(|(d, x)| (d - x) * (d - x)).sum();
             if best.as_ref().map(|(e, _)| err < *e).unwrap_or(true) {
@@ -590,18 +728,17 @@ mod tests {
             seed in 0u64..1u64 << 48,
             dim in 1usize..80,
             group in 1usize..40,
-            bits_ix in 0usize..5,
+            bits_ix in 0usize..7,
             tokens in 1usize..6,
         ) {
-            let bits = [2u32, 3, 4, 5, 8][bits_ix];
+            let bits = [2u32, 3, 4, 5, 6, 7, 8][bits_ix];
             let kv = KvQuant::new(spec(bits, group, PrimitiveCombo::IntPotFlint)).unwrap();
             let mut cache = KvCache::new(dim, tokens, &kv);
-            let mut codes = Vec::new();
             let mut originals = Vec::new();
             for t in 0..tokens as u64 {
                 let k = row(dim, seed ^ (2 * t));
                 let v = row(dim, seed ^ (2 * t + 1));
-                cache.append(&kv, &k, &v, &mut codes).unwrap();
+                append(&mut cache, &kv, &k, &v);
                 originals.push((k, v));
             }
             let mut got = vec![0f32; dim];
@@ -611,8 +748,8 @@ mod tests {
                         .chunks(group)
                         .flat_map(|g| reference_group(&kv, g))
                         .collect();
-                    cache.decode_row(&kv, half, t, &mut got);
-                    prop_assert_eq!(&got, &want);
+                    cache.read_row(&kv, half, t, &mut got);
+                    prop_assert_eq!(f32_bits(&got), f32_bits(&want));
                 }
             }
         }

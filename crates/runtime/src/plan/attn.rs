@@ -244,10 +244,10 @@ impl PackedAttn {
     /// `i` scores only `j ≤ i`; and every K/V token row is
     /// quantize-dequantized through the M-ANT group codec — exactly the
     /// values an incremental decode later streams back out of its
-    /// [`KvCache`]. With a `sink` (prefill: one sample, one session) the
-    /// quantized rows are also appended to the cache and the attention
-    /// consumes them as decoded *from the cache*, keeping prefill
-    /// bit-identical to the cache-less forward by construction.
+    /// [`KvCache`]. With a `sink` (prefill: one sample, one session) each
+    /// row is appended to the cache, which leaves it dequantized in place
+    /// in the same pass — the values the cache hands back later — so
+    /// prefill is bit-identical to the cache-less forward by construction.
     pub(super) fn forward_rows(
         &self,
         x: &[f32],
@@ -275,21 +275,15 @@ impl PackedAttn {
         let rows = batch * seq;
         self.project_qkv(x, rows, ws);
         let b = &mut *ws.bufs;
-        // Move K and V into the quantized KV domain row by row — in
-        // place when free-running, through the cache when prefilling
-        // (bitwise identical: one shared group-encode path).
+        // Move K and V into the quantized KV domain row by row, in place
+        // — and into the cache too when prefilling (bitwise identical:
+        // one shared group-encode path).
         if let Some(kvq) = &self.kv {
             let (k, v) = (b.k.chunks_exact_mut(dim), b.v.chunks_exact_mut(dim));
             match sink {
                 Some(cache) => {
-                    let base = cache.tokens();
                     for (kr, vr) in k.zip(v) {
                         cache.append(kvq, kr, vr, &mut b.kv_codes)?;
-                    }
-                    for r in 0..rows {
-                        let at = r * dim..(r + 1) * dim;
-                        cache.decode_row(kvq, KvHalf::K, base + r, &mut b.k[at.clone()]);
-                        cache.decode_row(kvq, KvHalf::V, base + r, &mut b.v[at]);
                     }
                 }
                 None => {
@@ -368,8 +362,9 @@ impl PackedAttn {
     /// Q/K/V projections over all `n` new token rows (the coalescing the
     /// engine's decode batching buys), appends each session's K/V row to
     /// its cache for this layer, then runs causal attention for the new
-    /// token against the cached prefix, streaming rows straight out of
-    /// the packed codes.
+    /// token against the cached prefix. Each cached K/V row streams out
+    /// of its packed codes a group at a time ([`KvCache::read_row`]) into
+    /// one scratch row that feeds [`dot`] or [`axpy`].
     ///
     /// Numerically this reproduces the last token row of the
     /// full-sequence causal forward **exactly**: the cache hands back the
@@ -406,22 +401,22 @@ impl PackedAttn {
         grab(&mut b.kv_row, dim, 0.0);
         for (si, sess) in sessions.iter_mut().enumerate() {
             let cache = self.cache_at(sess, cache_ix)?;
-            let kr = &b.k[si * dim..(si + 1) * dim];
-            let vr = &b.v[si * dim..(si + 1) * dim];
+            let kr = &mut b.k[si * dim..(si + 1) * dim];
+            let vr = &mut b.v[si * dim..(si + 1) * dim];
             cache.append(kvq, kr, vr, &mut b.kv_codes)?;
             let t = cache.tokens();
             let qs = &b.q[si * dim..(si + 1) * dim];
             let a = &mut b.scores[..t];
             let row = &mut b.kv_row[..dim];
             for (j, aj) in a.iter_mut().enumerate() {
-                cache.decode_row(kvq, KvHalf::K, j, row);
+                cache.read_row(kvq, KvHalf::K, j, row);
                 *aj = dot(qs, row) * inv_sqrt_d;
             }
             softmax_rows_in_place(a, 1, t);
             let cs = &mut b.ctx[si * dim..(si + 1) * dim];
             cs.fill(0.0);
             for (j, &aij) in a.iter().enumerate() {
-                cache.decode_row(kvq, KvHalf::V, j, row);
+                cache.read_row(kvq, KvHalf::V, j, row);
                 axpy(cs, aij, row);
             }
         }

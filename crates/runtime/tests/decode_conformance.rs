@@ -7,10 +7,9 @@
 //! remaining tokens one at a time — each K/V row quantized into the
 //! M-ANT group cache and streamed back out of packed codes — yields the
 //! same per-token outputs as running the whole sequence through the
-//! masked causal forward in one call, within 1e-4 relative (the same
-//! bound every other packed layer is held to; in practice the paths are
-//! engineered to be bit-identical — shared group-encode path, identical
-//! reduction orders, prefix softmax ≡ masked softmax).
+//! masked causal forward in one call, **bit for bit** (`to_bits`
+//! equality): shared group-encode path, identical reduction orders,
+//! prefix softmax ≡ masked softmax.
 //!
 //! The grid covers the ISSUE's matrix: type combos whose per-group
 //! candidates draw from int/PoT/flint, at 4- and 8-bit wire codes
@@ -50,9 +49,8 @@ fn decoder_plan(seq: usize, dim: usize, depth: usize, seed: u64) -> CompiledPlan
 
 /// Runs the full-sequence causal forward, then replays the same tokens
 /// as prefill(prompt) + one decode step per remaining token, and checks
-/// every produced row against the full forward's rows at ≤ `tol`
-/// relative.
-fn assert_incremental_matches_full(plan: &mut CompiledPlan, seq: usize, prompt: usize, tol: f32) {
+/// every produced row against the full forward's rows bit for bit.
+fn assert_incremental_matches_full(plan: &mut CompiledPlan, seq: usize, prompt: usize) {
     let dim = plan.token_dim().expect("causal plan");
     let x = gaussian(&[1, seq * dim], 0xD0_C0DE ^ (seq * dim) as u64);
     let x = x.as_slice();
@@ -69,8 +67,9 @@ fn assert_incremental_matches_full(plan: &mut CompiledPlan, seq: usize, prompt: 
     let close = |row: usize, have: &[f32]| {
         let want = &full[row * dim..(row + 1) * dim];
         for (a, b) in have.iter().zip(want) {
-            assert!(
-                (a - b).abs() <= tol * (1.0 + b.abs()),
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
                 "row {row}: incremental {a} vs full {b}"
             );
         }
@@ -104,7 +103,7 @@ fn incremental_decode_matches_full_forward_across_type_bit_group_grid() {
                     .clone()
                     .with_kv_quant(KvQuantSpec { bits, group, combo })
                     .unwrap();
-                assert_incremental_matches_full(&mut plan, seq, prompt, 1e-4);
+                assert_incremental_matches_full(&mut plan, seq, prompt);
             }
         }
     }
@@ -123,7 +122,7 @@ fn multi_block_decoder_composes_causally() {
             combo: PrimitiveCombo::IntPotFlint,
         })
         .unwrap();
-    assert_incremental_matches_full(&mut plan, seq, prompt, 1e-4);
+    assert_incremental_matches_full(&mut plan, seq, prompt);
 }
 
 #[test]
@@ -131,9 +130,9 @@ fn prefill_only_and_decode_only_extremes() {
     let (seq, dim) = (6, 16);
     let mut plan = decoder_plan(seq, dim, 1, 5);
     // Prompt = everything (pure prefill)…
-    assert_incremental_matches_full(&mut plan, seq, seq.min(seq), 1e-4);
+    assert_incremental_matches_full(&mut plan, seq, seq.min(seq));
     // …and prompt = a single token (decode carries almost all of it).
-    assert_incremental_matches_full(&mut plan, seq, 1, 1e-4);
+    assert_incremental_matches_full(&mut plan, seq, 1);
 }
 
 #[test]
@@ -212,7 +211,7 @@ fn causal_flag_survives_artifact_roundtrip() {
     let mut plan = reloaded.compile_strict().unwrap().with_threads(1);
     assert!(plan.is_causal());
     assert_eq!(plan.token_dim(), Some(dim));
-    assert_incremental_matches_full(&mut plan, seq, prompt, 1e-4);
+    assert_incremental_matches_full(&mut plan, seq, prompt);
 }
 
 #[test]
@@ -281,14 +280,14 @@ proptest! {
         plan.prefill(&mut sess, &x[..prompt * dim], &mut got).unwrap();
         for r in 0..prompt {
             for (a, b) in got[r * dim..(r + 1) * dim].iter().zip(&full[r * dim..(r + 1) * dim]) {
-                prop_assert!((a - b).abs() <= 1e-4 * (1.0 + b.abs()), "row {}: {} vs {}", r, a, b);
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "row {}: {} vs {}", r, a, b);
             }
         }
         let mut step = Vec::new();
         for t in prompt..seq {
             plan.decode_steps(&mut [&mut sess], &x[t * dim..(t + 1) * dim], &mut step).unwrap();
             for (a, b) in step.iter().zip(&full[t * dim..(t + 1) * dim]) {
-                prop_assert!((a - b).abs() <= 1e-4 * (1.0 + b.abs()), "row {}: {} vs {}", t, a, b);
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "row {}: {} vs {}", t, a, b);
             }
         }
     }

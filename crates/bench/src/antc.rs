@@ -8,6 +8,7 @@
 use crate::json::Json;
 use crate::render_table;
 use ant_core::select::PrimitiveCombo;
+use ant_core::{Codec, DataType};
 use ant_nn::data::{blobs, motifs, shapes, Dataset};
 use ant_nn::model::{decoder_block, mlp, small_cnn, tiny_transformer, Sequential};
 use ant_nn::qat::QuantSpec;
@@ -283,14 +284,7 @@ const DECODER_DEPTH: usize = 2;
 /// causal layers, KV bytes per token) instead of accuracy.
 fn quantize_decoder<P: AsRef<Path>>(cfg: QuantizeConfig, out: P) -> Result<String, CliError> {
     let mut model = decoder_block(DECODER_SEQ, DECODER_DIM, DECODER_DEPTH, cfg.seed);
-    let calib = sample_tensor(
-        Distribution::Gaussian {
-            mean: 0.0,
-            std: 1.0,
-        },
-        &[24, DECODER_SEQ * DECODER_DIM],
-        cfg.seed.wrapping_add(1),
-    );
+    let calib = gaussian(&[24, DECODER_SEQ * DECODER_DIM], cfg.seed.wrapping_add(1));
     let (planner, plan) = select_and_compile(&mut model, &calib, cfg)?;
     let artifact = ModelArtifact::from_model(&model)?.with_cache(planner.cache());
     artifact.save_path(&out)?;
@@ -509,14 +503,7 @@ pub fn run_serve<P: AsRef<Path>>(
             ..BatchPolicy::default()
         },
     );
-    let inputs = sample_tensor(
-        Distribution::Gaussian {
-            mean: 0.0,
-            std: 1.0,
-        },
-        &[requests.max(1), features],
-        99,
-    );
+    let inputs = gaussian(&[requests.max(1), features], 99);
     let start = std::time::Instant::now();
     let ids: Vec<_> = (0..requests.max(1))
         .map(|i| engine.submit(inputs.channel(i).expect("row")))
@@ -805,6 +792,18 @@ pub struct DecodeBench {
     pub sessions: usize,
 }
 
+/// What one element costs through a 4-bit type's [`Codec`], the work
+/// every quantize site repeats per element.
+#[derive(Debug, Clone)]
+pub struct CodecCost {
+    /// The type: `int4s`, `pot4s` or `flint4s`.
+    pub dtype: DataType,
+    /// Nanoseconds per element of [`Codec::encode`].
+    pub encode_ns: f64,
+    /// Nanoseconds per element of [`Codec::snap`].
+    pub snap_ns: f64,
+}
+
 /// The full `antc bench` result set.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -820,6 +819,9 @@ pub struct BenchReport {
     /// nanoseconds: the walk's per-layer hook sequence timed in a tight
     /// loop. Over [`HOOK_BUDGET_NS`] is a regression.
     pub hook_ns: f64,
+    /// Per-element codec cost of each 4-bit signed primitive. Reported,
+    /// not judged: nothing bounds it yet.
+    pub codec: Vec<CodecCost>,
     /// Whether any tracked property regressed (steady-state
     /// allocations while counting, a non-zero-copy mapped load, dirtied
     /// weight pages, `hook_ns` over budget, a `--baseline` throughput
@@ -858,7 +860,8 @@ impl BenchReport {
     /// object (autoregressive tokens/s, per-step latency percentiles, KV
     /// bytes/token), and the telemetry cost: a top-level `telemetry`
     /// object (`hook_ns` against `budget_ns`) and a per-workload
-    /// `telemetry_share`.
+    /// `telemetry_share`, and a top-level `codec` object (`encode_ns` and
+    /// `snap_ns` per element, keyed by type).
     pub fn to_json(&self, quick: bool) -> String {
         let or_null = |v: Option<Json>| v.unwrap_or(Json::Null);
         let layer = |l: &LayerStage| {
@@ -911,6 +914,13 @@ impl BenchReport {
                 ("telemetry_share", num(w.telemetry_share, 4)),
             ])
         };
+        let codec = |c: &CodecCost| {
+            let ns = vec![
+                ("encode_ns", num(c.encode_ns, 2)),
+                ("snap_ns", num(c.snap_ns, 2)),
+            ];
+            (c.dtype.to_string(), obj(ns))
+        };
         let d = &self.decode;
         let mut doc = vec![
             ("schema", Json::Str("ant-bench/runtime-v2".to_string())),
@@ -936,6 +946,7 @@ impl BenchReport {
                     ("budget_ns", Json::Num(HOOK_BUDGET_NS)),
                 ]),
             ),
+            ("codec", Json::Obj(self.codec.iter().map(codec).collect())),
             ("regression", Json::Bool(self.regression)),
         ];
         if let Some(before) = &self.before {
@@ -959,14 +970,7 @@ fn bench_plans(seed: u64) -> Result<Vec<(&'static str, CompiledPlan, usize)>, Cl
         ("cnn", small_cnn(4, seed), 144),
         ("attention", transformer_block(6, 16, 4, seed), 96),
     ] {
-        let calib = sample_tensor(
-            Distribution::Gaussian {
-                mean: 0.0,
-                std: 1.0,
-            },
-            &[64, features],
-            seed.wrapping_add(3),
-        );
+        let calib = gaussian(&[64, features], seed.wrapping_add(3));
         quantize_model(&mut model, &calib, QuantSpec::default())?;
         let plan = CompiledPlan::from_quantized(&model)?;
         out.push((name, plan, features));
@@ -1019,42 +1023,9 @@ fn load_scale_model(name: &str, seed: u64, quick: bool) -> Result<Sequential, Cl
         }
         _ => (transformer_block(8, dim, 16, seed), 8 * dim),
     };
-    let calib = sample_tensor(
-        Distribution::Gaussian {
-            mean: 0.0,
-            std: 1.0,
-        },
-        &[16, features],
-        seed.wrapping_add(5),
-    );
+    let calib = gaussian(&[16, features], seed.wrapping_add(5));
     quantize_model(&mut model, &calib, QuantSpec::default())?;
     Ok(model)
-}
-
-/// Reads the `Private_Dirty` (in kB) of the `/proc/self/smaps` entry
-/// containing `addr`: the per-process RSS cost of a mapping whose pages
-/// are otherwise shared with every other process serving the same file.
-/// `None` off linux (no smaps to read).
-fn mapping_private_dirty_kb(addr: usize) -> Option<u64> {
-    let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
-    let mut in_target = false;
-    for line in smaps.lines() {
-        if let Some((range, _)) = line.split_once(' ') {
-            if let Some((lo, hi)) = range.split_once('-') {
-                if let (Ok(lo), Ok(hi)) =
-                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
-                {
-                    in_target = lo <= addr && addr < hi;
-                }
-            }
-        }
-        if in_target {
-            if let Some(rest) = line.strip_prefix("Private_Dirty:") {
-                return rest.trim().trim_end_matches(" kB").trim().parse().ok();
-            }
-        }
-    }
-    None
 }
 
 /// Measures time-to-serving-ready for one workload archetype (at
@@ -1073,13 +1044,9 @@ fn measure_load_path(
     // artifacts, and it is removed however this function returns.
     let dir = ScratchDir::create().map_err(|e| CliError::Artifact(ArtifactError::Io(e)))?;
     let path = dir.0.join(format!("{name}.antm"));
+    // `save_path` syncs before it renames: no dirty page-cache pages are
+    // left for smaps to report as Private_Dirty of the mapping.
     artifact.save_path(&path)?;
-    // Force writeback: a freshly-written file's page-cache pages are
-    // dirty until flushed, which smaps would report as Private_Dirty of
-    // the mapping — noise, not a copy-on-write by this process.
-    std::fs::File::open(&path)
-        .and_then(|f| f.sync_all())
-        .map_err(|e| CliError::Artifact(ArtifactError::Io(e)))?;
     // Warm the page cache and the selection paths once.
     let mapped = MappedArtifact::open(&path)?;
     mapped.compile()?;
@@ -1087,7 +1054,7 @@ fn measure_load_path(
     // Shared-RSS metric: after a full compile, how much of the
     // mapping this process dirtied (0 kB = every weight page stays
     // shared, the multi-process serving story).
-    let private_dirty_kb = mapping_private_dirty_kb(mapped.mapped_bytes().as_ptr() as usize);
+    let private_dirty_kb = ant_runtime::mmap::private_dirty_kb(mapped.mapped_bytes());
     drop(mapped);
     let t = time_per_iter(iters, || {
         let mapped = MappedArtifact::open(&path).expect("open");
@@ -1141,14 +1108,7 @@ fn measure_decode(cfg: &BenchConfig) -> Result<DecodeBench, CliError> {
     let (seq, dim) = (8usize, 32usize);
     let steps = if cfg.quick { 64 } else { 256 };
     let mut model = decoder_block(seq, dim, 2, cfg.seed);
-    let calib = sample_tensor(
-        Distribution::Gaussian {
-            mean: 0.0,
-            std: 1.0,
-        },
-        &[24, seq * dim],
-        cfg.seed.wrapping_add(3),
-    );
+    let calib = gaussian(&[24, seq * dim], cfg.seed.wrapping_add(3));
     quantize_model(&mut model, &calib, QuantSpec::default())?;
     let mut plan = CompiledPlan::from_quantized(&model)?;
     // One prefill token plus every decode step must fit: capacity is
@@ -1158,14 +1118,7 @@ fn measure_decode(cfg: &BenchConfig) -> Result<DecodeBench, CliError> {
     for _ in 0..SESSIONS {
         sessions.push(plan.open_session(capacity)?);
     }
-    let toks = sample_tensor(
-        Distribution::Gaussian {
-            mean: 0.0,
-            std: 1.0,
-        },
-        &[SESSIONS, dim],
-        cfg.seed.wrapping_add(7),
-    );
+    let toks = gaussian(&[SESSIONS, dim], cfg.seed.wrapping_add(7));
     let mut out = Vec::new();
     for s in &mut sessions {
         plan.prefill(s, &toks.as_slice()[..dim], &mut out)?;
@@ -1221,6 +1174,47 @@ fn time_per_iter<F: FnMut()>(iters: usize, mut f: F) -> f64 {
         slices += 1;
     }
     best / iters.max(1) as f64
+}
+
+/// A standard-normal tensor of shape `dims` drawn from `seed`.
+fn gaussian(dims: &[usize], seed: u64) -> Tensor {
+    let standard = Distribution::Gaussian {
+        mean: 0.0,
+        std: 1.0,
+    };
+    sample_tensor(standard, dims, seed)
+}
+
+/// Times [`Codec::encode`] and [`Codec::snap`] per element for `int4s`,
+/// `pot4s` and `flint4s` over 4 096 Gaussian values drawn from `seed`,
+/// scaled per type so that 3σ lands on the type's largest magnitude.
+fn measure_codec(seed: u64, quick: bool) -> Vec<CodecCost> {
+    let gauss = gaussian(&[4_096], seed);
+    let iters = if quick { 2 } else { 16 };
+    [DataType::int, DataType::pot, DataType::flint]
+        .map(|make| {
+            let codec = Codec::new(make(4, true).expect("4-bit type")).expect("codec");
+            let xs: Vec<f32> = gauss
+                .as_slice()
+                .iter()
+                .map(|v| v * codec.max_value() / 3.0)
+                .collect();
+            CodecCost {
+                dtype: codec.dtype(),
+                encode_ns: ns_per_elem(&xs, iters, |x| codec.encode(x)),
+                snap_ns: ns_per_elem(&xs, iters, |x| codec.snap(x)),
+            }
+        })
+        .into()
+}
+
+/// Nanoseconds per element of `op` over `xs` ([`time_per_iter`]).
+fn ns_per_elem<R>(xs: &[f32], iters: usize, op: impl Fn(f32) -> R) -> f64 {
+    use std::hint::black_box;
+    let secs = time_per_iter(iters, || {
+        xs.iter().for_each(|&x| _ = black_box(op(black_box(x))));
+    });
+    secs * 1e9 / xs.len() as f64
 }
 
 /// The telemetry budget: what one plan-layer boundary's hooks may cost,
@@ -1284,14 +1278,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
         let layers_per_forward = plan.layers().len();
         let (load_us_v2, mapped_zero_copy, mapped_private_dirty_kb) =
             measure_load_path(name, cfg.seed, load_iters, cfg.quick)?;
-        let x = sample_tensor(
-            Distribution::Gaussian {
-                mean: 0.0,
-                std: 1.0,
-            },
-            &[BATCH, features],
-            cfg.seed.wrapping_add(9),
-        );
+        let x = gaussian(&[BATCH, features], cfg.seed.wrapping_add(9));
         let rows: Vec<&[f32]> = (0..BATCH)
             .map(|i| &x.as_slice()[i * features..(i + 1) * features])
             .collect();
@@ -1394,6 +1381,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
         t_i32 / t_i8
     };
     let decode = measure_decode(cfg)?;
+    let codec = measure_codec(cfg.seed, cfg.quick);
     // Zero-copy is only promised where the borrow gate can hold (unix
     // mmap, little-endian hosts); elsewhere the owned fallback is
     // correct, not a regression. The private-dirty budget only applies
@@ -1417,6 +1405,7 @@ pub fn measure_bench(cfg: &BenchConfig) -> Result<BenchReport, CliError> {
         decode,
         gemm_speedup_i8_vs_i32,
         hook_ns,
+        codec,
         regression,
         before: None,
     })
@@ -1560,6 +1549,13 @@ pub fn run_bench(cfg: BenchConfig) -> Result<String, CliError> {
         "telemetry: {:.0} ns per layer boundary (budget {HOOK_BUDGET_NS:.0} ns)\n",
         report.hook_ns
     ));
+    let codec: Vec<_> = (report.codec.iter())
+        .map(|c| format!("{} {:.1}/{:.1}", c.dtype, c.encode_ns, c.snap_ns))
+        .collect();
+    out.push_str(&format!(
+        "codec (ns per element, encode/snap): {}\n",
+        codec.join(", ")
+    ));
     out.push_str("\nper-stage breakdown (telemetry registry, batch-1 window):\n");
     for w in &report.workloads {
         let st = &w.stages;
@@ -1663,14 +1659,7 @@ pub fn run_stats<P: AsRef<Path>>(path: P, cfg: StatsConfig) -> Result<String, Cl
     })?;
     let batch = cfg.batch.max(1);
     let iters = cfg.requests.max(1).div_ceil(batch);
-    let x = sample_tensor(
-        Distribution::Gaussian {
-            mean: 0.0,
-            std: 1.0,
-        },
-        &[batch, features],
-        42,
-    );
+    let x = gaussian(&[batch, features], 42);
     let mut out_buf = Vec::new();
     // Warmup drives scratch buffers to their high-water mark and runs
     // the cold telemetry-registration edge outside the measured window.

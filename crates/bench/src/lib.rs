@@ -1,10 +1,12 @@
-//! Shared helpers for the ANT reproduction's report binaries and benches.
+//! The `antc` CLI and the `antd` daemon, plus shared helpers for the ANT
+//! reproduction's report binaries.
 //!
 //! Each table/figure in the paper has a binary in `src/bin/` that prints
 //! the corresponding rows/series (see DESIGN.md §4 for the index); the
 //! helpers here cover the pieces several binaries share: table rendering
 //! and the three trained reference models used by the accuracy
-//! experiments.
+//! experiments. Runtime timings have one harness, `antc bench`
+//! ([`antc::run_bench`]), which writes `BENCH_runtime.json`.
 
 pub mod alloc;
 pub mod antc;

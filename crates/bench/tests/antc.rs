@@ -253,8 +253,9 @@ fn bench_quick_writes_valid_json_and_reports_no_regression() {
         out.to_str().unwrap(),
     ]))
     .unwrap();
-    // The human table names every fixed workload and the kernel ratio.
-    for needle in ["mlp", "cnn", "attention", "dense GEMM"] {
+    // The human table names every fixed workload, the kernel ratio and
+    // the codec row.
+    for needle in ["mlp", "cnn", "attention", "dense GEMM", "codec (ns"] {
         assert!(report.contains(needle), "report missing {needle}: {report}");
     }
     assert!(
@@ -271,6 +272,18 @@ fn bench_quick_writes_valid_json_and_reports_no_regression() {
     assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
     assert_eq!(doc.get("regression").and_then(Json::as_bool), Some(false));
     assert!(doc.get("gemm_speedup_i8_vs_i32").unwrap().as_f64().unwrap() > 0.0);
+    let top = "schema quick gemm_speedup_i8_vs_i32 decode telemetry codec regression workloads";
+    assert_eq!(doc.keys().join(" "), top, "top-level key set drifted");
+    // Per-element codec cost of each 4-bit type, both operations.
+    let codec = doc.get("codec").unwrap();
+    assert_eq!(codec.keys(), ["int4s", "pot4s", "flint4s"]);
+    for dtype in codec.keys() {
+        let cost = codec.get(dtype).unwrap();
+        assert_eq!(cost.keys(), ["encode_ns", "snap_ns"]);
+        for ns in ["encode_ns", "snap_ns"].map(|op| cost.get(op).unwrap().as_f64().unwrap()) {
+            assert!(ns > 0.0 && ns < 1e4, "{dtype}: {ns} ns");
+        }
+    }
     let workloads = doc.get("workloads").and_then(Json::as_arr).unwrap();
     let names: Vec<_> = workloads
         .iter()

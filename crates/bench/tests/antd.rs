@@ -2,16 +2,17 @@
 //! real listening socket on an ephemeral port, real HTTP clients on
 //! threads. Covers the serving contract from `docs/serving.md`:
 //! concurrent inference through continuous batching, `/healthz`,
-//! structurally valid `/metrics`, hot reload generations, 429 + `Retry-
-//! After` under forced overload, deadline 504s never hanging, and a
-//! clean drain through `POST /shutdown`.
+//! structurally valid `/metrics`, hot reload generations, a served
+//! artifact overwritten on disk changing nothing until its reload, 429 +
+//! `Retry-After` under forced overload, deadline 504s never hanging, and
+//! a clean drain through `POST /shutdown`.
 
 use ant_bench::antc::{run_generate, run_quantize, GenerateConfig, ModelKind, QuantizeConfig};
 use ant_bench::antd::{Daemon, DaemonConfig};
 use ant_bench::http::{read_response, write_request, ClientResponse};
 use ant_bench::json::Json;
 use ant_bench::promcheck;
-use ant_runtime::BatchPolicy;
+use ant_runtime::{BatchPolicy, MappedArtifact};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -198,6 +199,56 @@ fn serves_concurrent_clients_with_metrics_reload_and_drain() {
     daemon.join();
     // The listener is gone: new connections are refused (or reset).
     assert!(call(addr, "GET", "/healthz", None).is_err());
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn overwritten_artifact_serves_its_old_bits_until_reload() {
+    let path = artifact("overwrite");
+    let daemon = Daemon::start(DaemonConfig {
+        addr: "127.0.0.1:0".to_string(),
+        models: vec![("mlp".to_string(), path.clone())],
+        ..DaemonConfig::default()
+    })
+    .expect("daemon start");
+    let addr = daemon.local_addr();
+    let body = infer_body(0.25);
+    // One infer: its generation and its output bits.
+    let infer = || {
+        let resp = call(addr, "POST", "/v1/models/mlp/infer", Some(&body)).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        let doc = Json::parse(&resp.body_str()).unwrap();
+        let generation = doc.get("generation").unwrap().as_f64().unwrap();
+        let output = doc.get("output").unwrap().as_arr().unwrap();
+        let f32_bits = |v: &Json| (v.as_f64().unwrap() as f32).to_bits();
+        (generation, output.iter().map(f32_bits).collect::<Vec<_>>())
+    };
+    let (generation, old) = infer();
+    assert_eq!(generation, 1.0);
+
+    // A different model (another seed, same shape) saved over the
+    // served path: generation 1 keeps serving the bytes it mapped.
+    let reseeded = QuantizeConfig {
+        epochs: 0,
+        seed: 18,
+        ..QuantizeConfig::default()
+    };
+    run_quantize(reseeded, &path).expect("quantize over the served path");
+    assert_eq!(infer(), (1.0, old.clone()), "generation 1 changed bits");
+    assert_eq!(call(addr, "GET", "/healthz", None).unwrap().status, 200);
+
+    // The reload maps the new file: generation 2 answers from it.
+    let reload = call(addr, "POST", "/v1/models/mlp/reload", None).unwrap();
+    assert_eq!(reload.status, 200, "{}", reload.body_str());
+    let (generation, new) = infer();
+    assert_eq!(generation, 2.0);
+    let mut want = Vec::new();
+    let mut plan = MappedArtifact::open(&path).unwrap().compile().unwrap();
+    plan.forward_rows(&[0.25; 8], 1, &mut want).unwrap();
+    assert_eq!(new, want.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    assert_ne!(new, old, "the new model must answer differently");
+    daemon.shutdown();
+    daemon.join();
     std::fs::remove_file(&path).ok();
 }
 

@@ -104,6 +104,7 @@ use std::any::Any;
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The four magic bytes every `.antm` stream starts with.
@@ -739,13 +740,26 @@ impl ModelArtifact {
         write_sections(w, &sections)
     }
 
-    /// Serializes to a file at `path`.
+    /// Serializes to a file at `path` by replacement, never in place: a
+    /// new sibling is written, synced and renamed over `path`, so a
+    /// [`MappedArtifact`] of the old file keeps its inode and the bytes
+    /// its plans compiled (`docs/format.md` §7).
     ///
     /// # Errors
     ///
-    /// As [`Self::save`].
+    /// As [`Self::save`], plus the sync and the rename. On any error the
+    /// sibling is removed and `path` is left as it was.
     pub fn save_path<P: AsRef<Path>>(&self, path: P) -> Result<(), ArtifactError> {
-        self.save(std::fs::File::create(path)?)
+        let path = path.as_ref();
+        let (tmp, file) = create_sibling(path)?;
+        let written = self
+            .save(&file)
+            .and_then(|()| Ok(file.sync_all()?))
+            .and_then(|()| Ok(std::fs::rename(&tmp, path)?));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp); // best effort: report the first error
+        }
+        written
     }
 
     /// Deserializes an artifact from a reader, verifying magic, version
@@ -973,6 +987,26 @@ impl ModelArtifact {
         }
         out.resize(total, 0);
         Ok(out)
+    }
+}
+
+/// Creates a new file beside `path` (the same directory, so a rename
+/// over `path` never crosses a filesystem), named after `path`'s file
+/// name, this process's id and a per-process counter. A name that exists
+/// (left by a dead process with the same pid) is skipped, never adopted.
+fn create_sibling(path: &Path) -> Result<(std::path::PathBuf, std::fs::File), ArtifactError> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    loop {
+        // Relaxed: only uniqueness within the process matters.
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let mut name = std::ffi::OsString::from(".");
+        name.push(path.file_name().unwrap_or_default());
+        name.push(format!(".{}-{seq}.tmp", std::process::id()));
+        let tmp = path.with_file_name(name);
+        match std::fs::File::create_new(&tmp) {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            created => return Ok((tmp, created?)),
+        }
     }
 }
 

@@ -46,7 +46,11 @@ enum Repr {
 }
 
 // SAFETY: the mapping is immutable (PROT_READ, MAP_PRIVATE) for its
-// whole lifetime; sharing read access across threads is sound.
+// whole lifetime; sharing read access across threads is sound. That
+// rests on the artifact contract (`docs/format.md` §7): a served `.antm`
+// is replaced by rename (`ModelArtifact::save_path`), never rewritten in
+// place: a private mapping still shows another writer's bytes, and SIGBUS
+// past a truncation. Keeping `cp` and editors off it is the operator's job.
 unsafe impl Send for Mmap {}
 // SAFETY: as above.
 unsafe impl Sync for Mmap {}
@@ -193,6 +197,34 @@ impl Drop for Mmap {
             }
         }
     }
+}
+
+/// This process's `Private_Dirty` kB of the mapping that holds `bytes`,
+/// from `/proc/self/smaps`: what the mapping costs this process on top of
+/// the pages it shares with every other process mapping the same file.
+/// `None` where there is no smaps (off linux) or no mapping at `bytes`.
+pub fn private_dirty_kb(bytes: &[u8]) -> Option<u64> {
+    let addr = bytes.as_ptr() as usize;
+    let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+    let mut in_target = false;
+    for line in smaps.lines() {
+        // A mapping's header line starts with its `lo-hi` address range.
+        if let Some((range, _)) = line.split_once(' ') {
+            if let Some((lo, hi)) = range.split_once('-') {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    in_target = lo <= addr && addr < hi;
+                }
+            }
+        }
+        if in_target {
+            if let Some(rest) = line.strip_prefix("Private_Dirty:") {
+                return rest.trim().trim_end_matches(" kB").trim().parse().ok();
+            }
+        }
+    }
+    None
 }
 
 impl std::fmt::Debug for Mmap {

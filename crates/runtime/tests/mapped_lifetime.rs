@@ -9,14 +9,17 @@
 //!   (weights are not duplicated per plan), and
 //! * a second process serving the same file shares the pages with the
 //!   first: the mapping contributes no meaningful `Private_Dirty` memory
-//!   (checked against `/proc/self/smaps`).
+//!   (checked against `/proc/self/smaps`), and
+//! * saving over a served path replaces the file instead of rewriting
+//!   the mapped inode, so a compiled plan keeps its bits.
 
-use ant_nn::model::{small_cnn, transformer_block};
+use ant_nn::model::{deep_mlp, small_cnn, transformer_block, Sequential};
 use ant_nn::qat::{quantize_model, QuantSpec};
-use ant_runtime::{MappedArtifact, ModelArtifact};
+use ant_runtime::mmap::private_dirty_kb;
+use ant_runtime::{CompiledPlan, MappedArtifact, ModelArtifact};
 use ant_tensor::dist::{sample_tensor, Distribution};
 use ant_tensor::Tensor;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn gaussian(dims: &[usize], seed: u64) -> Tensor {
     sample_tensor(
@@ -33,19 +36,27 @@ fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ant-mapped-{}-{name}.antm", std::process::id()))
 }
 
-/// Quantizes a small CNN and saves it as an artifact at `path`.
-fn write_cnn_artifact(path: &PathBuf, seed: u64) {
-    let mut model = small_cnn(4, seed);
-    let calib = gaussian(&[24, 144], seed.wrapping_add(1));
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A quantized model calibrated on Gaussian rows of its input width.
+fn quantized(mut model: Sequential, features: usize, seed: u64) -> Sequential {
+    let calib = gaussian(&[24, features], seed.wrapping_add(1));
     quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-    ModelArtifact::from_model(&model)
-        .unwrap()
-        .save_path(path)
-        .unwrap();
-    // Flush writeback so the smaps-based tests below measure this
-    // process's copy-on-write, not leftover page-cache dirtiness from
-    // having just written the file.
-    std::fs::File::open(path).unwrap().sync_all().unwrap();
+    model
+}
+
+fn save(model: &Sequential, path: &Path) {
+    let artifact = ModelArtifact::from_model(model).unwrap();
+    artifact.save_path(path).unwrap();
+}
+
+/// Quantizes a small CNN and saves it as an artifact at `path`. The save
+/// syncs before it renames, so the smaps-based tests below measure this
+/// process's copy-on-write, not page-cache dirtiness from the write.
+fn write_cnn_artifact(path: &Path, seed: u64) {
+    save(&quantized(small_cnn(4, seed), 144, seed), path);
 }
 
 #[test]
@@ -70,13 +81,7 @@ fn concurrent_plans_share_one_mapping() {
     let path = temp_path("share");
     // Attention's PANL list is its four projection images (q, k, v, o),
     // all of them executed.
-    let mut model = transformer_block(4, 8, 3, 21);
-    let calib = gaussian(&[24, 32], 11);
-    quantize_model(&mut model, &calib, QuantSpec::default()).unwrap();
-    ModelArtifact::from_model(&model)
-        .unwrap()
-        .save_path(&path)
-        .unwrap();
+    save(&quantized(transformer_block(4, 8, 3, 21), 32, 10), &path);
 
     let mapped = MappedArtifact::open(&path).unwrap();
     let x = gaussian(&[3, 32], 17);
@@ -105,6 +110,57 @@ fn concurrent_plans_share_one_mapping() {
     }
 }
 
+#[test]
+fn saving_over_a_live_mapping_leaves_the_compiled_plan_unchanged() {
+    let path = temp_path("overwrite");
+    write_cnn_artifact(&path, 3);
+    let x = gaussian(&[2, 144], 7);
+    let mapped = MappedArtifact::open(&path).unwrap();
+    let mapped_len = mapped.mapped_bytes().len();
+    let mut plan = mapped.compile().unwrap();
+    assert!(plan.borrowed_layer_count() > 0, "the plan must borrow");
+    let want = bits(&plan.forward(&x).unwrap());
+
+    // A same-shape model from another seed: rewritten in place, the
+    // mapping would show its weights to the old plan.
+    let other = quantized(small_cnn(4, 5), 144, 5);
+    save(&other, &path);
+    assert_eq!(bits(&plan.forward(&x).unwrap()), want, "plan saw new bytes");
+    let mut fresh = MappedArtifact::open(&path).unwrap().compile().unwrap();
+    let got = bits(&fresh.forward(&x).unwrap());
+    let mut direct = CompiledPlan::from_quantized(&other).unwrap();
+    assert_eq!(got, bits(&direct.forward(&x).unwrap()));
+    assert_ne!(got, want, "fresh open is stale");
+
+    // A smaller model: truncated in place, the old plan's reads past the
+    // new end of file would be SIGBUS.
+    save(&quantized(deep_mlp(8, 4, 8, 1, 9), 8, 9), &path);
+    assert!(std::fs::metadata(&path).unwrap().len() < mapped_len as u64);
+    assert_eq!(bits(&plan.forward(&x).unwrap()), want, "plan saw new bytes");
+    let fresh = MappedArtifact::open(&path).unwrap().compile().unwrap();
+    assert_eq!(fresh.in_features(), Some(8), "fresh open is stale");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_save_whose_rename_fails_returns_err_and_leaves_no_sibling() {
+    // The target is a non-empty directory: the sibling is written and
+    // synced, then the rename over the target fails.
+    let dir = temp_path("rename-fails");
+    let target = dir.join("model.antm");
+    std::fs::create_dir_all(target.join("occupied")).unwrap();
+    let model = quantized(deep_mlp(8, 4, 8, 1, 9), 8, 9);
+    let saved = ModelArtifact::from_model(&model)
+        .unwrap()
+        .save_path(&target);
+    assert!(saved.is_err(), "a rename over a directory must fail");
+    let names: Vec<_> = (std::fs::read_dir(&dir).unwrap())
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["model.antm"], "a failed save left a sibling behind");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Child-process mode for [`two_processes_share_pages_rss_stays_flat`]:
 /// serve the artifact and report how much of the mapping is
 /// private-dirty. Activated via env var so the test binary can re-exec
@@ -115,41 +171,9 @@ fn child_serve_and_report(path: &str) -> ! {
     let mut plan = mapped.compile_strict().unwrap();
     let x = gaussian(&[2, 144], 7);
     plan.forward(&x).unwrap();
-    let dirty = mapping_private_dirty_kb(mapped.mapped_bytes().as_ptr() as usize);
+    let dirty = private_dirty_kb(mapped.mapped_bytes()).unwrap_or(0);
     println!("PRIVATE_DIRTY_KB={dirty}");
     std::process::exit(0);
-}
-
-/// Sums the `Private_Dirty` of the `/proc/self/smaps` entry containing
-/// `addr` (linux only; returns 0 elsewhere so callers can gate).
-fn mapping_private_dirty_kb(addr: usize) -> u64 {
-    let smaps = match std::fs::read_to_string("/proc/self/smaps") {
-        Ok(s) => s,
-        Err(_) => return 0,
-    };
-    let mut in_target = false;
-    for line in smaps.lines() {
-        if let Some((range, _)) = line.split_once(' ') {
-            if let Some((lo, hi)) = range.split_once('-') {
-                if let (Ok(lo), Ok(hi)) =
-                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
-                {
-                    in_target = lo <= addr && addr < hi;
-                }
-            }
-        }
-        if in_target {
-            if let Some(rest) = line.strip_prefix("Private_Dirty:") {
-                return rest
-                    .trim()
-                    .trim_end_matches(" kB")
-                    .trim()
-                    .parse()
-                    .unwrap_or(0);
-            }
-        }
-    }
-    0
 }
 
 #[test]
@@ -169,7 +193,7 @@ fn two_processes_share_pages_rss_stays_flat() {
     assert!(mapped.is_zero_copy());
     let mut plan = mapped.compile_strict().unwrap();
     plan.forward(&gaussian(&[2, 144], 7)).unwrap();
-    let parent_dirty = mapping_private_dirty_kb(mapped.mapped_bytes().as_ptr() as usize);
+    let parent_dirty = private_dirty_kb(mapped.mapped_bytes()).unwrap_or(0);
 
     // ...while a second process opens the same file. MAP_PRIVATE
     // read-only pages are shared until written; neither process should

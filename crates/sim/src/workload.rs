@@ -54,7 +54,7 @@ impl GemmLayer {
     }
 }
 
-/// Workload family, which sets the iso-accuracy criterion (paper: CNNs
+/// Workload family, which sets the iso-accuracy target (paper: CNNs
 /// < 0.1% loss, Transformers < 1%).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {

@@ -406,8 +406,16 @@ pub(crate) fn avx2_available() -> bool {
 /// kernel width) into the `[oh*ow, c*kh*kw]` im2row matrix: row `p` holds
 /// the receptive field of output pixel `p`, in the `(c, kh, kw)` order of
 /// a row-major flattened conv kernel, so a convolution becomes
-/// `im2row · Wᵀ` on the weight-stationary GEMM directly. Padding
-/// positions stay `0` — the integer image of the reference path's
+/// `im2row · Wᵀ` on the weight-stationary GEMM directly.
+///
+/// The lowering copies runs, not elements: per output row and `(c, kh)`
+/// input line, each interior pixel's `kw`-wide window is one fixed-width
+/// copy. Kernel widths 1, 3, 5 and 7 are monomorphised (a `[T; KW]` copy
+/// compiles to a few moves); other widths run the same loop with a
+/// runtime width. Only border pixels, whose windows overhang the padding,
+/// go element by element, and input rows outside the image are skipped.
+///
+/// Padding positions stay `0` — the integer image of the reference path's
 /// structural f32 zeros. With zero padding every element is overwritten,
 /// so the output is *not* pre-cleared in that case (the buffer may hold
 /// arbitrary stale scratch contents).
@@ -424,32 +432,62 @@ pub fn im2row<T: Copy + Default>(
     geo: ant_tensor::linalg::Conv2dGeometry,
     out: &mut [T],
 ) {
+    match geo.kw {
+        1 => im2row_runs::<T, 1>(sample, c, h, w, geo, out),
+        3 => im2row_runs::<T, 3>(sample, c, h, w, geo, out),
+        5 => im2row_runs::<T, 5>(sample, c, h, w, geo, out),
+        7 => im2row_runs::<T, 7>(sample, c, h, w, geo, out),
+        _ => im2row_runs::<T, 0>(sample, c, h, w, geo, out),
+    }
+}
+
+/// [`im2row`] with the window width fixed at `KW` (`0`: read from the
+/// geometry at run time).
+#[inline(always)]
+fn im2row_runs<T: Copy + Default, const KW: usize>(
+    sample: &[T],
+    c: usize,
+    h: usize,
+    w: usize,
+    geo: ant_tensor::linalg::Conv2dGeometry,
+    out: &mut [T],
+) {
+    let kw = if KW == 0 { geo.kw } else { KW };
+    let (kh, s, pad) = (geo.kh, geo.stride, geo.padding);
     assert_eq!(sample.len(), c * h * w, "sample length");
-    let oh = geo.out_extent(h, geo.kh).expect("kernel fits input height");
-    let ow = geo.out_extent(w, geo.kw).expect("kernel fits input width");
-    let k = c * geo.kh * geo.kw;
+    let oh = geo.out_extent(h, kh).expect("kernel fits input height");
+    let ow = geo.out_extent(w, kw).expect("kernel fits input width");
+    let k = c * kh * kw;
     assert_eq!(out.len(), oh * ow * k, "output length");
-    if geo.padding > 0 {
+    if pad > 0 {
         // Padding positions are never written below; everything else is,
         // so the clear is only needed (and only paid) when padding exists.
         out.fill(T::default());
     }
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = &mut out[(oy * ow + ox) * k..(oy * ow + ox + 1) * k];
-            for ci in 0..c {
-                for ki in 0..geo.kh {
-                    let iy = (oy * geo.stride + ki) as isize - geo.padding as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    for kj in 0..geo.kw {
-                        let ix = (ox * geo.stride + kj) as isize - geo.padding as isize;
-                        if ix < 0 || ix as usize >= w {
-                            continue;
+    // Interior pixels `lo..hi` have their whole window inside the input
+    // line: `ox·s ≥ pad` and `ox·s − pad + kw ≤ w`. (When `w + pad < kw`
+    // no pixel is interior, and then `ow ≤ lo`.)
+    let lo = pad.div_ceil(s).min(ow);
+    let hi = ((w + pad).saturating_sub(kw) / s + 1).clamp(lo, ow);
+    for (oy, rows) in out.chunks_exact_mut((ow * k).max(1)).enumerate() {
+        for ci in 0..c {
+            for ki in 0..kh {
+                let Some(iy) = (oy * s + ki).checked_sub(pad).filter(|&iy| iy < h) else {
+                    continue;
+                };
+                let line = &sample[(ci * h + iy) * w..][..w];
+                let col = (ci * kh + ki) * kw;
+                for ox in lo..hi {
+                    let x0 = ox * s - pad;
+                    rows[ox * k + col..][..kw].copy_from_slice(&line[x0..][..kw]);
+                }
+                for ox in (0..lo).chain(hi..ow) {
+                    let window = &mut rows[ox * k + col..][..kw];
+                    for (kj, dst) in window.iter_mut().enumerate() {
+                        let ix = (ox * s + kj).checked_sub(pad);
+                        if let Some(&v) = ix.and_then(|ix| line.get(ix)) {
+                            *dst = v;
                         }
-                        row[(ci * geo.kh + ki) * geo.kw + kj] =
-                            sample[(ci * h + iy as usize) * w + ix as usize];
                     }
                 }
             }
@@ -651,39 +689,58 @@ mod tests {
         int_gemm(&[1, 2], &[3, 4, 5, 6], 1, 2, 2, &mut out);
     }
 
-    #[test]
-    fn im2row_is_the_transpose_of_im2col() {
-        // im2row over integers must be element-for-element the transpose of
-        // the f32 im2col the reference conv path uses, including the zero
-        // padding ring — and regardless of what the output buffer held
-        // before (the padding==0 path skips the clear).
-        for (c, h, w, kernel, stride, padding) in [
-            (1usize, 5usize, 5usize, 3usize, 1usize, 1usize),
-            (2, 6, 4, 3, 2, 0),
-            (3, 4, 4, 2, 1, 1),
-            (2, 5, 5, 3, 1, 0),
-        ] {
-            let geo = Conv2dGeometry::new(kernel, kernel, stride, padding).unwrap();
-            let ints = lcg_ints(c * h * w, 7, 15);
-            let sample =
-                Tensor::from_vec(ints.iter().map(|&v| v as f32).collect(), &[c, h, w]).unwrap();
-            let cols = linalg::im2col(&sample, geo).unwrap(); // [k, oh*ow]
-            let k = c * kernel * kernel;
-            let pixels = cols.dims()[1];
-            // Dirty buffer: proves every element is either overwritten or
-            // cleared by the padding path.
-            let mut rows = vec![i32::MIN; pixels * k];
-            im2row::<i32>(&ints, c, h, w, geo, &mut rows);
-            for p in 0..pixels {
-                for r in 0..k {
-                    assert_eq!(
-                        rows[p * k + r] as f32,
-                        cols.as_slice()[r * pixels + p],
-                        "c={c} h={h} w={w} pad={padding} pixel={p} row={r}"
-                    );
+    /// Checks `im2row` at operand type `T` against the transpose of the
+    /// f32 `im2col` the reference conv path uses, over every kernel width
+    /// the dispatch names and some it does not, non-square kernels,
+    /// strides 1–3 and padding 0–2 — padding ring included, and whatever
+    /// the output buffer held before (the padding-0 path skips the clear,
+    /// so a stale `dirty` value left anywhere fails).
+    fn im2row_sweep<T: Copy + Default + PartialEq + std::fmt::Debug>(
+        from_i32: impl Fn(i32) -> T,
+        dirty: T,
+    ) {
+        let kernels = [1, 2, 3, 4, 5, 7].map(|k| (k, k));
+        let mut checked = 0;
+        for (kh, kw) in kernels.into_iter().chain([(3, 1), (1, 3), (2, 5)]) {
+            for (c, h, w) in [(2usize, 7usize, 9usize), (1, 3, 2), (3, 5, 5)] {
+                for stride in 1..=3 {
+                    for padding in 0..=2 {
+                        let geo = Conv2dGeometry::new(kh, kw, stride, padding).unwrap();
+                        if geo.out_extent(h, kh).is_none() || geo.out_extent(w, kw).is_none() {
+                            continue;
+                        }
+                        let ints = lcg_ints(c * h * w, (kh * 7 + kw + stride) as u32, 15);
+                        let floats = ints.iter().map(|&v| v as f32).collect();
+                        let sample = Tensor::from_vec(floats, &[c, h, w]).unwrap();
+                        let cols = linalg::im2col(&sample, geo).unwrap(); // [k, oh*ow]
+                        let k = c * kh * kw;
+                        let pixels = cols.dims()[1];
+                        let typed: Vec<T> = ints.iter().map(|&v| from_i32(v)).collect();
+                        let mut rows = vec![dirty; pixels * k];
+                        im2row(&typed, c, h, w, geo, &mut rows);
+                        for p in 0..pixels {
+                            for r in 0..k {
+                                assert_eq!(
+                                    rows[p * k + r],
+                                    from_i32(cols.as_slice()[r * pixels + p] as i32),
+                                    "{kh}x{kw} s={stride} pad={padding} c={c} h={h} w={w} \
+                                     pixel={p} row={r}"
+                                );
+                            }
+                        }
+                        checked += 1;
+                    }
                 }
             }
         }
+        assert!(checked >= 100, "sweep covered only {checked} geometries");
+    }
+
+    #[test]
+    fn im2row_is_the_transpose_of_im2col() {
+        im2row_sweep(|v| v as i8, i8::MIN);
+        im2row_sweep(|v| v as i16, i16::MIN);
+        im2row_sweep(|v| v, i32::MIN);
     }
 
     #[test]

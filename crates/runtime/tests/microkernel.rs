@@ -349,10 +349,10 @@ proptest! {
     /// single- and multi-threaded.
     #[test]
     fn fused_writeback_bit_identical_i8(
-        samples in 1usize..5, rps_i in 0usize..4, ki in 0usize..19, ni in 0usize..19,
+        samples in 1usize..5, rps_i in 0usize..7, ki in 0usize..19, ni in 0usize..19,
         seed in 0u32..10_000, with_bias in 0usize..2, threads in 1usize..5,
     ) {
-        let rps = [1usize, 1, 3, 7][rps_i];
+        let rps = [1usize, 1, 3, 7, 4, 8, 36][rps_i];
         let (m, k, n) = (samples * rps, DIMS[ki], DIMS[ni]);
         let a8: Vec<i8> = lcg(m * k, seed, 255).iter().map(|&v| v as i8).collect();
         let b8: Vec<i8> = lcg(n * k, seed.wrapping_add(1), 255).iter().map(|&v| v as i8).collect();

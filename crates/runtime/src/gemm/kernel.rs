@@ -326,14 +326,6 @@ impl Epilogue<'_> {
 /// Dequantizes single-block tile sums straight into the `f32` output
 /// (the fused epilogue). Only valid when the reduction is one cadence
 /// block, i.e. every `put` is `first`.
-///
-/// A conv tile's `M` rows are usually consecutive pixels of one sample,
-/// and then each channel's `M` values are contiguous in the channel-major
-/// output: the tile is stored column by column, one `[f32; M]` run per
-/// channel, instead of `M · NR` scattered stores. Tiles whose rows are
-/// not contiguous there (one straddling a sample boundary) and row-major
-/// outputs (`rows_per_sample == 1`, every dense and attention layer)
-/// store row by row. The arithmetic is the same either way.
 pub(crate) struct Dequant<'a> {
     pub(crate) out: *mut f32,
     pub(crate) epi: Epilogue<'a>,
@@ -371,7 +363,8 @@ impl Sink for Dequant<'_> {
         if let Some(b) = self.epi.bias {
             bias[..nc].copy_from_slice(&b[c0..c0 + nc]);
         }
-        let dequant = |acc_row: &[i32; NR]| {
+        let rps = self.epi.rows_per_sample;
+        for (&row, acc_row) in rows.iter().zip(acc) {
             let mut vals = [0f32; NR];
             for ((v, &x), &d) in vals.iter_mut().zip(acc_row).zip(&deq) {
                 *v = x as f32 * d;
@@ -381,33 +374,6 @@ impl Sink for Dequant<'_> {
                     *v += b;
                 }
             }
-            vals
-        };
-        let rps = self.epi.rows_per_sample;
-        // Output offsets rise strictly with the row, so a span of `M − 1`
-        // means the tile's rows are consecutive pixels of one sample: each
-        // channel's `M` values are then one contiguous run.
-        if rps > 1 && rows[M - 1] - rows[0] == M - 1 {
-            // Dequantize row-wise (full-width vector ops), then transpose.
-            // Plain loops: `array::map` here left out-of-line closure calls.
-            let mut vals = [[0f32; NR]; M];
-            for (row, acc_row) in vals.iter_mut().zip(acc) {
-                *row = dequant(acc_row);
-            }
-            let mut columns = [[0f32; M]; NR];
-            for (r, row) in vals.iter().enumerate() {
-                for (column, &v) in columns.iter_mut().zip(row) {
-                    column[r] = v;
-                }
-            }
-            let dst = self.out.add(rows[0] + c0 * rps);
-            for (c, &column) in columns.iter().take(nc).enumerate() {
-                (dst.add(c * rps) as *mut [f32; M]).write_unaligned(column);
-            }
-            return;
-        }
-        for (&row, acc_row) in rows.iter().zip(acc) {
-            let vals = dequant(acc_row);
             let dst = self.out.add(row + c0 * rps);
             if nc == NR && rps == 1 {
                 (dst as *mut [f32; NR]).write_unaligned(vals);

@@ -410,10 +410,11 @@ pub(crate) fn avx2_available() -> bool {
 ///
 /// The lowering copies runs, not elements: per output row and `(c, kh)`
 /// input line, each interior pixel's `kw`-wide window is one fixed-width
-/// copy. Kernel widths 1, 3, 5 and 7 are monomorphised (a `[T; KW]` copy
-/// compiles to a few moves); other widths run the same loop with a
-/// runtime width. Only border pixels, whose windows overhang the padding,
-/// go element by element, and input rows outside the image are skipped.
+/// copy. Width 3, the only one any model here uses, is monomorphised (a
+/// `[T; 3]` copy compiles to a few moves); other widths run the same loop
+/// with a runtime width. Only border pixels, whose windows overhang the
+/// padding, go element by element, and input rows outside the image are
+/// skipped.
 ///
 /// Padding positions stay `0` — the integer image of the reference path's
 /// structural f32 zeros. With zero padding every element is overwritten,
@@ -433,10 +434,7 @@ pub fn im2row<T: Copy + Default>(
     out: &mut [T],
 ) {
     match geo.kw {
-        1 => im2row_runs::<T, 1>(sample, c, h, w, geo, out),
         3 => im2row_runs::<T, 3>(sample, c, h, w, geo, out),
-        5 => im2row_runs::<T, 5>(sample, c, h, w, geo, out),
-        7 => im2row_runs::<T, 7>(sample, c, h, w, geo, out),
         _ => im2row_runs::<T, 0>(sample, c, h, w, geo, out),
     }
 }
@@ -470,24 +468,24 @@ fn im2row_runs<T: Copy + Default, const KW: usize>(
     let lo = pad.div_ceil(s).min(ow);
     let hi = ((w + pad).saturating_sub(kw) / s + 1).clamp(lo, ow);
     for (oy, rows) in out.chunks_exact_mut((ow * k).max(1)).enumerate() {
-        for ci in 0..c {
-            for ki in 0..kh {
-                let Some(iy) = (oy * s + ki).checked_sub(pad).filter(|&iy| iy < h) else {
-                    continue;
-                };
-                let line = &sample[(ci * h + iy) * w..][..w];
-                let col = (ci * kh + ki) * kw;
-                for ox in lo..hi {
-                    let x0 = ox * s - pad;
-                    rows[ox * k + col..][..kw].copy_from_slice(&line[x0..][..kw]);
-                }
-                for ox in (0..lo).chain(hi..ow) {
-                    let window = &mut rows[ox * k + col..][..kw];
-                    for (kj, dst) in window.iter_mut().enumerate() {
-                        let ix = (ox * s + kj).checked_sub(pad);
-                        if let Some(&v) = ix.and_then(|ix| line.get(ix)) {
-                            *dst = v;
-                        }
+        // One `(ci, ki)` input line at a time; its windows fill columns
+        // `col..col + kw` of every pixel's row.
+        for line_idx in 0..c * kh {
+            let (ci, ki) = (line_idx / kh, line_idx % kh);
+            let Some(iy) = (oy * s + ki).checked_sub(pad).filter(|&iy| iy < h) else {
+                continue;
+            };
+            let line = &sample[(ci * h + iy) * w..][..w];
+            let col = line_idx * kw;
+            for ox in lo..hi {
+                rows[ox * k + col..][..kw].copy_from_slice(&line[ox * s - pad..][..kw]);
+            }
+            // Border pixels: a column left of the input wraps to a huge
+            // index, so `get` skips it like one right of the input.
+            for ox in (0..lo).chain(hi..ow) {
+                for (kj, dst) in rows[ox * k + col..][..kw].iter_mut().enumerate() {
+                    if let Some(&v) = line.get((ox * s + kj).wrapping_sub(pad)) {
+                        *dst = v;
                     }
                 }
             }

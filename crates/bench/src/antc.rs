@@ -40,6 +40,9 @@ pub enum CliError {
     Loadgen(String),
     /// `antc generate` could not stream tokens from the daemon.
     Generate(String),
+    /// `antc repro`: a paper claim's outcome differs from its
+    /// declaration (the message lists them, then the full report).
+    Repro(String),
 }
 
 impl fmt::Display for CliError {
@@ -51,6 +54,7 @@ impl fmt::Display for CliError {
             CliError::Runtime(e) => write!(f, "{e}"),
             CliError::Loadgen(msg) => write!(f, "loadgen: {msg}"),
             CliError::Generate(msg) => write!(f, "generate: {msg}"),
+            CliError::Repro(msg) => write!(f, "repro: {msg}"),
         }
     }
 }
@@ -1745,7 +1749,6 @@ pub fn run_stats<P: AsRef<Path>>(path: P, cfg: StatsConfig) -> Result<String, Cl
     Ok(out)
 }
 
-/// Usage text for the binary.
 /// Configuration for `antc loadgen` — drive a running `antd` daemon.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
@@ -2219,6 +2222,7 @@ pub fn run_generate(cfg: GenerateConfig) -> Result<String, CliError> {
     }
 }
 
+/// Usage text for the binary.
 pub const USAGE: &str = "antc — ANT quantized-model artifact tool
 
 USAGE:
@@ -2237,6 +2241,7 @@ USAGE:
                  [--duration-secs N] [--out <file.json>] [--check-metrics]
     antc generate --model NAME [--addr HOST:PORT] [--prompt 1,2,3]
                   [--max-tokens N]
+    antc repro [NAME ...] [--out <file.json>]
 
 The quantize subcommand trains a reference model, runs Algorithm-2 type
 selection through a memoizing Planner, and saves the packed result (wire
@@ -2275,10 +2280,14 @@ generate streams tokens from a running daemon's autoregressive
 e.g. quantize --model decoder): the chunked JSON-line stream is parsed
 incrementally and the final done line must account for every streamed
 token, making the command a conformance check as well as a demo
-client.";
+client. repro prints the paper's figures and tables (NAME is fig01,
+fig10..fig14, tab01..tab07, ablation or posit; all of them by default)
+and checks each claim the paper makes about them, failing when a
+claim's outcome differs from its declaration; --out writes the claims
+as JSON (REPRO.json).";
 
 /// A usage error: the message, then the full usage text.
-fn usage(msg: &str) -> CliError {
+pub(crate) fn usage(msg: &str) -> CliError {
     CliError::Usage(format!("{msg}\n\n{USAGE}"))
 }
 
@@ -2453,6 +2462,19 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 return Err(usage("generate requires --model NAME"));
             }
             run_generate(cfg)
+        }
+        "repro" => {
+            let mut names = Vec::new();
+            let mut out: Option<std::path::PathBuf> = None;
+            let mut flags = Flags::new(rest);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--out" => out = Some(flags.value()?.into()),
+                    name if !name.starts_with('-') => names.push(name),
+                    _ => return Err(flags.unknown()),
+                }
+            }
+            crate::repro::run(&names, out.as_deref())
         }
         "--help" | "-h" | "help" => Ok(USAGE.to_string()),
         other => Err(usage(&format!("unknown subcommand '{other}'"))),

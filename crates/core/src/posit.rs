@@ -6,7 +6,7 @@
 //!
 //! This module implements standard `posit<n, es>` decoding (sign, regime,
 //! exponent, fraction) so the claim can be made quantitative: the
-//! `ext_posit_comparison` report compares 4-bit posit lattices against
+//! `antc repro posit` report compares 4-bit posit lattices against
 //! flint on the paper's tensor families, and tests verify the structural
 //! difference (posit's regime is unbounded-length; flint's exponent field
 //! is delimited by the first one).

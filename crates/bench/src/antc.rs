@@ -1189,6 +1189,9 @@ fn gaussian(dims: &[usize], seed: u64) -> Tensor {
     sample_tensor(standard, dims, seed)
 }
 
+/// Timed repeats per [`measure_codec`] reading.
+const CODEC_REPEATS: usize = 5;
+
 /// Times [`Codec::encode`] and [`Codec::snap`] per element for `int4s`,
 /// `pot4s` and `flint4s` over 4 096 Gaussian values drawn from `seed`,
 /// scaled per type so that 3σ lands on the type's largest magnitude.
@@ -1212,13 +1215,20 @@ fn measure_codec(seed: u64, quick: bool) -> Vec<CodecCost> {
         .into()
 }
 
-/// Nanoseconds per element of `op` over `xs` ([`time_per_iter`]).
+/// Nanoseconds per element of `op` over `xs`: the median of
+/// [`CODEC_REPEATS`] [`time_per_iter`] readings, because on a shared box
+/// one reading alone moves by tens of percent.
 fn ns_per_elem<R>(xs: &[f32], iters: usize, op: impl Fn(f32) -> R) -> f64 {
     use std::hint::black_box;
-    let secs = time_per_iter(iters, || {
-        xs.iter().for_each(|&x| _ = black_box(op(black_box(x))));
-    });
-    secs * 1e9 / xs.len() as f64
+    let mut secs: Vec<f64> = (0..CODEC_REPEATS)
+        .map(|_| {
+            time_per_iter(iters, || {
+                xs.iter().for_each(|&x| _ = black_box(op(black_box(x))));
+            })
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[CODEC_REPEATS / 2] * 1e9 / xs.len() as f64
 }
 
 /// The telemetry budget: what one plan-layer boundary's hooks may cost,

@@ -244,15 +244,18 @@ fn model_and_combo_parsers_cover_all_labels() {
 #[test]
 fn bench_quick_writes_valid_json_and_reports_no_regression() {
     let out = temp_artifact("bench-json");
-    let report = run(&args(&[
-        "bench",
-        "--quick",
-        "--seed",
-        "3",
-        "--out",
-        out.to_str().unwrap(),
-    ]))
-    .unwrap();
+    // In its own process: the per-layer stage breakdown reads the
+    // process-wide telemetry registry between two snapshots, and another
+    // test of this file recording forwards in between pushed
+    // `coverage_of_forward` past its bound.
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_antc"))
+        .args(["bench", "--quick", "--seed", "3", "--out"])
+        .arg(&out)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "antc bench failed: {stderr}");
+    let report = String::from_utf8(run.stdout).unwrap();
     // The human table names every fixed workload, the kernel ratio and
     // the codec row.
     for needle in ["mlp", "cnn", "attention", "dense GEMM", "codec (ns"] {
@@ -315,9 +318,12 @@ fn bench_quick_writes_valid_json_and_reports_no_regression() {
         let q = |k: &str| w.get(k).and_then(Json::as_f64).unwrap();
         assert!(q("p50_us") <= q("p90_us") && q("p90_us") <= q("p99_us"));
         assert!(q("p99_us") <= q("p999_us"), "p999 below p99");
-        // Library test processes do not install the counting allocator,
-        // so allocation counts must be honestly reported as unknown.
-        assert!(w.get("allocs_per_request").unwrap().is_null());
+        // The binary installs the counting allocator: steady-state
+        // requests allocate nothing.
+        assert_eq!(
+            w.get("allocs_per_request").and_then(Json::as_f64),
+            Some(0.0)
+        );
         if cfg!(all(unix, target_endian = "little")) {
             assert_eq!(
                 w.get("mapped_zero_copy").and_then(Json::as_bool),

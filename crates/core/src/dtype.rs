@@ -147,6 +147,21 @@ impl DataType {
         })
     }
 
+    /// The `bits`-wide type of `primitive` (a float takes the default
+    /// field split).
+    ///
+    /// # Errors
+    ///
+    /// The error of that primitive's constructor above.
+    pub fn new(primitive: PrimitiveType, bits: u32, signed: bool) -> Result<Self, QuantError> {
+        match primitive {
+            PrimitiveType::Int => DataType::int(bits, signed),
+            PrimitiveType::Pot => DataType::pot(bits, signed),
+            PrimitiveType::Float => DataType::float(bits, signed),
+            PrimitiveType::Flint => DataType::flint(bits, signed),
+        }
+    }
+
     /// The primitive family.
     pub fn primitive(&self) -> PrimitiveType {
         self.primitive
@@ -200,11 +215,32 @@ enum SnapKind {
     NearestMagnitude,
 }
 
+/// The encoder [`Codec::new`] compiles from [`Codec::snap`]: every
+/// magnitude step of the lattice with the input range it covers and its
+/// wire code.
+#[derive(Debug, Clone)]
+enum Steps {
+    /// `int`: the steps sit at `k + ½`, so round, then clamp.
+    Int { lo: f32, hi: f32 },
+    /// Every other primitive: magnitude step `i` (value `magnitudes[i]`,
+    /// magnitude code `codes[i]`) covers `|x|` in
+    /// `[thresholds[i − 1], thresholds[i])`; NaN reads as magnitude `nan`.
+    Table {
+        thresholds: Vec<f32>,
+        codes: Vec<u32>,
+        nan: f32,
+    },
+}
+
 /// A materialised codec for a [`DataType`]: the sorted normalized value
-/// lattice plus the snap operation.
+/// lattice, the snap operation and the step table that encodes onto it.
 ///
 /// The lattice is in *normalized units*; a quantizer maps real data onto it
 /// with a scale factor `s` such that `x ≈ s · snap(x / s)` (paper Eq. (2)).
+///
+/// Encoding NaN gives code 0 for `int`, `PoT`, `float` and unsigned
+/// `flint`, and the largest positive code (value [`Codec::max_value`]) for
+/// signed `flint`, whose snap rounds `|NaN|` to the largest magnitude.
 #[derive(Debug, Clone)]
 pub struct Codec {
     dtype: DataType,
@@ -212,10 +248,15 @@ pub struct Codec {
     magnitudes: Vec<f32>,
     max: f32,
     snap: SnapKind,
+    steps: Steps,
 }
 
 impl Codec {
-    /// Builds the codec for `dtype`.
+    /// Builds the codec for `dtype`, compiling its step table: one
+    /// threshold on `|x|` per magnitude step, found by bisection over f32
+    /// bit patterns against [`Codec::snap`] (which is monotone on
+    /// non-negative inputs), so the table encodes exactly what snap
+    /// rounds to.
     ///
     /// # Errors
     ///
@@ -224,30 +265,17 @@ impl Codec {
     /// constructors, but guards hand-rolled values).
     pub fn new(dtype: DataType) -> Result<Self, QuantError> {
         let mag_bits = dtype.magnitude_bits();
-        match dtype.primitive {
+        let (magnitudes, snap) = match dtype.primitive {
             PrimitiveType::Int => {
                 let hi = ((1u64 << mag_bits) - 1) as f32;
                 let lo = if dtype.signed { -hi } else { 0.0 };
-                let magnitudes: Vec<f32> = (0..=(hi as u32)).map(|v| v as f32).collect();
-                Ok(Codec {
-                    dtype,
-                    max: hi,
-                    magnitudes,
-                    snap: SnapKind::IntRound { lo, hi },
-                })
+                let magnitudes = (0..=(hi as u32)).map(|v| v as f32).collect();
+                (magnitudes, SnapKind::IntRound { lo, hi })
             }
             PrimitiveType::Pot => {
-                let mut magnitudes = vec![0.0f32];
-                for c in 1..(1u32 << mag_bits) {
-                    magnitudes.push(2f32.powi(c as i32 - 1));
-                }
-                let max = *magnitudes.last().expect("non-empty");
-                Ok(Codec {
-                    dtype,
-                    max,
-                    magnitudes,
-                    snap: SnapKind::NearestMagnitude,
-                })
+                let powers = (1..1u32 << mag_bits).map(|c| 2f32.powi(c as i32 - 1));
+                let magnitudes = std::iter::once(0.0).chain(powers).collect();
+                (magnitudes, SnapKind::NearestMagnitude)
             }
             PrimitiveType::Float => {
                 let fmt = dtype
@@ -261,25 +289,67 @@ impl Codec {
                     .collect();
                 magnitudes.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
                 magnitudes.dedup();
-                let max = *magnitudes.last().expect("non-empty");
-                Ok(Codec {
-                    dtype,
-                    max,
-                    magnitudes,
-                    snap: SnapKind::NearestMagnitude,
-                })
+                (magnitudes, SnapKind::NearestMagnitude)
             }
             PrimitiveType::Flint => {
                 let flint = Flint::new(mag_bits)?;
-                let magnitudes: Vec<f32> = flint.lattice().into_iter().map(|v| v as f32).collect();
-                let max = *magnitudes.last().expect("non-empty");
-                Ok(Codec {
-                    dtype,
-                    max,
-                    magnitudes,
-                    snap: SnapKind::FlintHw(flint),
-                })
+                let magnitudes = flint.lattice().into_iter().map(|v| v as f32).collect();
+                (magnitudes, SnapKind::FlintHw(flint))
             }
+        };
+        let max = *magnitudes.last().expect("non-empty");
+        let placeholder = Steps::Int { lo: 0.0, hi: 0.0 };
+        let mut codec = Codec {
+            dtype,
+            magnitudes,
+            max,
+            snap,
+            steps: placeholder,
+        };
+        codec.steps = codec.compile_steps();
+        Ok(codec)
+    }
+
+    /// The step table: `int`'s round-and-clamp, or else step `i`'s
+    /// threshold — the least non-negative `x` that snaps to
+    /// `magnitudes[i]` or above, bisected between the bit patterns of the
+    /// two magnitudes it separates — and its magnitude code (the index,
+    /// or flint's Algorithm 1 code); NaN takes the magnitude snap gives
+    /// it.
+    fn compile_steps(&self) -> Steps {
+        if let SnapKind::IntRound { lo, hi } = self.snap {
+            return Steps::Int { lo, hi };
+        }
+        let thresholds = self
+            .magnitudes
+            .windows(2)
+            .map(|pair| {
+                let (mut below, mut at) = (pair[0].to_bits(), pair[1].to_bits());
+                while at - below > 1 {
+                    let mid = below + (at - below) / 2;
+                    if self.snap(f32::from_bits(mid)) >= pair[1] {
+                        at = mid;
+                    } else {
+                        below = mid;
+                    }
+                }
+                f32::from_bits(at)
+            })
+            .collect();
+        let codes = self
+            .magnitudes
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| match &self.snap {
+                SnapKind::FlintHw(flint) => flint.encode_int(m as u64),
+                _ => i as u32,
+            })
+            .collect();
+        let nan = self.snap(f32::NAN).abs();
+        Steps::Table {
+            thresholds,
+            codes,
+            nan,
         }
     }
 
@@ -394,58 +464,82 @@ impl Codec {
             .collect()
     }
 
-    /// Narrow decode LUT: [`Codec::decode_lut_int`] when every lattice
-    /// value fits a single byte (`i8`), which is what qualifies a type for
-    /// the byte-wide microkernel GEMM path. All of the paper's 4-bit types
-    /// qualify (Table I magnitudes top out at 64); `int8` does too (±127);
-    /// wider flint/PoT magnitudes take the `i16` panels.
-    pub fn decode_lut_i8(&self) -> Option<Vec<i8>> {
-        self.decode_lut_int()?
-            .into_iter()
-            .map(|v| i8::try_from(v).ok())
-            .collect()
-    }
-
     /// Encodes a normalized value to its wire code: the inverse of
     /// [`Codec::decode_lut`] composed with [`Codec::snap`], so that for
-    /// every `x`, `decode_lut()[encode(x) as usize] == snap(x)`. This is
-    /// the software side of the paper's fixed-length encoding: what
-    /// [`crate::pack::PackedTensor`] stores and what the `ant-hw` decoders
-    /// consume.
+    /// every non-NaN `x`, `decode_lut()[encode(x) as usize] == snap(x)`
+    /// (NaN: see [`Codec`]). This is the software side of the paper's
+    /// fixed-length encoding: what [`crate::pack::PackedTensor`] stores
+    /// and what the `ant-hw` decoders consume.
     pub fn encode(&self, x: f32) -> u32 {
-        let mag_bits = self.dtype.magnitude_bits();
-        let sign_bit = 1u32 << mag_bits;
-        match &self.snap {
-            SnapKind::IntRound { lo, hi } => {
-                let v = x.round().clamp(*lo, *hi) as i32;
-                (v as u32) & ((1u32 << self.dtype.bits) - 1)
+        let mut code = [0];
+        self.encode_body(&[x], 1.0, &mut code, |c, _| c);
+        code[0]
+    }
+
+    /// Encodes `x[i] / scale` for every element, storing
+    /// `put(code, value)` in `out[i]`, where `value` is the lattice point
+    /// of `code` (what [`Codec::snap`] gives): the bulk form of
+    /// [`Codec::encode`] that quantizes activation rows and KV groups.
+    /// The step table's arm is chosen once per call, and the loop is
+    /// compiled for AVX2 where the CPU has it, which is what vectorizes
+    /// `int`'s divide/round/clamp stream.
+    pub fn encode_into<T, F: Fn(u32, f32) -> T>(
+        &self,
+        x: &[f32],
+        scale: f32,
+        out: &mut [T],
+        put: F,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            #[target_feature(enable = "avx2")]
+            unsafe fn wide<T, F: Fn(u32, f32) -> T>(
+                c: &Codec,
+                x: &[f32],
+                scale: f32,
+                out: &mut [T],
+                put: F,
+            ) {
+                c.encode_body(x, scale, out, put)
             }
-            SnapKind::FlintHw(flint) => {
-                let mag = if self.dtype.signed {
-                    x.abs()
-                } else {
-                    x.max(0.0)
-                }
-                .round()
-                .min(flint.max_value() as f32) as u64;
-                let code = flint.encode_int(mag);
-                if self.dtype.signed && x < 0.0 && mag > 0 {
-                    code | sign_bit
-                } else {
-                    code
+            if std::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was detected on this CPU just above.
+                return unsafe { wide(self, x, scale, out, put) };
+            }
+        }
+        self.encode_body(x, scale, out, put)
+    }
+
+    /// [`Codec::encode_into`]'s loop, one per step-table arm.
+    #[inline(always)]
+    fn encode_body<T, F: Fn(u32, f32) -> T>(&self, x: &[f32], scale: f32, out: &mut [T], put: F) {
+        let signed = self.dtype.signed;
+        match &self.steps {
+            Steps::Int { lo, hi } => {
+                let mask = (1u32 << self.dtype.bits) - 1;
+                for (o, &v) in out.iter_mut().zip(x) {
+                    let q = (v / scale).round().clamp(*lo, *hi);
+                    *o = put((q as i32 as u32) & mask, q);
                 }
             }
-            SnapKind::NearestMagnitude => {
-                let mag = if self.dtype.signed {
-                    x.abs()
-                } else {
-                    x.max(0.0)
-                };
-                let idx = nearest_index(&self.magnitudes, mag) as u32;
-                if self.dtype.signed && x < 0.0 && idx > 0 {
-                    idx | sign_bit
-                } else {
-                    idx
+            Steps::Table {
+                thresholds,
+                codes,
+                nan,
+            } => {
+                let sign_bit = 1u32 << self.dtype.magnitude_bits();
+                for (o, &v) in out.iter_mut().zip(x) {
+                    let v = v / scale;
+                    let mag = if signed { v.abs() } else { v.max(0.0) };
+                    let mag = if mag.is_nan() { *nan } else { mag };
+                    let i = thresholds.partition_point(|&t| t <= mag);
+                    let (code, value) = (codes[i], self.magnitudes[i]);
+                    // A sign bit only above a nonzero magnitude.
+                    *o = if signed && v < 0.0 && i > 0 {
+                        put(code | sign_bit, -value)
+                    } else {
+                        put(code, value)
+                    };
                 }
             }
         }
@@ -514,6 +608,7 @@ fn nearest(sorted: &[f32], x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select::PrimitiveCombo;
 
     #[test]
     fn dtype_display() {
@@ -722,29 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_lut_i8_covers_exactly_the_byte_sized_types() {
-        // Every paper 4-bit type fits a byte, as does int8 (hw range −128).
-        for dt in [
-            DataType::int(4, true).unwrap(),
-            DataType::int(8, true).unwrap(),
-            DataType::pot(4, true).unwrap(),
-            DataType::flint(4, true).unwrap(),
-            DataType::flint(4, false).unwrap(),
-        ] {
-            let c = Codec::new(dt).unwrap();
-            let lut8 = c.decode_lut_i8().unwrap_or_else(|| panic!("{dt} fits i8"));
-            let lut = c.decode_lut_int().unwrap();
-            for (&narrow, &wide) in lut8.iter().zip(&lut) {
-                assert_eq!(narrow as i32, wide, "{dt}");
-            }
-        }
-        // flint8u reaches 16384: integral but not byte-sized.
-        let c = Codec::new(DataType::flint(8, false).unwrap()).unwrap();
-        assert!(c.decode_lut_int().is_some());
-        assert!(c.decode_lut_i8().is_none());
-    }
-
-    #[test]
     fn decode_lut_int_is_twos_complement() {
         let c = Codec::new(DataType::int(4, true).unwrap()).unwrap();
         let lut = c.decode_lut();
@@ -773,6 +845,146 @@ mod tests {
         ] {
             let c = Codec::new(dt).unwrap();
             assert_eq!(c.encode(-0.2), 0, "{dt}");
+        }
+    }
+
+    /// Every type of 2–8 bits that [`Codec::new`] accepts.
+    fn narrow_types() -> Vec<DataType> {
+        let mut types = Vec::new();
+        for bits in 2..=8 {
+            for signed in [false, true] {
+                for primitive in PrimitiveCombo::FloatIntPotFlint.members() {
+                    let dt = DataType::new(*primitive, bits, signed).ok();
+                    types.extend(dt.filter(|&dt| Codec::new(dt).is_ok()));
+                }
+            }
+        }
+        types
+    }
+
+    /// Asserts that `x` encodes to the code snap defines — the first code
+    /// that decodes to `snap(x)`, so zero never carries a sign bit — and
+    /// that the bulk encoder hands back snap's value with it.
+    fn assert_encodes_as_snap(c: &Codec, lut: &[f32], x: f32) {
+        let want = c.snap(x);
+        let first = lut.iter().position(|&v| v == want);
+        let mut got = [(0, 0.0)];
+        c.encode_into(&[x], 1.0, &mut got, |code, value| (code, value));
+        let what = format!("{}: x = {x:e} ({:#010x})", c.dtype(), x.to_bits());
+        assert_eq!(Some(c.encode(x) as usize), first, "{what}");
+        assert_eq!(Some(got[0].0 as usize), first, "{what}: bulk code");
+        assert_eq!(got[0].1, want, "{what}: bulk value");
+    }
+
+    #[test]
+    fn step_tables_encode_as_snap_at_every_threshold_and_over_a_sweep() {
+        let types = narrow_types();
+        assert_eq!(types.len(), 47, "{types:?}");
+        for dt in types {
+            let c = Codec::new(dt).unwrap();
+            let lut = c.decode_lut();
+            let thresholds = match &c.steps {
+                Steps::Int { hi, .. } => (0..*hi as u32).map(|k| k as f32 + 0.5).collect(),
+                Steps::Table { thresholds, .. } => thresholds.clone(),
+            };
+            assert_eq!(thresholds.len() + 1, c.magnitudes().len(), "{dt}");
+            for t in thresholds {
+                for x in [t.next_down(), t, t.next_up()] {
+                    assert_encodes_as_snap(&c, &lut, x);
+                    assert_encodes_as_snap(&c, &lut, -x);
+                }
+            }
+            let step = c.max_value() / 1009.0;
+            for k in -1500..=1500 {
+                assert_encodes_as_snap(&c, &lut, k as f32 * step);
+            }
+        }
+    }
+
+    #[test]
+    fn step_tables_pin_nan_infinities_zeros_and_extremes() {
+        for dt in narrow_types() {
+            let c = Codec::new(dt).unwrap();
+            let lut = c.decode_lut();
+            for x in [
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+                f32::MAX,
+                -f32::MAX,
+            ] {
+                assert_encodes_as_snap(&c, &lut, x);
+            }
+            // NaN: code 0, except signed flint's largest positive code.
+            let top = lut.iter().position(|&v| v == c.max_value()).unwrap() as u32;
+            let signed_flint = dt.primitive() == PrimitiveType::Flint && dt.is_signed();
+            let nan_code = if signed_flint { top } else { 0 };
+            for nan in [f32::NAN, -f32::NAN, f32::from_bits(0x7f80_0001)] {
+                let mut got = [(0, 0.0)];
+                c.encode_into(&[nan], 1.0, &mut got, |code, value| (code, value));
+                assert_eq!(c.encode(nan), nan_code, "{dt}: NaN");
+                assert_eq!(got[0].0, nan_code, "{dt}: bulk NaN");
+                // The value is snap's: NaN itself for int, the code's
+                // lattice point otherwise.
+                let value = got[0].1;
+                if dt.primitive() == PrimitiveType::Int {
+                    assert!(value.is_nan() && c.snap(nan).is_nan(), "{dt}: {value}");
+                } else {
+                    assert_eq!(value, lut[nan_code as usize], "{dt}: NaN value");
+                    assert_eq!(value, c.snap(nan), "{dt}: NaN value");
+                }
+            }
+        }
+    }
+
+    /// All 2³² bit patterns for the six 4-bit types and the KV cache's
+    /// default pair (int8s, flint8s), through the bulk encoder, on two
+    /// threads. Minutes in release; CI runs it as "Lattice tables
+    /// (release)".
+    #[test]
+    #[ignore]
+    fn step_tables_encode_as_snap_for_every_f32() {
+        let types = [
+            DataType::int(4, true),
+            DataType::int(4, false),
+            DataType::pot(4, true),
+            DataType::pot(4, false),
+            DataType::flint(4, true),
+            DataType::flint(4, false),
+            DataType::int(8, true),
+            DataType::flint(8, true),
+        ];
+        for dt in types.map(Result::unwrap) {
+            let c = Codec::new(dt).unwrap();
+            let lut = c.decode_lut();
+            let nan_code = c.encode(f32::NAN);
+            std::thread::scope(|s| {
+                for half in 0..2u64 {
+                    let (c, lut) = (&c, &lut);
+                    s.spawn(move || {
+                        let mut xs = vec![0f32; 1 << 16];
+                        let mut got = vec![(0u32, 0f32); 1 << 16];
+                        for block in half << 15..(half + 1) << 15 {
+                            for (i, x) in xs.iter_mut().enumerate() {
+                                *x = f32::from_bits((block as u32) << 16 | i as u32);
+                            }
+                            c.encode_into(&xs, 1.0, &mut got, |code, value| (code, value));
+                            for (&x, &(code, value)) in xs.iter().zip(&got) {
+                                let ok = if x.is_nan() {
+                                    code == nan_code
+                                } else {
+                                    let want = c.snap(x);
+                                    lut[code as usize] == want
+                                        && value == want
+                                        && (want != 0.0 || code == 0)
+                                };
+                                assert!(ok, "{dt}: x = {x:e} ({:#010x}) code {code}", x.to_bits());
+                            }
+                        }
+                    });
+                }
+            });
         }
     }
 

@@ -6,7 +6,7 @@
 //! [`PrimitiveCombo`] values: `Int`, `IP` (int+PoT), `FIP` (float+int+PoT),
 //! `IP-F` (int+PoT+flint — the shipped ANT configuration) and `FIP-F`.
 
-use crate::dtype::DataType;
+use crate::dtype::{DataType, PrimitiveType};
 use crate::quantizer::{ClipSearch, Granularity, TensorQuantizer};
 use crate::QuantError;
 use ant_tensor::Tensor;
@@ -50,6 +50,18 @@ impl PrimitiveCombo {
         ]
     }
 
+    /// The member primitives, in candidate order.
+    pub fn members(&self) -> &'static [PrimitiveType] {
+        use PrimitiveType::{Flint, Float, Int, Pot};
+        match self {
+            PrimitiveCombo::Int => &[Int],
+            PrimitiveCombo::IntPot => &[Int, Pot],
+            PrimitiveCombo::FloatIntPot => &[Float, Int, Pot],
+            PrimitiveCombo::IntPotFlint => &[Int, Pot, Flint],
+            PrimitiveCombo::FloatIntPotFlint => &[Float, Int, Pot, Flint],
+        }
+    }
+
     /// Materialises the candidate list at a bit width and signedness.
     ///
     /// Signed 4-bit `float` is value-identical to signed PoT (paper
@@ -61,31 +73,13 @@ impl PrimitiveCombo {
     /// Returns [`QuantError::UnsupportedBitWidth`] when `bits` is invalid
     /// for any member primitive.
     pub fn candidates(&self, bits: u32, signed: bool) -> Result<Vec<DataType>, QuantError> {
-        // Construct only the members this combination actually uses: e.g.
-        // the Int combo must stay valid at widths PoT does not support
-        // (8-bit promotion in mixed precision).
-        Ok(match self {
-            PrimitiveCombo::Int => vec![DataType::int(bits, signed)?],
-            PrimitiveCombo::IntPot => {
-                vec![DataType::int(bits, signed)?, DataType::pot(bits, signed)?]
-            }
-            PrimitiveCombo::FloatIntPot => vec![
-                DataType::float(bits, signed)?,
-                DataType::int(bits, signed)?,
-                DataType::pot(bits, signed)?,
-            ],
-            PrimitiveCombo::IntPotFlint => vec![
-                DataType::int(bits, signed)?,
-                DataType::pot(bits, signed)?,
-                DataType::flint(bits, signed)?,
-            ],
-            PrimitiveCombo::FloatIntPotFlint => vec![
-                DataType::float(bits, signed)?,
-                DataType::int(bits, signed)?,
-                DataType::pot(bits, signed)?,
-                DataType::flint(bits, signed)?,
-            ],
-        })
+        // Only this combination's members are constructed: e.g. the Int
+        // combo must stay valid at widths PoT does not support (8-bit
+        // promotion in mixed precision).
+        self.members()
+            .iter()
+            .map(|&p| DataType::new(p, bits, signed))
+            .collect()
     }
 }
 
@@ -186,7 +180,6 @@ pub fn select_type_auto(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtype::PrimitiveType;
     use ant_tensor::dist::{sample_tensor, Distribution};
 
     fn run(dist: Distribution, combo: PrimitiveCombo, signed: bool) -> TypeSelection {

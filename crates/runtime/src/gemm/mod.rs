@@ -142,8 +142,8 @@ fn run_partitioned(
 /// both operands as perfectly sequential narrow streams.
 ///
 /// The operand width `T` (`i8` or `i16`) is chosen by the caller from the
-/// layer's decode-LUT magnitudes ([`ant_core::Codec::decode_lut_i8`] /
-/// [`ant_core::Codec::decode_lut_int`]); the widening cadence is derived
+/// layer's decode-LUT magnitudes ([`ant_core::Codec::decode_lut_int`]);
+/// the widening cadence is derived
 /// from the packed data's actual maximum magnitude and the caller's bound
 /// on activation magnitudes (see the `kernel` submodule for the overflow
 /// argument).

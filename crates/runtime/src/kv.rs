@@ -13,7 +13,8 @@
 //! * the row is split into fixed-size **groups** ([`KvQuantSpec::group`]
 //!   elements each);
 //! * each group gets its own amax scale **and its own data type**, chosen
-//!   per group from the combo's int/PoT/flint members by the same
+//!   per group from the combo's members ([`PrimitiveCombo::members`], in
+//!   order, so a group's type tag is its candidate's index) by the same
 //!   min-error rule Algorithm 2 applies per tensor (the `float` member of
 //!   FIP-style combos is skipped — the KV path stays in the int-decodable
 //!   family, like the rest of the runtime);
@@ -21,17 +22,20 @@
 //!   byte per code otherwise, appended token-row-at-a-time into a byte
 //!   arena sized once at session-open time.
 //!
-//! Quantize-and-store and decode-and-stream share one per-group encode
-//! path (`KvQuant::quant_group`), so a row read back out of the cache
-//! is **bit-identical** to the quantize-dequantize a full-sequence causal
-//! forward applies in place — and `KvCache::append` hands the caller
-//! that dequantized row in the same pass, so a prefill never reads back
-//! what it just wrote. `KvCache::read_row` streams a cached row out a
-//! group at a time: layout, type and scale are resolved once per group,
-//! then one branch-free loop converts its codes — an `int` group by sign
-//! extension (its table entry *is* the sign-extended code), any other
-//! type through a 256-entry table a `u8` code indexes without a bounds
-//! check. Every element is still `scale · lut[code]`, one rounding, so
+//! Quantize-and-store and the cache-less forward run one per-group
+//! selection (`KvQuant::quant_group`): each candidate encodes the group
+//! once through its codec's step table ([`Codec::encode_into`]), and the
+//! least-error candidate's codes are kept, not encoded again. A row read
+//! back out of the cache is therefore **bit-identical** to the
+//! quantize-dequantize a full-sequence causal forward applies in place —
+//! and `KvCache::append` hands the caller that dequantized row in the same
+//! pass, so a prefill never reads back what it just wrote.
+//! `KvCache::read_row` streams a cached row out a group at a time:
+//! layout, type and scale are resolved once per group, then one
+//! branch-free loop converts its codes — an `int` group by sign extension
+//! (its table entry *is* the sign-extended code), any other type through
+//! a 256-entry table a `u8` code indexes without a bounds check. Every
+//! element is still `scale · lut[code]`, one rounding, so
 //! `decode_conformance.rs` holds incremental decode to full-sequence
 //! execution bit for bit.
 //!
@@ -112,32 +116,23 @@ impl KvQuant {
         if spec.group == 0 {
             return Err(unsupported("KV group size must be >= 1".to_string()));
         }
-        let mut cands = Vec::new();
-        let mut push = |dt: Result<DataType, ant_core::QuantError>| {
-            if let Ok(dt) = dt {
-                // The float primitive has no int-based decoder anywhere in
-                // the runtime; the KV path keeps that invariant.
-                if dt.primitive() != PrimitiveType::Float {
-                    if let Ok(codec) = Codec::new(dt) {
-                        let mut lut = [0f32; 256];
-                        let table = codec.decode_lut();
-                        lut[..table.len()].copy_from_slice(&table);
-                        let max = codec.max_value();
-                        cands.push(Candidate { codec, lut, max });
-                    }
-                }
-            }
-        };
-        push(DataType::int(spec.bits, true));
-        if !matches!(spec.combo, PrimitiveCombo::Int) {
-            push(DataType::pot(spec.bits, true));
-        }
-        if matches!(
-            spec.combo,
-            PrimitiveCombo::IntPotFlint | PrimitiveCombo::FloatIntPotFlint
-        ) {
-            push(DataType::flint(spec.bits, true));
-        }
+        // The float primitive has no int-based decoder anywhere in the
+        // runtime; the KV path keeps that invariant.
+        let members = spec
+            .combo
+            .members()
+            .iter()
+            .filter(|&&p| p != PrimitiveType::Float);
+        let cands: Vec<Candidate> = members
+            .filter_map(|&p| Codec::new(DataType::new(p, spec.bits, true).ok()?).ok())
+            .map(|codec| {
+                let mut lut = [0f32; 256];
+                let table = codec.decode_lut();
+                lut[..table.len()].copy_from_slice(&table);
+                let max = codec.max_value();
+                Candidate { codec, lut, max }
+            })
+            .collect();
         if cands.is_empty() {
             return Err(unsupported(format!(
                 "no combo member of {} supports {}-bit codes",
@@ -173,49 +168,56 @@ impl KvQuant {
         }
     }
 
-    /// Quantize-dequantizes one group in place: evaluates every candidate
-    /// at the group's amax scale, keeps the one with least squared
-    /// reconstruction error, writes its wire codes into `codes[..g.len()]`
-    /// (one byte per element, unpacked), replaces `g` with
-    /// `scale · lut[code]` and returns `(type tag, scale)`.
-    fn quant_group(&self, g: &mut [f32], codes: &mut [u8]) -> (u8, f32) {
+    /// Quantize-dequantizes one group in place: encodes the group once
+    /// per candidate at the group's amax scale into `trial`, keeps the
+    /// codes of the one with least squared reconstruction error in
+    /// `codes[..g.len()]` (one byte per element, unpacked), replaces `g`
+    /// with `scale · lut[code]` and returns `(type tag, scale)`.
+    fn quant_group(&self, g: &mut [f32], codes: &mut [u8], trial: &mut [u8]) -> (u8, f32) {
         let mut amax = 0f32;
         for &x in g.iter() {
             amax = amax.max(x.abs());
         }
-        let mut best = 0usize;
-        let mut best_scale = 1.0f32;
-        let mut best_err = f32::INFINITY;
+        let trial = &mut trial[..g.len()];
+        let (mut best, mut best_scale, mut best_err) = (0, 1.0, f32::INFINITY);
         for (ci, c) in self.cands.iter().enumerate() {
             let scale = if amax > 0.0 { amax / c.max } else { 1.0 };
+            c.codec.encode_into(g, scale, trial, |code, _| code as u8);
             let mut err = 0f32;
-            for &x in g.iter() {
-                let code = c.codec.encode(x / scale);
+            for (&code, &x) in trial.iter().zip(g.iter()) {
                 let d = scale * c.lut[code as usize] - x;
                 err += d * d;
             }
-            if err < best_err {
+            // The first candidate stands until one beats it (also when
+            // no error is finite).
+            if ci == 0 || err < best_err {
                 best_err = err;
                 best = ci;
                 best_scale = scale;
+                codes.copy_from_slice(trial);
             }
         }
-        let c = &self.cands[best];
-        for (slot, x) in codes.iter_mut().zip(g.iter_mut()) {
-            *slot = c.codec.encode(*x / best_scale) as u8;
-            *x = best_scale * c.lut[*slot as usize];
+        let lut = &self.cands[best].lut;
+        for (&code, x) in codes.iter().zip(g.iter_mut()) {
+            *x = best_scale * lut[code as usize];
         }
         (best as u8, best_scale)
     }
 
+    /// Code scratch for `len`-element rows: the row's codes, then one
+    /// group's trial codes (grown once, then reused).
+    fn code_scratch<'a>(&self, codes: &'a mut Vec<u8>, len: usize) -> (&'a mut [u8], &'a mut [u8]) {
+        grab(codes, len + self.spec.group, 0).split_at_mut(len)
+    }
+
     /// Quantize-dequantizes `row` in place — the full-sequence causal
     /// forward's view of the cache when no session is attached. `codes`
-    /// is reusable scratch (grown once to `row.len()`).
+    /// is reusable scratch.
     pub(crate) fn quant_dequant_row(&self, row: &mut [f32], codes: &mut Vec<u8>) {
-        let scratch = grab(codes, row.len(), 0);
+        let (scratch, trial) = self.code_scratch(codes, row.len());
         let group = self.spec.group;
         for (chunk, cbuf) in row.chunks_mut(group).zip(scratch.chunks_mut(group)) {
-            self.quant_group(chunk, &mut cbuf[..chunk.len()]);
+            self.quant_group(chunk, cbuf, trial);
         }
     }
 
@@ -344,7 +346,7 @@ impl KvCache {
     /// Quantizes and appends one K row and one V row (the next token's),
     /// returning the token's index, and leaves each row dequantized in
     /// place — the values [`Self::read_row`] will hand back. `codes` is
-    /// reusable unpacked-code scratch (grown once to `dim`). Fails with
+    /// reusable unpacked-code scratch. Fails with
     /// [`RuntimeError::KvCacheFull`] at capacity, rows untouched.
     pub(crate) fn append(
         &mut self,
@@ -361,7 +363,7 @@ impl KvCache {
             });
         }
         let t = self.tokens;
-        let scratch = grab(codes, self.dim, 0);
+        let (scratch, trial) = kv.code_scratch(codes, self.dim);
         let group = kv.spec.group;
         for (half, row) in [(KvHalf::K, k_row), (KvHalf::V, v_row)] {
             let (scales, tags) = match half {
@@ -369,7 +371,7 @@ impl KvCache {
                 KvHalf::V => (&mut self.scales_v, &mut self.tags_v),
             };
             for (chunk, cbuf) in row.chunks_mut(group).zip(scratch.chunks_mut(group)) {
-                let (tag, scale) = kv.quant_group(chunk, &mut cbuf[..chunk.len()]);
+                let (tag, scale) = kv.quant_group(chunk, cbuf, trial);
                 scales.push(scale);
                 tags.push(tag);
             }
@@ -396,7 +398,7 @@ impl KvCache {
 
     /// Decodes token `t`'s row into `out` a group at a time — exactly the
     /// values [`KvQuant::quant_dequant_row`] produces for the original
-    /// row (shared encode path, lossless packing). Code layout, type and
+    /// row (one group selection, lossless packing). Code layout, type and
     /// scale are resolved once per group; its element loop is branch-
     /// and bounds-check-free.
     pub(crate) fn read_row(&self, kv: &KvQuant, half: KvHalf, t: usize, out: &mut [f32]) {

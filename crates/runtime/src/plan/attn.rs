@@ -5,7 +5,7 @@
 //! K/V rows out of a packed cache.
 
 use super::matrix::{
-    act_bound, check_features, check_int_domain, ActQuant, LayerCtx, PackedMatrix, WeightImage,
+    act_bound, check_features, check_int_domain, quantize_rows, LayerCtx, PackedMatrix, WeightImage,
 };
 use crate::error::RuntimeError;
 use crate::gemm::{partition, Epilogue, KernelOperand};
@@ -44,7 +44,6 @@ pub struct PackedAttn {
     /// Precomputed `act.scale() · w_scales` for the q/k/v dequants.
     deq_qkv: [Vec<f32>; 3],
     act: Quantizer,
-    act_quant: ActQuant,
     /// The KV-cache group codec — `Some` iff this is a causal
     /// (decoder-style) block, which masks future tokens in the
     /// full-sequence forward and supports incremental decode against a
@@ -92,7 +91,6 @@ impl PackedAttn {
             dim,
             projs,
             deq_qkv,
-            act_quant: ActQuant::for_quantizer(&act),
             act,
             kv: None,
         })
@@ -184,8 +182,7 @@ impl PackedAttn {
     /// `act_i8`.
     fn project_qkv(&self, x: &[f32], rows: usize, ws: &mut LayerCtx<'_>) {
         let b = &mut *ws.bufs;
-        self.act_quant
-            .apply_all_into(x, self.act.scale(), self.act.codec(), &mut b.act_i16);
+        quantize_rows(&self.act, x, &mut b.act_i16);
         if self.projs[..3].iter().any(|p| p.image.elem_bytes() == 1) {
             b.act_i8.clear();
             let narrowed = b.act_i16.iter().map(|&v| i8::from_i32(v as i32));
@@ -277,7 +274,7 @@ impl PackedAttn {
         let b = &mut *ws.bufs;
         // Move K and V into the quantized KV domain row by row, in place
         // — and into the cache too when prefilling (bitwise identical:
-        // one shared group-encode path).
+        // one group selection, `KvQuant::quant_group`).
         if let Some(kvq) = &self.kv {
             let (k, v) = (b.k.chunks_exact_mut(dim), b.v.chunks_exact_mut(dim));
             match sink {
@@ -368,7 +365,7 @@ impl PackedAttn {
     ///
     /// Numerically this reproduces the last token row of the
     /// full-sequence causal forward **exactly**: the cache hands back the
-    /// same quantized values (shared group-encode path), scores and
+    /// same quantized values (one group selection), scores and
     /// context go through the same [`dot`] and [`axpy`] — whose result
     /// depends on neither row position nor batch — in the same
     /// ascending-`j` order, and the prefix softmax is bitwise the masked

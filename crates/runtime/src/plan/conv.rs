@@ -2,7 +2,7 @@
 //! same weight-stationary GEMM as dense layers.
 
 use super::matrix::{
-    act_bound, check_features, check_int_domain, ActQuant, LayerCtx, PackedMatrix, WeightImage,
+    act_bound, check_features, check_int_domain, quantize_rows, LayerCtx, PackedMatrix, WeightImage,
 };
 use crate::error::RuntimeError;
 use crate::gemm::{im2row, Epilogue, KernelOperand};
@@ -25,7 +25,6 @@ pub struct PackedConv {
     /// Precomputed `act.scale() · w_scales[c]` dequant scales.
     deq: Vec<f32>,
     act: Quantizer,
-    act_quant: ActQuant,
     in_shape: (usize, usize, usize),
     geo: Conv2dGeometry,
     pub(super) out_shape: (usize, usize, usize),
@@ -84,7 +83,6 @@ impl PackedConv {
             mat,
             bias,
             deq,
-            act_quant: ActQuant::for_quantizer(&act),
             act,
             in_shape,
             geo,
@@ -196,8 +194,7 @@ impl PackedConv {
         acts: &mut Vec<T>,
         rows: &'r mut Vec<T>,
     ) -> &'r [T] {
-        self.act_quant
-            .apply_all_into(x, self.act.scale(), self.act.codec(), acts);
+        quantize_rows(&self.act, x, acts);
         let (ci, h, w) = self.in_shape;
         let per_sample = self.out_shape.1 * self.out_shape.2 * self.mat.inp;
         let rows = grab(rows, batch * per_sample, T::default());

@@ -1,7 +1,7 @@
 //! [`PackedLinear`]: a dense layer as one integer GEMM.
 
 use super::matrix::{
-    act_bound, check_features, check_int_domain, ActQuant, LayerCtx, PackedMatrix, WeightImage,
+    act_bound, check_features, check_int_domain, quantize_rows, LayerCtx, PackedMatrix, WeightImage,
 };
 use crate::error::RuntimeError;
 use crate::gemm::Epilogue;
@@ -19,8 +19,6 @@ pub struct PackedLinear {
     deq: Vec<f32>,
     /// Input-activation quantizer (per-tensor).
     act: Quantizer,
-    /// Specialized integer activation-quantization path.
-    act_quant: ActQuant,
 }
 
 impl PackedLinear {
@@ -49,7 +47,6 @@ impl PackedLinear {
             mat,
             bias,
             deq,
-            act_quant: ActQuant::for_quantizer(&act),
             act,
         })
     }
@@ -107,14 +104,13 @@ impl PackedLinear {
             bias: Some(&self.bias),
             rows_per_sample: 1,
         };
-        let (q, s_a, codec) = (&self.act_quant, self.act.scale(), self.act.codec());
         match &self.mat.image {
             WeightImage::I8(pg) => {
-                q.apply_all_into(x, s_a, codec, &mut b.act_i8);
+                quantize_rows(&self.act, x, &mut b.act_i8);
                 pg.matmul_dequant(&b.act_i8, batch, &epi, out, &mut b.acc, ws.pool, ws.threads);
             }
             WeightImage::I16(pg) => {
-                q.apply_all_into(x, s_a, codec, &mut b.act_i16);
+                quantize_rows(&self.act, x, &mut b.act_i16);
                 pg.matmul_dequant(
                     &b.act_i16, batch, &epi, out, &mut b.acc, ws.pool, ws.threads,
                 );

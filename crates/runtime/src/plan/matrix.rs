@@ -5,143 +5,18 @@
 use crate::error::RuntimeError;
 use crate::gemm::{KernelOperand, PanelGemm};
 use crate::pool::WorkerPool;
-use crate::scratch::LayerBufs;
+use crate::scratch::{grab, LayerBufs};
 use ant_core::pack::PackedTensor;
 use ant_core::{DataType, PrimitiveType, Quantizer, TensorQuantizer};
 
-/// Specialized integer quantization of input activations. Every variant
-/// computes exactly `codec.snap(x / s)` — the fake-quantization semantics —
-/// but the common primitives avoid the generic snap dispatch per element:
-/// `int` is a round-and-clamp, and `flint` (whose snap rounds to an integer
-/// magnitude first, Algorithm 1) becomes a table lookup over the pre-imaged
-/// magnitudes.
-#[derive(Debug, Clone)]
-pub(super) enum ActQuant {
-    /// `int`: round then clamp.
-    IntRound {
-        /// Lattice bounds in normalized units.
-        lo: f32,
-        /// Upper lattice bound.
-        hi: f32,
-    },
-    /// `flint`: LUT over rounded magnitudes, sign reapplied.
-    FlintLut {
-        /// `lut[m] = decode(encode_int(m))` for every integer magnitude.
-        lut: Vec<i32>,
-        /// Largest magnitude (`flint.max_value()`).
-        max: f32,
-        /// Whether negative inputs carry a sign (vs clamping to zero).
-        signed: bool,
-    },
-    /// Fallback: the codec's generic snap (e.g. `PoT`, whose snap is
-    /// nearest-value on the continuous input and cannot be pre-rounded).
-    Snap,
-}
-
-impl ActQuant {
-    pub(super) fn for_quantizer(q: &Quantizer) -> ActQuant {
-        let codec = q.codec();
-        let dt = codec.dtype();
-        match dt.primitive() {
-            PrimitiveType::Int => {
-                let hi = codec.max_value();
-                let lo = if dt.is_signed() { -hi } else { 0.0 };
-                ActQuant::IntRound { lo, hi }
-            }
-            PrimitiveType::Flint => {
-                let max = codec.max_value();
-                let lut: Vec<i32> = (0..=max as usize)
-                    .map(|m| codec.snap(m as f32) as i32)
-                    .collect();
-                ActQuant::FlintLut {
-                    lut,
-                    max,
-                    signed: dt.is_signed(),
-                }
-            }
-            _ => ActQuant::Snap,
-        }
-    }
-
-    /// Quantizes one normalized value to its integer lattice point.
-    #[inline]
-    pub(super) fn apply(&self, v: f32, codec: &ant_core::Codec) -> i32 {
-        match self {
-            ActQuant::IntRound { lo, hi } => v.round().clamp(*lo, *hi) as i32,
-            ActQuant::FlintLut { lut, max, signed } => {
-                if *signed {
-                    let q = lut[v.abs().round().min(*max) as usize];
-                    if v < 0.0 {
-                        -q
-                    } else {
-                        q
-                    }
-                } else {
-                    lut[v.round().max(0.0).min(*max) as usize]
-                }
-            }
-            ActQuant::Snap => codec.snap(v) as i32,
-        }
-    }
-
-    /// Quantizes a whole slice of real activations onto the integer
-    /// lattice at operand width `T`, reusing `out`'s capacity (the
-    /// zero-allocation steady state). The variant dispatch is hoisted out
-    /// of the element loop so the common `int` path is a straight
-    /// divide/round/clamp stream the autovectorizer handles; every
-    /// element computes exactly what [`ActQuant::apply`] computes.
-    pub(super) fn apply_all_into<T: KernelOperand>(
-        &self,
-        x: &[f32],
-        scale: f32,
-        codec: &ant_core::Codec,
-        out: &mut Vec<T>,
-    ) {
-        if out.len() != x.len() {
-            out.clear();
-            out.resize(x.len(), T::default());
-        }
-        match self {
-            ActQuant::IntRound { lo, hi } => {
-                let (lo, hi) = (*lo, *hi);
-                #[cfg(target_arch = "x86_64")]
-                if crate::gemm::avx2_available() {
-                    // SAFETY: gated on runtime AVX2 detection. Same Rust
-                    // code as below — IEEE divide/round/clamp semantics
-                    // are ISA-independent, so results are bit-identical;
-                    // compiling with AVX2 enabled just lets the
-                    // autovectorizer use 8-wide divides.
-                    unsafe { int_round_all_avx2(x, scale, lo, hi, out) };
-                    return;
-                }
-                for (dst, &v) in out.iter_mut().zip(x) {
-                    *dst = T::from_i32((v / scale).round().clamp(lo, hi) as i32);
-                }
-            }
-            _ => {
-                for (dst, &v) in out.iter_mut().zip(x) {
-                    *dst = T::from_i32(self.apply(v / scale, codec));
-                }
-            }
-        }
-    }
-}
-
-/// The `int` activation-quantization loop compiled with AVX2 enabled
-/// (runtime-dispatched): element-for-element the same arithmetic as the
-/// scalar path in [`ActQuant::apply_all_into`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn int_round_all_avx2<T: KernelOperand>(
-    x: &[f32],
-    scale: f32,
-    lo: f32,
-    hi: f32,
-    out: &mut [T],
-) {
-    for (dst, &v) in out.iter_mut().zip(x) {
-        *dst = T::from_i32((v / scale).round().clamp(lo, hi) as i32);
-    }
+/// Quantizes real activations onto `act`'s integer lattice at operand
+/// width `T` — `snap(x / s)` per element, read from the codec's step
+/// table — into `out`, reusing its capacity (the zero-allocation steady
+/// state). Every packed layer's operand rows go through this one loop.
+pub(super) fn quantize_rows<T: KernelOperand>(act: &Quantizer, x: &[f32], out: &mut Vec<T>) {
+    let out = grab(out, x.len(), T::default());
+    act.codec()
+        .encode_into(x, act.scale(), out, |_, v| T::from_i32(v as i32));
 }
 
 /// The decode-once integer image of a weight matrix, at the narrower of

@@ -459,9 +459,7 @@ impl CompiledPlan {
 
 #[cfg(test)]
 mod tests {
-    use super::matrix::ActQuant;
     use super::*;
-    use ant_core::Quantizer;
     use ant_nn::model::{mlp, small_cnn, tiny_transformer, transformer_block, NetLayer};
     use ant_nn::qat::{quantize_model, QuantSpec};
     use ant_tensor::dist::{sample_tensor, Distribution};
@@ -621,32 +619,6 @@ mod tests {
                 for (a, b) in decoded.iter().zip(expected.as_slice()) {
                     assert!((a - b).abs() <= 1e-6 * (1.0 + b.abs()), "{a} vs {b}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn act_quant_specializations_match_codec_snap() {
-        use ant_core::DataType;
-        for dt in [
-            DataType::int(4, true).unwrap(),
-            DataType::int(4, false).unwrap(),
-            DataType::int(8, true).unwrap(),
-            DataType::flint(4, true).unwrap(),
-            DataType::flint(4, false).unwrap(),
-            DataType::flint(6, true).unwrap(),
-            DataType::pot(4, true).unwrap(),
-            DataType::pot(4, false).unwrap(),
-        ] {
-            let q = Quantizer::with_scale(dt, 1.0).unwrap();
-            let act = ActQuant::for_quantizer(&q);
-            let codec = q.codec();
-            let max = codec.max_value();
-            let mut v = -1.5 * max;
-            let step = max / 97.0;
-            while v <= 1.5 * max {
-                assert_eq!(act.apply(v, codec), codec.snap(v) as i32, "{dt}: v={v}");
-                v += step;
             }
         }
     }
